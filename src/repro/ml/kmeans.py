@@ -85,6 +85,8 @@ def kmeans(
     """
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if init is None and n_init > 1:
         base = 0 if seed is None else seed
         best: Optional[KMeansResult] = None

@@ -11,11 +11,20 @@ handles the SOM comparison benchmark reports.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 __all__ = ["SelfOrganizingMap"]
+
+#: Training steps whose sample indices are drawn at once.
+_CHUNK = 64
+
+
+def _neg_sq_gaps(size: int) -> np.ndarray:
+    """``-(i - j) ** 2`` for every pair of positions along one grid axis."""
+    pos = np.arange(size, dtype=float)
+    return -((pos[:, None] - pos[None, :]) ** 2)
 
 
 class SelfOrganizingMap:
@@ -79,6 +88,8 @@ class SelfOrganizingMap:
         x = np.asarray(data, dtype=float)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("data must be a non-empty 2-D array")
+        if not np.isfinite(x).all():
+            raise ValueError("data must be finite")
         rng = np.random.default_rng(self.seed)
 
         # Initialize weights from the data's bounding box.
@@ -86,17 +97,42 @@ class SelfOrganizingMap:
         span = np.where(hi > lo, hi - lo, 1.0)
         weights = lo + rng.random((self.n_neurons, x.shape[1])) * span
 
-        decay = self.n_iter / 4.6  # rate/sigma shrink to ~1% at the end
-        for t in range(self.n_iter):
-            sample = x[rng.integers(x.shape[0])]
-            factor = np.exp(-t / decay)
-            lr = self.learning_rate * factor
-            sigma = max(self.sigma0 * factor, 0.5)
+        # Negated squared grid distances along each axis, built once.  A
+        # neuron's distances to the whole grid are their outer sum: small
+        # integers, so exact however they are summed.
+        neg_row_d2 = _neg_sq_gaps(self.rows)
+        neg_col_d2 = _neg_sq_gaps(self.cols)
+        diff = np.empty_like(weights)
+        sq = np.empty_like(weights)
+        d2 = np.empty(self.n_neurons)
+        influence = np.empty(self.n_neurons)
+        influence_grid = influence.reshape(self.rows, self.cols)
 
-            bmu = int(np.argmin(np.sum((weights - sample) ** 2, axis=1)))
-            grid_d2 = np.sum((self._coords - self._coords[bmu]) ** 2, axis=1)
-            influence = np.exp(-grid_d2 / (2.0 * sigma * sigma))
-            weights += lr * influence[:, None] * (sample - weights)
+        decay = self.n_iter / 4.6  # rate/sigma shrink to ~1% at the end
+        for start in range(0, self.n_iter, _CHUNK):
+            # One draw per chunk: ``integers(n, size=k)`` returns the same
+            # values, and leaves the same state, as ``k`` scalar draws.
+            samples = rng.integers(x.shape[0], size=min(_CHUNK, self.n_iter - start))
+            for t, i in enumerate(samples.tolist(), start):
+                factor = np.exp(-t / decay)
+                lr = self.learning_rate * factor
+                sigma = max(self.sigma0 * factor, 0.5)
+
+                np.subtract(weights, x[i], out=diff)
+                np.square(diff, out=sq)
+                row, col = divmod(int(np.add.reduce(sq, axis=1, out=d2).argmin()), self.cols)
+                np.add(neg_row_d2[row, :, None], neg_col_d2[col], out=influence_grid)
+                influence /= 2.0 * sigma * sigma
+                np.exp(influence, out=influence)
+                # ``w += lr * h * (x - w)``, written as ``w -= lr * h * (w - x)``
+                # to reuse ``diff``; the two agree bit for bit.  IEEE
+                # negation is exact, so ``w - x`` is ``-(x - w)`` unless
+                # both are +0, and subtracting +0 changes no weight but -0.
+                # No weight is ever -0: ``lo + r * span`` is not, and
+                # ``w - v`` is -0 only when ``w`` already is.
+                influence *= lr
+                diff *= influence[:, None]
+                weights -= diff
 
         self.weights = weights
         return self

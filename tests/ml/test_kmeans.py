@@ -83,6 +83,17 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(data, data.shape[0] + 1)
 
+    @pytest.mark.parametrize("n_init", [1, 3])
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_non_positive_max_iter_rejected(self, small_gaussian, max_iter, n_init):
+        data, _ = small_gaussian
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(data, 3, max_iter=max_iter, seed=0, n_init=n_init)
+
+    def test_single_iteration_allowed(self, small_gaussian):
+        data, _ = small_gaussian
+        assert kmeans(data, 3, max_iter=1, seed=0).n_iter == 1
+
     def test_1d_data_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.arange(10.0), 2)

@@ -37,6 +37,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             SelfOrganizingMap().fit(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        data = np.random.default_rng(0).normal(size=(20, 3))
+        data[5, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SelfOrganizingMap(rows=3, cols=3, n_iter=10, seed=0).fit(data)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(100, 2))

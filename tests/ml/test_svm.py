@@ -44,6 +44,14 @@ class TestLinearSVM:
         with pytest.raises(ValueError):
             LinearSVM(n_iter=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, linearly_separable, bad):
+        data, labels = linearly_separable
+        data = data.copy()
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LinearSVM(n_iter=10, seed=0).fit(data, labels)
+
     def test_projection_bounds_weight_norm(self, linearly_separable):
         data, labels = linearly_separable
         model = LinearSVM(lam=1.0, n_iter=2000, seed=0, project=True)
@@ -80,6 +88,25 @@ class TestOneVsRestSVM:
         data = rng.normal(size=(10, 2))
         with pytest.raises(ValueError):
             OneVsRestSVM().fit(data, np.zeros(10))
+
+    def test_unseeded_fit_trains_every_class(self, small_gaussian):
+        data, labels = small_gaussian
+        model = OneVsRestSVM(n_iter=3000).fit(data, labels)
+        assert len(model._models) == 3
+        assert model.score(data, labels) > 0.9
+
+    def test_all_nan_data_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            OneVsRestSVM(n_iter=10, seed=0).fit(
+                np.full((6, 2), np.nan), np.array([0, 1, 2] * 2)
+            )
+
+    def test_infinite_value_rejected(self, small_gaussian):
+        data, labels = small_gaussian
+        data = data.copy()
+        data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            OneVsRestSVM(n_iter=10, seed=0).fit(data, labels)
 
     def test_constant_feature_handled(self, rng):
         data = np.hstack(
