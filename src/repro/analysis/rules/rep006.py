@@ -18,7 +18,7 @@ The rule checks, per class declaring a non-empty ``fusion_family``:
 * **(B)** every traceable ``fusion_params`` entry (one whose backing
   ``self`` column the lane packs in ``__init__``/``build`` from an
   instance attribute of the same name) is never assigned outside the
-  build path — not in ``react_many``, not in ``reset_many``;
+  build path — not in ``react_many``, not in any other method;
 * **(C)** no method nests a closure (``def``/``lambda``) that mutates
   lane state (``self.X = ...`` or ``nonlocal`` writes) — a compiled
   round program must be a pure function of its parameter columns.

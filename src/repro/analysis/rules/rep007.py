@@ -38,7 +38,6 @@ _SANCTIONED = {
     "fit",
     "fit_reference",
     "reset",
-    "reset_many",
     "finalize",
     "sync_lanes",
     "flush_all",

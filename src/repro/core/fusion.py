@@ -1,35 +1,40 @@
-"""Cross-cell lane fusion: family planner + compiled round programs.
+"""Lane programs: the compiled round kernels every lockstep game runs.
 
-The batched engine and the :class:`~repro.serving.service.DefenseService`
-originally multiplexed only lanes with *identical* spec configuration
-(same ``rep_group_key``) — heterogeneous grids, the common case in every
-paper sweep, degraded to the solo per-round loop.  This module closes
-that gap in three pieces:
+A lockstep game steps L *lanes* — one per repetition, sweep cell or
+service tenant — through one round of shared array kernels.
+:class:`~repro.core.session.BatchedGameSession` builds its lane programs
+from the per-lane component instances with the pieces below, whichever
+caller supplies the instances
+(:class:`~repro.core.engine.BatchedCollectionGame` or the
+:class:`~repro.serving.DefenseService`):
 
-* **Fusion planner** — :func:`fused_collector_lanes` /
+* **Strategy planner** — :func:`fused_collector_lanes` /
   :func:`fused_adversary_lanes` group live strategy instances by lane
   *family* (the registered lane class, refined by its ``group_key``)
   and build one vector lane program per family, packing heterogeneous
   per-lane parameters into ``(L,)`` columns.  Unregistered or declined
-  instances land on the per-rep fallback loop for *their sub-group
+  instances land on the per-lane fallback loop for *their sub-group
   only*; everything else stays vectorized.  The composite lane scatters
   each round's observation columns to the family programs and gathers
   their percentile outputs — O(#families) Python calls per round
   instead of O(L).
-* **Compiled trim program** — :class:`TrimLanes` resolves the
-  per-lane trimmer dispatch (shared instance / exact-class stack /
-  custom loop) once at build time; per round it runs one vector score
-  sweep plus per-lane scalar cutoffs, byte-identical to L solo
+* **Trim program** — :class:`TrimLanes` resolves the per-lane trimmer
+  dispatch (exact shipped class stack / custom loop) once at build
+  time; per round it runs one vector score sweep plus per-lane scalar
+  cutoffs, byte-identical to L solo
   :meth:`~repro.core.trimming.Trimmer.trim` calls.
-* **Compiled poison program** — :class:`InjectorLanes` packs attack
-  ratios into a column, partitions lanes by shared reference content
-  once at build time, and materializes each reference group's poison
-  in a single vectorized quantile pass, with per-lane jitter draws
-  still taken from each lane's own Generator.
+* **Poison program** — :class:`InjectorLanes` packs attack ratios into
+  a column, partitions lanes by shared reference content once at build
+  time, and materializes each reference group's poison in a single
+  vectorized quantile pass, with per-lane jitter draws still taken from
+  each lane's own Generator.
+* **Quality and judge programs** — :class:`QualityLanes` scores
+  exact-:class:`~repro.core.quality.TailMassEvaluator` stacks in one
+  array sweep and :class:`JudgeLanes` computes the shipped judges'
+  verdicts in array expressions; other classes loop per lane.
 
-Byte-identity contract (unchanged from the rep-batched engine): every
-fused lane's outputs equal, bit for bit, what its solo
-:class:`~repro.core.session.GameSession` would have produced.
+Byte-identity contract: every lane's outputs equal, bit for bit, what
+its solo :class:`~repro.core.session.GameSession` would have produced.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import numpy as np
 from ..streams.injection import LanePositionServer
 from .arrays import Array
 from .domain import QuantileTable, empirical_quantile
+from .engine import BandExcessJudge, NoisyPositionJudge
+from .quality import QualityEvaluator, TailMassEvaluator
 from .strategies.base import RoundObservationBatch
 from .strategies.batched import (
     _ADVERSARY_LANES,
@@ -59,6 +66,8 @@ __all__ = [
     "fused_adversary_lanes",
     "TrimLanes",
     "InjectorLanes",
+    "QualityLanes",
+    "JudgeLanes",
 ]
 
 
@@ -132,10 +141,6 @@ class _FusedLanes:
             lambda idx, lanes: lanes.react_many(last.take(idx))
         )
 
-    def reset_many(self) -> None:
-        for _, lanes in self._parts:
-            lanes.reset_many()
-
     def finalize(self) -> None:
         for _, lanes in self._parts:
             lanes.finalize()
@@ -208,15 +213,14 @@ def fused_adversary_lanes(instances: Sequence[Any]) -> AdversaryLanes:
 class TrimLanes:
     """Per-lane trimmers compiled into one round program.
 
-    The dispatch chain (shared instance?  exact shipped class?  custom
-    ``trim`` override?) is resolved once at build time:
+    The dispatch (exact shipped class?  custom ``trim`` override?) is
+    resolved once at build time:
 
-    * ``"shared"`` — every lane is literally the same instance: the
-      existing rep-batched :meth:`Trimmer.trim_many` kernel runs as-is.
-    * ``"stacked"`` — one shipped trimmer class, per-lane instances
-      (own anchors/references): a single vector score sweep, then each
-      lane's scalar cutoff from *its own* reference table — the exact
-      expressions of the solo :meth:`Trimmer.trim` body.
+    * ``"stacked"`` — one shipped trimmer class (per-lane instances with
+      their own anchors/references, or one instance shared by every
+      lane): a single vector score sweep, then each lane's scalar cutoff
+      from *its own* reference table — the exact expressions of the
+      solo :meth:`Trimmer.trim` body.
     * ``"loop"`` — mixed classes or custom ``trim`` overrides: the
       documented per-lane loop through each instance's own ``trim``.
     """
@@ -226,9 +230,7 @@ class TrimLanes:
         if not self.trimmers:
             raise ValueError("need at least one trimmer")
         lead = self.trimmers[0]
-        if all(t is lead for t in self.trimmers):
-            self.mode = "shared"
-        elif type(lead) in (ValueTrimmer, RadialTrimmer) and all(
+        if type(lead) in (ValueTrimmer, RadialTrimmer) and all(
             type(t) is type(lead) for t in self.trimmers
         ):
             self.mode = "stacked"
@@ -266,11 +268,6 @@ class TrimLanes:
         """Number of trim lanes."""
         return len(self.trimmers)
 
-    @property
-    def lead(self) -> Trimmer:
-        """The first lane's trimmer."""
-        return self.trimmers[0]
-
     def _ensure_cutoff_groups(self) -> Tuple[Array, List[QuantileTable]]:
         """(lane -> group id, group tables); -1 = batch-anchored lane."""
         if self._cutoff_groups is None:
@@ -294,9 +291,7 @@ class TrimLanes:
 
     def scores_stack(self, stack: Array, lanes: Array) -> Array:
         """(rows, n) per-point scores; row ``j`` scored by lane ``lanes[j]``."""
-        if self.mode == "shared":
-            return self.lead.scores_many(stack)
-        if self.mode == "stacked" and type(self.lead) is ValueTrimmer:
+        if self.mode == "stacked" and type(self.trimmers[0]) is ValueTrimmer:
             if stack.ndim != 2:
                 raise ValueError("ValueTrimmer expects (R, n) stacks")
             return stack
@@ -338,8 +333,6 @@ class TrimLanes:
             raise ValueError("need one percentile per rep")
         if lanes is None:
             lanes = np.arange(self.n_reps)
-        if self.mode == "shared":
-            return self.lead.trim_many(arr, q_in)
         if self.mode == "loop":
             return BatchTrimReport.from_reports(
                 self.trimmers[r].trim(arr[j], float(q_in[j]))
@@ -414,11 +407,6 @@ class InjectorLanes:
     def n_reps(self) -> int:
         """Number of injector lanes."""
         return len(self.injectors)
-
-    @property
-    def lead(self) -> Any:
-        """The first lane's injector."""
-        return self.injectors[0]
 
     def poison_counts(self, n_benign: int) -> Array:
         """(L,) per-lane poison counts for ``n_benign`` benign rows.
@@ -578,3 +566,227 @@ class InjectorLanes:
                             stack[j], positions[j]
                         )
         return out
+
+
+# --------------------------------------------------------------------- #
+# compiled quality and judge programs
+# --------------------------------------------------------------------- #
+class QualityLanes:
+    """Per-lane quality evaluators with a vectorized tail-mass fast path.
+
+    Lane ``r`` keeps its own evaluator instance (solo games do too; a
+    seeded or stateful user evaluator diverges per lane).  When every
+    instance is exactly a :class:`TailMassEvaluator` — *regardless* of
+    its reference quantile or calibrated cutoff, which pack into
+    per-lane ``(L,)`` columns — the whole stack is scored by one array
+    sweep; otherwise the documented per-lane loop runs each instance on
+    its own row.  ``trim_lanes`` only informs the per-lane score-sharing
+    probe.
+    """
+
+    def __init__(
+        self, evaluators: Sequence[QualityEvaluator], trim_lanes: TrimLanes
+    ) -> None:
+        self.evaluators = list(evaluators)
+        lead = self.evaluators[0]
+        kinds = [getattr(t, "score_kind", None) for t in trim_lanes.trimmers]
+        if all(type(ev) is type(lead) for ev in self.evaluators) and (
+            len(set(kinds)) == 1
+        ):
+            # Same concrete class everywhere: the (signature-inspecting)
+            # share probe runs once instead of once per lane.
+            self.share_flags = [lead.accepts_scores(kinds[0])] * len(
+                self.evaluators
+            )
+        else:
+            self.share_flags = [
+                evaluator.accepts_scores(kind)
+                for evaluator, kind in zip(self.evaluators, kinds, strict=False)
+            ]
+        # The vector program needs one shared score-reuse decision; a
+        # mixed-flag cohort (possible only with per-lane trimmer kinds)
+        # takes the loop.
+        self.vectorized = all(
+            type(ev) is TailMassEvaluator for ev in self.evaluators
+        ) and len(set(self.share_flags)) == 1
+        self._columns: Optional[Tuple[Array, ...]] = None
+
+    def evaluate_many(
+        self,
+        stacks: Array,
+        scores: Optional[Array],
+        idx: Optional[Array] = None,
+    ) -> Tuple[Array, Array]:
+        """(observed_ratio, quality) ``(L,)`` pairs for one round stack.
+
+        ``scores`` is the trimmer's ``(L, n)`` batch-score stack (or
+        ``None``); each lane reuses it only when its own evaluator
+        accepts the trimmer's score family — exactly the solo rule.
+        ``idx`` maps stack rows onto lane indices for segmented rounds.
+        """
+        if self.vectorized:
+            if self._columns is None:
+                cutoffs = [ev._cutoff for ev in self.evaluators]
+                if any(cutoff is None for cutoff in cutoffs):
+                    raise RuntimeError(
+                        "evaluator must be fit on reference data first"
+                    )
+                self._columns = (
+                    np.array([float(cutoff) for cutoff in cutoffs]),
+                    np.array(
+                        [
+                            float(ev.reference_quantile)
+                            for ev in self.evaluators
+                        ]
+                    ),
+                )
+            cut, ref_q = self._columns
+            if idx is not None:
+                cut = cut[idx]
+                ref_q = ref_q[idx]
+            shared = (
+                scores if (scores is not None and self.share_flags[0]) else None
+            )
+            # The per-lane cutoff/quantile columns broadcast through the
+            # same elementwise expressions as TailMassEvaluator — exact
+            # 0/1 tail sums, so bit-identical to L solo evaluate calls.
+            batch_scores = QualityEvaluator._as_scores_many(stacks, shared)
+            excess = np.mean(batch_scores > cut[:, None], axis=1) - (
+                1.0 - ref_q
+            )
+            raws = np.maximum(0.0, excess)
+            normalized = np.clip(raws / ref_q, 0.0, 1.0)
+            return raws, normalized
+        lanes = (
+            np.arange(len(self.evaluators)) if idx is None else np.asarray(idx)
+        )
+        raws = np.empty(lanes.shape[0])
+        normalized = np.empty(lanes.shape[0])
+        for j, r in enumerate(lanes):
+            evaluator = self.evaluators[r]
+            shared = (
+                scores[j]
+                if (scores is not None and self.share_flags[r])
+                else None
+            )
+            raws[j], normalized[j] = evaluator.evaluate(
+                stacks[j], scores=shared
+            )
+        return raws, normalized
+
+
+class JudgeLanes:
+    """Per-lane compliance judges with vector paths for the shipped two.
+
+    Each lane owns its judge instance (own noise Generator).  Exact-type
+    stacks of :class:`~repro.core.engine.BandExcessJudge` /
+    :class:`~repro.core.engine.NoisyPositionJudge` compute the verdict
+    for all lanes in array expressions, drawing each lane's noise from
+    that lane's own Generator under the same conditions as the solo
+    path; anything else loops ``judge_round`` per lane.
+    """
+
+    def __init__(self, judges: Sequence[Any]):
+        self.judges = list(judges)
+        lead = self.judges[0]
+        cls = type(lead)
+        self.mode = "loop"
+        if all(type(judge) is cls for judge in self.judges):
+            # Heterogeneous bands/margins/noise levels pack into (L,)
+            # parameter columns, so exact-type stacks always vectorize.
+            if cls is BandExcessJudge:
+                self.mode = "band"
+            elif cls is NoisyPositionJudge:
+                self.mode = "position"
+        self._band_columns: Optional[Tuple[Array, ...]] = None
+        if self.mode == "position":
+            self._boundary = np.array(
+                [float(judge.boundary) for judge in self.judges]
+            )
+            self._miss = np.array(
+                [float(judge.miss_rate) for judge in self.judges]
+            )
+            self._fp = np.array(
+                [float(judge.false_positive_rate) for judge in self.judges]
+            )
+
+    def judge_round_many(
+        self,
+        injections: Array,
+        scores: Array,
+        kept: Array,
+        idx: Optional[Array] = None,
+    ) -> Array:
+        """(L,) betrayal verdicts for one lockstep round (or segment).
+
+        ``idx`` maps stack rows onto lane indices for segmented rounds;
+        ``None`` means row ``r`` is lane ``r``.
+        """
+        if self.mode == "band":
+            return self._band_many(scores, kept, idx)
+        if self.mode == "position":
+            return self._position_many(injections, idx)
+        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
+        verdicts = np.empty(lanes.shape[0], dtype=bool)
+        for j, r in enumerate(lanes):
+            injection = injections[j]
+            verdicts[j] = self.judges[r].judge_round(
+                None if np.isnan(injection) else float(injection),
+                scores[j][kept[j]],
+            )
+        return verdicts
+
+    def _band_many(
+        self, scores: Array, kept: Array, idx: Optional[Array] = None
+    ) -> Array:
+        if self._band_columns is None:
+            for judge in self.judges:
+                if judge._band_values is None:
+                    raise RuntimeError(
+                        "judge must be fit on reference scores first"
+                    )
+            self._band_columns = (
+                np.array([float(j._band_values[0]) for j in self.judges]),
+                np.array([float(j._band_values[1]) for j in self.judges]),
+                np.array([float(j._clean_mass) for j in self.judges]),
+                np.array([float(j.margin) for j in self.judges]),
+                np.array([float(j.noise_sigma) for j in self.judges]),
+            )
+        lo_v, hi_v, clean, margin, sigma = self._band_columns
+        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
+        if idx is not None:
+            lo_v = lo_v[lanes]
+            hi_v = hi_v[lanes]
+            clean = clean[lanes]
+            margin = margin[lanes]
+            sigma = sigma[lanes]
+        n_kept = np.count_nonzero(kept, axis=1)
+        in_band = (scores > lo_v[:, None]) & (scores <= hi_v[:, None]) & kept
+        # Exact 0/1 sums: identical to the solo np.mean over kept scores.
+        mass = np.count_nonzero(in_band, axis=1) / np.maximum(n_kept, 1)
+        excess = mass - clean
+        # The solo judge returns early (no draw) on an empty batch and
+        # draws only when its own sigma is positive.
+        drawing = np.flatnonzero((n_kept > 0) & (sigma > 0.0))
+        if drawing.size:
+            noise = np.zeros(lanes.shape[0])
+            for j in drawing:
+                noise[j] = float(
+                    self.judges[lanes[j]]._rng.normal(0.0, sigma[j])
+                )
+            excess = excess + noise
+        return (excess > margin) & (n_kept > 0)
+
+    def _position_many(
+        self, injections: Array, idx: Optional[Array] = None
+    ) -> Array:
+        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
+        boundary = self._boundary[lanes]
+        miss = self._miss[lanes]
+        fp = self._fp[lanes]
+        # Exactly one draw per lane per round, as in the solo judge.
+        draws = np.array([float(self.judges[r]._rng.random()) for r in lanes])
+        betrayed = np.zeros(lanes.shape[0], dtype=bool)
+        observed = ~np.isnan(injections)
+        betrayed[observed] = injections[observed] < boundary[observed]
+        return np.where(betrayed, draws >= miss, draws < fp)

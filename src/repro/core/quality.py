@@ -107,25 +107,6 @@ class QualityEvaluator:
         except (TypeError, ValueError):  # builtins / exotic callables
             return False
 
-    def evaluate_many(
-        self, stacks: ArrayLike, scores: Optional[Array] = None
-    ) -> Tuple[Array, Array]:
-        """Rep-batched :meth:`evaluate` over an ``(R, n[, d])`` stack.
-
-        Returns ``(score, normalized)`` as ``(R,)`` arrays; element ``r``
-        is byte-identical to ``self.evaluate(stacks[r], ...)``.  The base
-        implementation is the documented per-rep fallback loop — always
-        correct for any subclass; array-native evaluators override it
-        with a single vectorized sweep.
-        """
-        arr = np.asarray(stacks, dtype=float)
-        raws = np.empty(arr.shape[0])
-        normalized = np.empty(arr.shape[0])
-        for r in range(arr.shape[0]):
-            shared = None if scores is None else scores[r]
-            raws[r], normalized[r] = self.evaluate(arr[r], scores=shared)
-        return raws, normalized
-
     @staticmethod
     def _as_scores_many(
         stacks: ArrayLike, scores: Optional[Array] = None
@@ -211,24 +192,6 @@ class TailMassEvaluator(QualityEvaluator):
             1.0 - self.reference_quantile
         )
         return max(0.0, excess)
-
-    def evaluate_many(
-        self, stacks: ArrayLike, scores: Optional[Array] = None
-    ) -> Tuple[Array, Array]:
-        """Vectorized tail-mass sweep across the rep axis.
-
-        The per-rep tail masses are exact 0/1 sums, so the axis reduction
-        is bit-identical to R solo :meth:`evaluate` calls.
-        """
-        if self._cutoff is None:
-            raise RuntimeError("evaluator must be fit on reference data first")
-        batch_scores = self._as_scores_many(stacks, scores)
-        excess = np.mean(batch_scores > self._cutoff, axis=1) - (
-            1.0 - self.reference_quantile
-        )
-        raws = np.maximum(0.0, excess)
-        normalized = np.clip(raws / self.max_score(), 0.0, 1.0)
-        return raws, normalized
 
     def max_score(self) -> float:
         return self.reference_quantile  # all mass above the cutoff

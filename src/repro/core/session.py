@@ -20,12 +20,16 @@ transition:
   ``Generator`` bit-state, the board's column arrays and the horizon
   position.  A session suspended in one process resumes byte-identically
   in another.
-* :class:`BatchedGameSession` — the rep-lane counterpart: one
-  ``submit((R, batch, ...))`` call steps R lockstep games through the
-  PR-3 vectorized kernels.  ``BatchedCollectionGame.run()`` drives it,
-  and the :class:`~repro.serving.DefenseService` multiplexer uses it to
-  batch *across live tenants* the way the sweep runtime batches across
-  repetitions.
+* :class:`BatchedGameSession` — the lockstep counterpart: one
+  ``submit((L, batch, ...))`` call steps L games ("lanes") through one
+  round of shared array kernels.  It is built from the lanes' component
+  instances and compiles its own lane programs
+  (:mod:`repro.core.fusion`), so there is one lockstep round body and
+  one lane builder.  Exactly two callers build it:
+  ``BatchedCollectionGame.session()`` (repetitions and fused sweep
+  cells, from freshly reset instances) and the
+  :class:`~repro.serving.DefenseService` multiplexer (live tenants,
+  from their current state).
 
 Snapshot format
 ---------------
@@ -57,15 +61,23 @@ if TYPE_CHECKING:
     from .payoffs import PayoffModel
 
 from ..streams.board import BoardEntry, PublicBoard, StackedBoard
-from ..streams.injection import BatchedInjector, PoisonInjector
+from ..streams.injection import PoisonInjector
 from ..streams.source import StreamSource
+from .fusion import (
+    InjectorLanes,
+    JudgeLanes,
+    QualityLanes,
+    TrimLanes,
+    fused_adversary_lanes,
+    fused_collector_lanes,
+)
 from .strategies.base import (
     AdversaryStrategy,
     CollectorStrategy,
     RoundObservation,
     RoundObservationBatch,
 )
-from .trimming import BatchTrimReport, Trimmer
+from .trimming import Trimmer
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -495,27 +507,19 @@ class GameSession:
         fit, judge fit on the shared reference scores) and returns the
         opened session.
         """
-        from .engine import BandExcessJudge
+        from .engine import BandExcessJudge, _calibrate
         from .quality import TailMassEvaluator
 
-        if anchor not in ("reference", "batch"):
-            raise ValueError("anchor must be 'reference' or 'batch'")
-        reference = np.asarray(reference, dtype=float)
-        trimmer.anchor = anchor
-        trimmer.fit_reference(reference)
-        if injector is not None:
-            injector.fit_reference(reference)
         quality_evaluator = quality_evaluator or TailMassEvaluator()
-        quality_evaluator.fit(reference)
         judge = judge or BandExcessJudge(noise_sigma=0.0)
-        reference_scores = getattr(trimmer, "reference_scores", None)
-        if reference_scores is None:
-            reference_scores = trimmer.scores(reference)
-        if isinstance(judge, BandExcessJudge):
-            table = getattr(trimmer, "reference_table", None)
-            judge.fit(table if table is not None else reference_scores)
-        else:
-            judge.fit(reference_scores)
+        _calibrate(
+            np.asarray(reference, dtype=float),
+            [trimmer],
+            [injector],
+            [quality_evaluator],
+            [judge],
+            anchor,
+        )
         return cls(
             collector=collector,
             adversary=adversary,
@@ -786,65 +790,6 @@ class GameSession:
             n_poison_retained,
         )
 
-    def absorb_round(
-        self, decision: BatchedRoundDecision, rep: int
-    ) -> RoundDecision:
-        """Adopt lane ``rep`` of a lockstep round as this session's round.
-
-        The :class:`~repro.serving.DefenseService` multiplexer plays
-        same-configuration sessions through one
-        :class:`BatchedGameSession` step; this records the session's
-        lane on its own board and advances its position exactly as a
-        solo :meth:`submit` would have (the strategy/RNG state advanced
-        inside the shared kernels, which draw from this session's own
-        component instances).
-        """
-        self._check_submittable()
-        self._flush_deferred()
-        if decision.index != self._round + 1:
-            raise ValueError(
-                f"lockstep round {decision.index} does not follow this "
-                f"session's round {self._round}"
-            )
-        observation = decision.rep_observation(rep)
-        retained = (
-            decision.retained[rep]
-            if (self.store_retained and decision.retained is not None)
-            else None
-        )
-        n_poison_injected = int(decision.n_poison_injected[rep])
-        n_poison_retained = int(decision.n_poison_retained[rep])
-        self._board.record(
-            BoardEntry(
-                observation=observation,
-                retained=retained,
-                n_collected=int(decision.n_collected[rep]),
-                n_poison_injected=n_poison_injected,
-                n_poison_retained=n_poison_retained,
-                n_retained=int(decision.n_retained[rep]),
-            )
-        )
-        self._last = observation
-        self._round = decision.index
-        return RoundDecision(
-            index=decision.index,
-            threshold=observation.trim_percentile,
-            injection_percentile=observation.injection_percentile,
-            accept_mask=decision.accept_masks[rep],
-            quality=observation.quality,
-            observed_poison_ratio=observation.observed_poison_ratio,
-            betrayal=observation.betrayal,
-            n_collected=int(decision.n_collected[rep]),
-            n_retained=int(decision.n_retained[rep]),
-            n_poison_injected=n_poison_injected,
-            n_poison_retained=n_poison_retained,
-            observation=observation,
-            retained=retained,
-            payoffs=self._payoffs(
-                observation, n_poison_injected, n_poison_retained
-            ),
-        )
-
     # ------------------------------------------------------------------ #
     def result(self) -> "GameResult":
         """The game-so-far as a :class:`~repro.core.engine.GameResult`."""
@@ -1026,78 +971,63 @@ class GameSession:
 
 
 # --------------------------------------------------------------------- #
-# the rep-lane session
+# the lockstep session
 # --------------------------------------------------------------------- #
 class BatchedGameSession:
-    """R lockstep games as one step-driven session.
+    """L lockstep games as one step-driven session.
 
-    The push-driven counterpart of
-    :class:`~repro.core.engine.BatchedCollectionGame`: every
-    :meth:`submit` steps all R lanes through one vectorized round (the
-    PR-3 kernels), either recording onto an owned
-    :class:`~repro.streams.board.StackedBoard` (the engine-driver path)
-    or returning the full column decision for the caller to distribute
+    Every :meth:`submit` steps all L lanes through one vectorized round,
+    either recording onto an owned
+    :class:`~repro.streams.board.StackedBoard` (the
+    :class:`~repro.core.engine.BatchedCollectionGame` driver) or
+    returning the full column decision for the caller to distribute
     (``board=None`` — the :class:`~repro.serving.DefenseService` path,
-    where each multiplexed tenant records its own lane via
-    :meth:`GameSession.absorb_round`).
+    where each tenant's lane is recorded through a cohort sink).
 
-    Construction goes through
-    :meth:`BatchedCollectionGame.session` or the service's lane
-    grouping; the components mirror the batched engine's internals
-    (strategy lanes, a :class:`~repro.streams.injection.BatchedInjector`,
-    shared-or-per-rep trimmers, quality and judge lanes).  ``start_index``
-    and ``last`` seat the session mid-game — strategy lanes initialize
-    from their instances' current state, so lockstep play can begin at
-    any round, not just round 1.
+    The session takes one component instance per lane and compiles its
+    lane programs from them: fused strategy lanes, a
+    :class:`~repro.core.fusion.TrimLanes`,
+    :class:`~repro.core.fusion.InjectorLanes`,
+    :class:`~repro.core.fusion.QualityLanes` and
+    :class:`~repro.core.fusion.JudgeLanes` program.  The components must
+    already be calibrated.  Strategy lanes initialize from their
+    instances' current state, so with ``start_index`` and ``last`` the
+    session can be seated mid-game, not just at round 1.
     """
 
     def __init__(
         self,
         *,
-        collector_lanes: Any,
-        adversary_lanes: Any,
-        injector: Any,
-        trimmer: Optional[Trimmer] = None,
-        per_rep_trimmers: Optional[Sequence[Trimmer]] = None,
-        trim_lanes: Any = None,
-        quality_lanes: Any,
-        judge_lanes: Any,
+        collectors: Sequence[CollectorStrategy],
+        adversaries: Sequence[Any],
+        injectors: Sequence[Any],
+        trimmers: Sequence[Trimmer],
+        quality_evaluators: Sequence[Any],
+        judges: Sequence[Any],
         horizon: Optional[int] = None,
         store_retained: bool = True,
         board: Optional[StackedBoard] = None,
         start_index: int = 0,
         last: Optional[RoundObservationBatch] = None,
     ):
-        n_reps = collector_lanes.n_reps
-        if adversary_lanes.n_reps != n_reps or injector.n_reps != n_reps:
-            raise ValueError(
-                "collector, adversary and injector lanes must agree on the "
-                "number of repetitions"
+        n_reps = len(collectors)
+        if any(
+            len(lane) != n_reps
+            for lane in (
+                adversaries, injectors, trimmers, quality_evaluators, judges
             )
-        if per_rep_trimmers is not None and len(per_rep_trimmers) != n_reps:
-            raise ValueError("need one trimmer per repetition (or None)")
-        if trim_lanes is not None:
-            if trimmer is not None or per_rep_trimmers is not None:
-                raise ValueError(
-                    "pass either trim_lanes or trimmer/per_rep_trimmers, "
-                    "not both"
-                )
-            if trim_lanes.n_reps != n_reps:
-                raise ValueError("need one trim lane per repetition")
-            trimmer = trim_lanes.lead
-        elif trimmer is None:
-            raise ValueError("need a trimmer, per-rep trimmers or trim_lanes")
+        ):
+            raise ValueError(
+                "need one collector, adversary, injector, trimmer, quality "
+                "evaluator and judge per lane"
+            )
         self.n_reps = n_reps
-        self._collectors = collector_lanes
-        self._adversaries = adversary_lanes
-        self.injector = injector
-        self.trimmer = trimmer
-        self._trim_lanes = trim_lanes
-        self._trimmers = (
-            list(per_rep_trimmers) if per_rep_trimmers is not None else None
-        )
-        self._quality = quality_lanes
-        self._judges = judge_lanes
+        self._collectors = fused_collector_lanes(collectors)
+        self._adversaries = fused_adversary_lanes(adversaries)
+        self.injector = InjectorLanes(injectors)
+        self._trim_lanes = TrimLanes(trimmers)
+        self._quality = QualityLanes(quality_evaluators, self._trim_lanes)
+        self._judges = JudgeLanes(judges)
         self.horizon = None if horizon is None else int(horizon)
         self.store_retained = bool(store_retained)
         self.board = board
@@ -1219,10 +1149,12 @@ class BatchedGameSession:
         else:
             combined = benign
 
-        report = self._trim_seg(combined, trim)
+        report = self._trim_lanes.trim_stack(combined, trim)
         scores = report.scores
         if scores is None:
-            scores = self._scores_seg(combined)
+            scores = self._trim_lanes.scores_stack(
+                combined, np.arange(self.n_reps)
+            )
             shared = None
         else:
             shared = scores
@@ -1299,10 +1231,10 @@ class BatchedGameSession:
                 combined = np.concatenate([seg, poison], axis=1)
             else:
                 combined = seg
-            report = self._trim_seg(combined, trim[idx], idx)
+            report = self._trim_lanes.trim_stack(combined, trim[idx], idx)
             scores = report.scores
             if scores is None:
-                scores = self._scores_seg(combined, idx)
+                scores = self._trim_lanes.scores_stack(combined, idx)
                 shared = None
             else:
                 shared = scores
@@ -1341,51 +1273,6 @@ class BatchedGameSession:
         )
 
     # ------------------------------------------------------------------ #
-    def _rep_trimmer(self, rep: int) -> Trimmer:
-        """Rep ``rep``'s trimmer (per-rep instances for custom classes)."""
-        if self._trim_lanes is not None:
-            return self._trim_lanes.trimmers[rep]
-        if self._trimmers is not None:
-            return self._trimmers[rep]
-        return self.trimmer
-
-    def _trim_seg(
-        self,
-        combined: Array,
-        trim: Array,
-        idx: Optional[Array] = None,
-    ) -> BatchTrimReport:
-        """One segment's trim reports; row ``j`` is lane ``idx[j]``."""
-        if self._trim_lanes is not None:
-            return self._trim_lanes.trim_stack(combined, trim, idx)
-        if self._trimmers is None:
-            return self.trimmer.trim_many(combined, trim)
-        lanes = range(self.n_reps) if idx is None else idx
-        return BatchTrimReport.from_reports(
-            self._trimmers[r].trim(combined[j], float(trim[j]))
-            for j, r in enumerate(lanes)
-        )
-
-    def _scores_seg(
-        self, combined: Array, idx: Optional[Array] = None
-    ) -> Array:
-        """Batch scores per lane (fallback when reports carry none)."""
-        if self._trim_lanes is not None:
-            lanes = np.arange(self.n_reps) if idx is None else idx
-            return self._trim_lanes.scores_stack(
-                np.asarray(combined, dtype=float), lanes
-            )
-        if self._trimmers is None:
-            return self.trimmer.scores_many(combined)
-        lanes = range(self.n_reps) if idx is None else idx
-        return np.stack(
-            [
-                self._trimmers[r].scores(combined[j])
-                for j, r in enumerate(lanes)
-            ]
-        )
-
-    # ------------------------------------------------------------------ #
     def sync_lanes(self) -> None:
         """Write diverged lane state back onto the strategy instances.
 
@@ -1398,9 +1285,7 @@ class BatchedGameSession:
         """
         self._collectors.finalize()
         self._adversaries.finalize()
-        finalize = getattr(self.injector, "finalize", None)
-        if callable(finalize):
-            finalize()
+        self.injector.finalize()
 
     def close(self) -> "BatchedGameResult":
         """Seal the session and return its ``BatchedGameResult``."""
@@ -1415,7 +1300,7 @@ class BatchedGameSession:
         self.sync_lanes()
         return BatchedGameResult(
             board=self.board,
-            collector_name=self._collectors.name,
-            adversary_name=self._adversaries.name,
+            collector_names=[c.name for c in self._collectors.instances],
+            adversary_names=[a.name for a in self._adversaries.instances],
             termination_rounds=self._collectors.terminated_rounds(),
         )

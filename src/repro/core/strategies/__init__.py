@@ -19,8 +19,6 @@ from .batched import (
     CollectorLanes,
     FallbackAdversaryLanes,
     FallbackCollectorLanes,
-    adversary_lanes,
-    collector_lanes,
     register_adversary_lanes,
     register_collector_lanes,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "AdversaryLanes",
     "FallbackCollectorLanes",
     "FallbackAdversaryLanes",
-    "collector_lanes",
-    "adversary_lanes",
     "register_collector_lanes",
     "register_adversary_lanes",
     "OstrichCollector",

@@ -1,31 +1,37 @@
-"""Vectorized strategy lanes: R repetitions react in one array op.
+"""Vectorized strategy lanes: L lockstep games react in one array op.
 
-The batched engine (:class:`~repro.core.engine.BatchedCollectionGame`)
-plays the R repetitions of one sweep cell in lockstep.  Strategies are
-the only per-round Python it cannot vectorize generically — each rep
-carries its own instance (own parameters resolved from the same recipe,
-own RNG seeded with that rep's derivation-channel child, own diverging
-state once the games differ).  This module closes that gap with the
-**lane** protocol:
+A lockstep game (:class:`~repro.core.session.BatchedGameSession`) steps
+L games ("lanes") through one round of shared kernels.  Strategies are
+the only per-round Python it cannot vectorize generically — each lane
+carries its own instance (own parameters, own RNG seeded with that
+lane's derivation-channel child, own diverging state once the games
+differ).  This module closes that gap with the **lane** protocol:
 
 * :class:`CollectorLanes` / :class:`AdversaryLanes` — the vectorized
-  strategy protocol: ``first_many() -> (R,)`` and
-  ``react_many(observation_batch) -> (R,)`` percentile arrays (adversary
+  strategy protocol: ``first_many() -> (L,)`` and
+  ``react_many(observation_batch) -> (L,)`` percentile arrays (adversary
   lanes use ``NaN`` for "no injection").
-* :func:`collector_lanes` / :func:`adversary_lanes` — dispatch a list of
-  per-rep instances onto an array-native lane implementation.  Every
-  shipped strategy (tit-for-tat, elastic, the baselines, the adversary
-  family, the tit-for-tat variants) has one; anything else — including
+* the exact-type registries ``_COLLECTOR_LANES`` / ``_ADVERSARY_LANES``
+  (extended through :func:`register_collector_lanes` /
+  :func:`register_adversary_lanes`) map every shipped strategy
+  (tit-for-tat, elastic, the baselines, the adversary family, the
+  tit-for-tat variants) to its array-native lane class.  The fusion
+  planner (:func:`~repro.core.fusion.fused_collector_lanes` /
+  :func:`~repro.core.fusion.fused_adversary_lanes`) reads them to build
+  one program per strategy family; anything unregistered — including
   *subclasses* of shipped strategies, which may override ``react`` —
-  lands on the documented per-rep fallback loop
+  lands on the documented per-lane fallback loop
   (:class:`FallbackCollectorLanes` / :class:`FallbackAdversaryLanes`)
   that simply calls each instance round by round.
 
-Byte-identity contract: lane outputs equal, bit for bit, what the R solo
+Lane programs start from their instances' current state, so a game
+built from freshly reset instances starts at round 1.
+
+Byte-identity contract: lane outputs equal, bit for bit, what the L solo
 instances would have returned — vector implementations use the same
 elementwise float64 expressions as the scalar ``react`` bodies, and any
-per-rep RNG draw (mixed/uniform adversaries, generous forgiveness) is
-taken from that rep's own Generator under exactly the solo call
+per-lane RNG draw (mixed/uniform adversaries, generous forgiveness) is
+taken from that lane's own Generator under exactly the solo call
 conditions.  After the game, :meth:`CollectorLanes.finalize` writes
 diverged state (grim-trigger flags, elastic positions) back onto the
 instances so post-game inspection matches solo play.
@@ -45,11 +51,7 @@ from .adversaries import (
     NullAdversary,
     UniformRangeAdversary,
 )
-from .base import (
-    AdversaryStrategy,
-    CollectorStrategy,
-    RoundObservationBatch,
-)
+from .base import RoundObservationBatch
 from .baselines import OstrichCollector, StaticCollector
 from .elastic import ElasticAdversary, ElasticCollector
 from .titfortat import MixedStrategyTrigger, QualityTrigger, TitForTatCollector
@@ -64,8 +66,6 @@ __all__ = [
     "AdversaryLanes",
     "FallbackCollectorLanes",
     "FallbackAdversaryLanes",
-    "collector_lanes",
-    "adversary_lanes",
     "register_collector_lanes",
     "register_adversary_lanes",
 ]
@@ -117,16 +117,6 @@ class _Lanes:
     def n_reps(self) -> int:
         """Number of repetition lanes."""
         return len(self.instances)
-
-    @property
-    def name(self) -> str:
-        """Display name (the shared strategy name of the lanes)."""
-        return self.instances[0].name
-
-    def reset_many(self) -> None:
-        """Reset every rep's instance (solo ``run()`` parity)."""
-        for inst in self.instances:
-            inst.reset()
 
     def finalize(self) -> None:
         """Write diverged lane state back onto the instances (optional)."""
@@ -288,7 +278,7 @@ class _TitForTatLanes(CollectorLanes):
         # Lane state seeds from the instances' *current* state (not a
         # fresh game), so lanes built mid-game — the DefenseService
         # multiplexing live sessions — continue each lane exactly where
-        # its solo instance stands.  reset_many() rewinds to fresh.
+        # its solo instance stands.
         self._triggered = np.array(
             [bool(inst._triggered) for inst in instances]
         )
@@ -320,14 +310,6 @@ class _TitForTatLanes(CollectorLanes):
                 [inst.trigger._betrayals for inst in instances],
                 dtype=np.int64,
             )
-
-    def reset_many(self) -> None:
-        super().reset_many()
-        self._triggered[:] = False
-        self._terminated = [None] * self.n_reps
-        if self._mode == "mixed":
-            self._rounds[:] = 0
-            self._betrayals[:] = 0
 
     def _fired(self, last: RoundObservationBatch, active: Array) -> Array:
         if self._mode == "none":
@@ -409,10 +391,6 @@ class _ElasticCollectorLanes(CollectorLanes):
         self._first = np.array([float(inst.first()) for inst in instances])
         # Seed from current instance positions (mid-game lane builds).
         self._current = np.array([float(inst._current) for inst in instances])
-
-    def reset_many(self) -> None:
-        super().reset_many()
-        self._current = self._first.copy()
 
     def first_many(self) -> Array:
         return self._first.copy()
@@ -499,10 +477,6 @@ class _TwoTatsLanes(_MirrorLanes):
         self._previous = np.array(
             [bool(inst._previous_betrayal) for inst in instances]
         )
-
-    def reset_many(self) -> None:
-        super().reset_many()
-        self._previous[:] = False
 
     def react_many(self, last: RoundObservationBatch) -> Array:
         punish = last.betrayal & self._previous
@@ -629,10 +603,6 @@ class _ElasticAdversaryLanes(AdversaryLanes):
         # Seed from current instance positions (mid-game lane builds).
         self._current = np.array([float(inst._current) for inst in instances])
 
-    def reset_many(self) -> None:
-        super().reset_many()
-        self._current = self._first.copy()
-
     def first_many(self) -> Array:
         return self._first.copy()
 
@@ -651,7 +621,7 @@ class _ElasticAdversaryLanes(AdversaryLanes):
 
 
 # --------------------------------------------------------------------- #
-# dispatch
+# registries
 # --------------------------------------------------------------------- #
 #: Exact-type lane registries.  Keyed on the concrete class (``type(x)
 #: is cls``), *not* ``isinstance``: a user subclass may override
@@ -689,31 +659,3 @@ def register_collector_lanes(strategy_cls: type, lanes_cls: type) -> None:
 def register_adversary_lanes(strategy_cls: type, lanes_cls: type) -> None:
     """Adversary-side counterpart of :func:`register_collector_lanes`."""
     _ADVERSARY_LANES[strategy_cls] = lanes_cls
-
-
-def _dispatch(
-    instances: Sequence[Any],
-    registry: dict[type, type],
-    fallback: type,
-) -> Any:
-    instances = list(instances)
-    if not instances:
-        raise ValueError("need at least one strategy instance")
-    cls = type(instances[0])
-    if all(type(inst) is cls for inst in instances):
-        lanes_cls = registry.get(cls)
-        if lanes_cls is not None:
-            lanes = lanes_cls.build(instances)
-            if lanes is not None:
-                return lanes
-    return fallback(instances)
-
-
-def collector_lanes(instances: Sequence[CollectorStrategy]) -> CollectorLanes:
-    """Vectorized (or fallback) lanes for R per-rep collector instances."""
-    return _dispatch(instances, _COLLECTOR_LANES, FallbackCollectorLanes)
-
-
-def adversary_lanes(instances: Sequence[AdversaryStrategy]) -> AdversaryLanes:
-    """Vectorized (or fallback) lanes for R per-rep adversary instances."""
-    return _dispatch(instances, _ADVERSARY_LANES, FallbackAdversaryLanes)

@@ -267,77 +267,6 @@ class Trimmer:
         report = self.trim(arr, percentile)
         return arr[report.kept]
 
-    # ------------------------------------------------------------------ #
-    # rep-batched kernels (one sweep cell's R repetitions in lockstep)
-    # ------------------------------------------------------------------ #
-    def scores_many(self, stacks: Array) -> Array:
-        """Per-point scores for an ``(R, n[, d])`` rep stack, ``(R, n)``.
-
-        The base implementation loops :meth:`scores` over the rep axis —
-        always byte-identical to R solo calls; subclasses override it
-        with a single array expression.
-        """
-        arr = np.asarray(stacks, dtype=float)
-        return np.stack([self.scores(arr[r]) for r in range(arr.shape[0])])
-
-    def trim_many(
-        self, stacks: ArrayLike, percentiles: ArrayLike
-    ) -> BatchTrimReport:
-        """Rep-batched :meth:`trim`: one cutoff/mask pass for all R reps.
-
-        ``stacks`` is ``(R, n)`` (R reps of 1-D batches) or ``(R, n, d)``;
-        ``percentiles`` the per-rep trimming positions.  Row ``r`` of the
-        result is byte-identical to ``self.trim(stacks[r],
-        percentiles[r])``.  A subclass that overrides :meth:`trim` is
-        routed through its own override, rep by rep, **on this shared
-        instance** — sufficient for stateless custom trimmers; a custom
-        trimmer that keeps state across ``trim`` calls needs one
-        instance per rep instead (pass a trimmer sequence to
-        :class:`~repro.core.engine.BatchedCollectionGame`, which the
-        sweep runtime does automatically).
-        """
-        arr = np.asarray(stacks, dtype=float)
-        if arr.ndim not in (2, 3):
-            raise ValueError("stacks must be (R, n) or (R, n, d)")
-        if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError("cannot trim an empty stack")
-        q_in = np.asarray(percentiles, dtype=float)
-        if q_in.shape != (arr.shape[0],):
-            raise ValueError("need one percentile per rep")
-        if type(self).trim is not Trimmer.trim:
-            return self._trim_many_loop(arr, q_in)
-
-        scores = self.scores_many(arr)
-        n_reps, n = scores.shape
-        # Identical to clip_percentile, elementwise — including NaN,
-        # which Python's min(1.0, max(0.0, nan)) maps to 0.0 while the
-        # numpy clip would propagate it (and silently keep everything).
-        q = np.where(
-            np.isnan(q_in), 0.0, np.minimum(1.0, np.maximum(0.0, q_in))
-        )
-        kept = np.ones((n_reps, n), dtype=bool)
-        cutoffs = np.full(n_reps, np.inf)
-        active = np.flatnonzero(q < 1.0)
-        if active.size:
-            if self.is_reference_anchored:
-                cutoffs[active] = self.reference_table.quantile(q[active])
-            else:
-                for r in active:
-                    cutoffs[r] = float(empirical_quantile(scores[r], float(q[r])))
-            kept[active] = scores[active] <= cutoffs[active, None]
-            for r in active[~kept[active].any(axis=1)]:
-                # Same degenerate-batch fallback as the solo path.
-                kept[r, int(np.argmin(scores[r]))] = True
-        return BatchTrimReport(
-            kept=kept, threshold_scores=cutoffs, percentiles=q, scores=scores
-        )
-
-    def _trim_many_loop(self, arr: Array, q_in: Array) -> BatchTrimReport:
-        """Documented per-rep fallback through a custom :meth:`trim`."""
-        return BatchTrimReport.from_reports(
-            self.trim(arr[r], float(q_in[r])) for r in range(arr.shape[0])
-        )
-
 
 class ValueTrimmer(Trimmer):
     """Upper-tail trimming of scalar values (score = value itself)."""
@@ -348,12 +277,6 @@ class ValueTrimmer(Trimmer):
         arr = np.asarray(batch, dtype=float)
         if arr.ndim != 1:
             raise ValueError("ValueTrimmer expects 1-D batches")
-        return arr
-
-    def scores_many(self, stacks: Array) -> Array:
-        arr = np.asarray(stacks, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("ValueTrimmer expects (R, n) stacks")
         return arr
 
 
@@ -404,23 +327,3 @@ class RadialTrimmer(Trimmer):
             raise ValueError("RadialTrimmer expects 1-D or 2-D batches")
         center = np.median(arr, axis=0) if self._center is None else self._center
         return np.linalg.norm(arr - center, axis=1)
-
-    def scores_many(self, stacks: Array) -> Array:
-        arr = np.asarray(stacks, dtype=float)
-        if arr.ndim not in (2, 3):
-            raise ValueError("RadialTrimmer expects (R, n) or (R, n, d) stacks")
-        if self._center is None:
-            # Unfitted: the center is batch-local — defer to the per-rep
-            # loop so each rep gets its own median, as in the solo path.
-            return super().scores_many(arr)
-        if arr.ndim == 2:
-            if np.size(self._center) != 1:
-                raise ValueError(
-                    "dimension mismatch: RadialTrimmer was fit on "
-                    f"{np.size(self._center)}-dimensional reference data but "
-                    "received 1-D batches"
-                )
-            return np.abs(arr - float(np.reshape(self._center, ())))
-        # Elementwise identical to the per-rep norm: the reduction runs
-        # over the same contiguous feature axis.
-        return np.linalg.norm(arr - self._center, axis=2)

@@ -87,7 +87,6 @@ from .spec import (
     TaskSpec,
     fusion_group_key,
     play_fused_batch,
-    play_rep_batch,
     rep_group_key,
     rep_keys_equal,
 )
@@ -201,49 +200,16 @@ def _run_cell(
     return reduce(spec, result)
 
 
-#: Same-cell runs at least this wide play through the batched engine
-#: even inside a mixed fused group: ``build_batched_game`` shares the
-#: stream/reference/lead builds across reps, which beats the fused
-#: path's per-rep session onboarding long before lane width matters.
-_MIN_FUSED_RUN = 8
-
-
 def _run_rep_group(
     specs: Sequence[GameSpec], reduce: Optional[Callable] = None
 ) -> List[Any]:
-    """Play one rep group in lockstep and reduce per rep (worker-side).
+    """Play one lockstep group and reduce per spec (worker-side).
 
-    Consecutive same-cell runs (one ``rep_group_key``) of at least
-    :data:`_MIN_FUSED_RUN` reps play through the batched engine; the
-    narrow remainder — different cells sharing only a fusion family —
-    plays through the fused serving path.  Both are byte-identical to
-    per-spec solo play.
+    The group's specs share a fusion family (repetitions of one cell,
+    neighboring cells, or both); :func:`play_fused_batch` plays them
+    byte-identically to per-spec solo play.
     """
-    runs: List[List[int]] = []
-    current_key = None
-    for i, spec in enumerate(specs):
-        key = rep_group_key(spec)
-        if runs and rep_keys_equal(key, current_key):
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-            current_key = key
-    results: List[Any] = [None] * len(specs)
-    if len(runs) == 1:
-        results = play_rep_batch(specs)
-    else:
-        fused: List[int] = []
-        for slots in runs:
-            if len(slots) >= _MIN_FUSED_RUN:
-                batch = play_rep_batch([specs[s] for s in slots])
-                for slot, result in zip(slots, batch, strict=False):
-                    results[slot] = result
-            else:
-                fused.extend(slots)
-        if fused:
-            cohort = play_fused_batch([specs[s] for s in fused])
-            for slot, result in zip(fused, cohort, strict=False):
-                results[slot] = result
+    results = play_fused_batch(specs)
     if reduce is None:
         return [_default_record(spec, result) for spec, result in zip(specs, results, strict=False)]
     return [reduce(spec, result) for spec, result in zip(specs, results, strict=False)]
@@ -587,15 +553,16 @@ class SweepRunner:
         (:class:`~repro.runtime.spec.TaskSpec`) pass their result
         through unreduced.
     rep_batch:
-        Collapse the repetition axis into lockstep
-        :class:`~repro.core.engine.BatchedCollectionGame` runs:
-        consecutive specs that differ only in seed/tags (a sweep cell's
-        repetitions) play as one batched game, byte-identical to the
-        per-spec path.  ``None`` or ``1`` disables (default),
-        ``"auto"`` batches every full rep group, an ``int >= 2`` caps
-        the lockstep width.  Composes with ``workers``: groups — not
-        individual cells — are what the process pool distributes, and a
-        rep group is a single retry/quarantine unit.
+        Play consecutive specs in lockstep
+        :class:`~repro.core.engine.BatchedCollectionGame` runs: a sweep
+        cell's repetitions, and neighboring cells of one fusion family,
+        play as one batched game per horizon and dataset,
+        byte-identical to the per-spec path.  ``None`` or ``1``
+        disables (default), ``"auto"`` batches every full rep group, an
+        ``int >= 2`` caps the lockstep width.  Composes with
+        ``workers``: groups — not individual cells — are what the
+        process pool distributes, and a group is a single
+        retry/quarantine unit.
     store:
         Optional :class:`~repro.runtime.store.ResultStore`.  When set,
         cells whose key is already stored are *not* played — their

@@ -34,11 +34,11 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Mapping,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -342,17 +342,15 @@ class TaskSpec:
 
 
 # --------------------------------------------------------------------- #
-# rep batching: many specs differing only in seed → one lockstep game
+# lockstep play: many specs of one fusion family, one batched game
 # --------------------------------------------------------------------- #
 def rep_group_key(spec: GameSpec) -> tuple:
     """Everything about a spec *except* its seed and tags.
 
     Two specs with equal keys describe the same game cell played under
-    different randomness — exactly the repetitions of one sweep cell —
-    and may be collapsed into a single
-    :class:`~repro.core.engine.BatchedCollectionGame`.  Compare keys
-    with ``==`` (component specs hold dict kwargs, so keys are not
-    hashable).
+    different randomness — exactly the repetitions of one sweep cell.
+    Compare keys with :func:`rep_keys_equal` (component specs hold dict
+    kwargs, so keys are not hashable).
     """
     return (
         spec.collector,
@@ -388,24 +386,58 @@ def rep_keys_equal(a: tuple, b: tuple) -> bool:
         return all(x is y for x, y in zip(a, b, strict=False))
 
 
-def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
-    """Materialize one lockstep engine for R same-cell specs.
+def fusion_group_key(spec: GameSpec) -> tuple:
+    """The lockstep *family* of a spec: what must match for lanes to fuse.
 
-    Every per-rep component is built from its own spec's derivation
-    channels — byte-for-byte the seeds the solo ``spec.build()`` would
-    have used — while deterministic calibration (dataset, trimmer) is
-    shared across the reps.
+    Strictly coarser than :func:`rep_group_key`: strategies, dataset,
+    attack ratio, jitter, horizon and seed may all differ lane to lane —
+    the lane programs (:mod:`repro.core.fusion`) pack them into per-lane
+    parameter columns — but the stacked kernels need one injection mode,
+    one trimmer/quality/judge *class* and one batch geometry across the
+    cohort.  Compare keys with :func:`rep_keys_equal` (component
+    factories may be any callables).
+    """
+    return (
+        "fusion/v1",
+        spec.injection_mode,
+        spec.trimmer.factory,
+        None if spec.quality is None else spec.quality.factory,
+        None if spec.judge is None else spec.judge.factory,
+        spec.batch_size,
+        spec.anchor,
+        spec.store_retained,
+    )
+
+
+def _lockstep_key(spec: GameSpec) -> tuple:
+    """A fusion family plus the horizon and dataset one batched game shares."""
+    return fusion_group_key(spec) + (
+        spec.rounds,
+        spec.dataset,
+        spec.dataset_size,
+    )
+
+
+def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
+    """Materialize one lockstep engine for L specs of one family.
+
+    The specs must share a :func:`fusion_group_key`, a horizon and a
+    dataset; strategies, attack ratios, jitters, component parameters
+    and seeds may differ.  Every per-lane component is built from its
+    own spec's derivation channels — byte-for-byte the seeds the solo
+    ``spec.build()`` would have used — while the dataset and the
+    deterministic reference fits are shared across the lanes.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("need at least one spec")
     lead = specs[0]
-    key = rep_group_key(lead)
+    key = _lockstep_key(lead)
     for other in specs[1:]:
-        if not rep_keys_equal(rep_group_key(other), key):
+        if not rep_keys_equal(_lockstep_key(other), key):
             raise ValueError(
-                "rep-batched specs must agree on everything except seed "
-                "and tags"
+                "lockstep specs must agree on the fusion family, horizon "
+                "and dataset"
             )
     data = load_reference(lead.dataset, lead.dataset_size)
     quality = (
@@ -446,9 +478,8 @@ def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
             )
             for spec in specs
         ],
-        # One trimmer per rep, exactly as R solo spec.build() calls would
-        # create: the engine shares the lead for the stateless shipped
-        # classes and keeps per-rep isolation for custom trimmers.
+        # One trimmer per lane, exactly as L solo spec.build() calls
+        # would create: stateful custom trimmers stay isolated per lane.
         trimmer=[spec.trimmer.build() for spec in specs],
         reference=data,
         quality_evaluators=quality,
@@ -462,75 +493,45 @@ def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
 def play_rep_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
     """Play R same-cell specs in lockstep; one result per spec, in order.
 
-    Each returned :class:`~repro.core.engine.GameResult` is
-    byte-identical to the corresponding ``spec.play()`` — the batched
-    engine's reproducibility contract.  A single spec short-circuits to
-    the solo engine.
+    Checks that the specs differ only in seed and tags, then plays them
+    through :func:`play_fused_batch`.  Each returned
+    :class:`~repro.core.engine.GameResult` is byte-identical to the
+    corresponding ``spec.play()``.
     """
     specs = list(specs)
-    if len(specs) == 1:
-        return [specs[0].play()]
-    return build_batched_game(specs).run().results()
-
-
-# --------------------------------------------------------------------- #
-# cross-cell fusion: different cells, one lockstep family
-# --------------------------------------------------------------------- #
-def fusion_group_key(spec: GameSpec) -> tuple:
-    """The lockstep *family* of a spec: what must match for lanes to fuse.
-
-    Strictly coarser than :func:`rep_group_key`: strategies, dataset,
-    attack ratio, jitter, horizon and seed may all differ lane to lane —
-    the fusion layer (:mod:`repro.core.fusion`) packs them into per-lane
-    parameter columns — but the stacked kernels need one injection mode,
-    one trimmer/quality/judge *class* and one batch geometry across the
-    cohort.  Compare keys with :func:`rep_keys_equal` (component
-    factories may be any callables).
-    """
-    return (
-        "fusion/v1",
-        spec.injection_mode,
-        spec.trimmer.factory,
-        None if spec.quality is None else spec.quality.factory,
-        None if spec.judge is None else spec.judge.factory,
-        spec.batch_size,
-        spec.anchor,
-        spec.store_retained,
-    )
+    for other in specs[1:]:
+        if not rep_keys_equal(rep_group_key(other), rep_group_key(specs[0])):
+            raise ValueError(
+                "rep-batched specs must agree on everything except seed "
+                "and tags"
+            )
+    return play_fused_batch(specs)
 
 
 def play_fused_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
-    """Play L same-*family* specs through one fused lockstep; results in order.
+    """Play L same-*family* specs in lockstep; results in spec order.
 
-    The cross-cell counterpart of :func:`play_rep_batch`: the specs may
-    differ in strategies, attack ratios, datasets and horizons as long
-    as they share a :func:`fusion_group_key`.  Each cell is opened as a
-    tenant of a private :class:`~repro.serving.DefenseService` and the
-    cohort is stepped round by round through the fused
-    ``submit_many`` path; cells whose horizon has elapsed drop out of
-    the round loop.  Every returned
-    :class:`~repro.core.engine.GameResult` is byte-identical to the
-    corresponding solo ``spec.play()`` — the fusion layer's contract.
-    A single spec short-circuits to the solo engine.
+    The specs may differ in strategies, attack ratios, datasets and
+    horizons as long as they share a :func:`fusion_group_key`.  They
+    split by horizon and dataset, and each part plays as one
+    :func:`build_batched_game` lockstep (a part of one spec plays solo).
+    Every returned :class:`~repro.core.engine.GameResult` is
+    byte-identical to the corresponding solo ``spec.play()``.
     """
     specs = list(specs)
-    if len(specs) == 1:
-        return [specs[0].play()]
-    # Runtime import: the serving layer sits above the runtime layer.
-    from ..serving.service import DefenseService
-
-    service = DefenseService()
-    ids = [service.open(spec) for spec in specs]
-    horizons = [spec.rounds for spec in specs]
-    round_index = 0
-    while True:
-        active = [
-            sid
-            for sid, horizon in zip(ids, horizons, strict=False)
-            if round_index < horizon
-        ]
-        if not active:
-            break
-        service.submit_many(active)
-        round_index += 1
-    return [service.close(sid) for sid in ids]
+    parts: Dict[tuple, List[int]] = {}
+    for slot, spec in enumerate(specs):
+        parts.setdefault(
+            (spec.rounds, spec.dataset, spec.dataset_size), []
+        ).append(slot)
+    results: List[Any] = [None] * len(specs)
+    for slots in parts.values():
+        if len(slots) == 1:
+            played = [specs[slots[0]].play()]
+        else:
+            played = (
+                build_batched_game([specs[s] for s in slots]).run().results()
+            )
+        for slot, result in zip(slots, played, strict=False):
+            results[slot] = result
+    return results

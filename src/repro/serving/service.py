@@ -3,7 +3,7 @@
 A deployment serves *many* concurrent collection games — one per tenant
 feed — and most of them run the same defense configuration.  Playing
 each round tenant-by-tenant wastes exactly the Python-loop overhead the
-rep-batched engine already eliminated for Monte-Carlo repetitions, so
+lockstep engine already eliminated for sweep repetitions, so
 :class:`DefenseService` reuses that machinery across *live sessions*:
 
 * tenants are opened from :class:`~repro.runtime.spec.GameSpec` recipes
@@ -56,13 +56,6 @@ from typing import (
 
 import numpy as np
 
-from ..core.engine import _JudgeLanes, _QualityLanes
-from ..core.fusion import (
-    InjectorLanes,
-    TrimLanes,
-    fused_adversary_lanes,
-    fused_collector_lanes,
-)
 from ..core.session import (
     BatchedGameSession,
     GameSession,
@@ -603,11 +596,10 @@ class DefenseService:
     ) -> Tuple[BatchedGameSession, ColumnarBoard]:
         """Compile one fused round program from the tenants' live state.
 
-        Strategy lanes fuse by family (heterogeneous specs pack into
-        per-lane parameter columns), trimmers compile into a
-        :class:`~repro.core.fusion.TrimLanes` program, and injectors
-        into an :class:`~repro.core.fusion.InjectorLanes` program —
-        every lane still drawing from its own components' Generators,
+        The lockstep session builds its lane programs from the tenants'
+        live component instances: strategy lanes fuse by family
+        (heterogeneous specs pack into per-lane parameter columns), and
+        every lane still draws from its own components' Generators,
         byte-identically to its solo session.
 
         Any deferred rounds a member still carries from a previous
@@ -619,30 +611,20 @@ class DefenseService:
         for session in sessions:
             session._flush_deferred()
         lead = sessions[0]
-        trim_lanes = TrimLanes([session.trimmer for session in sessions])
         last = None
         if lead.last_observation is not None:
             last = stack_observations(
                 [session.last_observation for session in sessions]
             )
         lockstep = BatchedGameSession(
-            collector_lanes=fused_collector_lanes(
-                [session.collector for session in sessions]
-            ),
-            adversary_lanes=fused_adversary_lanes(
-                [session.adversary for session in sessions]
-            ),
-            injector=InjectorLanes(
-                [session.injector for session in sessions]
-            ),
-            trim_lanes=trim_lanes,
-            quality_lanes=_QualityLanes(
-                [session.quality_evaluator for session in sessions],
-                trim_lanes,
-            ),
-            judge_lanes=_JudgeLanes(
-                [session.judge for session in sessions]
-            ),
+            collectors=[session.collector for session in sessions],
+            adversaries=[session.adversary for session in sessions],
+            injectors=[session.injector for session in sessions],
+            trimmers=[session.trimmer for session in sessions],
+            quality_evaluators=[
+                session.quality_evaluator for session in sessions
+            ],
+            judges=[session.judge for session in sessions],
             horizon=None,
             store_retained=lead.store_retained,
             board=None,

@@ -24,6 +24,11 @@ which would make percentile trimming degenerate.
 The number of poison points follows the attack ratio: ``round(ratio · n)``
 poison values accompany ``n`` benign ones, i.e. the adversary controls a
 ``ratio/(1+ratio)`` fraction of the round's traffic.
+
+Lockstep games keep one :class:`PoisonInjector` per lane; their round
+program is :class:`~repro.core.fusion.InjectorLanes`, which converts
+positions to values in vectorized quantile passes and draws the jitter
+positions of all lanes through one :class:`LanePositionServer`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from ..core.arrays import Array, ArrayLike
 from ..core.strategies.base import rng_state, set_rng_state
 
-__all__ = ["PoisonInjector", "BatchedInjector", "LanePositionServer"]
+__all__ = ["PoisonInjector", "LanePositionServer"]
 
 _MODES = ("quantile", "radial")
 
@@ -303,173 +308,3 @@ class LanePositionServer:
                 int(self._pending[r])
             )
         self._pending[:] = 0
-
-
-class BatchedInjector:
-    """Rep-batched poison materialization over R per-rep injectors.
-
-    The batched engine plays R repetitions in lockstep; each rep keeps
-    its **own** :class:`PoisonInjector` (own jitter Generator, seeded
-    with that rep's derivation-channel child) so the per-rep draw
-    sequences are byte-identical to R solo games.  The quantile algebra
-    that turns percentile positions into poison values is shared and
-    vectorized across the rep axis: one :func:`numpy.quantile`
-    evaluation over the ``(R, count)`` position stack instead of R
-    Python round-trips.
-
-    All wrapped injectors must agree on ``attack_ratio``/``jitter``/
-    ``mode`` (the batched engine groups reps of one sweep cell, which
-    guarantees it).
-    """
-
-    def __init__(self, injectors: Sequence[PoisonInjector]) -> None:
-        injectors = list(injectors)
-        if not injectors:
-            raise ValueError("need at least one injector")
-        lead = injectors[0]
-        for other in injectors[1:]:
-            if (
-                other.attack_ratio != lead.attack_ratio
-                or other.jitter != lead.jitter
-                or other.mode != lead.mode
-            ):
-                raise ValueError(
-                    "all rep injectors must share attack_ratio/jitter/mode"
-                )
-        self.injectors = injectors
-        self._position_server: Optional[LanePositionServer] = None
-
-    @property
-    def n_reps(self) -> int:
-        """Number of rep lanes."""
-        return len(self.injectors)
-
-    @property
-    def lead(self) -> PoisonInjector:
-        """The first rep's injector (shared calibration source)."""
-        return self.injectors[0]
-
-    def fit_reference(self, reference: ArrayLike) -> "BatchedInjector":
-        """Fit the lead injector and share its calibration with all reps.
-
-        ``fit_reference`` is deterministic, so fitting once and aliasing
-        the (read-only-by-convention) calibration arrays is identical to
-        R independent fits at 1/R of the cost.
-        """
-        lead = self.lead
-        lead.fit_reference(reference)
-        for other in self.injectors[1:]:
-            other._ref_center = lead._ref_center
-            other._ref_scores = lead._ref_scores
-            other._ref_values = lead._ref_values
-            other._ref_corner = lead._ref_corner
-        return self
-
-    def reset(self) -> None:
-        """Rewind every rep's jitter stream."""
-        for injector in self.injectors:
-            injector.reset()
-        self._position_server = None
-
-    def _server(self) -> LanePositionServer:
-        # Built lazily so the shadow Generators copy each lane's
-        # bit-state at the moment draws actually start.
-        if self._position_server is None:
-            self._position_server = LanePositionServer(self.injectors)
-        return self._position_server
-
-    def finalize(self) -> None:
-        """Advance the real jitter Generators past the served draws."""
-        if self._position_server is not None:
-            self._position_server.sync()
-
-    def poison_count(self, n_benign: int) -> int:
-        """Poison rows per rep for ``n_benign`` benign rows (rep-uniform)."""
-        return self.lead.poison_count(n_benign)
-
-    def poison_counts(self, n_benign: int) -> Array:
-        """(R,) per-lane poison counts — rep-uniform for this wrapper."""
-        return np.full(
-            self.n_reps, self.lead.poison_count(n_benign), dtype=np.int64
-        )
-
-    def materialize_many(
-        self,
-        benign: Array,
-        percentiles: Array,
-        idx: Optional[Array] = None,
-    ) -> Array:
-        """Poison stacks for one lockstep round.
-
-        ``benign`` is the round's benign stack ``(R, b)`` or
-        ``(R, b, d)``; ``percentiles`` the (all-finite) per-rep injection
-        positions.  Returns ``(R, m[, d])`` with
-        ``m = poison_count(b)``.  Per-rep jitter positions are drawn
-        from each rep's own Generator (identical to the solo
-        ``materialize``), then converted to values in one vectorized
-        quantile pass.  ``idx`` restricts the call to a sub-segment of
-        lanes: row ``j`` of the stack belongs to lane ``idx[j]``.
-        """
-        stack = np.asarray(benign, dtype=float)
-        if stack.ndim not in (2, 3):
-            raise ValueError("benign stacks must be (R, b) or (R, b, d)")
-        lanes = np.arange(self.n_reps) if idx is None else np.asarray(idx)
-        if stack.shape[0] != lanes.shape[0]:
-            raise ValueError(
-                f"stack carries {stack.shape[0]} reps for {lanes.shape[0]} lanes"
-            )
-        n_rows = stack.shape[0]
-        count = self.poison_count(stack.shape[1])
-        if count == 0:
-            return stack[:, :0]
-        positions = self._server().positions(lanes, percentiles, count)
-        lead = self.lead
-        if stack.ndim == 2:
-            if lead._ref_values is not None:
-                return np.quantile(lead._ref_values, positions.ravel()).reshape(
-                    n_rows, count
-                )
-            return np.stack(
-                [
-                    lead._materialize_1d(stack[j], positions[j])
-                    for j in range(n_rows)
-                ]
-            )
-        if lead.mode == "radial":
-            return self._materialize_radial_many(stack, positions)
-        # Quantile-corner mode anchors on each rep's own batch: per-rep
-        # quantile passes, exactly like the solo path.
-        return np.stack(
-            [
-                lead._materialize_corner(stack[j], positions[j])
-                for j in range(n_rows)
-            ]
-        )
-
-    def _materialize_radial_many(
-        self, stack: Array, positions: Array
-    ) -> Array:
-        lead = self.lead
-        if lead._ref_center is None or lead._ref_scores is None:
-            return np.stack(
-                [
-                    lead._materialize_radial(stack[r], positions[r])
-                    for r in range(stack.shape[0])
-                ]
-            )
-        center = lead._ref_center
-        scores = lead._ref_scores
-        corner = lead._ref_corner
-        n_reps, count = positions.shape
-        targets = np.quantile(scores, positions.ravel()).reshape(n_reps, count)
-        direction = corner - center
-        norm = float(np.linalg.norm(direction))
-        if norm <= 0.0:
-            direction = np.zeros(stack.shape[2])
-            direction[0] = 1.0
-            norm = 1.0
-        direction = direction / norm
-        return (
-            center[None, None, :]
-            + targets[:, :, None] * direction[None, None, :]
-        )

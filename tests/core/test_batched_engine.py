@@ -20,6 +20,11 @@ from repro.core.engine import (
     CollectionGame,
     NoisyPositionJudge,
 )
+from repro.core.fusion import (
+    TrimLanes,
+    fused_adversary_lanes,
+    fused_collector_lanes,
+)
 from repro.core.quality import MeanShiftEvaluator
 from repro.core.strategies import (
     ElasticAdversary,
@@ -37,8 +42,6 @@ from repro.core.strategies import (
     TitForTatCollector,
     TitForTwoTatsCollector,
     UniformRangeAdversary,
-    adversary_lanes,
-    collector_lanes,
 )
 from repro.core.strategies.base import (
     AdversaryStrategy,
@@ -409,7 +412,9 @@ class TestFallbackLoop:
         )
 
     def test_shipped_subclass_falls_back(self, data_1d):
-        lanes = collector_lanes([_SubclassedElastic(0.9, 0.5) for _ in range(3)])
+        lanes = fused_collector_lanes(
+            [_SubclassedElastic(0.9, 0.5) for _ in range(3)]
+        )
         assert lanes.vectorized is False
         _assert_batched_matches_solo(
             lambda s: _SubclassedElastic(0.9, 0.5),
@@ -422,20 +427,22 @@ class TestFallbackLoop:
         # Since the fusion refactor, heterogeneous parameters no longer
         # force the fallback loop: they pack into (L,) columns.
         mixed = [ElasticCollector(0.9, 0.5), ElasticCollector(0.8, 0.1)]
-        lanes = collector_lanes(mixed)
+        lanes = fused_collector_lanes(mixed)
         assert lanes.vectorized is True
         np.testing.assert_array_equal(lanes._k, [0.5, 0.1])
         np.testing.assert_array_equal(lanes._t_th, [0.9, 0.8])
 
     def test_shipped_strategies_vectorize(self):
-        assert collector_lanes(
+        assert fused_collector_lanes(
             [TitForTatCollector(0.9, trigger=None) for _ in range(3)]
         ).vectorized
-        assert collector_lanes(
+        assert fused_collector_lanes(
             [ElasticCollector(0.9, 0.5) for _ in range(3)]
         ).vectorized
-        assert adversary_lanes([NullAdversary() for _ in range(3)]).vectorized
-        assert adversary_lanes(
+        assert fused_adversary_lanes(
+            [NullAdversary() for _ in range(3)]
+        ).vectorized
+        assert fused_adversary_lanes(
             [MixedAdversary(0.5, seed=s) for s in range(3)]
         ).vectorized
 
@@ -478,7 +485,7 @@ class TestFallbackLoop:
 
 
 class _TightenedTrimmer(ValueTrimmer):
-    """Custom trim() override: exercises the per-rep trim_many loop."""
+    """Custom trim() override: exercises the per-lane trim loop."""
 
     def trim(self, batch, percentile):
         return ValueTrimmer.trim(self, batch, max(0.0, percentile - 0.02))
@@ -504,7 +511,10 @@ class _DriftingTrimmer(ValueTrimmer):
 
 class TestCustomTrimmer:
     def test_trim_override_routes_per_rep(self, data_1d):
-        lanes_report = _TightenedTrimmer().trim_many(
+        shared = _TightenedTrimmer()
+        lanes = TrimLanes([shared, shared, shared])
+        assert lanes.mode == "loop"
+        lanes_report = lanes.trim_stack(
             np.tile(data_1d[:50], (3, 1)), np.array([0.9, 0.95, 1.0])
         )
         assert lanes_report.kept.shape == (3, 50)
@@ -593,6 +603,73 @@ class TestCustomTrimmer:
         assert solo == batched
 
 
+def _lane_games(data, collectors, adversaries, trimmers, rounds=8):
+    """Solo results and one batched result, lane ``r`` built from the
+    ``r``-th maker of each list (one quantile injector per lane)."""
+    roots = _roots()[: len(collectors)]
+    lanes = list(zip(roots, collectors, adversaries, trimmers, strict=True))
+    solo = [
+        CollectionGame(
+            source=ArrayStream(data, batch_size=80, seed=_child(root, 0)),
+            collector=collector(),
+            adversary=adversary(),
+            injector=PoisonInjector(
+                0.2, mode="quantile", seed=_child(root, 3)
+            ),
+            trimmer=trimmer(),
+            reference=data,
+            rounds=rounds,
+        ).run()
+        for root, collector, adversary, trimmer in lanes
+    ]
+    batched = BatchedCollectionGame(
+        source=ArrayStream(
+            data, batch_size=80, seed=[_child(r, 0) for r in roots]
+        ),
+        collectors=[collector() for collector in collectors],
+        adversaries=[adversary() for adversary in adversaries],
+        injectors=[
+            PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
+            for r in roots
+        ],
+        trimmer=[trimmer() for trimmer in trimmers],
+        reference=data,
+        rounds=rounds,
+    ).run()
+    return solo, batched
+
+
+class TestPerLaneComponents:
+    """Every lane runs its own components, whatever lane 0 holds."""
+
+    def test_shipped_lead_trimmer_does_not_stand_in(self, data_1d):
+        # A shipped first entry must not be shared across the list: the
+        # stateful lanes 1 and 2 need their own drifting instances.
+        solo, batched = _lane_games(
+            data_1d,
+            [lambda: StaticCollector(0.9)] * 3,
+            [lambda: FixedAdversary(0.99)] * 3,
+            [ValueTrimmer, _DriftingTrimmer, _DriftingTrimmer],
+        )
+        for rep in range(3):
+            assert solo[rep].to_records() == batched.result(rep).to_records()
+
+    def test_heterogeneous_lanes_report_their_own_names(self, data_1d):
+        solo, batched = _lane_games(
+            data_1d,
+            [lambda: StaticCollector(0.9), lambda: ElasticCollector(0.9, 0.5)],
+            [lambda: FixedAdversary(0.99), lambda: JustBelowAdversary(0.9)],
+            [ValueTrimmer, ValueTrimmer],
+        )
+        for rep in range(2):
+            lane = batched.result(rep)
+            assert lane.collector_name == solo[rep].collector_name
+            assert lane.adversary_name == solo[rep].adversary_name
+            assert lane.to_records() == solo[rep].to_records()
+        assert batched.collector_names == ["static@0.90", "elastic0.5"]
+        assert batched.adversary_names == ["fixed@0.99", "just-below"]
+
+
 class TestValidation:
     def test_rejects_mismatched_lengths(self, data_1d):
         roots = _roots()
@@ -618,34 +695,6 @@ class TestValidation:
                 trimmer=ValueTrimmer(),
                 reference=data_1d,
             )
-
-    def test_accepts_list_of_solo_sources(self, data_1d):
-        roots = _roots()
-        batched = BatchedCollectionGame(
-            source=[
-                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
-                for r in roots
-            ],
-            collectors=[OstrichCollector() for _ in roots],
-            adversaries=[FixedAdversary(0.99) for _ in roots],
-            injectors=[
-                PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
-                for r in roots
-            ],
-            trimmer=ValueTrimmer(),
-            reference=data_1d,
-            rounds=4,
-        ).run()
-        solo = CollectionGame(
-            source=ArrayStream(data_1d, batch_size=80, seed=_child(roots[1], 0)),
-            collector=OstrichCollector(),
-            adversary=FixedAdversary(0.99),
-            injector=PoisonInjector(0.2, mode="quantile", seed=_child(roots[1], 3)),
-            trimmer=ValueTrimmer(),
-            reference=data_1d,
-            rounds=4,
-        ).run()
-        assert solo.to_records() == batched.result(1).to_records()
 
 
 class TestObservationBatch:

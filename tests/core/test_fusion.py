@@ -100,10 +100,9 @@ class TestFusionPlanner:
             TitForTatCollector(t_th=0.85),
             OstrichCollector(),
         ]
-        lanes = fused_collector_lanes(instances)
-        lanes.reset_many()
-        for inst in solo:
+        for inst in instances + solo:
             inst.reset()
+        lanes = fused_collector_lanes(instances)
         first = lanes.first_many()
         assert list(first) == [inst.first() for inst in solo]
         batch = _observation_batch(4)
@@ -125,11 +124,10 @@ class TestFusionPlanner:
             ElasticAdversary(t_th=0.9, k=0.5),
             FixedAdversary(percentile=0.95),
         ]
+        for inst in instances + solo:
+            inst.reset()
         lanes = fused_adversary_lanes(instances)
         assert isinstance(lanes, FusedAdversaryLanes)
-        lanes.reset_many()
-        for inst in solo:
-            inst.reset()
         batch = _observation_batch(4, seed=7)
         reacted = lanes.react_many(batch)
         want = [inst.react(batch.rep(r)) for r, inst in enumerate(solo)]
@@ -163,14 +161,25 @@ class TestFusionPlanner:
             fused_adversary_lanes([])
 
 
+class _OffsetTrimmer(ValueTrimmer):
+    """A custom trim() override: never stacks."""
+
+    def trim(self, batch, percentile):
+        return ValueTrimmer.trim(self, batch, percentile - 0.01)
+
+
 REFERENCE_A = np.linspace(0.0, 1.0, 120)
 REFERENCE_B = np.concatenate([np.linspace(0.2, 0.7, 80), np.full(6, 0.99)])
 
 
 class TestTrimLanes:
     def test_mode_resolution(self):
+        # One shipped instance shared by every lane is a stacked group;
+        # a shared custom instance loops through its own trim().
         shared = ValueTrimmer()
-        assert TrimLanes([shared, shared, shared]).mode == "shared"
+        assert TrimLanes([shared, shared, shared]).mode == "stacked"
+        custom = _OffsetTrimmer()
+        assert TrimLanes([custom, custom]).mode == "loop"
         assert (
             TrimLanes([ValueTrimmer(), ValueTrimmer()]).mode == "stacked"
         )

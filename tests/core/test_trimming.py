@@ -284,17 +284,18 @@ class TestRadialTrimmer:
 
 class TestBatchTrimReportParity:
     def test_nan_percentile_matches_solo_clip(self):
-        """clip_percentile(nan) is 0.0 (Python min/max); trim_many must
-        agree instead of propagating NaN and silently keeping all."""
+        """clip_percentile(nan) is 0.0 (Python min/max); the lockstep
+        trim must agree instead of propagating NaN and keeping all."""
         import numpy as np
 
+        from repro.core.fusion import TrimLanes
         from repro.core.trimming import ValueTrimmer
 
         data = np.linspace(0.0, 1.0, 10)
         trimmer = ValueTrimmer()
         trimmer.fit_reference(data)
         solo = trimmer.trim(data, float("nan"))
-        batch = trimmer.trim_many(
+        batch = TrimLanes([trimmer, trimmer]).trim_stack(
             np.stack([data, data]), np.array([np.nan, 0.5])
         )
         assert batch.kept[0].tobytes() == solo.kept.tobytes()

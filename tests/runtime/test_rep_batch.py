@@ -23,8 +23,10 @@ from repro.runtime import (
     SweepRunner,
     play_rep_batch,
     rep_group_key,
+    summarize_game,
 )
 from repro.runtime.runner import _group_reps
+from repro.runtime.spec import fusion_group_key, play_fused_batch
 
 
 def _grid(repetitions=4, **overrides):
@@ -104,6 +106,58 @@ class TestRepBatchRunner:
         solo = SweepRunner(reduce=reduce).run_grid(grid)
         batched = SweepRunner(reduce=reduce, rep_batch="auto").run_grid(grid)
         assert solo == batched
+
+
+class TestMergedLockstepRoute:
+    """Every lockstep group plays through one route: play_fused_batch.
+
+    Whole GameRecords are compared (they carry the strategy names), so
+    a lane that played right but reported another lane's names fails.
+    """
+
+    def test_fused_batch_mixes_horizons_sizes_ratios_and_families(self):
+        grids = [
+            _grid(repetitions=2, rounds=rounds, dataset_size=size, seed=i)
+            for i, (rounds, size) in enumerate(
+                [(4, None), (6, None), (4, 300), (6, 300)]
+            )
+        ]
+        # Interleave the four (horizon, size) parts so each one's lanes
+        # are scattered across the group.
+        specs = [
+            spec
+            for cells in zip(*(grid.expand() for grid in grids), strict=True)
+            for spec in cells
+        ]
+        assert len({spec.attack_ratio for spec in specs}) == 2
+        assert len({spec.collector.factory for spec in specs}) == 2
+        key = fusion_group_key(specs[0])
+        assert all(fusion_group_key(spec) == key for spec in specs)
+
+        fused = play_fused_batch(specs)
+        records = [
+            summarize_game(spec, result)
+            for spec, result in zip(specs, fused, strict=True)
+        ]
+        assert records == [summarize_game(spec, spec.play()) for spec in specs]
+        assert records == SweepRunner().run(specs)
+        for spec, result in zip(specs, fused, strict=True):
+            assert result.to_records() == spec.play().to_records()
+
+    def test_wide_rep_run_next_to_single_cells(self):
+        # A same-cell run of 8 reps between single cells of the same
+        # fusion family: one lockstep group, whatever the run widths.
+        wide = _grid(repetitions=8).expand()[:8]
+        assert all(
+            rep_group_key(spec) == rep_group_key(wide[0]) for spec in wide
+        )
+        singles = _grid(repetitions=1, seed=1).expand()
+        specs = singles[:2] + wide + singles[2:]
+        assert [len(g) for g in _group_reps(specs, None)] == [len(specs)]
+
+        auto = SweepRunner(rep_batch="auto").run(specs)
+        assert auto == SweepRunner().run(specs)
+        assert auto == [summarize_game(spec, spec.play()) for spec in specs]
 
 
 class TestGrouping:
