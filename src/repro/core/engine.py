@@ -568,11 +568,11 @@ class BatchedGameResult:
 class BatchedCollectionGame:
     """Plays R collection games in lockstep over one dataset.
 
-    One Python loop over the T rounds total, with every per-round step
-    (stream draws, strategy reactions, poison materialization, trimming,
-    quality evaluation, compliance judgement, board recording) operating
-    on ``(R, batch)`` stacks through the lane programs of
-    :mod:`repro.core.fusion`.  The R lanes may be repetitions of one
+    One Python loop over the T rounds total: each round stacks one draw
+    per lane's stream, and every later step (strategy reactions, poison
+    materialization, trimming, quality evaluation, compliance judgement,
+    board recording) operates on ``(R, batch)`` stacks through the lane
+    programs of :mod:`repro.core.fusion`.  The R lanes may be repetitions of one
     sweep cell or different cells: strategies, attack ratios, jitters
     and component parameters may all differ lane to lane.
 
@@ -581,39 +581,35 @@ class BatchedCollectionGame:
     **byte-identical** to the corresponding solo :class:`CollectionGame`
     seeded from the same ``SeedSequence`` children.  The ingredients:
     per-lane component instances wherever state or randomness lives
-    (strategies, injector jitter, judge noise, stream lanes), shared
+    (streams, strategies, injector jitter, judge noise), shared
     deterministic calibration (reference fits of the shipped classes),
     and vectorized kernels whose per-lane rows are elementwise-identical
     to the scalar paths.
 
-    Parameters mirror :class:`CollectionGame`, with per-lane sequences
-    where the solo engine takes single components:
+    Parameters mirror :class:`CollectionGame`, with one instance per
+    lane where the solo engine takes a single component — lane ``r`` is
+    exactly the components of one solo game:
 
-    source:
-        A rep-lane :class:`~repro.streams.source.StreamSource`
-        constructed with one seed per lane.
-    collectors / adversaries / injectors:
-        One instance per lane.  Shipped strategies run array-native,
-        user strategies fall back to a per-lane loop (still
-        byte-identical).
-    trimmer:
-        A single :class:`~repro.core.trimming.Trimmer` shared by all
-        lanes (correct for stateless trimmers), or a sequence of R
-        instances — the per-lane isolation a *stateful* custom ``trim``
-        override needs to stay byte-identical to solo play.
+    sources:
+        One :class:`~repro.streams.source.StreamSource` per lane; every
+        round stacks one ``next_batch()`` per lane.
+    collectors / adversaries / injectors / trimmers:
+        One instance per lane.  Shipped classes run array-native; user
+        strategies and custom ``trim`` overrides fall back to a per-lane
+        loop (still byte-identical).
     quality_evaluators / judges:
-        Optional sequences of R instances (defaults: per-lane
+        Optional sequences of one instance per lane (defaults: per-lane
         :class:`~repro.core.quality.TailMassEvaluator` /
         noiseless :class:`BandExcessJudge`, as in the solo engine).
     """
 
     def __init__(
         self,
-        source: StreamSource,
+        sources: Sequence[StreamSource],
         collectors: Sequence[CollectorStrategy],
         adversaries: Sequence[AdversaryStrategy],
         injectors: Sequence[PoisonInjector],
-        trimmer: Union[Trimmer, Sequence[Trimmer]],
+        trimmers: Sequence[Trimmer],
         reference: ArrayLike,
         quality_evaluators: Optional[Sequence[QualityEvaluator]] = None,
         judges: Optional[Sequence[Any]] = None,
@@ -626,40 +622,31 @@ class BatchedCollectionGame:
         n_reps = len(collectors)
         if n_reps < 1:
             raise ValueError("need at least one repetition")
-        if len(adversaries) != n_reps or len(injectors) != n_reps:
-            raise ValueError(
-                "collectors, adversaries and injectors must have one entry "
-                "per repetition"
-            )
-        if source.lanes != n_reps:
-            raise ValueError(
-                f"rep-lane source carries {source.lanes} lanes for "
-                f"{n_reps} repetitions"
-            )
-        trimmers = [trimmer] if isinstance(trimmer, Trimmer) else list(trimmer)
-        if len(trimmers) == 1:
-            trimmers *= n_reps
-        if len(trimmers) != n_reps:
-            raise ValueError(
-                "trimmer must be a single instance or one per repetition"
-            )
         if quality_evaluators is None:
             quality_evaluators = [TailMassEvaluator() for _ in range(n_reps)]
         if judges is None:
             judges = [BandExcessJudge(noise_sigma=0.0) for _ in range(n_reps)]
-        if len(quality_evaluators) != n_reps or len(judges) != n_reps:
+        if any(
+            len(lane) != n_reps
+            for lane in (
+                sources, adversaries, injectors, trimmers,
+                quality_evaluators, judges,
+            )
+        ):
             raise ValueError(
-                "need one quality evaluator and one judge per repetition"
+                "sources, collectors, adversaries, injectors, trimmers, "
+                "quality evaluators and judges must have one entry per "
+                "repetition"
             )
         self.n_reps = n_reps
         self.rounds = int(rounds)
         self.reference = np.asarray(reference, dtype=float)
         self.store_retained = bool(store_retained)
-        self.source = source
+        self.sources = list(sources)
         self.collectors = list(collectors)
         self.adversaries = list(adversaries)
         self._injectors = list(injectors)
-        self._trimmers = trimmers
+        self._trimmers = list(trimmers)
         self._quality_evaluators = list(quality_evaluators)
         self._judges = list(judges)
         _calibrate(
@@ -677,7 +664,7 @@ class BatchedCollectionGame:
     ) -> "BatchedGameSession":
         """Open a :class:`~repro.core.session.BatchedGameSession`.
 
-        The rep-lane counterpart of :meth:`CollectionGame.session`:
+        The lockstep counterpart of :meth:`CollectionGame.session`:
         every stochastic component is rewound, then the caller drives
         the lockstep transition one ``submit((R, batch, ...))`` at a
         time.  ``horizon`` defaults to the engine's ``rounds``.  As
@@ -689,8 +676,8 @@ class BatchedCollectionGame:
         previous = getattr(self, "_active_session", None)
         if previous is not None:
             previous._supersede()
-        self.source.reset()
         for component in (
+            *self.sources,
             *self.collectors,
             *self.adversaries,
             *self._injectors,
@@ -726,5 +713,7 @@ class BatchedCollectionGame:
         """
         session = self.session()
         for _ in range(self.rounds):
-            session.submit(self.source.next_batches())
+            session.submit(
+                np.stack([source.next_batch() for source in self.sources])
+            )
         return session.close()

@@ -24,8 +24,10 @@ transition:
   ``submit((L, batch, ...))`` call steps L games ("lanes") through one
   round of shared array kernels.  It is built from the lanes' component
   instances and compiles its own lane programs
-  (:mod:`repro.core.fusion`), so there is one lockstep round body and
-  one lane builder.  Exactly two callers build it:
+  (:mod:`repro.core.fusion`), so there is one lane builder and one
+  lockstep round body, which runs once per poison-count segment (a
+  round where every lane injects the same count is one segment).
+  Exactly two callers build it:
   ``BatchedCollectionGame.session()`` (repetitions and fused sweep
   cells, from freshly reset instances) and the
   :class:`~repro.serving.DefenseService` multiplexer (live tenants,
@@ -671,9 +673,19 @@ class GameSession:
         the full incoming traffic (live mode); omit it to pull from the
         attached source.  ``poison_mask`` is live-mode-only ground truth
         marking which submitted rows are manipulated — bookkeeping for
-        the board, never visible to the strategies.
+        the board, never visible to the strategies.  A mask is checked
+        before either strategy reacts: a call rejected for it leaves the
+        strategies, injector, judge and round index untouched (a batch
+        pulled from the attached source is drawn first, because the mask
+        is checked against it).
         """
         self._check_submittable()
+        if poison_mask is not None and self.adversary is not None:
+            raise ValueError(
+                "poison_mask is only accepted in live mode "
+                "(adversary=None); adversarial sessions track poison "
+                "themselves"
+            )
         self._flush_deferred()
         if batch is None:
             if self.source is None:
@@ -683,16 +695,22 @@ class GameSession:
                 )
             batch = self.source.next_batch()
         benign = np.asarray(batch, dtype=float)
+        # The caller's ground truth is checked before either strategy
+        # reacts, so a rejected call leaves the game where it was.
+        if self.adversary is None:
+            if poison_mask is None:
+                mask = np.zeros(benign.shape[0], dtype=bool)
+            else:
+                mask = np.asarray(poison_mask, dtype=bool)
+                if mask.shape != (benign.shape[0],):
+                    raise ValueError(
+                        f"poison_mask must be shaped ({benign.shape[0]},), "
+                        f"got {mask.shape}"
+                    )
         index = self._round + 1
         trim_q, inject_q = self._decide_positions()
 
         if self.adversary is not None:
-            if poison_mask is not None:
-                raise ValueError(
-                    "poison_mask is only accepted in live mode "
-                    "(adversary=None); adversarial sessions track poison "
-                    "themselves"
-                )
             if inject_q is None:
                 poison = benign[:0]
             else:
@@ -706,15 +724,6 @@ class GameSession:
             n_poison_injected = int(poison.shape[0])
         else:
             combined = benign
-            if poison_mask is None:
-                mask = np.zeros(combined.shape[0], dtype=bool)
-            else:
-                mask = np.asarray(poison_mask, dtype=bool)
-                if mask.shape != (combined.shape[0],):
-                    raise ValueError(
-                        f"poison_mask must be shaped ({combined.shape[0]},), "
-                        f"got {mask.shape}"
-                    )
             n_poison_injected = int(np.count_nonzero(mask))
 
         report = self.trimmer.trim(combined, trim_q)
@@ -1073,8 +1082,8 @@ class BatchedGameSession:
         """Step every lane through one lockstep round.
 
         ``batches`` is the round's benign stack ``(R, batch[, d])`` —
-        one row of lanes per repetition, e.g. from
-        :meth:`StreamSource.next_batches`.
+        one row per lane, e.g. one ``next_batch()`` of each lane's
+        :class:`~repro.streams.source.StreamSource`, stacked.
         """
         self._check_submittable()
         benign = np.asarray(batches, dtype=float)
@@ -1093,20 +1102,11 @@ class BatchedGameSession:
 
         observed = ~np.isnan(inject)
         # (R,) per-lane poison counts: 0 where the lane injects nothing
-        # this round.  Count-uniform rounds take the single stacked
-        # kernel; mixed rounds run it once per count segment.
+        # this round.
         counts = np.where(
             observed, self.injector.poison_counts(benign.shape[1]), 0
         )
-        unique_counts = np.unique(counts)
-        if unique_counts.size == 1:
-            decision = self._submit_stacked(
-                index, benign, trim, inject, int(unique_counts[0])
-            )
-        else:
-            decision = self._submit_segmented(
-                index, benign, trim, inject, counts
-            )
+        decision = self._play_segments(index, benign, trim, inject, counts)
 
         if self.board is not None:
             self.board.record_round(
@@ -1134,65 +1134,7 @@ class BatchedGameSession:
         self._round = index
         return decision
 
-    def _submit_stacked(
-        self,
-        index: int,
-        benign: Array,
-        trim: Array,
-        inject: Array,
-        poison_rows: int,
-    ) -> BatchedRoundDecision:
-        """The all-lanes-agree fast path: one vectorized round body."""
-        if poison_rows:
-            poison = self.injector.materialize_many(benign, inject)
-            combined = np.concatenate([benign, poison], axis=1)
-        else:
-            combined = benign
-
-        report = self._trim_lanes.trim_stack(combined, trim)
-        scores = report.scores
-        if scores is None:
-            scores = self._trim_lanes.scores_stack(
-                combined, np.arange(self.n_reps)
-            )
-            shared = None
-        else:
-            shared = scores
-        observed_ratio, quality = self._quality.evaluate_many(combined, shared)
-        betrayal = self._judges.judge_round_many(inject, scores, report.kept)
-
-        n_kept = report.n_kept
-        if poison_rows:
-            n_poison_retained = np.count_nonzero(
-                report.kept[:, benign.shape[1]:], axis=1
-            )
-        else:
-            n_poison_retained = np.zeros(self.n_reps, dtype=np.int64)
-        retained = (
-            [combined[r][report.kept[r]] for r in range(self.n_reps)]
-            if self.store_retained
-            else None
-        )
-        return BatchedRoundDecision(
-            index=index,
-            threshold=trim,
-            injection_percentile=inject,
-            quality=np.asarray(quality, dtype=float),
-            observed_poison_ratio=np.asarray(observed_ratio, dtype=float),
-            betrayal=np.asarray(betrayal, dtype=bool),
-            n_collected=np.full(
-                self.n_reps, combined.shape[1], dtype=np.int64
-            ),
-            n_retained=np.asarray(n_kept, dtype=np.int64),
-            n_poison_injected=np.full(
-                self.n_reps, poison_rows, dtype=np.int64
-            ),
-            n_poison_retained=np.asarray(n_poison_retained, dtype=np.int64),
-            accept_masks=[report.kept[r] for r in range(self.n_reps)],
-            retained=retained,
-        )
-
-    def _submit_segmented(
+    def _play_segments(
         self,
         index: int,
         benign: Array,
@@ -1200,14 +1142,15 @@ class BatchedGameSession:
         inject: Array,
         counts: Array,
     ) -> BatchedRoundDecision:
-        """One round where lanes disagree on poison count.
+        """The lockstep round body, one pass per poison-count segment.
 
-        Lanes partition by their round poison count; the stacked round
-        body runs once per segment over that segment's ``(rows, batch)``
-        sub-stack, with segment-aware kernels drawing each lane's RNG
-        from its own Generator.  Per lane this is the same stage order
-        (inject -> trim -> evaluate -> judge) as the solo body, so the
-        outputs are byte-identical regardless of segmentation.
+        Lanes partition by their round poison count (a round where every
+        lane injects the same count is one segment); the stacked kernels
+        run once per segment over that segment's ``(rows, batch)``
+        sub-stack, drawing each lane's RNG from its own Generator.  Per
+        lane this is the same stage order (inject -> trim -> evaluate ->
+        judge) as the solo body, so the outputs are byte-identical
+        regardless of segmentation.
         """
         n_reps = self.n_reps
         quality = np.empty(n_reps)
@@ -1223,7 +1166,8 @@ class BatchedGameSession:
 
         for count in np.unique(counts):
             idx = np.flatnonzero(counts == count)
-            seg = benign[idx]
+            # A segment of every lane takes the stack as is, uncopied.
+            seg = benign if idx.size == n_reps else benign[idx]
             if count:
                 poison = self.injector.materialize_many(
                     seg, inject[idx], idx=idx

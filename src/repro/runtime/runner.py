@@ -561,7 +561,8 @@ class SweepRunner:
         disables (default), ``"auto"`` batches every full rep group, an
         ``int >= 2`` caps the lockstep width.  Composes with
         ``workers``: groups — not individual cells — are what the
-        process pool distributes, and a group is a single
+        process pool distributes, so with ``workers > 1`` a group holds
+        at most ``ceil(n / workers)`` cells; a group is a single
         retry/quarantine unit.
     store:
         Optional :class:`~repro.runtime.store.ResultStore`.  When set,
@@ -767,6 +768,11 @@ class SweepRunner:
         per_unit = self._supervised or self.workers == 1
         if self.rep_batch is not None:
             max_width = None if self.rep_batch == "auto" else self.rep_batch
+            if self.workers > 1:
+                # A group is one work unit: cap it so that every worker
+                # gets one, else a fused family plays serially.
+                fan_out = math.ceil(len(specs) / self.workers)
+                max_width = min(max_width or fan_out, fan_out)
             groups = _group_reps(specs, max_width)
             items: List[Tuple[List[GameSpec], List[int]]] = []
             offset = 0
@@ -962,12 +968,19 @@ class SweepRunner:
                         ]
                         pending.extendleft(reversed(ready))
                 while pending and len(inflight) < width:
-                    unit = pending.popleft()
-                    future = pool.submit(
-                        _run_unit_task, unit.grouped, unit.payload,
-                        self.reduce, unit.indices, unit.attempt, self.faults,
-                        True,
-                    )
+                    unit = pending[0]
+                    try:
+                        future = pool.submit(
+                            _run_unit_task, unit.grouped, unit.payload,
+                            self.reduce, unit.indices, unit.attempt,
+                            self.faults, True,
+                        )
+                    except BrokenProcessPool:
+                        # A worker died since the last wait.  The unit
+                        # stays queued; the dead in-flight futures
+                        # report the crash below, which respawns.
+                        break
+                    pending.popleft()
                     inflight[future] = (unit, time.monotonic())
                 if not inflight:
                     # Everything left is backing off; sleep to the next

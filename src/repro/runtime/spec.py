@@ -227,35 +227,49 @@ class GameSpec:
         return replace(self, tags=merged)
 
     # ------------------------------------------------------------------ #
-    def build(self) -> CollectionGame:
-        """Materialize the game: load data, build components, wire engine."""
-        data = load_reference(self.dataset, self.dataset_size)
-        quality = (
-            None if self.quality is None
-            else self.quality.build(self.child_seed(QUALITY_CHANNEL))
-        )
-        judge = (
-            None if self.judge is None
-            else self.judge.build(self.child_seed(JUDGE_CHANNEL))
-        )
-        return CollectionGame(
-            source=ArrayStream(
+    def _components(self, data: np.ndarray) -> Dict[str, Any]:
+        """The cell's unfitted components, keyed as ``CollectionGame`` takes them.
+
+        Every seeded component draws from its own derivation channel.
+        This is the one recipe both engines build from: ``build()``
+        wires one set into a solo game, :func:`build_batched_game` one
+        set per lane.
+        """
+        return {
+            "source": ArrayStream(
                 data,
                 batch_size=self.batch_size,
                 seed=self.child_seed(SOURCE_CHANNEL),
             ),
-            collector=self.collector.build(self.child_seed(COLLECTOR_CHANNEL)),
-            adversary=self.adversary.build(self.child_seed(ADVERSARY_CHANNEL)),
-            injector=PoisonInjector(
+            "collector": self.collector.build(
+                self.child_seed(COLLECTOR_CHANNEL)
+            ),
+            "adversary": self.adversary.build(
+                self.child_seed(ADVERSARY_CHANNEL)
+            ),
+            "injector": PoisonInjector(
                 attack_ratio=self.attack_ratio,
                 jitter=self.injection_jitter,
                 mode=self.injection_mode,
                 seed=self.child_seed(INJECTOR_CHANNEL),
             ),
-            trimmer=self.trimmer.build(),
+            "trimmer": self.trimmer.build(),
+            "quality_evaluator": (
+                None if self.quality is None
+                else self.quality.build(self.child_seed(QUALITY_CHANNEL))
+            ),
+            "judge": (
+                None if self.judge is None
+                else self.judge.build(self.child_seed(JUDGE_CHANNEL))
+            ),
+        }
+
+    def build(self) -> CollectionGame:
+        """Materialize the game: load data, build components, wire engine."""
+        data = load_reference(self.dataset, self.dataset_size)
+        return CollectionGame(
+            **self._components(data),
             reference=data,
-            quality_evaluator=quality,
-            judge=judge,
             rounds=self.rounds,
             anchor=self.anchor,
             store_retained=self.store_retained,
@@ -423,10 +437,10 @@ def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
 
     The specs must share a :func:`fusion_group_key`, a horizon and a
     dataset; strategies, attack ratios, jitters, component parameters
-    and seeds may differ.  Every per-lane component is built from its
-    own spec's derivation channels — byte-for-byte the seeds the solo
-    ``spec.build()`` would have used — while the dataset and the
-    deterministic reference fits are shared across the lanes.
+    and seeds may differ.  Each lane gets exactly the components the
+    solo ``spec.build()`` would wire — the same recipe, so the same
+    derivation channels — while the dataset and the deterministic
+    reference fits are shared across the lanes.
     """
     specs = list(specs)
     if not specs:
@@ -440,50 +454,24 @@ def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
                 "and dataset"
             )
     data = load_reference(lead.dataset, lead.dataset_size)
-    quality = (
-        None
-        if lead.quality is None
-        else [
-            spec.quality.build(spec.child_seed(QUALITY_CHANNEL))
-            for spec in specs
-        ]
-    )
-    judges = (
-        None
-        if lead.judge is None
-        else [
-            spec.judge.build(spec.child_seed(JUDGE_CHANNEL)) for spec in specs
-        ]
-    )
+    lanes = [spec._components(data) for spec in specs]
+
+    def column(name: str) -> List[Any]:
+        return [lane[name] for lane in lanes]
+
+    # The family shares one quality and judge class, so either every
+    # lane builds its own or every lane takes the engine default.
     return BatchedCollectionGame(
-        source=ArrayStream(
-            data,
-            batch_size=lead.batch_size,
-            seed=[spec.child_seed(SOURCE_CHANNEL) for spec in specs],
-        ),
-        collectors=[
-            spec.collector.build(spec.child_seed(COLLECTOR_CHANNEL))
-            for spec in specs
-        ],
-        adversaries=[
-            spec.adversary.build(spec.child_seed(ADVERSARY_CHANNEL))
-            for spec in specs
-        ],
-        injectors=[
-            PoisonInjector(
-                attack_ratio=spec.attack_ratio,
-                jitter=spec.injection_jitter,
-                mode=spec.injection_mode,
-                seed=spec.child_seed(INJECTOR_CHANNEL),
-            )
-            for spec in specs
-        ],
-        # One trimmer per lane, exactly as L solo spec.build() calls
-        # would create: stateful custom trimmers stay isolated per lane.
-        trimmer=[spec.trimmer.build() for spec in specs],
+        sources=column("source"),
+        collectors=column("collector"),
+        adversaries=column("adversary"),
+        injectors=column("injector"),
+        trimmers=column("trimmer"),
         reference=data,
-        quality_evaluators=quality,
-        judges=judges,
+        quality_evaluators=(
+            None if lead.quality is None else column("quality_evaluator")
+        ),
+        judges=None if lead.judge is None else column("judge"),
         rounds=lead.rounds,
         anchor=lead.anchor,
         store_retained=lead.store_retained,

@@ -19,8 +19,7 @@ lockstep engine already eliminated for sweep repetitions, so
   and judge verdicts computed on ``(L, n)`` stacks — and distributes
   the per-lane decisions back onto each tenant's own board.  Compiled
   cohort programs are cached between rounds (invalidated on any
-  out-of-band touch of a member) and oversized cohorts stream through
-  ``max_fused_lanes``-row chunks.  Tenants that cannot join a cohort
+  out-of-band touch of a member).  Tenants that cannot join a cohort
   (odd round position, odd batch shape, singleton group) fall back to
   their solo :meth:`~repro.core.session.GameSession.submit`,
   byte-identically;
@@ -78,6 +77,9 @@ __all__ = ["DefenseService", "ServiceStats", "TenantFailure"]
 #: :class:`LaneRoundDecision` column view on the lockstep path (same
 #: attribute surface, same values).
 AnyRoundDecision = Union[RoundDecision, LaneRoundDecision]
+
+#: Built lockstep cohorts kept resident between rounds (LRU).
+_COHORT_CACHE_SIZE = 16
 
 
 @dataclass
@@ -144,23 +146,15 @@ class DefenseService:
         Soft cap on live (non-evicted) sessions.  When an ``open`` or
         restore pushes the resident count above it, the least recently
         used idle sessions are evicted automatically.
-    min_multiplex:
-        Smallest cohort :meth:`submit_many` plays in lockstep; smaller
-        cohorts use the solo path (default 2).
-    max_fused_lanes:
-        Optional cap on lanes per fused lockstep round.  Oversized
-        cohorts stream through chunks of at most this many ``(L, batch)``
-        rows — bounding the working-set memory of one kernel pass —
-        instead of one monolithic stack.  ``None`` (default) fuses whole
-        cohorts.
-    cohort_cache_size:
-        How many built lane cohorts to keep resident (default 16, LRU).
-        A cohort whose membership, sessions and round position are
-        unchanged since its last lockstep round reuses its compiled
-        lane programs instead of rebuilding them; any out-of-band touch
-        of a member (solo round, eviction, restore, ``session()``
-        access …) invalidates every cohort it belongs to.  ``0``
-        disables the cache (lanes rebuild every round).
+
+    Same-shape cohorts of two or more tenants play in lockstep, each as
+    one whole ``(L, batch)`` stack; a lone tenant takes the solo path.
+    The last :data:`_COHORT_CACHE_SIZE` built cohorts stay resident
+    (LRU): a cohort whose membership, sessions and round position are
+    unchanged since its last lockstep round reuses its compiled lane
+    programs, and any out-of-band touch of a member (solo round,
+    eviction, restore, ``session()`` access …) invalidates every cohort
+    it belongs to.
     """
 
     def __init__(
@@ -168,26 +162,12 @@ class DefenseService:
         store: Optional["ResultStore"] = None,
         namespace: str = "default",
         max_resident: Optional[int] = None,
-        min_multiplex: int = 2,
-        max_fused_lanes: Optional[int] = None,
-        cohort_cache_size: int = 16,
     ):
         if max_resident is not None and max_resident < 1:
             raise ValueError("max_resident must be >= 1 (or None)")
-        if min_multiplex < 2:
-            raise ValueError("min_multiplex must be >= 2")
-        if max_fused_lanes is not None and max_fused_lanes < 2:
-            raise ValueError("max_fused_lanes must be >= 2 (or None)")
-        if cohort_cache_size < 0:
-            raise ValueError("cohort_cache_size must be >= 0")
         self._store = store
         self.namespace = str(namespace)
         self.max_resident = max_resident
-        self.min_multiplex = int(min_multiplex)
-        self.max_fused_lanes = (
-            None if max_fused_lanes is None else int(max_fused_lanes)
-        )
-        self.cohort_cache_size = int(cohort_cache_size)
         self._sessions: Dict[str, GameSession] = {}
         self._specs: Dict[str, GameSpec] = {}
         self._group_of: Dict[str, int] = {}
@@ -433,42 +413,28 @@ class DefenseService:
                 arrays[sid] = np.asarray(batch, dtype=float)
             # Fused cohorts mix datasets, so one family cohort may carry
             # several batch geometries; each same-shape run fuses on its
-            # own, chunked to ``max_fused_lanes`` rows per kernel pass.
+            # own.
             by_shape: Dict[tuple, List[str]] = {}
             for sid in members:
                 by_shape.setdefault(arrays[sid].shape, []).append(sid)
-            step = self.max_fused_lanes
             for shaped in by_shape.values():
-                chunks = (
-                    [shaped]
-                    if step is None
-                    else [
-                        shaped[i:i + step]
-                        for i in range(0, len(shaped), step)
-                    ]
-                )
-                for chunk in chunks:
-                    if len(chunk) >= self.min_multiplex:
-                        stack = np.stack([arrays[sid] for sid in chunk])
-                        for sid, decision in zip(
-                            chunk, self._submit_lockstep(chunk, sessions, stack)
-                        , strict=False):
-                            decisions[sid] = decision
-                        self.stats.lockstep_rounds += 1
-                        self.stats.lockstep_lanes += len(chunk)
-                    else:
-                        for sid in chunk:
-                            try:
-                                decisions[sid] = sessions[sid].submit(
-                                    arrays[sid]
-                                )
-                            except Exception as exc:
-                                if on_error == "raise":
-                                    raise
-                                self._quarantine(sid, "round", exc)
-                                continue
-                            self._invalidate(sid)
-                            self.stats.solo_rounds += 1
+                if len(shaped) >= 2:
+                    stack = np.stack([arrays[sid] for sid in shaped])
+                    views = self._submit_lockstep(shaped, sessions, stack)
+                    decisions.update(zip(shaped, views, strict=True))
+                    self.stats.lockstep_rounds += 1
+                    self.stats.lockstep_lanes += len(shaped)
+                    continue
+                for sid in shaped:
+                    try:
+                        decisions[sid] = sessions[sid].submit(arrays[sid])
+                    except Exception as exc:
+                        if on_error == "raise":
+                            raise
+                        self._quarantine(sid, "round", exc)
+                        continue
+                    self._invalidate(sid)
+                    self.stats.solo_rounds += 1
             for sid in members:
                 if sid in decisions:
                     self._touch(sid)
@@ -578,17 +544,14 @@ class DefenseService:
         lockstep, sink = self._build_lockstep(lane_sessions)
         self.stats.lane_build_seconds += time.perf_counter() - t0
         self.stats.lane_builds += 1
-        if self.cohort_cache_size > 0:
-            self._cohort_cache[key] = {
-                "lockstep": lockstep,
-                "sink": sink,
-                "sessions": list(lane_sessions),
-                "epochs": {
-                    sid: self._epochs.get(sid, 0) for sid in members
-                },
-            }
-            while len(self._cohort_cache) > self.cohort_cache_size:
-                self._cohort_cache.popitem(last=False)
+        self._cohort_cache[key] = {
+            "lockstep": lockstep,
+            "sink": sink,
+            "sessions": list(lane_sessions),
+            "epochs": {sid: self._epochs.get(sid, 0) for sid in members},
+        }
+        while len(self._cohort_cache) > _COHORT_CACHE_SIZE:
+            self._cohort_cache.popitem(last=False)
         return lockstep, sink
 
     def _build_lockstep(

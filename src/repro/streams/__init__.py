@@ -1,14 +1,12 @@
 """Streaming substrate: sources, poison injection, and the public board."""
 
 from .board import BoardEntry, PublicBoard
-from .collector import DataCollector
 from .injection import PoisonInjector
 from .source import ArrayStream, GeneratorStream, StreamSource
 
 __all__ = [
     "BoardEntry",
     "PublicBoard",
-    "DataCollector",
     "PoisonInjector",
     "StreamSource",
     "ArrayStream",

@@ -3,26 +3,14 @@
 The collection game is played over a data stream with a fixed number of
 samples per round.  Sources wrap a dataset (or a generator) and hand the
 engine one benign batch per round; users of the stream never mutate the
-backing data.
-
-Rep lanes
----------
-The batched replication engine
-(:class:`~repro.core.engine.BatchedCollectionGame`) plays the R
-repetitions of one sweep cell in lockstep, which needs R *independent*
-draw sequences from one source object.  Passing a **sequence of seeds**
-instead of a single seed puts a source into *rep-lane* mode: it keeps
-one :class:`numpy.random.Generator` (plus epoch order and cursor) per
-lane, and :meth:`StreamSource.next_batches` returns the next round's
-benign batches stacked along a new leading rep axis, shape
-``(R, batch_size, ...)``.  Each lane's draw sequence is byte-identical
-to a standalone source constructed with that lane's seed — the contract
-the batched engine's per-rep reproducibility relies on.
+backing data.  A lockstep game holds one source per lane, exactly as L
+solo games would, and stacks their :meth:`StreamSource.next_batch`
+draws.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,28 +20,8 @@ from ..core.strategies.base import rng_state, set_rng_state
 __all__ = ["StreamSource", "ArrayStream", "GeneratorStream"]
 
 
-def _lane_seeds(
-    seed: Any,
-) -> tuple[Optional[Any], Optional[List[Any]]]:
-    """Split a seed argument into (single_seed, lane_seeds)."""
-    if isinstance(seed, (list, tuple)):
-        if len(seed) == 0:
-            raise ValueError("rep-lane mode needs at least one seed")
-        return None, list(seed)
-    return seed, None
-
-
 class StreamSource:
-    """Interface: one benign batch per call to :meth:`next_batch`.
-
-    Sources constructed with a sequence of seeds run in *rep-lane* mode
-    and serve :meth:`next_batches` instead (see module docstring).
-    """
-
-    @property
-    def lanes(self) -> Optional[int]:
-        """Number of rep lanes, or ``None`` for a single-stream source."""
-        return None
+    """Interface: one benign batch per call to :meth:`next_batch`."""
 
     def reset(self) -> None:
         """Rewind the stream to its initial state."""
@@ -61,17 +29,6 @@ class StreamSource:
     def next_batch(self) -> Array:
         """The next round's benign batch (1-D values or 2-D rows)."""
         raise NotImplementedError
-
-    def next_batches(self) -> Array:
-        """One round's batches for every rep lane, stacked ``(R, batch, ...)``.
-
-        Only available in rep-lane mode; each lane advances exactly as a
-        standalone source seeded with that lane's seed would.
-        """
-        raise NotImplementedError(
-            "next_batches() requires a rep-lane source (construct with a "
-            "sequence of seeds, one per repetition)"
-        )
 
     def export_state(self) -> dict[str, Any]:
         """Mutable stream position (cursor/RNG) as a plain-data dict.
@@ -96,10 +53,6 @@ class ArrayStream(StreamSource):
     rounds can be served from a finite dataset — the paper's "streaming
     process with a fixed number of samples gathered in each round"
     (§IV-B).
-
-    ``seed`` may be a single seed (one stream) or a sequence of seeds
-    (rep-lane mode: one independent generator/order/cursor per lane,
-    served through :meth:`next_batches`).
     """
 
     def __init__(
@@ -119,96 +72,45 @@ class ArrayStream(StreamSource):
         self._data = arr
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self._seed, self._lane_seeds = _lane_seeds(seed)
+        self._seed = seed
         self.reset()
 
-    @property
-    def lanes(self) -> Optional[int]:
-        return None if self._lane_seeds is None else len(self._lane_seeds)
-
-    def _fresh_lane(self, seed: Any) -> List[Any]:
-        rng = np.random.default_rng(seed)
-        order = np.arange(self._data.shape[0])
-        if self.shuffle:
-            rng.shuffle(order)
-        return [rng, order, 0]  # rng, epoch order, cursor
-
     def reset(self) -> None:
-        if self._lane_seeds is None:
-            self._rng, self._order, self._cursor = self._fresh_lane(self._seed)
-        else:
-            self._lane_state = [self._fresh_lane(s) for s in self._lane_seeds]
-
-    def _lane_dict(self, state: List[Any]) -> dict[str, Any]:
-        rng, order, cursor = state
-        return {
-            "rng": rng_state(rng),
-            "order": np.asarray(order).copy(),
-            "cursor": int(cursor),
-        }
-
-    def _restore_lane(self, state: List[Any], lane: dict[str, Any]) -> None:
-        set_rng_state(state[0], lane["rng"])
-        state[1] = np.asarray(lane["order"], dtype=np.int64).copy()
-        state[2] = int(lane["cursor"])
+        self._rng = np.random.default_rng(self._seed)
+        self._order: Array = np.arange(self._data.shape[0])
+        if self.shuffle:
+            self._rng.shuffle(self._order)
+        self._cursor = 0
 
     def export_state(self) -> dict[str, Any]:
-        if self._lane_seeds is None:
-            return self._lane_dict([self._rng, self._order, self._cursor])
-        return {"lanes": [self._lane_dict(s) for s in self._lane_state]}
+        return {
+            "rng": rng_state(self._rng),
+            "order": self._order.copy(),
+            "cursor": int(self._cursor),
+        }
 
     def import_state(self, state: dict[str, Any]) -> None:
-        if self._lane_seeds is None:
-            lane_state = [self._rng, self._order, self._cursor]
-            self._restore_lane(lane_state, state)
-            self._rng, self._order, self._cursor = lane_state
-            return
-        lanes = state["lanes"]
-        if len(lanes) != len(self._lane_state):
-            raise ValueError(
-                f"state carries {len(lanes)} lanes, stream has "
-                f"{len(self._lane_state)}"
-            )
-        for lane_state, lane in zip(self._lane_state, lanes, strict=False):
-            self._restore_lane(lane_state, lane)
-
-    def _next_index(self, state: List[Any]) -> Array:
-        rng, order, cursor = state
-        if cursor + self.batch_size > self._data.shape[0]:
-            if self.shuffle:
-                rng.shuffle(order)
-            cursor = 0
-        idx = order[cursor : cursor + self.batch_size]
-        state[2] = cursor + self.batch_size
-        return idx
+        set_rng_state(self._rng, state["rng"])
+        self._order = np.asarray(state["order"], dtype=np.int64).copy()
+        self._cursor = int(state["cursor"])
 
     def next_batch(self) -> Array:
-        if self._lane_seeds is not None:
-            raise RuntimeError(
-                "this stream runs in rep-lane mode; use next_batches()"
-            )
-        state = [self._rng, self._order, self._cursor]
-        idx = self._next_index(state)
-        self._cursor = state[2]
+        if self._cursor + self.batch_size > self._data.shape[0]:
+            if self.shuffle:
+                self._rng.shuffle(self._order)
+            self._cursor = 0
+        idx = self._order[self._cursor : self._cursor + self.batch_size]
+        self._cursor += self.batch_size
         # Fancy indexing already materializes a fresh array — callers can
         # never corrupt the backing dataset through the returned batch.
         return self._data[idx]
-
-    def next_batches(self) -> Array:
-        if self._lane_seeds is None:
-            return super().next_batches()
-        return np.stack(
-            [self._data[self._next_index(state)] for state in self._lane_state]
-        )
 
 
 class GeneratorStream(StreamSource):
     """Stream backed by a callable ``factory(rng, batch_size) -> array``.
 
     Supports genuinely infinite streams (e.g. the synthetic Taxi
-    generator) without materializing the full dataset.  As with
-    :class:`ArrayStream`, a sequence of seeds selects rep-lane mode with
-    one generator per lane.
+    generator) without materializing the full dataset.
     """
 
     def __init__(
@@ -221,53 +123,22 @@ class GeneratorStream(StreamSource):
             raise ValueError("batch_size must be >= 1")
         self._factory = factory
         self.batch_size = int(batch_size)
-        self._seed, self._lane_seeds = _lane_seeds(seed)
+        self._seed = seed
         self.reset()
 
-    @property
-    def lanes(self) -> Optional[int]:
-        return None if self._lane_seeds is None else len(self._lane_seeds)
-
     def reset(self) -> None:
-        if self._lane_seeds is None:
-            self._rng = np.random.default_rng(self._seed)
-        else:
-            self._lane_rngs = [np.random.default_rng(s) for s in self._lane_seeds]
+        self._rng = np.random.default_rng(self._seed)
 
     def export_state(self) -> dict[str, Any]:
-        if self._lane_seeds is None:
-            return {"rng": rng_state(self._rng)}
-        return {"lanes": [{"rng": rng_state(rng)} for rng in self._lane_rngs]}
+        return {"rng": rng_state(self._rng)}
 
     def import_state(self, state: dict[str, Any]) -> None:
-        if self._lane_seeds is None:
-            set_rng_state(self._rng, state["rng"])
-            return
-        lanes = state["lanes"]
-        if len(lanes) != len(self._lane_rngs):
-            raise ValueError(
-                f"state carries {len(lanes)} lanes, stream has "
-                f"{len(self._lane_rngs)}"
-            )
-        for rng, lane in zip(self._lane_rngs, lanes, strict=False):
-            set_rng_state(rng, lane["rng"])
+        set_rng_state(self._rng, state["rng"])
 
-    def _draw(self, rng: np.random.Generator) -> Array:
-        batch = np.asarray(self._factory(rng, self.batch_size), dtype=float)
+    def next_batch(self) -> Array:
+        batch = np.asarray(self._factory(self._rng, self.batch_size), dtype=float)
         if batch.shape[0] != self.batch_size:
             raise ValueError(
                 f"factory returned {batch.shape[0]} rows, expected {self.batch_size}"
             )
         return batch
-
-    def next_batch(self) -> Array:
-        if self._lane_seeds is not None:
-            raise RuntimeError(
-                "this stream runs in rep-lane mode; use next_batches()"
-            )
-        return self._draw(self._rng)
-
-    def next_batches(self) -> Array:
-        if self._lane_seeds is None:
-            return super().next_batches()
-        return np.stack([self._draw(rng) for rng in self._lane_rngs])

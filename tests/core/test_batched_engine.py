@@ -109,15 +109,15 @@ def _assert_batched_matches_solo(
         ).run()
 
     batched = BatchedCollectionGame(
-        source=ArrayStream(
-            data, batch_size=80, seed=[_child(r, 0) for r in roots]
-        ),
+        sources=[
+            ArrayStream(data, batch_size=80, seed=_child(r, 0)) for r in roots
+        ],
         collectors=[make_collector(_child(r, 1)) for r in roots],
         adversaries=[make_adversary(_child(r, 2)) for r in roots],
         injectors=[
             PoisonInjector(ratio, mode=mode, seed=_child(r, 3)) for r in roots
         ],
-        trimmer=trimmer_cls(),
+        trimmers=[trimmer_cls() for _ in roots],
         reference=data,
         judges=(
             None
@@ -325,9 +325,10 @@ class TestModesAndBoards:
     def test_rerun_replays_identically(self, data_1d):
         roots = _roots()
         game = BatchedCollectionGame(
-            source=ArrayStream(
-                data_1d, batch_size=80, seed=[_child(r, 0) for r in roots]
-            ),
+            sources=[
+                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
+                for r in roots
+            ],
             collectors=[MirrorCollector(0.9) for _ in roots],
             adversaries=[
                 MixedAdversary(0.4, seed=_child(r, 2)) for r in roots
@@ -336,7 +337,7 @@ class TestModesAndBoards:
                 PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
                 for r in roots
             ],
-            trimmer=ValueTrimmer(),
+            trimmers=[ValueTrimmer() for _ in roots],
             reference=data_1d,
             judges=[
                 BandExcessJudge(noise_sigma=0.05, seed=_child(r, 4))
@@ -466,16 +467,17 @@ class TestFallbackLoop:
             ).run()
 
         batched = BatchedCollectionGame(
-            source=ArrayStream(
-                data_1d, batch_size=80, seed=[_child(r, 0) for r in roots]
-            ),
+            sources=[
+                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
+                for r in roots
+            ],
             collectors=[ElasticCollector(0.9, 0.5) for _ in roots],
             adversaries=[FixedAdversary(0.99) for _ in roots],
             injectors=[
                 PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
                 for r in roots
             ],
-            trimmer=ValueTrimmer(),
+            trimmers=[ValueTrimmer() for _ in roots],
             reference=data_1d,
             quality_evaluators=[MeanShiftEvaluator() for _ in roots],
             rounds=6,
@@ -544,16 +546,17 @@ class TestCustomTrimmer:
             ).run()
 
         batched = BatchedCollectionGame(
-            source=ArrayStream(
-                data_1d, batch_size=80, seed=[_child(r, 0) for r in roots]
-            ),
+            sources=[
+                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
+                for r in roots
+            ],
             collectors=[StaticCollector(0.9) for _ in roots],
             adversaries=[FixedAdversary(0.99) for _ in roots],
             injectors=[
                 PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
                 for r in roots
             ],
-            trimmer=[_DriftingTrimmer() for _ in roots],
+            trimmers=[_DriftingTrimmer() for _ in roots],
             reference=data_1d,
             rounds=8,
         ).run()
@@ -623,16 +626,16 @@ def _lane_games(data, collectors, adversaries, trimmers, rounds=8):
         for root, collector, adversary, trimmer in lanes
     ]
     batched = BatchedCollectionGame(
-        source=ArrayStream(
-            data, batch_size=80, seed=[_child(r, 0) for r in roots]
-        ),
+        sources=[
+            ArrayStream(data, batch_size=80, seed=_child(r, 0)) for r in roots
+        ],
         collectors=[collector() for collector in collectors],
         adversaries=[adversary() for adversary in adversaries],
         injectors=[
             PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
             for r in roots
         ],
-        trimmer=[trimmer() for trimmer in trimmers],
+        trimmers=[trimmer() for trimmer in trimmers],
         reference=data,
         rounds=rounds,
     ).run()
@@ -675,24 +678,27 @@ class TestValidation:
         roots = _roots()
         with pytest.raises(ValueError, match="one entry per repetition"):
             BatchedCollectionGame(
-                source=ArrayStream(
-                    data_1d, batch_size=80, seed=[_child(r, 0) for r in roots]
-                ),
+                sources=[
+                    ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
+                    for r in roots
+                ],
                 collectors=[OstrichCollector() for _ in roots],
                 adversaries=[NullAdversary()],
                 injectors=[PoisonInjector(0.2) for _ in roots],
-                trimmer=ValueTrimmer(),
+                trimmers=[ValueTrimmer() for _ in roots],
                 reference=data_1d,
             )
 
     def test_rejects_wrong_lane_count(self, data_1d):
-        with pytest.raises(ValueError, match="lanes"):
+        with pytest.raises(ValueError, match="one entry per repetition"):
             BatchedCollectionGame(
-                source=ArrayStream(data_1d, batch_size=80, seed=[0, 1]),
+                sources=[
+                    ArrayStream(data_1d, batch_size=80, seed=s) for s in (0, 1)
+                ],
                 collectors=[OstrichCollector() for _ in range(3)],
                 adversaries=[NullAdversary() for _ in range(3)],
                 injectors=[PoisonInjector(0.2) for _ in range(3)],
-                trimmer=ValueTrimmer(),
+                trimmers=[ValueTrimmer() for _ in range(3)],
                 reference=data_1d,
             )
 

@@ -12,6 +12,8 @@ The load-bearing contracts:
 * lifecycle errors (horizon exhaustion, submit-after-close) are loud.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +42,7 @@ from repro.core.strategies import (
     UniformRangeAdversary,
 )
 from repro.core.strategies.titfortat import MixedStrategyTrigger, QualityTrigger
-from repro.core.trimming import RadialTrimmer
+from repro.core.trimming import RadialTrimmer, ValueTrimmer
 from repro.streams import ArrayStream, PoisonInjector
 
 #: The full shipped strategy matrix the snapshot contract is tested
@@ -114,6 +116,11 @@ def matrix_spec(collector, adversary, judge, seed=0, rounds=8) -> GameSpec:
         batch_size=60,
         seed=seed,
     )
+
+
+def lane_draws(engine):
+    """One lockstep round's benign stack: each lane's next draw."""
+    return np.stack([source.next_batch() for source in engine.sources])
 
 
 def assert_results_identical(a, b):
@@ -236,10 +243,10 @@ class TestLifecycleErrors:
             [matrix_spec("static", "fixed", "band", seed=s) for s in range(2)]
         )
         first = engine.session()
-        first.submit(engine.source.next_batches())
+        first.submit(lane_draws(engine))
         engine.run()
         with pytest.raises(RuntimeError, match="superseded"):
-            first.submit(engine.source.next_batches())
+            first.submit(lane_draws(engine))
 
     def test_no_batch_without_source_raises(self, reference):
         session = GameSession.open(
@@ -334,6 +341,40 @@ class TestLiveMode:
             session.submit(
                 np.zeros((5, 60)), poison_mask=np.zeros(5, dtype=bool)
             )
+
+    @pytest.mark.parametrize("adversarial", [True, False])
+    def test_rejected_mask_moves_no_state(self, adversarial):
+        # A call rejected for its poison_mask (adversarial mode refuses
+        # any mask; live mode a misshapen one) must leave the game where
+        # it was: no strategy reacts, no RNG draws.
+        rng = np.random.default_rng(4)
+        reference = rng.lognormal(size=2000)
+        batches = [rng.choice(reference, size=80) for _ in range(5)]
+        bad_mask = np.zeros(80 if adversarial else 7, dtype=bool)
+
+        def open_session():
+            return GameSession.open(
+                collector=ElasticCollector(0.9, 0.5, rule="relaxation"),
+                adversary=MixedAdversary(0.5, seed=1) if adversarial else None,
+                injector=(
+                    PoisonInjector(0.2, mode="quantile", seed=2)
+                    if adversarial else None
+                ),
+                trimmer=ValueTrimmer(),
+                reference=reference,
+            )
+
+        uninterrupted, probed = open_session(), open_session()
+        for batch in batches:
+            state = pickle.dumps(probed.state_dict())
+            index = probed.round_index
+            with pytest.raises(ValueError, match="poison_mask"):
+                probed.submit(batch, poison_mask=bad_mask)
+            assert pickle.dumps(probed.state_dict()) == state
+            assert probed.round_index == index
+            uninterrupted.submit(batch)
+            probed.submit(batch)
+        assert_results_identical(probed.close(), uninterrupted.close())
 
 
 # --------------------------------------------------------------------- #
@@ -466,7 +507,7 @@ class TestBatchedSession:
         engine = build_batched_game(specs)
         session = engine.session()
         while not session.done:
-            decision = session.submit(engine.source.next_batches())
+            decision = session.submit(lane_draws(engine))
         batched = session.close()
         for rep in range(4):
             assert_results_identical(batched.result(rep), solo[rep])
@@ -482,7 +523,7 @@ class TestBatchedSession:
         ]
         engine = build_batched_game(specs)
         session = engine.session()
-        session.submit(engine.source.next_batches())
-        session.submit(engine.source.next_batches())
+        session.submit(lane_draws(engine))
+        session.submit(lane_draws(engine))
         with pytest.raises(RuntimeError, match="horizon"):
-            session.submit(engine.source.next_batches())
+            session.submit(lane_draws(engine))

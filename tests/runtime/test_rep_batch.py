@@ -74,6 +74,21 @@ class TestRepBatchRunner:
         combined = SweepRunner(workers=2, rep_batch="auto").run_grid(grid)
         assert solo == combined
 
+    def test_workers_split_a_fused_family(self):
+        # table3's quick plan is one fusion family: one group, so one
+        # work unit, unless the group is capped by the worker count.
+        from repro.scenarios import get_scenario
+
+        scenario = get_scenario("table3")
+        plan = scenario.plan(scenario.resolve_params("quick"))
+        specs = list(plan.specs)
+        parallel = SweepRunner(workers=2, rep_batch=plan.rep_batch)
+        units = parallel._build_units(specs, list(range(len(specs))))
+        assert len(units) >= 2
+        serial = SweepRunner(rep_batch=plan.rep_batch)
+        assert len(serial._build_units(specs, list(range(len(specs))))) == 1
+        assert parallel.run(specs) == serial.run(specs)
+
     def test_off_values_disable(self):
         assert SweepRunner(rep_batch=None).rep_batch is None
         assert SweepRunner(rep_batch=1).rep_batch is None

@@ -12,7 +12,6 @@ import os
 import sys
 
 import numpy as np
-import pytest
 
 from repro import DefenseService, GameSpec
 
@@ -129,18 +128,6 @@ class TestHeterogeneousFusion:
                 service.submit(sid)
             assert_results_identical(service.close(sid), reference)
 
-    def test_chunked_cohorts_stay_identical(self):
-        specs = hetero_specs(seed=90)
-        solo = [solo_reference(spec) for spec in specs]
-        service = DefenseService(max_fused_lanes=2)
-        sids = [service.open(spec) for spec in specs]
-        for _ in range(specs[0].rounds):
-            service.submit_many(sids)
-        for sid, reference in zip(sids, solo, strict=False):
-            assert_results_identical(service.close(sid), reference)
-        # 6 tenants in 2-lane chunks -> 3 lockstep passes per round.
-        assert service.stats.lockstep_rounds == 3 * specs[0].rounds
-
     def test_shape_partition_splits_datasets(self):
         # control is (n, 60)-dimensional, taxi is scalar: same fusion
         # family, incompatible batch shapes -> two sub-cohorts.
@@ -221,24 +208,6 @@ class TestCohortCache:
         assert service.stats.lane_builds > builds_before
         for sid, reference in zip(sids, solo, strict=False):
             assert_results_identical(service.close(sid), reference)
-
-    def test_cache_disabled_rebuilds_every_round(self):
-        specs = hetero_specs(seed=140)[:3]
-        solo = [solo_reference(spec) for spec in specs]
-        service = DefenseService(cohort_cache_size=0)
-        sids = [service.open(spec) for spec in specs]
-        for _ in range(specs[0].rounds):
-            service.submit_many(sids)
-        assert service.stats.lane_builds == specs[0].rounds
-        assert service.stats.lane_cache_hits == 0
-        for sid, reference in zip(sids, solo, strict=False):
-            assert_results_identical(service.close(sid), reference)
-
-    def test_cache_size_validation(self):
-        with pytest.raises(ValueError, match="cohort_cache_size"):
-            DefenseService(cohort_cache_size=-1)
-        with pytest.raises(ValueError, match="max_fused_lanes"):
-            DefenseService(max_fused_lanes=1)
 
 
 class TestFusedResults:

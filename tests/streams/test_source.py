@@ -107,49 +107,3 @@ class TestBatchMutationSafety:
         stream = ArrayStream(data, batch_size=8, seed=1)
         stream.next_batch()[:] = np.inf
         np.testing.assert_array_equal(stream._data, backup)
-
-
-class TestRepLanes:
-    def test_lanes_match_standalone_streams(self, rng):
-        data = rng.normal(size=(60, 2))
-        seeds = [11, 12, 13]
-        lanes = ArrayStream(data, batch_size=25, seed=seeds)
-        solos = [ArrayStream(data, batch_size=25, seed=s) for s in seeds]
-        assert lanes.lanes == 3
-        for _ in range(7):  # crosses epoch boundaries
-            stack = lanes.next_batches()
-            expected = np.stack([s.next_batch() for s in solos])
-            assert stack.tobytes() == expected.tobytes()
-
-    def test_lane_mode_rejects_next_batch(self):
-        lanes = ArrayStream(np.arange(20.0), batch_size=5, seed=[0, 1])
-        with pytest.raises(RuntimeError, match="rep-lane"):
-            lanes.next_batch()
-
-    def test_single_mode_rejects_next_batches(self):
-        stream = ArrayStream(np.arange(20.0), batch_size=5, seed=0)
-        with pytest.raises(NotImplementedError, match="rep-lane"):
-            stream.next_batches()
-
-    def test_lanes_reset(self):
-        lanes = ArrayStream(np.arange(50.0), batch_size=10, seed=[3, 4])
-        first = lanes.next_batches()
-        lanes.reset()
-        np.testing.assert_array_equal(first, lanes.next_batches())
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one seed"):
-            ArrayStream(np.arange(10.0), batch_size=2, seed=[])
-
-    def test_generator_stream_lanes(self):
-        def factory(rng_, size):
-            return rng_.normal(size=size)
-
-        lanes = GeneratorStream(factory, batch_size=12, seed=[7, 8])
-        solos = [GeneratorStream(factory, batch_size=12, seed=s) for s in (7, 8)]
-        for _ in range(3):
-            stack = lanes.next_batches()
-            expected = np.stack([s.next_batch() for s in solos])
-            assert stack.tobytes() == expected.tobytes()
-        with pytest.raises(RuntimeError, match="rep-lane"):
-            lanes.next_batch()
