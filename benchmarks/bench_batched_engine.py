@@ -5,9 +5,9 @@ rounds, PR 3: across reps) collapses the repetition axis of a sweep cell
 into one :class:`~repro.core.engine.BatchedCollectionGame`.  This bench
 plays the tournament workload — the default meta-game's 16 (collector ×
 adversary) pairings of 10-round games — at R ∈ {8, 32, 128} repetitions
-per cell, through the same :class:`~repro.runtime.runner.SweepRunner`
-twice: once with the solo per-spec loop (``rep_batch=None``) and once
-with the repetition axis collapsed (``rep_batch="auto"``).
+per cell, twice: once as a solo per-spec loop (``spec.play()`` for every
+cell) and once through :class:`~repro.runtime.runner.SweepRunner`, which
+plays the grid in lockstep groups.
 
 Correctness gate (non-negotiable): every record of the batched run must
 equal the solo run's record for the same spec — the per-rep
@@ -29,7 +29,7 @@ from repro.experiments.tournament import (
     _default_adversaries,
     _default_collectors,
 )
-from repro.runtime import SweepGrid, SweepRunner, cross_pairs
+from repro.runtime import SweepGrid, SweepRunner, cross_pairs, summarize_game
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_batched.json")
@@ -63,9 +63,14 @@ def _grid(repetitions: int) -> SweepGrid:
     )
 
 
-def _time_run(runner: SweepRunner, grid: SweepGrid):
+def _solo_loop(grid: SweepGrid) -> list:
+    """Every cell played alone, in grid order."""
+    return [summarize_game(spec, spec.play()) for spec in grid.expand()]
+
+
+def _time_run(play, grid: SweepGrid):
     t0 = time.perf_counter()
-    records = runner.run_grid(grid)
+    records = play(grid)
     return time.perf_counter() - t0, records
 
 
@@ -74,10 +79,8 @@ def run_batched_benchmark() -> dict:
     points = []
     for repetitions in REP_COUNTS:
         grid = _grid(repetitions)
-        solo_s, solo_records = _time_run(SweepRunner(), grid)
-        batched_s, batched_records = _time_run(
-            SweepRunner(rep_batch="auto"), grid
-        )
+        solo_s, solo_records = _time_run(_solo_loop, grid)
+        batched_s, batched_records = _time_run(SweepRunner().run_grid, grid)
         n_games = grid.n_cells
         points.append(
             {
@@ -129,7 +132,7 @@ def test_batched_engine(report):
     # Correctness gates: the batched engine must not change a single bit.
     for point in payload["points"]:
         assert point["records_identical"], (
-            f"rep-batched records diverged at R={point['repetitions']}"
+            f"lockstep records diverged at R={point['repetitions']}"
         )
     # Performance gate at the headline repetition count.
     gated = next(

@@ -1,19 +1,18 @@
-"""Sweep-runner micro-benchmark: the (workers × rep-batch) plane.
+"""Sweep-runner micro-benchmark: serial against a process pool.
 
 Times the default meta-game tournament grid (4 collectors x 4
 adversaries x 2 repetitions of 10-round games) through the
-:mod:`repro.runtime` sweep runner at the four corners of the execution
-plane — serial solo loop, 4-process pool, serial rep-batched
-(``rep_batch="auto"``), and the combined process × rep-batch run —
-asserts all four payoff matrices are byte-identical, and persists the
-wall-clock trajectory to ``benchmarks/results/BENCH_sweep.json`` so
-later performance PRs have a baseline to beat.
+:mod:`repro.runtime` sweep runner serially and on a 4-process pool —
+both play the grid in lockstep groups — asserts the two payoff matrices
+are byte-identical, and persists the wall-clock trajectory to
+``benchmarks/results/BENCH_sweep.json`` so later performance PRs have a
+baseline to beat.
 
 The parallel speedup is hardware-bound: the assertion only requires
 >= 2x when at least 4 CPUs are actually available (on a single-core
 container the pool can't beat the serial loop — determinism is still
-asserted; rep batching is the single-core lever, measured separately by
-``bench_batched_engine.py``).  Run standalone with
+asserted; lockstep play is the single-core lever, measured separately
+by ``bench_batched_engine.py``).  Run standalone with
 ``python benchmarks/bench_sweep_runner.py``.
 """
 
@@ -48,27 +47,15 @@ def _matrices_identical(a, b) -> bool:
 
 
 def run_sweep_benchmark() -> dict:
-    """Time the grid over the (workers × rep-batch) plane; return payload.
+    """Time the grid serially and on the pool; return the payload.
 
-    Four corners: serial solo loop, process-parallel solo loop, serial
-    rep-batched, and the combined (process × rep-batch) execution — the
-    full composition of the three perf layers.  All four payoff matrices
-    must be byte-identical.
+    The two payoff matrices must be byte-identical.
     """
-    serial_s, serial = _timed(dataclasses.replace(BASE, rep_batch=None))
+    serial_s, serial = _timed(BASE)
     parallel_s, parallel = _timed(
-        dataclasses.replace(BASE, workers=PARALLEL_WORKERS, rep_batch=None)
+        dataclasses.replace(BASE, workers=PARALLEL_WORKERS)
     )
-    batched_s, batched = _timed(dataclasses.replace(BASE, rep_batch="auto"))
-    combined_s, combined = _timed(
-        dataclasses.replace(BASE, workers=PARALLEL_WORKERS, rep_batch="auto")
-    )
-
-    identical = (
-        _matrices_identical(serial, parallel)
-        and _matrices_identical(serial, batched)
-        and _matrices_identical(serial, combined)
-    )
+    identical = _matrices_identical(serial, parallel)
     n_games = (
         len(serial.collector_names)
         * len(serial.adversary_names)
@@ -86,15 +73,7 @@ def run_sweep_benchmark() -> dict:
         "available_cpus": available_cpus(),
         "serial_seconds": serial_s,
         "parallel_seconds": parallel_s,
-        "rep_batched_seconds": batched_s,
-        "combined_seconds": combined_s,
         "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
-        "rep_batch_speedup": (
-            serial_s / batched_s if batched_s > 0 else float("inf")
-        ),
-        "combined_speedup": (
-            serial_s / combined_s if combined_s > 0 else float("inf")
-        ),
         "serial_games_per_second": n_games / serial_s,
         "matrices_byte_identical": identical,
     }
@@ -117,11 +96,7 @@ def test_sweep_runner_parallelism(report):
         f"serial {payload['serial_seconds']:.3f}s | "
         f"{PARALLEL_WORKERS} workers {payload['parallel_seconds']:.3f}s | "
         f"speedup {payload['speedup']:.2f}x on "
-        f"{payload['available_cpus']} CPU(s)\n"
-        f"rep-batched {payload['rep_batched_seconds']:.3f}s "
-        f"({payload['rep_batch_speedup']:.2f}x) | combined "
-        f"{payload['combined_seconds']:.3f}s "
-        f"({payload['combined_speedup']:.2f}x)",
+        f"{payload['available_cpus']} CPU(s)",
     )
 
     # Correctness gate: parallel execution must not change a single bit.

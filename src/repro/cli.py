@@ -7,7 +7,6 @@ Usage::
     python -m repro scenario run fig9 --scale full --workers 4
     python -m repro scenario run fig4 --param ratios=0.01,0.1 --param repetitions=3
     python -m repro scenario report fig4
-    python -m repro run table4            # legacy alias (no result store)
     python -m repro sweep --schemes titfortat,elastic0.5 \
         --ratios 0.1,0.2,0.4 --reps 5 --workers 4
 
@@ -23,15 +22,12 @@ a finished scenario replays entirely from disk (zero games), an
 interrupted run resumes where it stopped (``--resume`` is the default
 behaviour; ``--no-cache`` opts out of the store entirely), and
 ``scenario report`` re-renders the last stored run without executing
-anything.  The legacy ``repro run <artifact>`` spelling is a thin alias
-that executes the same scenarios without a store — byte-identical
-output to the pre-registry CLI.
+anything.
 
 ``sweep`` runs an ad-hoc scheme × attack-ratio × repetition grid on the
-sweep runner — ``--workers N`` fans the games out over N processes, and
-``--rep-batch auto`` (the default) plays each cell's repetitions in one
-lockstep :class:`~repro.core.engine.BatchedCollectionGame`; results are
-identical in every mode.
+sweep runner, which plays each run of same-family cells as one lockstep
+:class:`~repro.core.engine.BatchedCollectionGame`; ``--workers N`` fans
+those groups out over N processes, with identical results.
 """
 
 from __future__ import annotations
@@ -52,18 +48,12 @@ from .scenarios import (
     scenario_names,
 )
 
-__all__ = ["ARTIFACTS", "main"]
+__all__ = ["main"]
 
 
 def _default_cache_dir() -> str:
     """Store root: ``$REPRO_CACHE_DIR`` or ``.repro-cache`` in the cwd."""
     return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-
-
-#: Artifact name -> description (back-compat view of the registry).
-ARTIFACTS: Dict[str, str] = {
-    scenario.name: scenario.description for scenario in iter_scenarios()
-}
 
 
 def _parse_csv(text: str) -> List[str]:
@@ -80,22 +70,6 @@ def _parse_floats(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(
             f"not a float list: {text!r}"
         ) from exc
-
-
-def _parse_rep_batch(text: str):
-    """'auto' | 'off' | int >= 2 — the SweepRunner rep_batch argument."""
-    lowered = text.strip().lower()
-    if lowered in ("auto", "off"):
-        return lowered
-    try:
-        width = int(lowered)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto', 'off' or an integer, got {text!r}"
-        ) from exc
-    if width < 1:
-        raise argparse.ArgumentTypeError("rep-batch width must be >= 1")
-    return width
 
 
 def _parse_param(text: str) -> tuple:
@@ -129,9 +103,7 @@ def _sweep(args: argparse.Namespace) -> str:
         store_retained=False,
         seed=args.seed,
     )
-    records = SweepRunner(
-        workers=args.workers, rep_batch=args.rep_batch
-    ).run_grid(grid)
+    records = SweepRunner(workers=args.workers).run_grid(grid)
 
     grouped: Dict[tuple, list] = {}
     for record in records:
@@ -247,7 +219,6 @@ def _scenario_run(args: argparse.Namespace) -> int:
             scale=args.scale,
             overrides=overrides,
             workers=args.workers,
-            rep_batch=args.rep_batch,
             store=store,
             on_error=args.on_error,
             timeout=args.timeout,
@@ -284,35 +255,12 @@ def _scenario_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _legacy_run(args: argparse.Namespace) -> int:
-    """``repro run`` alias: scenarios without a store, quick/full scales."""
-    names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
-    for name in names:
-        run = run_scenario(get_scenario(name), scale=args.scale)
-        print(run.text)
-        print()
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available artifacts (scenario registry)")
-
-    run = sub.add_parser(
-        "run", help="run one artifact (or 'all') without the result store"
-    )
-    run.add_argument("artifact", choices=sorted(ARTIFACTS) + ["all"])
-    run.add_argument(
-        "--scale",
-        choices=("quick", "full"),
-        default="quick",
-        help="quick = benchmark-sized, full = closer to the paper's settings",
-    )
 
     scenario = sub.add_parser(
         "scenario",
@@ -348,16 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial; results identical either way)",
     )
     scen_run.add_argument(
-        "--rep-batch",
-        type=_parse_rep_batch,
-        default=None,
-        help=(
-            "repetition lockstep width: omit to use the scenario's "
-            "default, 'off' plays reps one by one, 'auto'/int >= 2 "
-            "batches them; results identical in every mode"
-        ),
-    )
-    scen_run.add_argument(
         "--cache-dir",
         default=_default_cache_dir(),
         help="result-store root (default: $REPRO_CACHE_DIR or .repro-cache)",
@@ -391,8 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("raise", "quarantine"),
         default="raise",
         help=(
-            "what a permanently failing cell does: 'raise' aborts the "
-            "run (default); 'quarantine' records the failure, finishes "
+            "what a permanently failing lockstep group of cells does: "
+            "'raise' aborts the run (default); 'quarantine' records the "
+            "failure of each of its cells, finishes "
             "the rest, writes a <name>.failures manifest and exits 1 — "
             "a later run against the same store retries only the "
             "quarantined cells"
@@ -404,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-cell wall-clock budget; with --workers >= 2 a hung "
-            "cell's worker is killed and the cell replayed"
+            "wall-clock budget per lockstep group of cells; with "
+            "--workers >= 2 a hung group's worker is killed and the "
+            "group replayed"
         ),
     )
     scen_run.add_argument(
@@ -414,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=(
-            "re-executions allowed per cell after transient errors or "
-            "timeouts, with exponential backoff (worker crashes always "
-            "get one replay)"
+            "re-executions allowed per lockstep group after transient "
+            "errors or timeouts, with exponential backoff (worker "
+            "crashes always get one replay)"
         ),
     )
     scen_run.add_argument(
@@ -483,27 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (1 = serial; results identical either way)",
     )
-    sweep.add_argument(
-        "--rep-batch",
-        type=_parse_rep_batch,
-        default="auto",
-        help=(
-            "repetition lockstep width: 'auto' (default) plays all reps of "
-            "a cell in one batched game, 'off' plays them one by one, an "
-            "integer >= 2 caps the width; results identical in every mode"
-        ),
-    )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-
-    if args.command == "list":
-        rows = [(name, desc) for name, desc in sorted(ARTIFACTS.items())]
-        print(format_table(["artifact", "description"], rows))
-        return 0
 
     if args.command == "lint":
         return run_lint(args)
@@ -516,23 +441,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         return 0
 
-    if args.command == "scenario":
-        try:
-            if args.scenario_command == "list":
-                print(_scenario_list())
-                return 0
-            if args.scenario_command == "run":
-                return _scenario_run(args)
-            return _scenario_report(args)
-        except ScenarioError as exc:
-            print(f"repro scenario: error: {exc}")
-            return 2
-        except (ValueError, KeyError) as exc:
-            print(f"repro scenario: error: {exc}")
-            return 2
-
     try:
-        return _legacy_run(args)
-    except ScenarioError as exc:
-        print(f"repro run: error: {exc}")
+        if args.scenario_command == "list":
+            print(_scenario_list())
+            return 0
+        if args.scenario_command == "run":
+            return _scenario_run(args)
+        return _scenario_report(args)
+    except (ScenarioError, ValueError, KeyError) as exc:
+        print(f"repro scenario: error: {exc}")
         return 2

@@ -24,10 +24,11 @@ caller supplies the instances
   cutoffs, byte-identical to L solo
   :meth:`~repro.core.trimming.Trimmer.trim` calls.
 * **Poison program** — :class:`InjectorLanes` packs attack ratios into
-  a column, partitions lanes by shared reference content once at build
-  time, and materializes each reference group's poison in a single
-  vectorized quantile pass, with per-lane jitter draws still taken from
-  each lane's own Generator.
+  a column, partitions exact-:class:`~repro.streams.PoisonInjector`
+  lanes by shared reference content once at build time, and
+  materializes each reference group's poison in a single vectorized
+  quantile pass, with per-lane jitter draws still taken from each
+  lane's own Generator; subclass lanes call their own ``materialize``.
 * **Quality and judge programs** — :class:`QualityLanes` scores
   exact-:class:`~repro.core.quality.TailMassEvaluator` stacks in one
   array sweep and :class:`JudgeLanes` computes the shipped judges'
@@ -43,7 +44,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..streams.injection import LanePositionServer
+from ..streams.injection import LanePositionServer, PoisonInjector
 from .arrays import Array
 from .domain import QuantileTable, empirical_quantile
 from .engine import BandExcessJudge, NoisyPositionJudge
@@ -389,7 +390,11 @@ class InjectorLanes:
     reference groups **once at build time** — lanes whose calibration
     arrays are byte-equal share one vectorized quantile pass per round,
     exactly the rep-batched fast path, while each lane's jitter
-    positions still come from its own Generator.
+    positions still come from its own Generator.  Only exact
+    :class:`~repro.streams.PoisonInjector` lanes are vectorized: a
+    subclass may override ``materialize`` (e.g. to append a label
+    column), so its lanes call their own ``materialize`` — jitter draws
+    included — exactly as they would solo.
     """
 
     def __init__(self, injectors: Sequence[Any]) -> None:
@@ -398,6 +403,9 @@ class InjectorLanes:
             raise ValueError("need at least one injector")
         self._ratios = np.array(
             [float(inj.attack_ratio) for inj in self.injectors]
+        )
+        self._exact = np.array(
+            [type(inj) is PoisonInjector for inj in self.injectors]
         )
         self._groups_1d: Optional[Tuple[Array, List[Any], List[Optional[QuantileTable]]]] = None
         self._groups_2d: Optional[Tuple[Array, List[Any], List[Optional[QuantileTable]]]] = None
@@ -427,10 +435,15 @@ class InjectorLanes:
             self._position_server.sync()
 
     def _group(self, match: Callable[[Any, Any], bool]) -> Tuple[Array, List[Any]]:
-        """(lane -> group id, group lead injectors) under ``match``."""
-        gid = np.empty(self.n_reps, dtype=np.intp)
+        """(lane -> group id, group lead injectors) under ``match``.
+
+        Subclass lanes join no group (id ``-1``).
+        """
+        gid = np.full(self.n_reps, -1, dtype=np.intp)
         leads: List[Any] = []
         for r, injector in enumerate(self.injectors):
+            if not self._exact[r]:
+                continue
             for g, lead in enumerate(leads):
                 if match(injector, lead):
                     gid[r] = g
@@ -505,6 +518,26 @@ class InjectorLanes:
             raise ValueError(
                 "materialize_many needs a count-uniform lane segment"
             )
+        exact = self._exact[lanes]
+        if exact.all():
+            return self._materialize_exact(stack, lanes, percentiles, count)
+        out = np.empty((lanes.shape[0], count) + stack.shape[2:])
+        # A subclass may override materialize: its lane plays its own
+        # solo call.
+        for j in np.flatnonzero(~exact):
+            out[j] = self.injectors[lanes[j]].materialize(
+                stack[j], float(percentiles[j])
+            )
+        if exact.any():
+            out[exact] = self._materialize_exact(
+                stack[exact], lanes[exact], percentiles[exact], count
+            )
+        return out
+
+    def _materialize_exact(
+        self, stack: Array, lanes: Array, percentiles: Array, count: int
+    ) -> Array:
+        """:meth:`materialize_many` over exact-class lanes only."""
         if self._position_server is None:
             # Built lazily so the shadow Generators copy each lane's
             # bit-state at the moment draws actually start.

@@ -371,6 +371,19 @@ def stack_observations(
     )
 
 
+def _check_batch(batch: Array) -> None:
+    """Reject round traffic no round may score: empty or non-finite.
+
+    Both round bodies call this before any strategy reacts, so a
+    rejected batch moves no state; the multiplexer runs it on explicit
+    batches in its pre-flight.
+    """
+    if batch.size == 0:
+        raise ValueError("round batch is empty")
+    if not np.isfinite(batch).all():
+        raise ValueError("round batch holds non-finite values (NaN or inf)")
+
+
 # --------------------------------------------------------------------- #
 # the solo session
 # --------------------------------------------------------------------- #
@@ -673,11 +686,12 @@ class GameSession:
         the full incoming traffic (live mode); omit it to pull from the
         attached source.  ``poison_mask`` is live-mode-only ground truth
         marking which submitted rows are manipulated — bookkeeping for
-        the board, never visible to the strategies.  A mask is checked
-        before either strategy reacts: a call rejected for it leaves the
-        strategies, injector, judge and round index untouched (a batch
-        pulled from the attached source is drawn first, because the mask
-        is checked against it).
+        the board, never visible to the strategies.  The batch (empty or
+        non-finite ones raise ``ValueError``) and the mask are checked
+        before either strategy reacts: a call rejected for them leaves
+        the strategies, injector, judge and round index untouched (a
+        batch pulled from the attached source is drawn first, because
+        it is checked).
         """
         self._check_submittable()
         if poison_mask is not None and self.adversary is not None:
@@ -695,8 +709,10 @@ class GameSession:
                 )
             batch = self.source.next_batch()
         benign = np.asarray(batch, dtype=float)
-        # The caller's ground truth is checked before either strategy
-        # reacts, so a rejected call leaves the game where it was.
+        # The caller's traffic and ground truth are checked before
+        # either strategy reacts, so a rejected call leaves the game
+        # where it was.
+        _check_batch(benign)
         if self.adversary is None:
             if poison_mask is None:
                 mask = np.zeros(benign.shape[0], dtype=bool)
@@ -1083,7 +1099,9 @@ class BatchedGameSession:
 
         ``batches`` is the round's benign stack ``(R, batch[, d])`` —
         one row per lane, e.g. one ``next_batch()`` of each lane's
-        :class:`~repro.streams.source.StreamSource`, stacked.
+        :class:`~repro.streams.source.StreamSource`, stacked.  A
+        misshapen, empty or non-finite stack raises ``ValueError``
+        before any lane reacts.
         """
         self._check_submittable()
         benign = np.asarray(batches, dtype=float)
@@ -1092,6 +1110,7 @@ class BatchedGameSession:
                 f"benign stack must be shaped ({self.n_reps}, batch[, d]), "
                 f"got {benign.shape}"
             )
+        _check_batch(benign)
         index = self._round + 1
         if self._last is None:
             trim = np.asarray(self._collectors.first_many(), dtype=float)

@@ -63,9 +63,6 @@ class EquilibriumConfig:
     dataset_size: Optional[int] = None
     seed: int = 0
     workers: int = 1
-    #: Lockstep width for the repetition axis ("auto" plays all reps of
-    #: a cell in one BatchedCollectionGame; byte-identical to "off").
-    rep_batch: object = "auto"
 
 
 @dataclass(frozen=True)
@@ -182,10 +179,5 @@ def run_kmeans_experiment(
 ) -> List[EquilibriumCell]:
     """Run one full panel and return all (scheme, ratio) cells."""
     specs, reduce = kmeans_plan(config)
-    runner = SweepRunner(
-        workers=config.workers,
-        reduce=reduce,
-        rep_batch=config.rep_batch,
-        store=store,
-    )
+    runner = SweepRunner(workers=config.workers, reduce=reduce, store=store)
     return aggregate_kmeans(config, runner.run(specs))

@@ -74,9 +74,6 @@ class NonEquilibriumConfig:
     )
     seed: int = 0
     workers: int = 1
-    #: Lockstep width for the repetition axis ("auto" plays all reps of
-    #: a cell in one BatchedCollectionGame; byte-identical to "off").
-    rep_batch: object = "auto"
 
 
 def _pairs(config: NonEquilibriumConfig) -> tuple:
@@ -187,7 +184,5 @@ def run_nonequilibrium(
     config: NonEquilibriumConfig, store: Optional[object] = None
 ) -> List[NonEquilibriumRow]:
     """Run the §VI-D sweep over the mixed-strategy parameter ``p``."""
-    runner = SweepRunner(
-        workers=config.workers, rep_batch=config.rep_batch, store=store
-    )
+    runner = SweepRunner(workers=config.workers, store=store)
     return aggregate_nonequilibrium(config, runner.run(nonequilibrium_plan(config)))

@@ -88,9 +88,6 @@ class TournamentConfig:
     overhead_weight: float = 1.0
     seed: int = 0
     workers: int = 1
-    #: Lockstep width for the repetition axis ("auto" plays all reps of
-    #: a cell in one BatchedCollectionGame; byte-identical to "off").
-    rep_batch: object = "auto"
 
 
 @dataclass(frozen=True)
@@ -224,10 +221,5 @@ def run_tournament(
 ) -> TournamentResult:
     """Play the full strategy cross-product and solve the meta-game."""
     specs, reduce = tournament_plan(config)
-    runner = SweepRunner(
-        workers=config.workers,
-        reduce=reduce,
-        rep_batch=config.rep_batch,
-        store=store,
-    )
+    runner = SweepRunner(workers=config.workers, reduce=reduce, store=store)
     return aggregate_tournament(config, runner.run(specs))

@@ -58,7 +58,6 @@ from .runner import (
     SweepRunner,
     SweepStats,
     cross_pairs,
-    play_game,
     summarize_game,
 )
 from .spec import (
@@ -100,7 +99,6 @@ __all__ = [
     "spec_fingerprint",
     "spec_hash",
     "cross_pairs",
-    "play_game",
     "summarize_game",
     "load_reference",
     "build_batched_game",

@@ -11,18 +11,21 @@ The runner is the shared execution layer the paper's experiments sit on:
    order.
 2. :class:`SweepRunner` plays the cells — serially, or fanned out over a
    ``ProcessPoolExecutor`` — and returns one record per cell *in grid
-   order*.  Execution is *supervised*: every cell (or lockstep rep
-   group) is an independently retryable work unit, so a worker killed
-   mid-sweep (``BrokenProcessPool``) costs only the in-flight units —
-   the pool is respawned and the lost cells replayed; transient cell
-   exceptions retry with exponential backoff (``retries=``); hung cells
-   are killed and replayed (``timeout=``); and under
-   ``on_error="quarantine"`` a permanently failing cell emits a typed
-   :class:`FailureRecord` in its grid slot instead of aborting the
-   sweep.  Because every spec is self-contained (own seeds, own
-   component recipes) and faults never change *what* a cell computes,
-   ``workers=1`` and ``workers=N`` — with or without failures and
-   retries along the way — produce byte-identical records.
+   order*.  Consecutive game cells of one fusion family (a cell's
+   repetitions, neighboring cells, or both) play as one lockstep group
+   through :func:`~repro.runtime.spec.play_fused_batch`, byte-identical
+   to per-spec solo play; a task cell is a group of one.  Execution is
+   *supervised*: every lockstep group is an independently retryable
+   work unit, so a worker killed mid-sweep (``BrokenProcessPool``)
+   costs only the in-flight units — the pool is respawned and the lost
+   groups replayed; transient exceptions retry with exponential backoff
+   (``retries=``); hung units are killed and replayed (``timeout=``);
+   and under ``on_error="quarantine"`` a permanently failing group
+   emits a typed :class:`FailureRecord` in each of its grid slots
+   instead of aborting the sweep.  Because every spec is self-contained
+   (own seeds, own component recipes) and faults never change *what* a
+   cell computes, ``workers=1`` and ``workers=N`` — with or without
+   failures and retries along the way — produce byte-identical records.
 3. A *reducer* — any picklable ``f(spec, result) -> record`` — turns the
    heavy in-worker :class:`~repro.core.engine.GameResult` (boards carry
    every retained row) into the small record that crosses the process
@@ -38,7 +41,7 @@ least one replay even at ``retries=0``, because the dying cell may not
 be the one at fault — the whole in-flight window dies with the worker
 pool and innocent units must not be charged.  ``timeout=`` is enforced
 preemptively under ``workers>=2`` (the hung worker is killed); under
-``workers=1`` it is checked after the cell returns (a best-effort soft
+``workers=1`` it is checked after the unit returns (a best-effort soft
 timeout — serial in-process execution cannot be preempted).  A unit
 that exhausts its budget either aborts the sweep (``on_error="raise"``,
 the default — the original exception propagates) or is *quarantined*:
@@ -100,7 +103,6 @@ __all__ = [
     "SweepRunner",
     "SweepStats",
     "cross_pairs",
-    "play_game",
     "summarize_game",
 ]
 
@@ -128,7 +130,7 @@ class GameRecord:
 
 
 class CellTimeoutError(RuntimeError):
-    """A sweep cell exceeded the runner's per-cell ``timeout``."""
+    """A sweep work unit exceeded the runner's ``timeout``."""
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,6 @@ def summarize_game(spec: GameSpec, result: GameResult) -> GameRecord:
     )
 
 
-def play_game(spec: GameSpec) -> GameResult:
-    """Module-level (picklable) entry point: build and play one spec."""
-    return spec.play()
-
-
 def _default_record(spec: Union[GameSpec, TaskSpec], result: Any) -> Any:
     """Reducer-less record: summarize games, pass task results through."""
     if isinstance(spec, GameSpec):
@@ -190,34 +187,23 @@ def _default_record(spec: Union[GameSpec, TaskSpec], result: Any) -> Any:
     return result
 
 
-def _run_cell(
-    spec: Union[GameSpec, TaskSpec], reduce: Optional[Callable] = None
-) -> Any:
-    """Play one cell and reduce it in-process (worker-side)."""
-    result = spec.play()
-    if reduce is None:
-        return _default_record(spec, result)
-    return reduce(spec, result)
-
-
-def _run_rep_group(
-    specs: Sequence[GameSpec], reduce: Optional[Callable] = None
+def _run_group(
+    group: Sequence[Union[GameSpec, TaskSpec]], reduce: Optional[Callable]
 ) -> List[Any]:
     """Play one lockstep group and reduce per spec (worker-side).
 
-    The group's specs share a fusion family (repetitions of one cell,
-    neighboring cells, or both); :func:`play_fused_batch` plays them
-    byte-identically to per-spec solo play.
+    A group is either game specs of one fusion family (repetitions of
+    one cell, neighboring cells, or both), which :func:`play_fused_batch`
+    plays byte-identically to per-spec solo play, or a single task cell.
     """
-    results = play_fused_batch(specs)
-    if reduce is None:
-        return [_default_record(spec, result) for spec, result in zip(specs, results, strict=False)]
-    return [reduce(spec, result) for spec, result in zip(specs, results, strict=False)]
+    games = [spec for spec in group if isinstance(spec, GameSpec)]
+    results: List[Any] = play_fused_batch(games) if games else [group[0].play()]
+    record = _default_record if reduce is None else reduce
+    return [record(spec, result) for spec, result in zip(group, results, strict=True)]
 
 
 def _run_unit_task(
-    grouped: bool,
-    payload: Sequence[Any],
+    groups: Sequence[Sequence[Union[GameSpec, TaskSpec]]],
     reduce: Optional[Callable],
     indices: Sequence[int],
     attempt: int,
@@ -226,21 +212,15 @@ def _run_unit_task(
 ) -> List[Any]:
     """Execute one supervised work unit (worker-side entry point).
 
-    ``payload`` is a list of rep groups (``grouped=True``) or of
-    individual cells; either way the returned record list aligns with
-    the unit's flattened cell order.  The fault injector — when armed —
-    strikes before any cell plays, so an injected failure never leaves
-    a half-executed unit behind.
+    The returned record list aligns with the unit's flattened cell
+    order.  The fault injector — when armed — strikes before any cell
+    plays, so an injected failure never leaves a half-executed unit
+    behind.
     """
     if injector is not None:
         for index in indices:
             injector.before_cell(index, attempt, allow_kill)
-    if grouped:
-        records: List[Any] = []
-        for group in payload:
-            records.extend(_run_rep_group(group, reduce))
-        return records
-    return [_run_cell(spec, reduce) for spec in payload]
+    return [record for group in groups for record in _run_group(group, reduce)]
 
 
 #: Default lockstep width cap for cross-cell fused groups.  Same-cell
@@ -251,8 +231,8 @@ _FUSED_WIDTH = 64
 
 
 def _group_reps(
-    specs: Sequence[GameSpec], max_width: Optional[int]
-) -> List[List[GameSpec]]:
+    specs: Sequence[Union[GameSpec, TaskSpec]], max_width: Optional[int]
+) -> List[List[Union[GameSpec, TaskSpec]]]:
     """Chunk *consecutive* lockstep-compatible specs into play groups.
 
     Grid expansion keeps a cell's repetitions adjacent, so consecutive
@@ -265,13 +245,12 @@ def _group_reps(
     same-cell reps).  Non-game cells (``TaskSpec``) have no lockstep
     engine and always form singleton groups.
     """
-    groups: List[List[GameSpec]] = []
+    groups: List[List[Union[GameSpec, TaskSpec]]] = []
     current_key = None
     current_fusion = None
     for spec in specs:
-        is_game = isinstance(spec, GameSpec)
-        key = rep_group_key(spec) if is_game else None
-        fusion = fusion_group_key(spec) if is_game else None
+        key = rep_group_key(spec) if isinstance(spec, GameSpec) else None
+        fusion = fusion_group_key(spec) if isinstance(spec, GameSpec) else None
         full = (
             max_width is not None
             and groups
@@ -312,31 +291,24 @@ class _Unit:
     where only the missing cells are re-executed.
     """
 
-    __slots__ = (
-        "grouped", "payload", "offsets", "indices",
-        "attempt", "ready_at", "kind",
-    )
+    __slots__ = ("groups", "offsets", "indices", "attempt", "ready_at", "kind")
 
     def __init__(
         self,
-        grouped: bool,
-        payload: List[Any],
+        groups: List[List[Union[GameSpec, TaskSpec]]],
         offsets: List[int],
         indices: List[int],
     ) -> None:
-        self.grouped = grouped
-        self.payload = payload
+        self.groups = groups
         self.offsets = offsets
         self.indices = indices
         self.attempt = 0
         self.ready_at = 0.0
         self.kind = "error"
 
-    def cells(self) -> List[Any]:
+    def cells(self) -> List[Union[GameSpec, TaskSpec]]:
         """The unit's specs, flattened, aligned with ``offsets``."""
-        if self.grouped:
-            return [spec for group in self.payload for spec in group]
-        return list(self.payload)
+        return [spec for group in self.groups for spec in group]
 
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
@@ -532,38 +504,32 @@ class SweepStats:
 class SweepRunner:
     """Executes sweep cells under supervision, serially or across processes.
 
+    Game cells always play in lockstep groups: consecutive specs of one
+    fusion family — a sweep cell's repetitions and neighboring cells —
+    play as one :class:`~repro.core.engine.BatchedCollectionGame` per
+    horizon and dataset, byte-identical to per-spec ``spec.play()``.  A
+    group is one retry/quarantine/checkpoint unit; a task cell is a
+    group of one.
+
     Parameters
     ----------
     workers:
-        ``1`` (default) plays every game in-process; ``N > 1`` fans the
-        cells out over a ``ProcessPoolExecutor``.  Results are identical
-        either way — specs are self-contained and records are emitted by
-        grid slot, never completion order.
-    chunksize:
-        Cells (or rep groups, under rep batching) handed to a worker per
-        dispatch; defaults to ``ceil(n / (4 * workers))`` so each worker
-        sees a few chunks (amortizing IPC) while the tail stays balanced.
-        When per-cell supervision is active (``timeout``, ``retries``,
-        quarantine or fault injection) dispatch is per cell/group so the
-        failure unit is exactly one cell.
+        ``1`` (default) plays every group in-process; ``N > 1`` fans the
+        groups out over a ``ProcessPoolExecutor``, capping a group at
+        ``ceil(n / workers)`` cells so every worker gets one.  Results
+        are identical either way — specs are self-contained and records
+        are emitted by grid slot, never completion order.  Unsupervised
+        parallel runs hand a worker ``ceil(groups / (4 * workers))``
+        groups per dispatch (amortizing IPC while the tail stays
+        balanced); serial runs and runs under supervision (``timeout``,
+        ``retries``, quarantine or fault injection) dispatch one group
+        at a time, so the failure unit is exactly one group.
     reduce:
         Picklable ``f(spec, result) -> record`` applied *inside* the
         worker, so only the (small) record crosses the process boundary.
         Defaults to :func:`summarize_game` for game cells; task cells
         (:class:`~repro.runtime.spec.TaskSpec`) pass their result
         through unreduced.
-    rep_batch:
-        Play consecutive specs in lockstep
-        :class:`~repro.core.engine.BatchedCollectionGame` runs: a sweep
-        cell's repetitions, and neighboring cells of one fusion family,
-        play as one batched game per horizon and dataset,
-        byte-identical to the per-spec path.  ``None`` or ``1``
-        disables (default), ``"auto"`` batches every full rep group, an
-        ``int >= 2`` caps the lockstep width.  Composes with
-        ``workers``: groups — not individual cells — are what the
-        process pool distributes, so with ``workers > 1`` a group holds
-        at most ``ceil(n / workers)`` cells; a group is a single
-        retry/quarantine unit.
     store:
         Optional :class:`~repro.runtime.store.ResultStore`.  When set,
         cells whose key is already stored are *not* played — their
@@ -602,9 +568,7 @@ class SweepRunner:
     def __init__(
         self,
         workers: int = 1,
-        chunksize: Optional[int] = None,
         reduce: Optional[Callable[[GameSpec, GameResult], Any]] = None,
-        rep_batch: Union[None, int, str] = None,
         store: Optional[Any] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
@@ -614,8 +578,6 @@ class SweepRunner:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be > 0 seconds (or None)")
         if retries < 0:
@@ -625,9 +587,7 @@ class SweepRunner:
         if on_error not in ("raise", "quarantine"):
             raise ValueError("on_error must be 'raise' or 'quarantine'")
         self.workers = int(workers)
-        self.chunksize = chunksize
         self.reduce = reduce
-        self.rep_batch = self._normalize_rep_batch(rep_batch)
         self.store = store
         self.timeout = None if timeout is None else float(timeout)
         self.retries = int(retries)
@@ -649,31 +609,9 @@ class SweepRunner:
         self.last_failures: List[FailureRecord] = []
         self._counters: Dict[str, int] = {}
 
-    @staticmethod
-    def _normalize_rep_batch(
-        rep_batch: Union[None, bool, int, str]
-    ) -> Optional[Union[int, str]]:
-        """``None``/``1``/``"off"`` → None; ``"auto"``/int >= 2 pass."""
-        if isinstance(rep_batch, bool):
-            # True == 1 would silently *disable* batching; force the
-            # explicit spellings instead.
-            raise ValueError(
-                "rep_batch takes None, 1, 'off', 'auto' or an int >= 2 — "
-                "use 'auto' (not True) to enable"
-            )
-        if rep_batch in (None, 1, "off"):
-            return None
-        if rep_batch == "auto":
-            return "auto"
-        if isinstance(rep_batch, int) and rep_batch >= 2:
-            return rep_batch
-        raise ValueError(
-            "rep_batch must be None, 1, 'off', 'auto', or an int >= 2"
-        )
-
     @property
     def _supervised(self) -> bool:
-        """Whether per-cell failure handling is active (unit width 1)."""
+        """Whether failure handling is active (one group per unit)."""
         return (
             self.timeout is not None
             or self.retries > 0
@@ -759,68 +697,28 @@ class SweepRunner:
     ) -> List[_Unit]:
         """Carve the spec list into dispatchable work units.
 
-        Supervised runs (and all serial runs) use one unit per cell or
-        rep group — the failure/retry granularity; unsupervised parallel
-        runs chunk several per unit to amortize IPC, exactly like the
-        historical ``pool.map`` chunksize.
+        Units hold whole :func:`_group_reps` lockstep groups.  Supervised
+        runs (and all serial runs) use one unit per group — the
+        failure/retry granularity; unsupervised parallel runs chunk
+        several groups per unit to amortize IPC.
         """
+        max_width = None
+        if self.workers > 1:
+            # A group is one work unit: cap it so that every worker
+            # gets one, else a fused family plays serially.
+            max_width = math.ceil(len(specs) / self.workers)
+        groups = _group_reps(specs, max_width)
+        chunk = 1
+        if not (self._supervised or self.workers == 1):
+            chunk = math.ceil(len(groups) / (4 * self.workers))
         units: List[_Unit] = []
-        per_unit = self._supervised or self.workers == 1
-        if self.rep_batch is not None:
-            max_width = None if self.rep_batch == "auto" else self.rep_batch
-            if self.workers > 1:
-                # A group is one work unit: cap it so that every worker
-                # gets one, else a fused family plays serially.
-                fan_out = math.ceil(len(specs) / self.workers)
-                max_width = min(max_width or fan_out, fan_out)
-            groups = _group_reps(specs, max_width)
-            items: List[Tuple[List[GameSpec], List[int]]] = []
-            offset = 0
-            for group in groups:
-                items.append((group, list(range(offset, offset + len(group)))))
-                offset += len(group)
-            if per_unit:
-                for group, offsets in items:
-                    units.append(
-                        _Unit(
-                            True, [group], offsets,
-                            [indices[o] for o in offsets],
-                        )
-                    )
-            else:
-                chunk = self.chunksize or max(
-                    1, math.ceil(len(items) / (4 * self.workers))
-                )
-                for start in range(0, len(items), chunk):
-                    block = items[start:start + chunk]
-                    offsets = [o for _, offs in block for o in offs]
-                    units.append(
-                        _Unit(
-                            True,
-                            [group for group, _ in block],
-                            offsets,
-                            [indices[o] for o in offsets],
-                        )
-                    )
-        elif per_unit:
-            for offset, spec in enumerate(specs):
-                units.append(
-                    _Unit(False, [spec], [offset], [indices[offset]])
-                )
-        else:
-            chunk = self.chunksize or max(
-                1, math.ceil(len(specs) / (4 * self.workers))
-            )
-            for start in range(0, len(specs), chunk):
-                offsets = list(range(start, min(start + chunk, len(specs))))
-                units.append(
-                    _Unit(
-                        False,
-                        [specs[o] for o in offsets],
-                        offsets,
-                        [indices[o] for o in offsets],
-                    )
-                )
+        offset = 0
+        for start in range(0, len(groups), chunk):
+            block = groups[start:start + chunk]
+            width = sum(len(group) for group in block)
+            offsets = list(range(offset, offset + width))
+            units.append(_Unit(block, offsets, [indices[o] for o in offsets]))
+            offset += width
         return units
 
     # ------------------------------------------------------------------ #
@@ -863,6 +761,23 @@ class SweepRunner:
         if self.backoff <= 0:
             return 0.0
         return min(2.0, self.backoff * (2.0 ** max(0, attempt - 1)))
+
+    def _settle(
+        self, unit: _Unit, exc: BaseException, backing_off: List[_Unit]
+    ) -> Iterator[Tuple[int, FailureRecord]]:
+        """Settle one failed pool attempt: retry, quarantine or raise.
+
+        A retry waits out its backoff on ``backing_off``; a quarantined
+        unit emits its failure records; otherwise ``exc`` propagates.
+        """
+        action = self._note_failure(unit, exc)
+        if action == "retry":
+            unit.ready_at = time.monotonic() + self._retry_delay(unit.attempt)
+            backing_off.append(unit)
+        elif action == "quarantine":
+            yield from self._emit_quarantined(unit, exc)
+        else:
+            raise exc
 
     def _emit_quarantined(
         self, unit: _Unit, exc: BaseException
@@ -913,8 +828,8 @@ class SweepRunner:
             started = time.perf_counter()
             try:
                 records = _run_unit_task(
-                    unit.grouped, unit.payload, self.reduce, unit.indices,
-                    unit.attempt, self.faults, allow_kill=False,
+                    unit.groups, self.reduce, unit.indices, unit.attempt,
+                    self.faults, allow_kill=False,
                 )
                 if self.timeout is not None:
                     elapsed = time.perf_counter() - started
@@ -971,9 +886,8 @@ class SweepRunner:
                     unit = pending[0]
                     try:
                         future = pool.submit(
-                            _run_unit_task, unit.grouped, unit.payload,
-                            self.reduce, unit.indices, unit.attempt,
-                            self.faults, True,
+                            _run_unit_task, unit.groups, self.reduce,
+                            unit.indices, unit.attempt, self.faults, True,
                         )
                     except BrokenProcessPool:
                         # A worker died since the last wait.  The unit
@@ -1023,22 +937,15 @@ class SweepRunner:
                         if future not in overdue:
                             pending.append(unit)
                             continue
-                        exc: Exception = CellTimeoutError(
-                            f"cell(s) {unit.indices} exceeded the "
-                            f"{self.timeout:g}s timeout (attempt "
-                            f"{unit.attempt}); worker killed"
+                        yield from self._settle(
+                            unit,
+                            CellTimeoutError(
+                                f"cell(s) {unit.indices} exceeded the "
+                                f"{self.timeout:g}s timeout (attempt "
+                                f"{unit.attempt}); worker killed"
+                            ),
+                            backing_off,
                         )
-                        action = self._note_failure(unit, exc)
-                        if action == "retry":
-                            unit.ready_at = (
-                                time.monotonic()
-                                + self._retry_delay(unit.attempt)
-                            )
-                            backing_off.append(unit)
-                        elif action == "quarantine":
-                            yield from self._emit_quarantined(unit, exc)
-                        else:
-                            raise exc
                     continue
 
                 crashed: List[_Unit] = []
@@ -1049,17 +956,7 @@ class SweepRunner:
                     except BrokenProcessPool:
                         crashed.append(unit)
                     except Exception as exc:
-                        action = self._note_failure(unit, exc)
-                        if action == "retry":
-                            unit.ready_at = (
-                                time.monotonic()
-                                + self._retry_delay(unit.attempt)
-                            )
-                            backing_off.append(unit)
-                        elif action == "quarantine":
-                            yield from self._emit_quarantined(unit, exc)
-                        else:
-                            raise
+                        yield from self._settle(unit, exc, backing_off)
                     else:
                         for offset, record in zip(unit.offsets, records, strict=False):
                             yield offset, record
@@ -1072,20 +969,13 @@ class SweepRunner:
                     inflight.clear()
                     pool = respawn(pool)
                     for unit in crashed:
-                        crash: Exception = WorkerKilled(
-                            "a process pool worker died while cell(s) "
-                            f"{unit.indices} were in flight"
+                        yield from self._settle(
+                            unit,
+                            WorkerKilled(
+                                "a process pool worker died while cell(s) "
+                                f"{unit.indices} were in flight"
+                            ),
+                            backing_off,
                         )
-                        action = self._note_failure(unit, crash)
-                        if action == "retry":
-                            unit.ready_at = (
-                                time.monotonic()
-                                + self._retry_delay(unit.attempt)
-                            )
-                            backing_off.append(unit)
-                        elif action == "quarantine":
-                            yield from self._emit_quarantined(unit, crash)
-                        else:
-                            raise crash
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

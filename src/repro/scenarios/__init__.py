@@ -3,7 +3,7 @@
 A scenario bundles what used to be an ad-hoc CLI wrapper — grid
 construction, execution, aggregation, rendering — into a declarative
 descriptor running on the :mod:`repro.runtime` sweep stack, so each
-artifact is parallel, rep-batched, cacheable and resumable through the
+artifact is parallel, lockstep-played, cacheable and resumable through the
 content-addressed :class:`~repro.runtime.store.ResultStore`.
 
 Quickstart::

@@ -176,9 +176,7 @@ def _table3_config(params: Mapping[str, Any]) -> NonEquilibriumConfig:
 
 def _table3_plan(params: Mapping[str, Any]) -> ScenarioPlan:
     config = _table3_config(params)
-    return ScenarioPlan(
-        specs=nonequilibrium_plan(config), rep_batch=config.rep_batch
-    )
+    return ScenarioPlan(specs=nonequilibrium_plan(config))
 
 
 def _table3_aggregate(params: Mapping[str, Any], records: List[Any]) -> list:
@@ -271,7 +269,7 @@ def _kmeans_config(params: Mapping[str, Any], t_th: float) -> EquilibriumConfig:
 def _kmeans_plan(params: Mapping[str, Any], t_th: float) -> ScenarioPlan:
     config = _kmeans_config(params, t_th)
     specs, reduce = kmeans_plan(config)
-    return ScenarioPlan(specs=specs, reduce=reduce, rep_batch=config.rep_batch)
+    return ScenarioPlan(specs=specs, reduce=reduce)
 
 
 def _kmeans_aggregate(
@@ -494,7 +492,7 @@ def _metagame_config(params: Mapping[str, Any]) -> TournamentConfig:
 def _metagame_plan(params: Mapping[str, Any]) -> ScenarioPlan:
     config = _metagame_config(params)
     specs, reduce = tournament_plan(config)
-    return ScenarioPlan(specs=specs, reduce=reduce, rep_batch=config.rep_batch)
+    return ScenarioPlan(specs=specs, reduce=reduce)
 
 
 def _metagame_aggregate(params: Mapping[str, Any], records: List[Any]) -> Any:

@@ -8,10 +8,10 @@ future workload): a name, typed parameters with quick/full defaults, a
 *aggregate* step folding grid-order records into the artifact value, and
 a *renderer* producing the printed table.  Because execution always goes
 through :class:`~repro.runtime.runner.SweepRunner`, every scenario
-inherits the whole runtime stack for free: process workers, lockstep rep
-batching, and — with a :class:`~repro.runtime.store.ResultStore` —
-per-cell persistence, crash resumability and warm-cache replay with zero
-game executions.
+inherits the whole runtime stack for free: process workers, lockstep
+play of its game cells, and — with a
+:class:`~repro.runtime.store.ResultStore` — per-cell persistence, crash
+resumability and warm-cache replay with zero game executions.
 
 The separation matters for the store: records are keyed per *cell*, so
 re-running a scenario with one changed parameter only recomputes the
@@ -109,11 +109,10 @@ class ScenarioParam:
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """A scenario's executable half: grid-order cells plus runner config."""
+    """A scenario's executable half: grid-order cells plus their reducer."""
 
     specs: Sequence[Any]
     reduce: Optional[Callable] = None
-    rep_batch: Union[None, int, str] = None
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,6 @@ def run_scenario(
     scale: str = "quick",
     overrides: Optional[Mapping[str, str]] = None,
     workers: int = 1,
-    rep_batch: Union[None, int, str] = None,
     store: Optional[ResultStore] = None,
     on_error: str = "raise",
     timeout: Optional[float] = None,
@@ -240,7 +238,6 @@ def run_scenario(
     records persist as they complete (interrupt-safe), and a manifest
     named after the scenario records the grid-order cell keys so
     :func:`report_scenario` can replay without executing anything.
-    ``rep_batch=None`` defers to the plan's own setting.
 
     ``on_error``/``timeout``/``retries``/``faults`` configure the
     runner's supervision (see
@@ -258,7 +255,6 @@ def run_scenario(
     runner = SweepRunner(
         workers=workers,
         reduce=plan.reduce,
-        rep_batch=plan.rep_batch if rep_batch is None else rep_batch,
         store=store,
         on_error=on_error,
         timeout=timeout,

@@ -61,6 +61,7 @@ from ..core.session import (
     LaneRoundDecision,
     RoundDecision,
     SnapshotError,
+    _check_batch,
     stack_observations,
 )
 from ..runtime.spec import GameSpec, fusion_group_key, rep_keys_equal
@@ -115,9 +116,10 @@ class TenantFailure:
 
     ``kind`` classifies the failure stage: ``"snapshot"`` (the tenant's
     persisted snapshot would not restore — :class:`SnapshotError`),
-    ``"lifecycle"`` (closed / superseded / missing source / unknown id)
-    or ``"round"`` (its solo round raised).  ``error`` is the rendered
-    exception.
+    ``"lifecycle"`` (closed / superseded / missing source / unknown id),
+    ``"input"`` (its explicit batch is empty or holds a non-finite
+    value) or ``"round"`` (its solo round raised).  ``error`` is the
+    rendered exception.
     """
 
     session_id: str
@@ -340,7 +342,8 @@ class DefenseService:
 
         ``on_error="raise"`` (default): a tenant failing pre-flight —
         unknown id, closed session, missing source, a snapshot that
-        will not restore (:class:`SnapshotError`) — fails the whole
+        will not restore (:class:`SnapshotError`), an explicit batch
+        that is empty or holds a non-finite value — fails the whole
         call with no state advanced anywhere.  ``"quarantine"``: the
         failing tenant is pulled out of service (recorded on
         :attr:`quarantined_ids` with a :class:`TenantFailure`, its
@@ -364,14 +367,16 @@ class DefenseService:
         order = list(batches)
 
         # Pre-flight *before* any stream or strategy advances: restore
-        # evicted members, check lifecycles, check batch availability.
-        # Under on_error="raise" a tenant failing these checks fails the
-        # whole call with no state advanced anywhere; under
+        # evicted members, check lifecycles, batch availability and the
+        # explicit batches themselves (the caller's mapping is left as
+        # is).  Under on_error="raise" a tenant failing these checks
+        # fails the whole call with no state advanced anywhere; under
         # "quarantine" it is isolated here, before it can touch the
         # cohort.  (A kernel error *during* a lockstep round — e.g. a
-        # malformed batch a trimmer rejects — still aborts the call
+        # wrong-width batch a trimmer rejects — still aborts the call
         # mid-way: cohorts that already played keep their rounds.)
         sessions: Dict[str, GameSession] = {}
+        arrays: Dict[str, np.ndarray] = {}
         for sid in order:
             if sid in self._quarantined and on_error == "quarantine":
                 # Already pulled out of service; callers that keep
@@ -394,6 +399,16 @@ class DefenseService:
                 )
                 self._quarantine(sid, kind, exc)
                 continue
+            if batches[sid] is not None:
+                try:
+                    batch = np.asarray(batches[sid], dtype=float)
+                    _check_batch(batch)
+                except (TypeError, ValueError) as exc:
+                    if on_error == "raise":
+                        raise
+                    self._quarantine(sid, "input", exc)
+                    continue
+                arrays[sid] = batch
             sessions[sid] = session
         order = [sid for sid in order if sid in sessions]
 
@@ -405,12 +420,11 @@ class DefenseService:
 
         decisions: Dict[str, AnyRoundDecision] = {}
         for members in cohorts.values():
-            arrays: Dict[str, np.ndarray] = {}
             for sid in members:
-                batch = batches[sid]
-                if batch is None:
-                    batch = sessions[sid].source.next_batch()
-                arrays[sid] = np.asarray(batch, dtype=float)
+                if sid not in arrays:
+                    arrays[sid] = np.asarray(
+                        sessions[sid].source.next_batch(), dtype=float
+                    )
             # Fused cohorts mix datasets, so one family cohort may carry
             # several batch geometries; each same-shape run fuses on its
             # own.

@@ -49,6 +49,11 @@ from repro.core.strategies.base import (
     RoundObservationBatch,
 )
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
+from repro.datasets import generate_control, generate_taxi
+from repro.experiments.classifiers import (
+    LabelAwareRadialTrimmer,
+    LabelMimicInjector,
+)
 from repro.streams import ArrayStream, PoisonInjector
 
 N_REPS = 4
@@ -570,6 +575,7 @@ class TestCustomTrimmer:
             StrategyPair,
             SweepGrid,
             SweepRunner,
+            summarize_game,
         )
 
         class _DriftingRadial(RadialTrimmer):
@@ -601,9 +607,8 @@ class TestCustomTrimmer:
             store_retained=False,
             seed=0,
         )
-        solo = SweepRunner().run_grid(grid)
-        batched = SweepRunner(rep_batch="auto").run_grid(grid)
-        assert solo == batched
+        solo = [summarize_game(spec, spec.play()) for spec in grid.expand()]
+        assert SweepRunner().run_grid(grid) == solo
 
 
 def _lane_games(data, collectors, adversaries, trimmers, rounds=8):
@@ -671,6 +676,91 @@ class TestPerLaneComponents:
             assert lane.to_records() == solo[rep].to_records()
         assert batched.collector_names == ["static@0.90", "elastic0.5"]
         assert batched.adversary_names == ["fixed@0.99", "just-below"]
+
+
+class _ShiftedInjector(PoisonInjector):
+    """Overrides ``materialize``: lockstep lanes must call it."""
+
+    def materialize(self, benign, percentile):
+        return super().materialize(benign, percentile) - 0.3
+
+
+def _labeled_control():
+    data, labels = generate_control(seed=7)
+    return np.column_stack([data, labels])
+
+
+def _taxi():
+    return generate_taxi(4000, seed=17)
+
+
+class TestInjectorSubclassLanes:
+    """A ``PoisonInjector`` subclass lane plays its own ``materialize``,
+    next to vectorized exact-class lanes."""
+
+    @pytest.mark.parametrize(
+        "make_data, injectors, trimmer, mode, batch",
+        [
+            pytest.param(
+                _labeled_control,
+                [LabelMimicInjector, LabelMimicInjector],
+                LabelAwareRadialTrimmer,
+                "radial",
+                120,
+                id="label-mimic",
+            ),
+            pytest.param(
+                _taxi,
+                [_ShiftedInjector, _ShiftedInjector],
+                ValueTrimmer,
+                "quantile",
+                100,
+                id="shifted-taxi",
+            ),
+            pytest.param(
+                _taxi,
+                [PoisonInjector, _ShiftedInjector, PoisonInjector],
+                ValueTrimmer,
+                "quantile",
+                100,
+                id="mixed-taxi",
+            ),
+        ],
+    )
+    def test_lockstep_equals_solo(self, make_data, injectors, trimmer, mode, batch):
+        data = make_data()
+        roots = _roots()[: len(injectors)]
+
+        def lane(root, injector_cls):
+            return dict(
+                source=ArrayStream(data, batch_size=batch, seed=_child(root, 0)),
+                collector=ElasticCollector(0.9, 0.5),
+                adversary=JustBelowAdversary(0.9),
+                injector=injector_cls(0.2, mode=mode, seed=_child(root, 3)),
+                trimmer=trimmer(),
+            )
+
+        pairs = list(zip(roots, injectors, strict=True))
+        solo = [
+            CollectionGame(**lane(root, cls), reference=data, rounds=8).run()
+            for root, cls in pairs
+        ]
+        lanes = [lane(root, cls) for root, cls in pairs]
+        batched = BatchedCollectionGame(
+            sources=[parts["source"] for parts in lanes],
+            collectors=[parts["collector"] for parts in lanes],
+            adversaries=[parts["adversary"] for parts in lanes],
+            injectors=[parts["injector"] for parts in lanes],
+            trimmers=[parts["trimmer"] for parts in lanes],
+            reference=data,
+            rounds=8,
+        ).run()
+        for rep, result in enumerate(solo):
+            assert batched.result(rep).to_records() == result.to_records()
+            np.testing.assert_array_equal(
+                batched.result(rep).retained_data(), result.retained_data()
+            )
+            assert result.poison_retained_fraction() > 0.0
 
 
 class TestValidation:

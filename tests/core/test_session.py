@@ -377,6 +377,78 @@ class TestLiveMode:
         assert_results_identical(probed.close(), uninterrupted.close())
 
 
+def malformed(batch, kind):
+    """A malformed copy of one round batch: ``empty``, ``all-inf`` or
+    ``nan-rows`` (the first half of its rows NaN)."""
+    if kind == "empty":
+        return batch[:0]
+    if kind == "all-inf":
+        return np.full_like(batch, np.inf)
+    bad = batch.copy()
+    bad[: len(bad) // 2] = np.nan
+    return bad
+
+
+MALFORMED = ["empty", "all-inf", "nan-rows"]
+
+
+class TestRejectedBatches:
+    """Empty or non-finite traffic is rejected before anything moves."""
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_solo_rejection_moves_no_state(self, kind):
+        rng = np.random.default_rng(4)
+        reference = rng.lognormal(size=2000)
+        batches = [rng.choice(reference, size=120) for _ in range(5)]
+
+        def open_session():
+            return GameSession.open(
+                collector=ElasticCollector(0.9, 0.5, rule="relaxation"),
+                adversary=MixedAdversary(0.5, seed=1),
+                injector=PoisonInjector(0.2, mode="quantile", seed=2),
+                trimmer=ValueTrimmer(),
+                reference=reference,
+            )
+
+        uninterrupted, probed = open_session(), open_session()
+        for batch in batches:
+            state = pickle.dumps(probed.state_dict())
+            index = probed.round_index
+            with pytest.raises(ValueError, match="round batch"):
+                probed.submit(malformed(batch, kind))
+            assert pickle.dumps(probed.state_dict()) == state
+            assert probed.round_index == index
+            uninterrupted.submit(batch)
+            probed.submit(batch)
+        assert_results_identical(probed.close(), uninterrupted.close())
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_lockstep_rejection_moves_no_state(self, kind):
+        from repro.runtime.spec import build_batched_game
+
+        specs = [
+            matrix_spec("tft-mixed", "mixed", "position", seed=s)
+            for s in range(3)
+        ]
+        engine = build_batched_game(specs)
+        session = engine.session()
+        while not session.done:
+            stack = lane_draws(engine)
+            if kind == "empty":
+                bad = stack[:, :0]  # a stack's lanes share one length
+            else:
+                bad = stack.copy()
+                bad[1] = malformed(stack[1], kind)
+            index = session.round_index
+            with pytest.raises(ValueError, match="round batch"):
+                session.submit(bad)
+            assert session.round_index == index
+            session.submit(stack)
+        batched = session.close()
+        for rep, spec in enumerate(specs):
+            assert_results_identical(batched.result(rep), spec.play())
+
+
 # --------------------------------------------------------------------- #
 # payoffs
 # --------------------------------------------------------------------- #

@@ -3,10 +3,11 @@
 The non-negotiable contract of the fault-tolerance layer: faults change
 *whether an attempt completes*, never *what a cell computes* — so every
 record produced under injected faults + retries + resume must be
-byte-identical to a fault-free run, across ``workers=1|2`` and rep-batch
-modes.  These tests drive the supervised :class:`SweepRunner` through the
-seeded :class:`FaultPlan` harness (transient errors, worker SIGKILLs,
-slow cells vs timeouts, torn store writes) and pin that contract down.
+byte-identical to a fault-free run and to per-spec solo play, across
+``workers=1|2``.  These tests drive the supervised :class:`SweepRunner`
+through the seeded :class:`FaultPlan` harness (transient errors, worker
+SIGKILLs, slow cells vs timeouts, torn store writes) and pin that
+contract down.  Game cells fail, retry and heal per lockstep group.
 """
 
 import pytest
@@ -30,6 +31,7 @@ from repro.runtime import (
     SweepGrid,
     SweepRunner,
     TaskSpec,
+    summarize_game,
 )
 
 
@@ -63,6 +65,20 @@ def _grid(**overrides):
     )
     kwargs.update(overrides)
     return SweepGrid(**kwargs)
+
+
+def _solo(specs):
+    """The per-spec reference: every game cell played alone."""
+    return [summarize_game(spec, spec.play()) for spec in specs]
+
+
+def _two_families():
+    """Game cells of two fusion families (batch sizes 60 and 40), so
+    the sweep plays as two lockstep groups of four cells each."""
+    return (
+        _grid(repetitions=1).expand()
+        + _grid(repetitions=1, batch_size=40, seed=1).expand()
+    )
 
 
 def _cube(value):
@@ -184,26 +200,32 @@ class TestSupervisedRetries:
         assert runner.last_stats.retried == 1
 
     def test_quarantined_cells_heal_on_resume(self, tmp_path):
-        specs = _grid().expand()
-        baseline = SweepRunner().run(specs)
+        specs = _two_families()
+        baseline = _solo(specs)
 
         store = ResultStore(tmp_path)
-        plan = FaultPlan.pinned({2: CellFault("error", attempts=9)})
+        plan = FaultPlan.pinned({5: CellFault("error", attempts=9)})
         chaotic = SweepRunner(
             retries=1, backoff=0.0, on_error="quarantine",
             faults=plan, store=store,
         )
         records = chaotic.run(specs)
-        assert isinstance(records[2], FailureRecord)
-        assert chaotic.last_stats.quarantined == 1
-        # the quarantined cell was never persisted...
-        assert chaotic.last_keys[2] not in store
+        # the failing cell takes its whole lockstep group (cells 4-7)
+        # into quarantine; the other group completes
+        assert [isinstance(r, FailureRecord) for r in records] == (
+            [False] * 4 + [True] * 4
+        )
+        assert [r.index for r in records[4:]] == [4, 5, 6, 7]
+        assert records[:4] == baseline[:4]
+        assert chaotic.last_stats.quarantined == 4
+        # the quarantined cells were never persisted...
+        assert not any(key in store for key in chaotic.last_keys[4:])
 
-        # ...so a fault-free run against the same store replays only it
+        # ...so a fault-free run against the same store replays only them
         resumed_runner = SweepRunner(store=store)
         resumed = resumed_runner.run(specs)
-        assert resumed_runner.last_stats.played == 1
-        assert resumed_runner.last_stats.cached == len(specs) - 1
+        assert resumed_runner.last_stats.played == 4
+        assert resumed_runner.last_stats.cached == 4
         assert resumed_runner.last_stats.quarantined == 0
         assert resumed == baseline
 
@@ -245,16 +267,13 @@ class TestTimeouts:
 
 class TestChaosMatrix:
     """The acceptance gate: SIGKILL + transient errors + torn writes,
-    quarantine-then-resume, byte-identical across workers × rep-batch."""
+    quarantine-then-resume, byte-identical across worker counts."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("rep_batch", [None, "auto"])
-    def test_quarantine_then_resume_is_byte_identical(
-        self, tmp_path, workers, rep_batch
-    ):
+    def test_quarantine_then_resume_is_byte_identical(self, tmp_path, workers):
         specs = _grid().expand()
-        baseline = SweepRunner(rep_batch=rep_batch).run(specs)
+        baseline = _solo(specs)
 
         plan = FaultPlan(
             seed=0,
@@ -265,10 +284,9 @@ class TestChaosMatrix:
             ),
             torn_rate=0.3,
         )
-        store = ResultStore(tmp_path / f"w{workers}-{rep_batch}")
+        store = ResultStore(tmp_path / f"w{workers}")
         chaotic = SweepRunner(
             workers=workers,
-            rep_batch=rep_batch,
             retries=1,
             backoff=0.0,
             on_error="quarantine",
@@ -282,16 +300,14 @@ class TestChaosMatrix:
 
         # fault-free resume against the same store: heals quarantined
         # cells and torn records, and must equal the clean baseline
-        resumed_runner = SweepRunner(
-            workers=workers, rep_batch=rep_batch, store=store
-        )
+        resumed_runner = SweepRunner(workers=workers, store=store)
         resumed = resumed_runner.run(specs)
         assert resumed_runner.last_stats.quarantined == 0
         assert resumed_runner.last_stats.failed == 0
         assert resumed == baseline
 
         # and a warm-cache replay executes nothing
-        warm = SweepRunner(store=ResultStore(tmp_path / f"w{workers}-{rep_batch}"))
+        warm = SweepRunner(store=ResultStore(tmp_path / f"w{workers}"))
         assert warm.run(specs) == baseline
         assert warm.last_stats.played == 0
 
@@ -299,7 +315,7 @@ class TestChaosMatrix:
     def test_worker_sigkill_mid_sweep_completes_byte_identical(self):
         """A pool worker SIGKILLed mid-sweep costs nothing but a replay."""
         specs = _grid().expand()
-        baseline = SweepRunner().run(specs)
+        baseline = _solo(specs)
         plan = FaultPlan.pinned({4: CellFault("kill")})
         runner = SweepRunner(workers=2, backoff=0.0, faults=plan)
         assert runner.run(specs) == baseline

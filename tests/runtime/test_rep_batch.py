@@ -1,8 +1,9 @@
-"""Tests for the rep-batching layer of the sweep runtime.
+"""Tests for the lockstep groups of the sweep runtime.
 
-SweepRunner(rep_batch=...) must produce records byte-identical to the
-per-spec loop in every mode ("auto", capped widths, process pools), and
-the grouping/spec plumbing must only ever collapse true rep groups.
+SweepRunner plays every game sweep in lockstep groups; its records must
+be byte-identical to an explicit per-spec ``spec.play()`` loop, serially
+and over process pools, and the grouping/spec plumbing must only ever
+collapse true rep groups.
 """
 
 import dataclasses
@@ -55,24 +56,19 @@ def _grid(repetitions=4, **overrides):
     return SweepGrid(**params)
 
 
+def _solo(grid, reduce=summarize_game):
+    """The per-spec reference: every cell played alone, in grid order."""
+    return [reduce(spec, spec.play()) for spec in grid.expand()]
+
+
 class TestRepBatchRunner:
     def test_auto_matches_solo_loop(self):
         grid = _grid()
-        solo = SweepRunner().run_grid(grid)
-        batched = SweepRunner(rep_batch="auto").run_grid(grid)
-        assert solo == batched
-
-    def test_capped_width_matches(self):
-        grid = _grid(repetitions=5)
-        solo = SweepRunner().run_grid(grid)
-        assert SweepRunner(rep_batch=2).run_grid(grid) == solo
-        assert SweepRunner(rep_batch=3).run_grid(grid) == solo
+        assert SweepRunner().run_grid(grid) == _solo(grid)
 
     def test_composes_with_process_pool(self):
         grid = _grid()
-        solo = SweepRunner().run_grid(grid)
-        combined = SweepRunner(workers=2, rep_batch="auto").run_grid(grid)
-        assert solo == combined
+        assert SweepRunner(workers=2).run_grid(grid) == _solo(grid)
 
     def test_workers_split_a_fused_family(self):
         # table3's quick plan is one fusion family: one group, so one
@@ -82,32 +78,19 @@ class TestRepBatchRunner:
         scenario = get_scenario("table3")
         plan = scenario.plan(scenario.resolve_params("quick"))
         specs = list(plan.specs)
-        parallel = SweepRunner(workers=2, rep_batch=plan.rep_batch)
+        parallel = SweepRunner(workers=2)
         units = parallel._build_units(specs, list(range(len(specs))))
         assert len(units) >= 2
-        serial = SweepRunner(rep_batch=plan.rep_batch)
+        serial = SweepRunner()
         assert len(serial._build_units(specs, list(range(len(specs))))) == 1
         assert parallel.run(specs) == serial.run(specs)
-
-    def test_off_values_disable(self):
-        assert SweepRunner(rep_batch=None).rep_batch is None
-        assert SweepRunner(rep_batch=1).rep_batch is None
-        assert SweepRunner(rep_batch="off").rep_batch is None
-
-    def test_invalid_rep_batch_rejected(self):
-        with pytest.raises(ValueError, match="rep_batch"):
-            SweepRunner(rep_batch="sometimes")
-        with pytest.raises(ValueError, match="rep_batch"):
-            SweepRunner(rep_batch=0)
 
     def test_custom_reducer_applied_per_rep(self):
         def reduce(spec, result):
             return (spec.tags["rep"], result.rounds)
 
         grid = _grid()
-        solo = SweepRunner(reduce=reduce).run_grid(grid)
-        batched = SweepRunner(reduce=reduce, rep_batch="auto").run_grid(grid)
-        assert solo == batched
+        assert SweepRunner(reduce=reduce).run_grid(grid) == _solo(grid, reduce)
 
     def test_full_boards_round_trip(self):
         grid = _grid(store_retained=True)
@@ -118,9 +101,7 @@ class TestRepBatchRunner:
                 result.retained_data().tobytes(),
             )
 
-        solo = SweepRunner(reduce=reduce).run_grid(grid)
-        batched = SweepRunner(reduce=reduce, rep_batch="auto").run_grid(grid)
-        assert solo == batched
+        assert SweepRunner(reduce=reduce).run_grid(grid) == _solo(grid, reduce)
 
 
 class TestMergedLockstepRoute:
@@ -170,9 +151,8 @@ class TestMergedLockstepRoute:
         specs = singles[:2] + wide + singles[2:]
         assert [len(g) for g in _group_reps(specs, None)] == [len(specs)]
 
-        auto = SweepRunner(rep_batch="auto").run(specs)
-        assert auto == SweepRunner().run(specs)
-        assert auto == [summarize_game(spec, spec.play()) for spec in specs]
+        records = SweepRunner().run(specs)
+        assert records == [summarize_game(spec, spec.play()) for spec in specs]
 
 
 class TestGrouping:
@@ -227,19 +207,6 @@ class TestPlayRepBatch:
         with pytest.raises(ValueError, match="agree"):
             play_rep_batch([specs[0], specs[-1]])
 
-    def test_tournament_config_rep_batch_identical(self):
-        from repro.experiments import TournamentConfig, run_tournament
-
-        base = TournamentConfig(repetitions=2, rounds=4)
-        solo = run_tournament(dataclasses.replace(base, rep_batch=None))
-        auto = run_tournament(base)
-        assert (
-            solo.adversary_payoffs.tobytes() == auto.adversary_payoffs.tobytes()
-        )
-        assert (
-            solo.collector_payoffs.tobytes() == auto.collector_payoffs.tobytes()
-        )
-
 
 class TestReviewRegressions:
     def test_ndarray_component_kwargs_degrade_to_singletons(self):
@@ -270,12 +237,6 @@ class TestReviewRegressions:
         assert [len(g) for g in groups] == [3]
         with pytest.raises(ValueError, match="agree"):
             play_rep_batch(specs)
-
-    def test_boolean_rep_batch_rejected(self):
-        with pytest.raises(ValueError, match="auto"):
-            SweepRunner(rep_batch=True)
-        with pytest.raises(ValueError, match="auto"):
-            SweepRunner(rep_batch=False)
 
     def test_mixed_trigger_counters_restored(self):
         """Post-game trigger state must match solo play (finalize)."""

@@ -56,6 +56,15 @@ def _grid(**overrides):
     return SweepGrid(**kwargs)
 
 
+def _two_families(**overrides):
+    """Two fusion families (batch sizes 60 and 40): the sweep plays as
+    two lockstep groups, the checkpoint and replay granularity."""
+    return (
+        _grid(**overrides).expand()
+        + _grid(batch_size=40, seed=1, **overrides).expand()
+    )
+
+
 #: Kill switch for the mid-sweep interrupt simulation.  The reducer is a
 #: plain module-level function, so its store fingerprint — and therefore
 #: every cell key — is identical whether the bomb is armed or not.
@@ -80,49 +89,43 @@ def _disarm_bomb():
 class TestInterruptResume:
     def test_killed_sweep_resumes_byte_identical(self, tmp_path):
         """Kill a sweep mid-run; --resume must reproduce the full output."""
-        specs = _grid().expand()
-        fresh = SweepRunner(reduce=killing_summarize).run(specs)
+        specs = _two_families(repetitions=1)
+        fresh = [summarize_game(spec, spec.play()) for spec in specs]
 
         store = ResultStore(tmp_path)
-        _BOMB["remaining"] = 3  # die after three cells
+        _BOMB["remaining"] = 4  # die after the first group's four cells
         with pytest.raises(RuntimeError, match="killed mid-run"):
             SweepRunner(reduce=killing_summarize, store=store).run(specs)
-        assert store.count() == 3  # the played prefix was checkpointed
+        assert store.count() == 4  # the played group was checkpointed
 
         _BOMB["remaining"] = None
         runner = SweepRunner(reduce=killing_summarize, store=store)
         resumed = runner.run(specs)
-        assert runner.last_stats.cached == 3
-        assert runner.last_stats.played == len(specs) - 3
+        assert runner.last_stats.cached == 4
+        assert runner.last_stats.played == len(specs) - 4
         assert resumed == fresh
 
     def test_interrupted_rep_batched_sweep_resumes(self, tmp_path):
-        """Rep batching composes with resume: partial rep groups replay.
+        """Lockstep groups compose with resume: a partial group replays.
 
-        The width cap forces a group boundary every 3 cells (fusion
-        would otherwise fold the whole family into one group), so the
-        bomb lands inside the *second* group and the first group's
-        records are already checkpointed when it goes off.
+        The bomb lands inside the *second* lockstep group, so the first
+        group's records are already checkpointed when it goes off, and
+        none of the second group's are.
         """
-        specs = _grid(repetitions=3).expand()
-        fresh = SweepRunner(
-            reduce=killing_summarize, rep_batch=3
-        ).run(specs)
+        specs = _two_families(repetitions=3)
+        fresh = [summarize_game(spec, spec.play()) for spec in specs]
 
         store = ResultStore(tmp_path)
-        _BOMB["remaining"] = 4  # dies inside the second rep group
+        _BOMB["remaining"] = 14  # dies inside the second group
         with pytest.raises(RuntimeError):
-            SweepRunner(
-                reduce=killing_summarize, rep_batch=3, store=store
-            ).run(specs)
+            SweepRunner(reduce=killing_summarize, store=store).run(specs)
+        assert store.count() == 12
 
         _BOMB["remaining"] = None
-        runner = SweepRunner(
-            reduce=killing_summarize, rep_batch=3, store=store
-        )
+        runner = SweepRunner(reduce=killing_summarize, store=store)
         resumed = runner.run(specs)
-        assert runner.last_stats.played == len(specs) - runner.last_stats.cached
-        assert runner.last_stats.cached >= 1
+        assert runner.last_stats.cached == 12
+        assert runner.last_stats.played == 12
         assert resumed == fresh
 
 
@@ -150,8 +153,9 @@ class TestGridOrderEmission:
     def test_workers_and_rep_batch_agree_with_serial(self, tmp_path):
         specs = _grid().expand()
         fresh = SweepRunner().run(specs)
+        assert fresh == [summarize_game(spec, spec.play()) for spec in specs]
         parallel_runner = SweepRunner(
-            workers=2, rep_batch="auto", store=ResultStore(tmp_path / "a")
+            workers=2, store=ResultStore(tmp_path / "a")
         )
         assert parallel_runner.run(specs) == fresh
         # and the parallel-populated store replays serially, byte-identical

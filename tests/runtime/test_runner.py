@@ -17,8 +17,8 @@ from repro.runtime import (
     StrategyPair,
     SweepGrid,
     SweepRunner,
+    TaskSpec,
     cross_pairs,
-    play_game,
     summarize_game,
 )
 
@@ -130,7 +130,7 @@ class TestSweepRunner:
 
     def test_summarize_game_counts_are_consistent(self):
         spec = _grid(repetitions=1).expand()[0]
-        result = play_game(spec)
+        result = spec.play()
         record = summarize_game(spec, result)
         entries = result.board.entries
         assert record.n_collected == sum(e.n_collected for e in entries)
@@ -146,7 +146,7 @@ class TestSweepRunner:
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
         with pytest.raises(ValueError):
-            SweepRunner(chunksize=0)
+            SweepRunner(retries=-1)
 
     @pytest.mark.slow
     def test_parallel_equals_serial(self):
@@ -167,13 +167,35 @@ class TestSweepRunner:
         serial = SweepRunner(workers=1).run_grid(grid)
         parallel = SweepRunner(workers=2).run_grid(grid)
         assert serial == parallel
+        assert serial == [
+            summarize_game(spec, spec.play()) for spec in grid.expand()
+        ]
 
-    @pytest.mark.slow
-    def test_explicit_chunksize_does_not_change_results(self):
-        grid = _grid()
-        serial = SweepRunner(workers=1).run_grid(grid)
-        chunked = SweepRunner(workers=2, chunksize=3).run_grid(grid)
-        assert serial == chunked
+    def test_units_hold_whole_lockstep_groups(self):
+        # Two fusion families (batch sizes 60 and 40) of 4 cells each,
+        # then 12 task cells: 14 lockstep groups.
+        specs = (
+            _grid().expand()
+            + _grid(batch_size=40).expand()
+            + [TaskSpec(ComponentSpec(dict, {"i": i})) for i in range(12)]
+        )
+        indices = list(range(len(specs)))
+
+        def plan(runner):
+            units = runner._build_units(specs, indices)
+            assert [c for u in units for c in u.cells()] == specs
+            assert [o for u in units for o in u.offsets] == indices
+            return [[len(group) for group in unit.groups] for unit in units]
+
+        # serial and supervised runs: one group per unit
+        assert plan(SweepRunner()) == [[4], [4]] + [[1]] * 12
+        assert plan(SweepRunner(workers=2, retries=1)) == [[4], [4]] + [[1]] * 12
+        # other parallel runs: ceil(14 groups / (4 * 2 workers)) per unit
+        assert plan(SweepRunner(workers=2)) == [[4, 4]] + [[1, 1]] * 6
+        assert SweepRunner().run(specs) == (
+            [summarize_game(spec, spec.play()) for spec in specs[:8]]
+            + [{"i": i} for i in range(12)]
+        )
 
 
 @pytest.mark.slow
@@ -215,7 +237,7 @@ class TestLeanSweeps:
 
     def test_lean_spec_plays_on_lean_board(self):
         spec = _grid(store_retained=False).expand()[0]
-        result = play_game(spec)
+        result = spec.play()
         assert all(e.retained is None for e in result.board.entries)
         # summarize_game must work off the counts alone.
         record = summarize_game(spec, result)

@@ -259,10 +259,11 @@ class TestRunnerStoreIntegration:
         store = ResultStore(tmp_path)
         SweepRunner(store=store).run(specs)
 
-        def boom(self):
+        def boom(*args):
             raise AssertionError("a warm run must not play any game")
 
         monkeypatch.setattr("repro.runtime.spec.GameSpec.play", boom)
+        monkeypatch.setattr("repro.runtime.runner.play_fused_batch", boom)
         runner = SweepRunner(store=store)
         warm = runner.run(specs)
         assert runner.last_stats.played == 0

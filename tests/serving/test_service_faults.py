@@ -136,6 +136,56 @@ class TestTenantQuarantine:
         assert set(decisions) == {sid}
         assert service.quarantine_reason("no-such-tenant").kind == "lifecycle"
 
+    def test_malformed_batch_moves_nothing_under_raise(self):
+        service = DefenseService()
+        specs, sids = self._cohort(service, n=3, seed0=60)
+        poisoned = np.full((60, 60), np.nan)
+        batches = {sids[0]: None, sids[1]: poisoned, sids[2]: None}
+        with pytest.raises(ValueError, match="non-finite"):
+            service.submit_many(batches)
+        # the caller's mapping and batch are left as they were...
+        assert batches == {sids[0]: None, sids[1]: poisoned, sids[2]: None}
+        assert np.isnan(poisoned).all()
+        # ...and no tenant moved: every game still equals solo play
+        for _ in range(specs[0].rounds):
+            service.submit_many(sids)
+        for sid, spec in zip(sids, specs, strict=True):
+            assert_results_identical(service.close(sid), solo_reference(spec))
+
+    def test_malformed_batch_quarantines_as_input(self):
+        service, control = DefenseService(), DefenseService()
+        specs, sids = self._cohort(service, n=3, seed0=60)
+        for spec, sid in zip(specs[1:], sids[1:], strict=True):
+            control.open(spec, session_id=sid)
+        bad = specs[0].session().source.next_batch()
+        bad[:30] = np.nan
+
+        decisions = service.submit_many(
+            {sids[0]: bad, sids[1]: None, sids[2]: None}, on_error="quarantine"
+        )
+        failure = service.quarantine_reason(sids[0])
+        assert failure.kind == "input"
+        assert "non-finite" in failure.error
+        # the peers' lockstep round equals a call that never named it
+        expected = control.submit_many(sids[1:])
+        assert set(decisions) == set(expected) == set(sids[1:])
+        fields = (
+            "index", "threshold", "injection_percentile", "quality",
+            "observed_poison_ratio", "betrayal", "n_collected",
+            "n_retained", "n_poison_injected", "n_poison_retained",
+        )
+        for sid in sids[1:]:
+            got, want = decisions[sid], expected[sid]
+            assert [getattr(got, f) for f in fields] == [
+                getattr(want, f) for f in fields
+            ]
+            assert got.accept_mask.tobytes() == want.accept_mask.tobytes()
+        for _ in range(specs[0].rounds - 1):
+            service.submit_many(sids[1:])
+            control.submit_many(sids[1:])
+        for sid in sids[1:]:
+            assert_results_identical(service.close(sid), control.close(sid))
+
     def test_round_failure_flushes_complete_deferred_board(self):
         """A quarantined tenant's board is complete to its last healthy
         round: the failing submit flushes the deferred sink before the
@@ -154,9 +204,9 @@ class TestTenantQuarantine:
         handle = service._sessions[sids[0]]
         assert handle._sink is not None, "rounds were not deferred"
 
-        # An empty batch routes the tenant solo (odd shape) and blows
-        # up inside its round, after the deferred flush.
-        bad = {sids[0]: np.zeros(0), sids[1]: None, sids[2]: None}
+        # A wrong-width batch routes the tenant solo (odd shape) and
+        # blows up inside its round, after the deferred flush.
+        bad = {sids[0]: np.zeros((5, 2)), sids[1]: None, sids[2]: None}
         decisions = service.submit_many(bad, on_error="quarantine")
         assert set(decisions) == {sids[1], sids[2]}
         assert service.quarantine_reason(sids[0]).kind == "round"

@@ -2,38 +2,31 @@
 
 import pytest
 
-from repro.cli import ARTIFACTS, main
-
-
-class TestList:
-    def test_list_prints_all_artifacts(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ARTIFACTS:
-            assert name in out
+from repro.cli import main
+from repro.scenarios import scenario_names
 
 
 class TestRun:
     def test_table1(self, capsys):
-        assert main(["run", "table1"]) == 0
+        assert main(["scenario", "run", "table1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "hard" in out
 
     def test_table2_quick_uses_advertised_values(self, capsys):
-        assert main(["run", "table2"]) == 0
+        assert main(["scenario", "run", "table2", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "CONTROL" in out and "1048575" in out
 
     def test_table4(self, capsys):
-        assert main(["run", "table4"]) == 0
+        assert main(["scenario", "run", "table4", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Round_no" in out
         assert "k=0.5" in out
 
     @pytest.mark.slow
     def test_fig9_quick(self, capsys):
-        assert main(["run", "fig9"]) == 0
+        assert main(["scenario", "run", "fig9", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "emf" in out and "titfortat" in out
 
@@ -82,10 +75,6 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("repro sweep: error:")
 
-    def test_unknown_artifact_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "fig99"])
-
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
@@ -95,7 +84,7 @@ class TestScenarioCLI:
     def test_scenario_list_names_everything(self, capsys):
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
-        for name in ARTIFACTS:
+        for name in scenario_names():
             assert name in out
 
     def test_run_then_warm_run_byte_identical_zero_games(self, tmp_path, capsys):
@@ -163,14 +152,6 @@ class TestScenarioCLI:
             ["scenario", "report", "table4", "--cache-dir", str(tmp_path)]
         ) == 2
         assert "no stored run" in capsys.readouterr().out
-
-    def test_scenario_output_matches_legacy_run(self, tmp_path, capsys):
-        assert main(["run", "table1"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(
-            ["scenario", "run", "table1", "--cache-dir", str(tmp_path)]
-        ) == 0
-        assert capsys.readouterr().out == legacy
 
     def test_no_cache_runs_without_store(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
