@@ -37,7 +37,6 @@ Quickstart::
 from .core import (
     BandExcessJudge,
     BatchedCollectionGame,
-    BatchedGameResult,
     BimatrixGame,
     CollectionGame,
     CoupledUtilityOscillator,
@@ -67,6 +66,7 @@ from .core.session import (
     RoundDecision,
     RoundPayoffs,
     SnapshotError,
+    lockstep_cohort,
 )
 from .core.strategies import (
     ElasticAdversary,
@@ -127,13 +127,13 @@ __all__ = [
     "CollectionGame",
     "GameResult",
     "BatchedCollectionGame",
-    "BatchedGameResult",
     "BandExcessJudge",
     "ValueTrimmer",
     "RadialTrimmer",
     # sessions + serving
     "GameSession",
     "BatchedGameSession",
+    "lockstep_cohort",
     "RoundDecision",
     "BatchedRoundDecision",
     "RoundPayoffs",

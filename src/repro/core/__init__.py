@@ -10,7 +10,6 @@ from .domain import (
 from .engine import (
     BandExcessJudge,
     BatchedCollectionGame,
-    BatchedGameResult,
     CollectionGame,
     GameResult,
     NoisyPositionJudge,
@@ -100,6 +99,5 @@ __all__ = [
     "CollectionGame",
     "GameResult",
     "BatchedCollectionGame",
-    "BatchedGameResult",
     "BatchTrimReport",
 ]

@@ -13,6 +13,13 @@ Each round the engine
 
 The engine also keeps ground-truth bookkeeping (which retained points are
 poison) that strategies never see but experiments report on.
+
+Both engines are thin loops over :mod:`repro.core.session`:
+:class:`CollectionGame` submits one round at a time to a solo
+:class:`~repro.core.session.GameSession`, and
+:class:`BatchedCollectionGame` opens one such session per lane and steps
+them together through :func:`~repro.core.session.lockstep_cohort`, so
+every lane's result is its own session's ``close()``.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .arrays import Array, ArrayLike
 
 if TYPE_CHECKING:
     from .payoffs import PayoffModel
-    from .session import BatchedGameSession, GameSession
+    from .session import GameSession
 
-from ..streams.board import PublicBoard, StackedBoard
+from ..streams.board import PublicBoard
 from ..streams.injection import PoisonInjector
 from ..streams.source import StreamSource
 from .domain import QuantileTable
@@ -56,7 +63,6 @@ __all__ = [
     "NoisyPositionJudge",
     "GameResult",
     "CollectionGame",
-    "BatchedGameResult",
     "BatchedCollectionGame",
 ]
 
@@ -287,8 +293,11 @@ class GameResult:
 #: Exact shipped classes whose reference fit is a pure function of the
 #: reference and the named parameters: (fit parameters, fitted state).
 _SHARED_FITS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    ValueTrimmer: ((), ("_reference_scores", "_reference_table")),
-    RadialTrimmer: ((), ("_center", "_reference_scores", "_reference_table")),
+    ValueTrimmer: ((), ("_reference_scores", "_reference_table", "reference_row_shape")),
+    RadialTrimmer: (
+        (),
+        ("_center", "_reference_scores", "_reference_table", "reference_row_shape"),
+    ),
     PoisonInjector: (
         (),
         ("_ref_center", "_ref_scores", "_ref_values", "_ref_corner"),
@@ -519,62 +528,18 @@ class CollectionGame:
         return session.close()
 
 
-@dataclass
-class BatchedGameResult:
-    """Outcome of R lockstep games (repetitions or fused sweep cells).
-
-    Per-lane :class:`GameResult` views are sliced on demand; lane ``r``
-    is byte-identical to the result of the corresponding solo
-    :class:`CollectionGame` run, strategy names included.
-    """
-
-    board: StackedBoard
-    collector_names: List[str]
-    adversary_names: List[str]
-    termination_rounds: List[Optional[int]]
-
-    @property
-    def n_reps(self) -> int:
-        """Number of repetitions played."""
-        return self.board.n_reps
-
-    @property
-    def rounds(self) -> int:
-        """Number of completed rounds (shared by all reps)."""
-        return self.board.n_rounds
-
-    def result(self, rep: int) -> GameResult:
-        """Rep ``rep``'s game as a standalone :class:`GameResult`."""
-        return GameResult(
-            board=self.board.rep_board(rep),
-            collector_name=self.collector_names[rep],
-            adversary_name=self.adversary_names[rep],
-            termination_round=self.termination_rounds[rep],
-        )
-
-    def results(self) -> List[GameResult]:
-        """All per-rep results, in repetition order."""
-        return [self.result(rep) for rep in range(self.n_reps)]
-
-    def poison_retained_fractions(self) -> Array:
-        """(R,) per-rep poison fractions (Table III metric)."""
-        return self.board.poison_retained_fractions()
-
-    def trimmed_fractions(self) -> Array:
-        """(R,) per-rep overall trimmed fractions."""
-        return self.board.trimmed_fractions()
-
-
 class BatchedCollectionGame:
     """Plays R collection games in lockstep over one dataset.
 
     One Python loop over the T rounds total: each round stacks one draw
     per lane's stream, and every later step (strategy reactions, poison
-    materialization, trimming, quality evaluation, compliance judgement,
-    board recording) operates on ``(R, batch)`` stacks through the lane
-    programs of :mod:`repro.core.fusion`.  The R lanes may be repetitions of one
-    sweep cell or different cells: strategies, attack ratios, jitters
-    and component parameters may all differ lane to lane.
+    materialization, trimming, quality evaluation, compliance judgement)
+    operates on ``(R, batch)`` stacks through the lane programs of
+    :mod:`repro.core.fusion`; the round is recorded as one ``(R,)``
+    row-batch on the cohort's :class:`~repro.streams.board.ColumnarBoard`
+    sink.  The R lanes may be repetitions of one sweep cell or different
+    cells: strategies, attack ratios, jitters and component parameters
+    may all differ lane to lane.
 
     Reproducibility contract (asserted by the test suite and the
     ``bench_batched_engine`` gate): every lane of a batched run is
@@ -638,7 +603,6 @@ class BatchedCollectionGame:
                 "quality evaluators and judges must have one entry per "
                 "repetition"
             )
-        self.n_reps = n_reps
         self.rounds = int(rounds)
         self.reference = np.asarray(reference, dtype=float)
         self.store_retained = bool(store_retained)
@@ -659,61 +623,38 @@ class BatchedCollectionGame:
         )
 
     # ------------------------------------------------------------------ #
-    def session(
-        self, horizon: Union[int, str, None] = "rounds"
-    ) -> "BatchedGameSession":
-        """Open a :class:`~repro.core.session.BatchedGameSession`.
+    def run(self) -> List[GameResult]:
+        """Play all rounds for every lane; one result per lane, in order.
 
-        The lockstep counterpart of :meth:`CollectionGame.session`:
-        every stochastic component is rewound, then the caller drives
-        the lockstep transition one ``submit((R, batch, ...))`` at a
-        time.  ``horizon`` defaults to the engine's ``rounds``.  As
-        with the solo engine, a newer ``session()``/``run()`` on the
-        same engine supersedes any previous session.
+        Each lane is a solo :class:`~repro.core.session.GameSession`
+        over its own components and source, whose opening reset rewinds
+        every stochastic component, so running the same engine twice
+        replays all L games identically.  The sessions step together
+        through one :func:`~repro.core.session.lockstep_cohort` — the
+        round program and deferred sink the
+        :class:`~repro.serving.DefenseService` multiplexes live tenants
+        through — and the first ``close()`` flushes the sink into every
+        lane's session.
         """
-        from .session import BatchedGameSession
+        from .session import GameSession, lockstep_cohort
 
-        previous = getattr(self, "_active_session", None)
-        if previous is not None:
-            previous._supersede()
-        for component in (
-            *self.sources,
-            *self.collectors,
-            *self.adversaries,
-            *self._injectors,
-            *self._judges,
-        ):
-            component_reset = getattr(component, "reset", None)
-            if callable(component_reset):
-                component_reset()
-        self._active_session = session = BatchedGameSession(
-            collectors=self.collectors,
-            adversaries=self.adversaries,
-            injectors=self._injectors,
-            trimmers=self._trimmers,
-            quality_evaluators=self._quality_evaluators,
-            judges=self._judges,
-            horizon=self.rounds if horizon == "rounds" else horizon,
-            store_retained=self.store_retained,
-            board=StackedBoard(self.n_reps, store_retained=self.store_retained),
+        lanes = zip(
+            self.sources, self.collectors, self.adversaries, self._injectors,
+            self._trimmers, self._quality_evaluators, self._judges, strict=True,
         )
-        return session
-
-    def run(self) -> BatchedGameResult:
-        """Play all rounds for every lane and return the stacked outcome.
-
-        As with the solo engine, every stochastic component is rewound
-        first, so running the same engine twice replays all R games
-        identically.  The loop is a thin driver over
-        :meth:`BatchedGameSession.submit
-        <repro.core.session.BatchedGameSession.submit>` — the same
-        lockstep transition the
-        :class:`~repro.serving.DefenseService` multiplexes live
-        sessions through.
-        """
-        session = self.session()
-        for _ in range(self.rounds):
-            session.submit(
-                np.stack([source.next_batch() for source in self.sources])
+        sessions = [
+            GameSession(
+                source=source, collector=collector, adversary=adversary,
+                injector=injector, trimmer=trimmer, quality_evaluator=quality,
+                judge=judge, horizon=self.rounds, store_retained=self.store_retained,
             )
-        return session.close()
+            for source, collector, adversary, injector, trimmer, quality, judge in lanes
+        ]
+        lockstep, sink = lockstep_cohort(sessions)
+        for _ in range(self.rounds):
+            sink.record_decision(
+                lockstep.submit(
+                    np.stack([source.next_batch() for source in self.sources])
+                )
+            )
+        return [session.close() for session in sessions]

@@ -4,7 +4,7 @@ A lockstep game steps L *lanes* — one per repetition, sweep cell or
 service tenant — through one round of shared array kernels.
 :class:`~repro.core.session.BatchedGameSession` builds its lane programs
 from the per-lane component instances with the pieces below, whichever
-caller supplies the instances
+caller seats the lanes through :func:`~repro.core.session.lockstep_cohort`
 (:class:`~repro.core.engine.BatchedCollectionGame` or the
 :class:`~repro.serving.DefenseService`):
 
@@ -161,14 +161,6 @@ class FusedCollectorLanes(_FusedLanes, CollectorLanes):
     ) -> None:
         CollectorLanes.__init__(self, instances)
         self._init_parts(parts)
-
-    def terminated_rounds(self) -> List[Optional[int]]:
-        out: List[Optional[int]] = [None] * self.n_reps
-        for idx, lanes in self._parts:
-            sub = lanes.terminated_rounds()
-            for j, r in enumerate(idx):
-                out[r] = sub[j]
-        return out
 
 
 class FusedAdversaryLanes(_FusedLanes, AdversaryLanes):

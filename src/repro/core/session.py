@@ -20,17 +20,20 @@ transition:
   ``Generator`` bit-state, the board's column arrays and the horizon
   position.  A session suspended in one process resumes byte-identically
   in another.
-* :class:`BatchedGameSession` — the lockstep counterpart: one
-  ``submit((L, batch, ...))`` call steps L games ("lanes") through one
-  round of shared array kernels.  It is built from the lanes' component
-  instances and compiles its own lane programs
+* :class:`BatchedGameSession` — the lockstep round program: one
+  ``submit((L, batch, ...))`` call steps L solo sessions ("lanes")
+  through one round of shared array kernels.  It is built from the
+  lanes' component instances and compiles its own lane programs
   (:mod:`repro.core.fusion`), so there is one lane builder and one
   lockstep round body, which runs once per poison-count segment (a
   round where every lane injects the same count is one segment).
-  Exactly two callers build it:
-  ``BatchedCollectionGame.session()`` (repetitions and fused sweep
-  cells, from freshly reset instances) and the
-  :class:`~repro.serving.DefenseService` multiplexer (live tenants,
+* :func:`lockstep_cohort` — the one place that builds it.  It seats
+  L :class:`GameSession` objects in a :class:`BatchedGameSession` plus
+  a :class:`~repro.streams.board.ColumnarBoard` sink that records every
+  lockstep round and flushes each lane's rows into its own session.
+  Both lockstep loops use it: ``BatchedCollectionGame.run()``
+  (repetitions and fused sweep cells, from freshly reset sessions) and
+  the :class:`~repro.serving.DefenseService` multiplexer (live tenants,
   from their current state).
 
 Snapshot format
@@ -52,17 +55,17 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arrays import Array, ArrayLike
 
 if TYPE_CHECKING:
-    from .engine import BatchedGameResult, GameResult
+    from .engine import GameResult
     from .payoffs import PayoffModel
 
-from ..streams.board import BoardEntry, PublicBoard, StackedBoard
+from ..streams.board import BoardEntry, ColumnarBoard, PublicBoard
 from ..streams.injection import PoisonInjector
 from ..streams.source import StreamSource
 from .fusion import (
@@ -90,6 +93,7 @@ __all__ = [
     "LaneRoundDecision",
     "GameSession",
     "BatchedGameSession",
+    "lockstep_cohort",
     "round_payoffs",
     "stack_observations",
 ]
@@ -371,15 +375,32 @@ def stack_observations(
     )
 
 
-def _check_batch(batch: Array) -> None:
-    """Reject round traffic no round may score: empty or non-finite.
+def _reference_rows(trimmers: Iterable[Any]) -> FrozenSet[Tuple[int, ...]]:
+    """The trimmers' recorded ``reference_row_shape`` values (None skipped)."""
+    shapes = (getattr(t, "reference_row_shape", None) for t in trimmers)
+    return frozenset(shape for shape in shapes if shape is not None)
 
-    Both round bodies call this before any strategy reacts, so a
-    rejected batch moves no state; the multiplexer runs it on explicit
-    batches in its pre-flight.
+
+def _check_batch(
+    batch: Array, reference_rows: FrozenSet[Tuple[int, ...]], stacked: bool = False
+) -> None:
+    """Reject round traffic no round may score.
+
+    That is an empty or non-finite batch, or one whose rows (after the
+    lane axis of a ``stacked`` lockstep batch) are shaped unlike a
+    calibrated reference's.  Both round bodies call this before any
+    strategy reacts, so a rejected batch moves no state; the
+    multiplexer runs it on explicit batches in its pre-flight.
     """
     if batch.size == 0:
         raise ValueError("round batch is empty")
+    rows = batch.shape[2:] if stacked else batch.shape[1:]
+    for shape in reference_rows:
+        if rows != shape:
+            raise ValueError(
+                f"round batch rows are shaped {rows}, but the trimmer's "
+                f"reference rows are shaped {shape}"
+            )
     if not np.isfinite(batch).all():
         raise ValueError("round batch holds non-finite values (NaN or inf)")
 
@@ -478,10 +499,10 @@ class GameSession:
         self._closed = False
         self._superseded = False
         # Deferred lockstep rounds: while attached to a cohort sink the
-        # multiplexer records this session's rounds as (L,) row-batches
-        # there; every authoritative access flushes them wholesale.
-        self._sink = None
-        self._sink_lane = 0
+        # lockstep loop records this session's rounds as (L,)
+        # row-batches there; every authoritative access flushes them
+        # wholesale.
+        self._sink: Optional[ColumnarBoard] = None
         self._sink_base = 0
 
     def _supersede(self) -> None:
@@ -554,7 +575,7 @@ class GameSession:
     def _attach_sink(self, sink: Any, lane: int) -> None:
         """Route subsequent lockstep rounds through a cohort sink.
 
-        While attached, the multiplexer records fused rounds as one
+        While attached, the lockstep loop records fused rounds as one
         ``(L,)`` row-batch on ``sink`` (a
         :class:`~repro.streams.board.ColumnarBoard`) instead of
         materializing this session's per-round board objects.  Any
@@ -568,7 +589,6 @@ class GameSession:
                 "flush it before re-attaching"
             )
         self._sink = sink
-        self._sink_lane = int(lane)
         self._sink_base = sink.n_rounds
         sink.attach(self, lane)
 
@@ -691,7 +711,8 @@ class GameSession:
         before either strategy reacts: a call rejected for them leaves
         the strategies, injector, judge and round index untouched (a
         batch pulled from the attached source is drawn first, because
-        it is checked).
+        it is checked).  So does a batch whose rows are shaped unlike
+        the trimmer's calibrated reference.
         """
         self._check_submittable()
         if poison_mask is not None and self.adversary is not None:
@@ -712,7 +733,7 @@ class GameSession:
         # The caller's traffic and ground truth are checked before
         # either strategy reacts, so a rejected call leaves the game
         # where it was.
-        _check_batch(benign)
+        _check_batch(benign, _reference_rows([self.trimmer]))
         if self.adversary is None:
             if poison_mask is None:
                 mask = np.zeros(benign.shape[0], dtype=bool)
@@ -999,15 +1020,14 @@ class GameSession:
 # the lockstep session
 # --------------------------------------------------------------------- #
 class BatchedGameSession:
-    """L lockstep games as one step-driven session.
+    """L lockstep games as one step-driven round program.
 
-    Every :meth:`submit` steps all L lanes through one vectorized round,
-    either recording onto an owned
-    :class:`~repro.streams.board.StackedBoard` (the
-    :class:`~repro.core.engine.BatchedCollectionGame` driver) or
-    returning the full column decision for the caller to distribute
-    (``board=None`` — the :class:`~repro.serving.DefenseService` path,
-    where each tenant's lane is recorded through a cohort sink).
+    Every :meth:`submit` steps all L lanes through one vectorized round
+    and returns the full column decision; the caller records it, lane
+    by lane, on the :class:`~repro.streams.board.ColumnarBoard` sink
+    that :func:`lockstep_cohort` pairs the program with.  The lanes'
+    horizons and lifecycles belong to their own :class:`GameSession`
+    objects.
 
     The session takes one component instance per lane and compiles its
     lane programs from them: fused strategy lanes, a
@@ -1029,9 +1049,7 @@ class BatchedGameSession:
         trimmers: Sequence[Trimmer],
         quality_evaluators: Sequence[Any],
         judges: Sequence[Any],
-        horizon: Optional[int] = None,
         store_retained: bool = True,
-        board: Optional[StackedBoard] = None,
         start_index: int = 0,
         last: Optional[RoundObservationBatch] = None,
     ):
@@ -1053,45 +1071,16 @@ class BatchedGameSession:
         self._trim_lanes = TrimLanes(trimmers)
         self._quality = QualityLanes(quality_evaluators, self._trim_lanes)
         self._judges = JudgeLanes(judges)
-        self.horizon = None if horizon is None else int(horizon)
+        self._reference_rows = _reference_rows(trimmers)
         self.store_retained = bool(store_retained)
-        self.board = board
         self._round = int(start_index)
         self._last = last
-        self._closed = False
-        self._superseded = False
-
-    def _supersede(self) -> None:
-        """Mark the session dead (see :meth:`GameSession._supersede`)."""
-        self._superseded = True
 
     # ------------------------------------------------------------------ #
     @property
     def round_index(self) -> int:
         """Number of completed lockstep rounds."""
         return self._round
-
-    @property
-    def done(self) -> bool:
-        """True when closed or the horizon is exhausted."""
-        return self._closed or (
-            self.horizon is not None and self._round >= self.horizon
-        )
-
-    def _check_submittable(self) -> None:
-        if self._superseded:
-            raise RuntimeError(
-                "session superseded: its state authority moved on (a newer "
-                "session()/run() on the same engine, or a service "
-                "eviction); this handle can no longer play"
-            )
-        if self._closed:
-            raise RuntimeError("session is closed")
-        if self.horizon is not None and self._round >= self.horizon:
-            raise RuntimeError(
-                f"horizon of {self.horizon} rounds exhausted; close() the "
-                "session to obtain its result"
-            )
 
     # ------------------------------------------------------------------ #
     def submit(self, batches: ArrayLike) -> BatchedRoundDecision:
@@ -1100,17 +1089,17 @@ class BatchedGameSession:
         ``batches`` is the round's benign stack ``(R, batch[, d])`` —
         one row per lane, e.g. one ``next_batch()`` of each lane's
         :class:`~repro.streams.source.StreamSource`, stacked.  A
-        misshapen, empty or non-finite stack raises ``ValueError``
-        before any lane reacts.
+        misshapen, empty or non-finite stack, or one whose rows are
+        shaped unlike the trimmers' calibrated references, raises
+        ``ValueError`` before any lane reacts.
         """
-        self._check_submittable()
         benign = np.asarray(batches, dtype=float)
         if benign.ndim not in (2, 3) or benign.shape[0] != self.n_reps:
             raise ValueError(
                 f"benign stack must be shaped ({self.n_reps}, batch[, d]), "
                 f"got {benign.shape}"
             )
-        _check_batch(benign)
+        _check_batch(benign, self._reference_rows, stacked=True)
         index = self._round + 1
         if self._last is None:
             trim = np.asarray(self._collectors.first_many(), dtype=float)
@@ -1126,20 +1115,6 @@ class BatchedGameSession:
             observed, self.injector.poison_counts(benign.shape[1]), 0
         )
         decision = self._play_segments(index, benign, trim, inject, counts)
-
-        if self.board is not None:
-            self.board.record_round(
-                trim_percentile=decision.threshold,
-                injection_percentile=decision.injection_percentile,
-                quality=decision.quality,
-                observed_poison_ratio=decision.observed_poison_ratio,
-                betrayal=decision.betrayal,
-                n_collected=decision.n_collected,
-                n_poison_injected=decision.n_poison_injected,
-                n_poison_retained=decision.n_poison_retained,
-                n_retained=decision.n_retained,
-                retained=decision.retained,
-            )
         self._last = RoundObservationBatch(
             index=index,
             trim_percentile=decision.threshold,
@@ -1239,31 +1214,65 @@ class BatchedGameSession:
     def sync_lanes(self) -> None:
         """Write diverged lane state back onto the strategy instances.
 
-        The multiplexer calls this when a cohort's deferred rounds are
-        flushed (and the engine driver at close) so the per-session
-        instances become authoritative again — a tenant may step solo or
-        be evicted between lockstep rounds.  Covers the strategy lane
-        programs and, when the injector batches its RNG position draws,
-        the per-lane ``Generator`` bit-states.
+        The cohort sink calls this once, when its deferred rounds are
+        flushed, so the per-session instances become authoritative
+        again — a tenant may step solo or be evicted between lockstep
+        rounds, and a finished sweep game is inspected through its
+        sessions.  Covers the strategy lane programs and, when the
+        injector batches its RNG position draws, the per-lane
+        ``Generator`` bit-states.
         """
         self._collectors.finalize()
         self._adversaries.finalize()
         self.injector.finalize()
 
-    def close(self) -> "BatchedGameResult":
-        """Seal the session and return its ``BatchedGameResult``."""
-        from .engine import BatchedGameResult
 
-        if self.board is None:
-            raise RuntimeError(
-                "this lockstep session records no board of its own "
-                "(board=None); close the tenant sessions instead"
-            )
-        self._closed = True
-        self.sync_lanes()
-        return BatchedGameResult(
-            board=self.board,
-            collector_names=[c.name for c in self._collectors.instances],
-            adversary_names=[a.name for a in self._adversaries.instances],
-            termination_rounds=self._collectors.terminated_rounds(),
+def lockstep_cohort(
+    sessions: Sequence[GameSession],
+) -> Tuple[BatchedGameSession, ColumnarBoard]:
+    """Seat L solo sessions in one lockstep round program and its sink.
+
+    The one place that builds a :class:`BatchedGameSession`: it compiles the
+    lane programs from the sessions' live component instances (strategy
+    lanes fuse by family, heterogeneous specs pack into per-lane
+    parameter columns), and every lane still draws from its own
+    components' Generators, byte-identically to its solo session.
+
+    Any deferred rounds a session still carries from a previous cohort
+    are flushed first (the build reads live strategy state and round
+    positions), then every session is attached to a fresh
+    :class:`~repro.streams.board.ColumnarBoard` sink.  The caller
+    records each lockstep round there (``sink.record_decision``); the
+    sink's flush writes the lane state back once (``sync_lanes``) and
+    every session absorbs its rows.
+    """
+    for session in sessions:
+        session._flush_deferred()
+    lead = sessions[0]
+    last = None
+    if lead.last_observation is not None:
+        last = stack_observations(
+            [session.last_observation for session in sessions]
         )
+    lockstep = BatchedGameSession(
+        collectors=[session.collector for session in sessions],
+        adversaries=[session.adversary for session in sessions],
+        injectors=[session.injector for session in sessions],
+        trimmers=[session.trimmer for session in sessions],
+        quality_evaluators=[
+            session.quality_evaluator for session in sessions
+        ],
+        judges=[session.judge for session in sessions],
+        store_retained=lead.store_retained,
+        start_index=lead.round_index,
+        last=last,
+    )
+    sink = ColumnarBoard(
+        len(sessions),
+        store_retained=lead.store_retained,
+        start_index=lead.round_index,
+        sync=lockstep.sync_lanes,
+    )
+    for lane, session in enumerate(sessions):
+        session._attach_sink(sink, lane)
+    return lockstep, sink

@@ -133,12 +133,6 @@ class CollectorLanes(_Lanes):
         """(R,) trimming percentiles for the round after ``last``."""
         raise NotImplementedError
 
-    def terminated_rounds(self) -> List[Optional[int]]:
-        """Per-rep ``terminated_round`` (None where cooperation held)."""
-        return [
-            getattr(inst, "terminated_round", None) for inst in self.instances
-        ]
-
 
 class AdversaryLanes(_Lanes):
     """Vectorized adversary protocol; ``NaN`` marks "no injection"."""
@@ -335,9 +329,6 @@ class _TitForTatLanes(CollectorLanes):
 
     def first_many(self) -> Array:
         return self._soft.copy()
-
-    def terminated_rounds(self) -> List[Optional[int]]:
-        return list(self._terminated)
 
     def finalize(self) -> None:
         for r, inst in enumerate(self.instances):

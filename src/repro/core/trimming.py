@@ -28,7 +28,7 @@ can track exactly which poison values survived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +161,13 @@ class Trimmer:
     #: commensurable with their own scoring and can be reused.
     score_kind: Optional[str] = None
 
+    #: Shape of one row of the fitted reference (``()`` for scalar
+    #: streams, ``(d,)`` for d-feature rows); ``None`` before fitting or
+    #: when a subclass's own ``fit_reference`` records none.  The round
+    #: bodies reject a batch whose rows are shaped otherwise before any
+    #: strategy reacts.
+    reference_row_shape: Optional[Tuple[int, ...]] = None
+
     def __init__(self, anchor: str = "reference") -> None:
         if anchor not in ("reference", "batch"):
             raise ValueError("anchor must be 'reference' or 'batch'")
@@ -192,6 +199,7 @@ class Trimmer:
         if arr.size == 0:
             raise ValueError("reference must be non-empty")
         self._set_reference_scores(self.scores(arr))
+        self.reference_row_shape = arr.shape[1:]
         return self
 
     @property
@@ -306,6 +314,7 @@ class RadialTrimmer(Trimmer):
             np.median(arr, axis=0) if arr.ndim == 2 else np.asarray(np.median(arr))
         )
         self._set_reference_scores(self.scores(arr))
+        self.reference_row_shape = arr.shape[1:]
         return self
 
     def scores(self, batch: Array) -> Array:

@@ -517,9 +517,7 @@ def play_fused_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
         if len(slots) == 1:
             played = [specs[slots[0]].play()]
         else:
-            played = (
-                build_batched_game([specs[s] for s in slots]).run().results()
-            )
+            played = build_batched_game([specs[s] for s in slots]).run()
         for slot, result in zip(slots, played, strict=False):
             results[slot] = result
     return results

@@ -16,13 +16,15 @@ lockstep engine already eliminated for sweep repetitions, so
   :class:`~repro.core.session.BatchedGameSession` round — strategy
   lanes fused per family with heterogeneous parameters packed into
   ``(L,)`` columns (:mod:`repro.core.fusion`), trims, quality scores
-  and judge verdicts computed on ``(L, n)`` stacks — and distributes
-  the per-lane decisions back onto each tenant's own board.  Compiled
-  cohort programs are cached between rounds (invalidated on any
-  out-of-band touch of a member).  Tenants that cannot join a cohort
-  (odd round position, odd batch shape, singleton group) fall back to
-  their solo :meth:`~repro.core.session.GameSession.submit`,
-  byte-identically;
+  and judge verdicts computed on ``(L, n)`` stacks — and records it on
+  the cohort's :class:`~repro.streams.board.ColumnarBoard` sink, which
+  flushes each lane's rows into the tenant's own board.  Cohorts are
+  built by :func:`~repro.core.session.lockstep_cohort`, which the
+  sweep engine's lockstep games use too, and cached between rounds
+  (invalidated on any out-of-band touch of a member).  Tenants that
+  cannot join a cohort (odd round position, odd batch shape, singleton
+  group) fall back to their solo
+  :meth:`~repro.core.session.GameSession.submit`, byte-identically;
 * idle tenants are evicted to snapshots — in memory, or persisted in a
   :class:`~repro.runtime.store.ResultStore` — and transparently
   restored on their next submit, so resident memory is bounded by
@@ -62,7 +64,8 @@ from ..core.session import (
     RoundDecision,
     SnapshotError,
     _check_batch,
-    stack_observations,
+    _reference_rows,
+    lockstep_cohort,
 )
 from ..runtime.spec import GameSpec, fusion_group_key, rep_keys_equal
 from ..streams.board import ColumnarBoard
@@ -117,9 +120,9 @@ class TenantFailure:
     ``kind`` classifies the failure stage: ``"snapshot"`` (the tenant's
     persisted snapshot would not restore — :class:`SnapshotError`),
     ``"lifecycle"`` (closed / superseded / missing source / unknown id),
-    ``"input"`` (its explicit batch is empty or holds a non-finite
-    value) or ``"round"`` (its solo round raised).  ``error`` is the
-    rendered exception.
+    ``"input"`` (its explicit batch is empty, holds a non-finite value
+    or has rows shaped unlike its calibrated reference) or ``"round"``
+    (its solo round raised).  ``error`` is the rendered exception.
     """
 
     session_id: str
@@ -291,11 +294,14 @@ class DefenseService:
         Handing out the live handle invalidates the tenant's cached
         cohorts — the caller may step or mutate the session directly —
         and flushes any deferred lockstep rounds first, so the handle's
-        board and round position are authoritative.
+        board and round position are authoritative.  A restore that
+        pushes the resident count above ``max_resident`` evicts the
+        least recently used other sessions.
         """
         session = self._resident(session_id)
         session._flush_deferred()
         self._invalidate(session_id)
+        self._enforce_residency(protect={session_id})
         return session
 
     def _resident(self, session_id: str) -> GameSession:
@@ -343,7 +349,8 @@ class DefenseService:
         ``on_error="raise"`` (default): a tenant failing pre-flight —
         unknown id, closed session, missing source, a snapshot that
         will not restore (:class:`SnapshotError`), an explicit batch
-        that is empty or holds a non-finite value — fails the whole
+        that is empty, holds a non-finite value or has rows shaped
+        unlike the tenant's calibrated reference — fails the whole
         call with no state advanced anywhere.  ``"quarantine"``: the
         failing tenant is pulled out of service (recorded on
         :attr:`quarantined_ids` with a :class:`TenantFailure`, its
@@ -372,9 +379,9 @@ class DefenseService:
         # is).  Under on_error="raise" a tenant failing these checks
         # fails the whole call with no state advanced anywhere; under
         # "quarantine" it is isolated here, before it can touch the
-        # cohort.  (A kernel error *during* a lockstep round — e.g. a
-        # wrong-width batch a trimmer rejects — still aborts the call
-        # mid-way: cohorts that already played keep their rounds.)
+        # cohort.  (A kernel error *during* a lockstep round still
+        # aborts the call mid-way: cohorts that already played keep
+        # their rounds.)
         sessions: Dict[str, GameSession] = {}
         arrays: Dict[str, np.ndarray] = {}
         for sid in order:
@@ -402,7 +409,7 @@ class DefenseService:
             if batches[sid] is not None:
                 try:
                     batch = np.asarray(batches[sid], dtype=float)
-                    _check_batch(batch)
+                    _check_batch(batch, _reference_rows([session.trimmer]))
                 except (TypeError, ValueError) as exc:
                     if on_error == "raise":
                         raise
@@ -555,7 +562,7 @@ class DefenseService:
                 return lockstep, entry["sink"]
             del self._cohort_cache[key]
         t0 = time.perf_counter()
-        lockstep, sink = self._build_lockstep(lane_sessions)
+        lockstep, sink = lockstep_cohort(lane_sessions)
         self.stats.lane_build_seconds += time.perf_counter() - t0
         self.stats.lane_builds += 1
         self._cohort_cache[key] = {
@@ -566,56 +573,6 @@ class DefenseService:
         }
         while len(self._cohort_cache) > _COHORT_CACHE_SIZE:
             self._cohort_cache.popitem(last=False)
-        return lockstep, sink
-
-    def _build_lockstep(
-        self, sessions: List[GameSession]
-    ) -> Tuple[BatchedGameSession, ColumnarBoard]:
-        """Compile one fused round program from the tenants' live state.
-
-        The lockstep session builds its lane programs from the tenants'
-        live component instances: strategy lanes fuse by family
-        (heterogeneous specs pack into per-lane parameter columns), and
-        every lane still draws from its own components' Generators,
-        byte-identically to its solo session.
-
-        Any deferred rounds a member still carries from a previous
-        cohort are flushed first (the build reads live strategy state
-        and round positions), then every member is attached to a fresh
-        :class:`ColumnarBoard` sink that collects this cohort's rounds
-        until the next flush.
-        """
-        for session in sessions:
-            session._flush_deferred()
-        lead = sessions[0]
-        last = None
-        if lead.last_observation is not None:
-            last = stack_observations(
-                [session.last_observation for session in sessions]
-            )
-        lockstep = BatchedGameSession(
-            collectors=[session.collector for session in sessions],
-            adversaries=[session.adversary for session in sessions],
-            injectors=[session.injector for session in sessions],
-            trimmers=[session.trimmer for session in sessions],
-            quality_evaluators=[
-                session.quality_evaluator for session in sessions
-            ],
-            judges=[session.judge for session in sessions],
-            horizon=None,
-            store_retained=lead.store_retained,
-            board=None,
-            start_index=lead.round_index,
-            last=last,
-        )
-        sink = ColumnarBoard(
-            len(sessions),
-            store_retained=lead.store_retained,
-            start_index=lead.round_index,
-            sync=lockstep.sync_lanes,
-        )
-        for lane, session in enumerate(sessions):
-            session._attach_sink(sink, lane)
         return lockstep, sink
 
     # ------------------------------------------------------------------ #

@@ -20,30 +20,32 @@ arrays** — one value per round for every public observation field and
 ground-truth count.  Path queries (``GameResult.threshold_path()``,
 ``injection_path()``, ``to_records()``) and the aggregate fractions read
 these columns directly instead of rebuilding Python list comprehensions
-over observation objects on every call.  :class:`StackedBoard` is the
-rep-batched counterpart used by
-:class:`~repro.core.engine.BatchedCollectionGame`: it records ``(R,)``
-column vectors per round for all R repetitions at once and slices out
-per-rep :class:`PublicBoard` views (entry objects materialize lazily,
-only when a consumer actually walks ``entries``).
+over observation objects on every call.  :class:`ColumnarBoard` is the
+lockstep counterpart: one cohort's sink records ``(L,)`` column vectors
+per round for all L lanes at once, and flushes each lane's rows into its
+session's :class:`PublicBoard` wholesale (entry objects materialize
+lazily, only when a consumer actually walks ``entries``).  Sweep games
+and service cohorts record and flush through the same sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.arrays import Array
 from ..core.strategies.base import RoundObservation
 
+if TYPE_CHECKING:
+    from ..core.session import BatchedRoundDecision
+
 __all__ = [
     "BoardEntry",
     "BoardColumns",
     "ColumnarBoard",
     "PublicBoard",
-    "StackedBoard",
 ]
 
 
@@ -156,9 +158,10 @@ class PublicBoard:
     The board keeps append-only per-field column lists in sync with the
     entry log; :attr:`columns` stacks them into (cached, read-only)
     arrays so path and aggregate queries never iterate observation
-    objects.  Boards sliced out of a :class:`StackedBoard`
-    (:meth:`from_columns`) go the other way: they are born with columns
-    and materialize :attr:`entries` lazily on first access.
+    objects.  Boards restored from a snapshot (:meth:`from_columns`) or
+    extended by a lockstep flush (:meth:`extend_columns`) go the other
+    way: they hold columns and materialize :attr:`entries` lazily on
+    first access.
     """
 
     def __init__(
@@ -185,7 +188,7 @@ class PublicBoard:
         retained: Optional[Sequence[Array]] = None,
         store_retained: bool = True,
     ) -> "PublicBoard":
-        """A board born from column arrays (one rep of a stacked game).
+        """A board born from column arrays (a session snapshot's restore).
 
         ``retained`` optionally carries the per-round retained arrays;
         entry objects are only materialized when :attr:`entries` is
@@ -398,153 +401,30 @@ class PublicBoard:
         return 1.0 - int(np.sum(cols.n_retained)) / collected
 
 
-class StackedBoard:
-    """Per-round column stacks for R lockstep repetitions of one game.
+class ColumnarBoard:
+    """Deferred-round sink for one lockstep cohort.
 
-    The batched engine records one ``(R,)`` vector per public field per
-    round — no per-rep Python objects exist during play.  After the game
-    :meth:`rep_board` slices rep ``r``'s columns into a lazy
-    :class:`PublicBoard`, and the aggregate queries
-    (:meth:`poison_retained_fractions`, :meth:`trimmed_fractions`)
-    answer for all reps at once.
+    While a cohort stays in lockstep its round loop records one ``(L,)``
+    row-batch per round here (:meth:`record_decision`) instead of
+    appending to every member's :class:`PublicBoard` — no per-lane
+    Python objects exist during play.  Both lockstep loops record here:
+    :meth:`BatchedCollectionGame.run
+    <repro.core.engine.BatchedCollectionGame.run>` for sweep games and
+    the :class:`~repro.serving.DefenseService` for live tenants.  Member
+    sessions :meth:`attach` with their lane index and absorb their
+    pending rows wholesale — via ``PublicBoard.extend_columns`` — only
+    when the cohort is invalidated (solo escape, eviction/snapshot,
+    ``result``/``close``, or a lane rebuild).  ``sync`` runs exactly
+    once, at :meth:`flush_all`, to write the lockstep lane state
+    (strategy counters, injector RNG positions) back onto the member
+    sessions' component instances before the pending rows become
+    authoritative.
 
-    ``store_retained=True`` additionally keeps, per round, the list of R
-    per-rep retained arrays (exactly what R solo full boards would have
-    stored); lean mode keeps counts only.
-    """
-
-    def __init__(self, n_reps: int, store_retained: bool = True):
-        if n_reps < 1:
-            raise ValueError("a stacked board needs at least one rep")
-        self.n_reps = int(n_reps)
-        self.store_retained = bool(store_retained)
-        self._rows = {name: [] for name in _COLUMN_FIELDS if name != "index"}
-        self._retained: Optional[List[List[Array]]] = (
-            [] if self.store_retained else None
-        )
-        self._stacked_cache: Optional[dict[str, Any]] = None
-
-    def record_round(
-        self,
-        *,
-        trim_percentile: Array,
-        injection_percentile: Array,
-        quality: Array,
-        observed_poison_ratio: Array,
-        betrayal: Array,
-        n_collected: Array,
-        n_poison_injected: Array,
-        n_poison_retained: Array,
-        n_retained: Array,
-        retained: Optional[List[Array]] = None,
-    ) -> None:
-        """Append one completed round's ``(R,)`` column vectors."""
-        row = {
-            "trim_percentile": trim_percentile,
-            "injection_percentile": injection_percentile,
-            "quality": quality,
-            "observed_poison_ratio": observed_poison_ratio,
-            "betrayal": betrayal,
-            "n_collected": n_collected,
-            "n_poison_injected": n_poison_injected,
-            "n_poison_retained": n_poison_retained,
-            "n_retained": n_retained,
-        }
-        for name, values in row.items():
-            arr = np.asarray(values)
-            if arr.shape != (self.n_reps,):
-                raise ValueError(
-                    f"column {name!r} must be shaped ({self.n_reps},), "
-                    f"got {arr.shape}"
-                )
-            self._rows[name].append(arr)
-        if self.store_retained:
-            if retained is None or len(retained) != self.n_reps:
-                raise ValueError(
-                    "a full stacked board needs one retained array per rep"
-                )
-            self._retained.append(list(retained))
-        self._stacked_cache = None
-
-    def __len__(self) -> int:
-        return len(self._rows["trim_percentile"])
-
-    @property
-    def n_rounds(self) -> int:
-        """Number of recorded rounds."""
-        return len(self)
-
-    def _stacked(self) -> dict[str, Any]:
-        """(T, R) arrays per field, cached until the next record."""
-        if self._stacked_cache is None:
-            self._stacked_cache = {
-                name: np.asarray(rows, dtype=_COLUMN_DTYPES.get(name, float))
-                for name, rows in self._rows.items()
-            }
-        return self._stacked_cache
-
-    def rep_columns(self, rep: int) -> BoardColumns:
-        """Rep ``rep``'s per-round columns as a :class:`BoardColumns`."""
-        if not 0 <= rep < self.n_reps:
-            raise IndexError(f"rep {rep} out of range (R={self.n_reps})")
-        stacked = self._stacked()
-        rounds = len(self)
-        fields = {"index": _freeze(np.arange(1, rounds + 1, dtype=np.int64))}
-        for name, arr in stacked.items():
-            column = arr[:, rep].copy() if rounds else arr.reshape(0)
-            fields[name] = _freeze(column)
-        return BoardColumns(**fields)
-
-    def rep_board(self, rep: int) -> PublicBoard:
-        """Rep ``rep``'s game as a (lazily-entried) :class:`PublicBoard`."""
-        retained = (
-            [row[rep] for row in self._retained]
-            if self._retained is not None
-            else None
-        )
-        return PublicBoard.from_columns(
-            self.rep_columns(rep),
-            retained=retained,
-            store_retained=self.store_retained,
-        )
-
-    def poison_retained_fractions(self) -> Array:
-        """(R,) ground-truth poison fractions of the retained data."""
-        stacked = self._stacked()
-        if not len(self):
-            return np.zeros(self.n_reps)
-        kept = stacked["n_retained"].sum(axis=0)
-        poison = stacked["n_poison_retained"].sum(axis=0)
-        return np.where(kept == 0, 0.0, poison / np.maximum(kept, 1))
-
-    def trimmed_fractions(self) -> Array:
-        """(R,) overall trimmed fractions."""
-        stacked = self._stacked()
-        if not len(self):
-            return np.zeros(self.n_reps)
-        collected = stacked["n_collected"].sum(axis=0)
-        kept = stacked["n_retained"].sum(axis=0)
-        return np.where(
-            collected == 0, 0.0, 1.0 - kept / np.maximum(collected, 1)
-        )
-
-
-class ColumnarBoard(StackedBoard):
-    """Deferred-round sink for one lockstep service cohort.
-
-    While a cohort stays in lockstep the multiplexer records one ``(L,)``
-    row-batch per fused round here instead of appending to every member's
-    :class:`PublicBoard`.  Member sessions :meth:`attach` with their lane
-    index and absorb their pending rows wholesale — via
-    ``PublicBoard.extend_columns`` — only when the cohort is invalidated
-    (solo escape, eviction/snapshot, ``result``/``close``, or a lane
-    rebuild).  ``sync`` runs exactly once, at :meth:`flush_all`, to write
-    the lockstep lane state (strategy counters, injector RNG positions)
-    back onto the member sessions' component instances before the pending
-    rows become authoritative.
-
-    ``start_index`` is the absolute round index the attached sessions had
-    when the sink was created; row ``t`` of the sink is absolute round
+    ``store_retained=True`` additionally keeps, per round, the list of L
+    per-lane retained arrays (exactly what L solo full boards would have
+    stored); lean mode keeps counts only.  ``start_index`` is the
+    absolute round index the attached sessions had when the sink was
+    created; row ``t`` of the sink is absolute round
     ``start_index + t + 1``.
     """
 
@@ -555,52 +435,80 @@ class ColumnarBoard(StackedBoard):
         start_index: int = 0,
         sync: Optional[Callable[[], None]] = None,
     ) -> None:
-        super().__init__(n_lanes, store_retained)
+        if n_lanes < 1:
+            raise ValueError("a cohort sink needs at least one lane")
+        self.n_lanes = int(n_lanes)
         self.start_index = int(start_index)
         self._sync = sync
+        self._rows: dict[str, List[Array]] = {
+            name: [] for name in _COLUMN_FIELDS[1:]
+        }
+        self._retained: Optional[List[List[Array]]] = (
+            [] if store_retained else None
+        )
+        self._stacked_cache: Optional[dict[str, Array]] = None
         self._attached: List[Tuple[Any, int, int]] = []
         self.flushed = False
 
+    @property
+    def n_rounds(self) -> int:
+        """Number of recorded rounds."""
+        return len(self._rows["trim_percentile"])
+
     def attach(self, session: Any, lane: int) -> None:
         """Register a member session for flush-time row absorption."""
-        self._attached.append((session, int(lane), len(self)))
+        self._attached.append((session, int(lane), self.n_rounds))
 
-    def record_round(self, **kwargs) -> None:
+    def record_decision(self, decision: "BatchedRoundDecision") -> None:
+        """Append one lockstep round's ``(L,)`` columns (and retained rows)."""
         if self.flushed:
             raise RuntimeError("cannot record into a flushed sink")
-        super().record_round(**kwargs)
+        row: dict[str, Array] = {}
+        for name in _COLUMN_FIELDS[1:]:
+            attr = "threshold" if name == "trim_percentile" else name
+            arr = np.asarray(getattr(decision, attr))
+            if arr.shape != (self.n_lanes,):
+                raise ValueError(
+                    f"column {name!r} must be shaped ({self.n_lanes},), "
+                    f"got {arr.shape}"
+                )
+            row[name] = arr
+        if self._retained is not None:
+            retained = decision.retained
+            if retained is None or len(retained) != self.n_lanes:
+                raise ValueError(
+                    "a full sink needs one retained array per lane"
+                )
+            self._retained.append(list(retained))
+        for name, arr in row.items():
+            self._rows[name].append(arr)
+        self._stacked_cache = None
 
-    def record_decision(self, decision: Any) -> None:
-        """Append one fused round from a ``BatchedRoundDecision``."""
-        self.record_round(
-            trim_percentile=decision.threshold,
-            injection_percentile=decision.injection_percentile,
-            quality=decision.quality,
-            observed_poison_ratio=decision.observed_poison_ratio,
-            betrayal=decision.betrayal,
-            n_collected=decision.n_collected,
-            n_poison_injected=decision.n_poison_injected,
-            n_poison_retained=decision.n_poison_retained,
-            n_retained=decision.n_retained,
-            retained=decision.retained if self.store_retained else None,
-        )
+    def _stacked(self) -> dict[str, Array]:
+        """(T, L) arrays per field, cached until the next record."""
+        if self._stacked_cache is None:
+            self._stacked_cache = {
+                name: np.asarray(rows, dtype=_COLUMN_DTYPES.get(name, float))
+                for name, rows in self._rows.items()
+            }
+        return self._stacked_cache
 
-    def lane_rows(self, lane: int, base: int) -> Tuple[dict[str, List[Any]], Optional[List[Array]]]:
+    def lane_rows(
+        self, lane: int, base: int
+    ) -> Tuple[dict[str, List[Any]], Optional[List[Array]]]:
         """Lane ``lane``'s rows from ``base`` on, as per-field lists.
 
+        The values are plain Python scalars, which the receiving board
+        stacks back into arrays without a per-value numpy conversion.
         The index column is absolute (``start_index``-offset) so the
         receiving board can validate contiguity with its existing log.
         """
-        rounds = len(self)
         first = self.start_index + base + 1
-        columns = {
-            "index": list(range(first, self.start_index + rounds + 1))
+        columns: dict[str, List[Any]] = {
+            "index": list(range(first, self.start_index + self.n_rounds + 1))
         }
-        stacked = self._stacked()
-        for name in _COLUMN_FIELDS:
-            if name == "index":
-                continue
-            columns[name] = list(stacked[name][base:, lane])
+        for name, stacked in self._stacked().items():
+            columns[name] = stacked[base:, lane].tolist()
         retained = (
             [row[lane] for row in self._retained[base:]]
             if self._retained is not None

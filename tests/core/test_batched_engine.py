@@ -134,11 +134,11 @@ def _assert_batched_matches_solo(
         store_retained=store_retained,
     ).run()
 
-    assert batched.n_reps == N_REPS
-    assert batched.rounds == rounds
+    assert len(batched) == N_REPS
     for rep in range(N_REPS):
         solo_result = solo(rep)
-        rep_result = batched.result(rep)
+        rep_result = batched[rep]
+        assert rep_result.rounds == rounds
         assert json.dumps(solo_result.to_records(), sort_keys=True) == (
             json.dumps(rep_result.to_records(), sort_keys=True)
         )
@@ -298,7 +298,7 @@ class TestModesAndBoards:
             store_retained=False,
         )
         with pytest.raises(ValueError, match="lean"):
-            batched.result(0).retained_data()
+            batched[0].retained_data()
 
     def test_noisy_band_judge_seeds_intact(self, data_1d):
         _assert_batched_matches_solo(
@@ -354,8 +354,8 @@ class TestModesAndBoards:
         second = game.run()
         for rep in range(N_REPS):
             assert (
-                first.result(rep).to_records()
-                == second.result(rep).to_records()
+                first[rep].to_records()
+                == second[rep].to_records()
             )
 
 
@@ -488,7 +488,7 @@ class TestFallbackLoop:
             rounds=6,
         ).run()
         for rep in range(N_REPS):
-            assert solo(rep).to_records() == batched.result(rep).to_records()
+            assert solo(rep).to_records() == batched[rep].to_records()
 
 
 class _TightenedTrimmer(ValueTrimmer):
@@ -566,7 +566,7 @@ class TestCustomTrimmer:
             rounds=8,
         ).run()
         for rep in range(N_REPS):
-            assert solo(rep).to_records() == batched.result(rep).to_records()
+            assert solo(rep).to_records() == batched[rep].to_records()
 
     def test_runtime_builds_per_rep_trimmers(self, data_1d):
         """Sweep cells with a stateful custom trimmer batch correctly."""
@@ -660,7 +660,7 @@ class TestPerLaneComponents:
             [ValueTrimmer, _DriftingTrimmer, _DriftingTrimmer],
         )
         for rep in range(3):
-            assert solo[rep].to_records() == batched.result(rep).to_records()
+            assert solo[rep].to_records() == batched[rep].to_records()
 
     def test_heterogeneous_lanes_report_their_own_names(self, data_1d):
         solo, batched = _lane_games(
@@ -670,12 +670,16 @@ class TestPerLaneComponents:
             [ValueTrimmer, ValueTrimmer],
         )
         for rep in range(2):
-            lane = batched.result(rep)
+            lane = batched[rep]
             assert lane.collector_name == solo[rep].collector_name
             assert lane.adversary_name == solo[rep].adversary_name
             assert lane.to_records() == solo[rep].to_records()
-        assert batched.collector_names == ["static@0.90", "elastic0.5"]
-        assert batched.adversary_names == ["fixed@0.99", "just-below"]
+        assert [lane.collector_name for lane in batched] == [
+            "static@0.90", "elastic0.5"
+        ]
+        assert [lane.adversary_name for lane in batched] == [
+            "fixed@0.99", "just-below"
+        ]
 
 
 class _ShiftedInjector(PoisonInjector):
@@ -756,9 +760,9 @@ class TestInjectorSubclassLanes:
             rounds=8,
         ).run()
         for rep, result in enumerate(solo):
-            assert batched.result(rep).to_records() == result.to_records()
+            assert batched[rep].to_records() == result.to_records()
             np.testing.assert_array_equal(
-                batched.result(rep).retained_data(), result.retained_data()
+                batched[rep].retained_data(), result.retained_data()
             )
             assert result.poison_retained_fraction() > 0.0
 

@@ -24,6 +24,7 @@ from repro.core.session import (
     SNAPSHOT_FORMAT,
     GameSession,
     RoundDecision,
+    lockstep_cohort,
     round_payoffs,
 )
 from repro.core.strategies import (
@@ -118,9 +119,9 @@ def matrix_spec(collector, adversary, judge, seed=0, rounds=8) -> GameSpec:
     )
 
 
-def lane_draws(engine):
+def lane_draws(sessions):
     """One lockstep round's benign stack: each lane's next draw."""
-    return np.stack([source.next_batch() for source in engine.sources])
+    return np.stack([session.source.next_batch() for session in sessions])
 
 
 def assert_results_identical(a, b):
@@ -235,18 +236,6 @@ class TestLifecycleErrors:
             first.snapshot()
         # The engine itself is unharmed: run() is still reproducible.
         assert game.run().to_records() == result.to_records()
-
-    def test_batched_session_supersession(self):
-        from repro.runtime.spec import build_batched_game
-
-        engine = build_batched_game(
-            [matrix_spec("static", "fixed", "band", seed=s) for s in range(2)]
-        )
-        first = engine.session()
-        first.submit(lane_draws(engine))
-        engine.run()
-        with pytest.raises(RuntimeError, match="superseded"):
-            first.submit(lane_draws(engine))
 
     def test_no_batch_without_source_raises(self, reference):
         session = GameSession.open(
@@ -378,22 +367,26 @@ class TestLiveMode:
 
 
 def malformed(batch, kind):
-    """A malformed copy of one round batch: ``empty``, ``all-inf`` or
-    ``nan-rows`` (the first half of its rows NaN)."""
+    """A malformed copy of one round batch: ``empty``, ``all-inf``,
+    ``nan-rows`` (the first half of its rows NaN) or ``wrong-width``
+    (every row twice as wide as the reference's)."""
     if kind == "empty":
         return batch[:0]
     if kind == "all-inf":
         return np.full_like(batch, np.inf)
+    if kind == "wrong-width":
+        return np.column_stack([batch, batch])
     bad = batch.copy()
     bad[: len(bad) // 2] = np.nan
     return bad
 
 
-MALFORMED = ["empty", "all-inf", "nan-rows"]
+MALFORMED = ["empty", "all-inf", "nan-rows", "wrong-width"]
 
 
 class TestRejectedBatches:
-    """Empty or non-finite traffic is rejected before anything moves."""
+    """Empty, non-finite or wrong-width traffic is rejected before
+    anything moves."""
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_solo_rejection_moves_no_state(self, kind):
@@ -424,29 +417,27 @@ class TestRejectedBatches:
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_lockstep_rejection_moves_no_state(self, kind):
-        from repro.runtime.spec import build_batched_game
-
         specs = [
             matrix_spec("tft-mixed", "mixed", "position", seed=s)
             for s in range(3)
         ]
-        engine = build_batched_game(specs)
-        session = engine.session()
-        while not session.done:
-            stack = lane_draws(engine)
-            if kind == "empty":
-                bad = stack[:, :0]  # a stack's lanes share one length
+        sessions = [spec.session() for spec in specs]
+        lockstep, sink = lockstep_cohort(sessions)
+        for _ in range(specs[0].rounds):
+            stack = lane_draws(sessions)
+            if kind in ("empty", "wrong-width"):
+                # a stack's lanes share one shape
+                bad = np.stack([malformed(lane, kind) for lane in stack])
             else:
                 bad = stack.copy()
                 bad[1] = malformed(stack[1], kind)
-            index = session.round_index
+            index = lockstep.round_index
             with pytest.raises(ValueError, match="round batch"):
-                session.submit(bad)
-            assert session.round_index == index
-            session.submit(stack)
-        batched = session.close()
-        for rep, spec in enumerate(specs):
-            assert_results_identical(batched.result(rep), spec.play())
+                lockstep.submit(bad)
+            assert lockstep.round_index == index
+            sink.record_decision(lockstep.submit(stack))
+        for session, spec in zip(sessions, specs, strict=True):
+            assert_results_identical(session.close(), spec.play())
 
 
 # --------------------------------------------------------------------- #
@@ -568,34 +559,20 @@ class TestSnapshotRestore:
 # --------------------------------------------------------------------- #
 class TestBatchedSession:
     def test_engine_drives_batched_session(self):
-        from repro.runtime.spec import build_batched_game
-
         specs = [
             matrix_spec("tft-mixed", "mixed", "position", seed=s)
             for s in range(4)
         ]
         solo = [spec.play() for spec in specs]
 
-        engine = build_batched_game(specs)
-        session = engine.session()
-        while not session.done:
-            decision = session.submit(lane_draws(engine))
-        batched = session.close()
-        for rep in range(4):
-            assert_results_identical(batched.result(rep), solo[rep])
+        sessions = [spec.session() for spec in specs]
+        lockstep, sink = lockstep_cohort(sessions)
+        for _ in range(specs[0].rounds):
+            decision = lockstep.submit(lane_draws(sessions))
+            sink.record_decision(decision)
+        # each lane's own session owns its horizon
+        assert all(session.done for session in sessions)
+        for session, expected in zip(sessions, solo, strict=True):
+            assert_results_identical(session.close(), expected)
         assert decision.n_reps == 4
         assert decision.rep_observation(0).index == specs[0].rounds
-
-    def test_batched_horizon_and_close_errors(self):
-        from repro.runtime.spec import build_batched_game
-
-        specs = [
-            matrix_spec("static", "fixed", "band", seed=s, rounds=2)
-            for s in range(3)
-        ]
-        engine = build_batched_game(specs)
-        session = engine.session()
-        session.submit(lane_draws(engine))
-        session.submit(lane_draws(engine))
-        with pytest.raises(RuntimeError, match="horizon"):
-            session.submit(lane_draws(engine))

@@ -7,6 +7,7 @@ collapse true rep groups.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -239,9 +240,11 @@ class TestReviewRegressions:
             play_rep_batch(specs)
 
     def test_mixed_trigger_counters_restored(self):
-        """Post-game trigger state must match solo play (finalize)."""
+        """Post-game lane state must match solo play (the sink flush)."""
+        from repro.core.engine import BandExcessJudge
         from repro.core.strategies import MixedStrategyTrigger
-        from repro.runtime.spec import build_batched_game
+        from repro.experiments import SCHEMES, scheme_specs
+        from repro.runtime.spec import GameSpec, build_batched_game
 
         pairs = (
             StrategyPair(
@@ -280,3 +283,39 @@ class TestReviewRegressions:
                 == solo_collector.trigger.betrayal_ratio
             )
             assert collector.triggered == solo_collector.triggered
+
+        # Every lane component's exported state, across every paper
+        # scheme, with the injector jitter and judge noise advancing.
+        specs = [
+            GameSpec(
+                collector=collector,
+                adversary=adversary,
+                judge=ComponentSpec(
+                    BandExcessJudge, {"noise_sigma": 0.02}, seeded=True
+                ),
+                injection_jitter=0.02,
+                rounds=8,
+                batch_size=60,
+                seed=seed,
+            )
+            for seed, (collector, adversary) in enumerate(
+                scheme_specs(name, 0.9) for name in SCHEMES
+            )
+        ]
+        game = build_batched_game(specs)
+        game.run()
+        lanes = zip(
+            game.collectors, game.adversaries, game._injectors,
+            game._judges, game.sources, strict=True,
+        )
+        for spec, lane in zip(specs, lanes, strict=True):
+            solo_game = spec.build()
+            solo_game.run()
+            solo = (
+                solo_game.collector, solo_game.adversary,
+                solo_game.injector, solo_game.judge, solo_game.source,
+            )
+            for got, want in zip(lane, solo, strict=True):
+                assert pickle.dumps(got.export_state()) == pickle.dumps(
+                    want.export_state()
+                ), f"{spec.collector.name}: {type(got).__name__}"

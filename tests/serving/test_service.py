@@ -244,6 +244,25 @@ class TestEvictionAndResidency:
         assert sids[0] in service.resident_ids
         assert len(service.resident_ids) <= 2
 
+    def test_session_restore_respects_max_resident(self):
+        service = DefenseService(max_resident=1)
+        specs = [
+            matrix_spec("elastic-paper", "elastic", "band", seed=30 + r)
+            for r in range(3)
+        ]
+        sids = [service.open(spec) for spec in specs]
+        assert service.resident_ids == [sids[2]]
+        # Handing out an evicted tenant's handle restores it and parks
+        # the least recently used other tenant right away.
+        handle = service.session(sids[0])
+        assert service.resident_ids == [sids[0]]
+        assert set(service.evicted_ids) == {sids[1], sids[2]}
+        while not handle.done:
+            handle.submit()
+        assert_results_identical(
+            service.close(sids[0]), solo_reference(specs[0])
+        )
+
     def test_store_snapshot_survives_new_service(self, tmp_path):
         # A store-backed eviction outlives the service object itself:
         # a new service (same store + namespace) adopts the tenant and

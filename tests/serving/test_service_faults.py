@@ -136,57 +136,84 @@ class TestTenantQuarantine:
         assert set(decisions) == {sid}
         assert service.quarantine_reason("no-such-tenant").kind == "lifecycle"
 
+    #: Explicit batches the pre-flight rejects, with the error they
+    #: raise: NaN rows, and rows narrower than the 60-d reference.
+    MALFORMED_BATCHES = (
+        ("nan-rows", "non-finite"),
+        ("wrong-width", "reference rows"),
+    )
+
+    @staticmethod
+    def _malformed(spec, kind):
+        batch = spec.session().source.next_batch()
+        if kind == "wrong-width":
+            return batch[:, :2]
+        batch[:30] = np.nan
+        return batch
+
     def test_malformed_batch_moves_nothing_under_raise(self):
-        service = DefenseService()
-        specs, sids = self._cohort(service, n=3, seed0=60)
-        poisoned = np.full((60, 60), np.nan)
-        batches = {sids[0]: None, sids[1]: poisoned, sids[2]: None}
-        with pytest.raises(ValueError, match="non-finite"):
-            service.submit_many(batches)
-        # the caller's mapping and batch are left as they were...
-        assert batches == {sids[0]: None, sids[1]: poisoned, sids[2]: None}
-        assert np.isnan(poisoned).all()
-        # ...and no tenant moved: every game still equals solo play
-        for _ in range(specs[0].rounds):
-            service.submit_many(sids)
-        for sid, spec in zip(sids, specs, strict=True):
-            assert_results_identical(service.close(sid), solo_reference(spec))
+        for kind, message in self.MALFORMED_BATCHES:
+            service = DefenseService()
+            specs, sids = self._cohort(service, n=3, seed0=60)
+            bad = self._malformed(specs[1], kind)
+            untouched = bad.copy()
+            # parked, so the check runs on a trimmer restored from its
+            # snapshot
+            service.evict(sids[1])
+            batches = {sids[0]: None, sids[1]: bad, sids[2]: None}
+            with pytest.raises(ValueError, match=message):
+                service.submit_many(batches)
+            # the caller's mapping and batch are left as they were...
+            assert batches == {sids[0]: None, sids[1]: bad, sids[2]: None}
+            assert np.array_equal(bad, untouched, equal_nan=True)
+            # ...and no tenant moved: every game still equals solo play
+            for _ in range(specs[0].rounds):
+                service.submit_many(sids)
+            for sid, spec in zip(sids, specs, strict=True):
+                assert_results_identical(
+                    service.close(sid), solo_reference(spec)
+                )
 
     def test_malformed_batch_quarantines_as_input(self):
-        service, control = DefenseService(), DefenseService()
-        specs, sids = self._cohort(service, n=3, seed0=60)
-        for spec, sid in zip(specs[1:], sids[1:], strict=True):
-            control.open(spec, session_id=sid)
-        bad = specs[0].session().source.next_batch()
-        bad[:30] = np.nan
+        for kind, message in self.MALFORMED_BATCHES:
+            service, control = DefenseService(), DefenseService()
+            specs, sids = self._cohort(service, n=3, seed0=60)
+            for spec, sid in zip(specs[1:], sids[1:], strict=True):
+                control.open(spec, session_id=sid)
+            bad = self._malformed(specs[0], kind)
 
-        decisions = service.submit_many(
-            {sids[0]: bad, sids[1]: None, sids[2]: None}, on_error="quarantine"
-        )
-        failure = service.quarantine_reason(sids[0])
-        assert failure.kind == "input"
-        assert "non-finite" in failure.error
-        # the peers' lockstep round equals a call that never named it
-        expected = control.submit_many(sids[1:])
-        assert set(decisions) == set(expected) == set(sids[1:])
-        fields = (
-            "index", "threshold", "injection_percentile", "quality",
-            "observed_poison_ratio", "betrayal", "n_collected",
-            "n_retained", "n_poison_injected", "n_poison_retained",
-        )
-        for sid in sids[1:]:
-            got, want = decisions[sid], expected[sid]
-            assert [getattr(got, f) for f in fields] == [
-                getattr(want, f) for f in fields
-            ]
-            assert got.accept_mask.tobytes() == want.accept_mask.tobytes()
-        for _ in range(specs[0].rounds - 1):
-            service.submit_many(sids[1:])
-            control.submit_many(sids[1:])
-        for sid in sids[1:]:
-            assert_results_identical(service.close(sid), control.close(sid))
+            decisions = service.submit_many(
+                {sids[0]: bad, sids[1]: None, sids[2]: None},
+                on_error="quarantine",
+            )
+            failure = service.quarantine_reason(sids[0])
+            assert failure.kind == "input"
+            assert message in failure.error
+            # the peers' lockstep round equals a call that never named it
+            expected = control.submit_many(sids[1:])
+            assert set(decisions) == set(expected) == set(sids[1:])
+            fields = (
+                "index", "threshold", "injection_percentile", "quality",
+                "observed_poison_ratio", "betrayal", "n_collected",
+                "n_retained", "n_poison_injected", "n_poison_retained",
+            )
+            for sid in sids[1:]:
+                got, want = decisions[sid], expected[sid]
+                assert [getattr(got, f) for f in fields] == [
+                    getattr(want, f) for f in fields
+                ]
+                assert got.accept_mask.tobytes() == want.accept_mask.tobytes()
+            for _ in range(specs[0].rounds - 1):
+                service.submit_many(sids[1:])
+                control.submit_many(sids[1:])
+            for sid in sids[1:]:
+                assert_results_identical(
+                    service.close(sid), control.close(sid)
+                )
 
-    def test_round_failure_flushes_complete_deferred_board(self):
+    def test_round_failure_flushes_complete_deferred_board(
+        self, monkeypatch
+    ):
         """A quarantined tenant's board is complete to its last healthy
         round: the failing submit flushes the deferred sink before the
         round computation can raise."""
@@ -204,9 +231,15 @@ class TestTenantQuarantine:
         handle = service._sessions[sids[0]]
         assert handle._sink is not None, "rounds were not deferred"
 
-        # A wrong-width batch routes the tenant solo (odd shape) and
-        # blows up inside its round, after the deferred flush.
-        bad = {sids[0]: np.zeros((5, 2)), sids[1]: None, sids[2]: None}
+        # A valid 5-row batch routes the tenant solo (odd shape), and
+        # its trimmer blows up inside the round, after the deferred
+        # flush.
+        def broken_trim(batch, percentile):
+            raise RuntimeError("trimmer failure")
+
+        monkeypatch.setattr(handle.trimmer, "trim", broken_trim)
+        rows = specs[0].session().source.next_batch()[:5]
+        bad = {sids[0]: rows, sids[1]: None, sids[2]: None}
         decisions = service.submit_many(bad, on_error="quarantine")
         assert set(decisions) == {sids[1], sids[2]}
         assert service.quarantine_reason(sids[0]).kind == "round"

@@ -267,23 +267,30 @@ class TestColumnarBoard:
         def _absorb_sink_rows(self, sink, lane, base):
             self.absorbed.append((sink, lane, base))
 
-    def _sink(self, n_lanes=2, **kwargs):
+    def _sink(self, n_lanes=2, store_retained=False, **kwargs):
         from repro.streams.board import ColumnarBoard
 
-        return ColumnarBoard(n_lanes, store_retained=False, **kwargs)
+        return ColumnarBoard(n_lanes, store_retained=store_retained, **kwargs)
 
-    def _record(self, sink, kept):
+    def _record(self, sink, kept, retained=None):
+        from repro.core.session import BatchedRoundDecision
+
         n = len(kept)
-        sink.record_round(
-            trim_percentile=np.full(n, 0.9),
-            injection_percentile=np.full(n, np.nan),
-            quality=np.zeros(n),
-            observed_poison_ratio=np.zeros(n),
-            betrayal=np.zeros(n, dtype=bool),
-            n_collected=np.full(n, 10),
-            n_poison_injected=np.zeros(n, dtype=int),
-            n_poison_retained=np.zeros(n, dtype=int),
-            n_retained=np.asarray(kept),
+        sink.record_decision(
+            BatchedRoundDecision(
+                index=sink.start_index + sink.n_rounds + 1,
+                threshold=np.full(n, 0.9),
+                injection_percentile=np.full(n, np.nan),
+                quality=np.zeros(n),
+                observed_poison_ratio=np.zeros(n),
+                betrayal=np.zeros(n, dtype=bool),
+                n_collected=np.full(n, 10),
+                n_retained=np.asarray(kept),
+                n_poison_injected=np.zeros(n, dtype=int),
+                n_poison_retained=np.zeros(n, dtype=int),
+                accept_masks=[np.ones(10, dtype=bool)] * n,
+                retained=retained,
+            )
         )
 
     def test_lane_rows_are_absolute_and_base_offset(self):
@@ -293,6 +300,7 @@ class TestColumnarBoard:
         columns, retained = sink.lane_rows(1, base=1)
         assert columns["index"] == [7]
         assert columns["n_retained"] == [6]
+        assert type(columns["n_retained"][0]) is int  # plain scalars
         assert retained is None
 
     def test_flush_syncs_once_then_absorbs_every_lane(self):
@@ -317,6 +325,20 @@ class TestColumnarBoard:
         with pytest.raises(RuntimeError, match="flushed"):
             self._record(sink, [8, 9])
 
+    def test_shape_validation(self):
+        sink = self._sink(n_lanes=3)
+        with pytest.raises(ValueError, match="shaped"):
+            self._record(sink, [8, 9])
+
+    def test_full_board_requires_retained(self):
+        sink = self._sink(store_retained=True)
+        with pytest.raises(ValueError, match="retained"):
+            self._record(sink, [8, 8])
+        assert sink.n_rounds == 0  # a rejected round records nothing
+        self._record(sink, [8, 8], retained=[np.zeros((8, 1))] * 2)
+        _, retained = sink.lane_rows(1, base=0)
+        assert [rows.shape for rows in retained] == [(8, 1)]
+
     def test_late_attachment_absorbs_from_its_own_base(self):
         sink = self._sink()
         self._record(sink, [8, 9])
@@ -325,72 +347,3 @@ class TestColumnarBoard:
         self._record(sink, [7, 6])
         sink.flush_all()
         assert late.absorbed == [(sink, 0, 1)]
-
-
-class TestStackedBoard:
-    def _record(self, board, n_reps, round_values):
-        board.record_round(
-            trim_percentile=np.full(n_reps, 0.9),
-            injection_percentile=np.full(n_reps, np.nan),
-            quality=np.zeros(n_reps),
-            observed_poison_ratio=np.zeros(n_reps),
-            betrayal=np.zeros(n_reps, dtype=bool),
-            n_collected=np.full(n_reps, 10),
-            n_poison_injected=np.zeros(n_reps, dtype=int),
-            n_poison_retained=np.asarray(round_values["poison"]),
-            n_retained=np.asarray(round_values["kept"]),
-            retained=(
-                [np.zeros((k, 1)) for k in round_values["kept"]]
-                if board.store_retained
-                else None
-            ),
-        )
-
-    def test_rep_board_slices_columns(self):
-        from repro.streams.board import StackedBoard
-
-        board = StackedBoard(2, store_retained=True)
-        self._record(board, 2, {"poison": [1, 2], "kept": [8, 9]})
-        self._record(board, 2, {"poison": [0, 1], "kept": [7, 6]})
-        rep0 = board.rep_board(0)
-        rep1 = board.rep_board(1)
-        np.testing.assert_array_equal(rep0.columns.n_retained, [8, 7])
-        np.testing.assert_array_equal(rep1.columns.n_retained, [9, 6])
-        assert rep0.retained_data().shape == (15, 1)
-        assert rep0.poison_retained_fraction() == pytest.approx(1 / 15)
-
-    def test_aggregates_per_rep(self):
-        from repro.streams.board import StackedBoard
-
-        board = StackedBoard(2, store_retained=False)
-        self._record(board, 2, {"poison": [1, 2], "kept": [8, 10]})
-        np.testing.assert_allclose(
-            board.poison_retained_fractions(), [1 / 8, 2 / 10]
-        )
-        np.testing.assert_allclose(
-            board.trimmed_fractions(), [1 - 8 / 10, 0.0]
-        )
-
-    def test_shape_validation(self):
-        from repro.streams.board import StackedBoard
-
-        board = StackedBoard(3, store_retained=False)
-        with pytest.raises(ValueError, match="shaped"):
-            self._record(board, 2, {"poison": [1, 2], "kept": [8, 9]})
-
-    def test_full_board_requires_retained(self):
-        from repro.streams.board import StackedBoard
-
-        board = StackedBoard(2, store_retained=True)
-        with pytest.raises(ValueError, match="retained"):
-            board.record_round(
-                trim_percentile=np.full(2, 0.9),
-                injection_percentile=np.full(2, np.nan),
-                quality=np.zeros(2),
-                observed_poison_ratio=np.zeros(2),
-                betrayal=np.zeros(2, dtype=bool),
-                n_collected=np.full(2, 10),
-                n_poison_injected=np.zeros(2, dtype=int),
-                n_poison_retained=np.zeros(2, dtype=int),
-                n_retained=np.full(2, 8),
-            )
