@@ -1,12 +1,11 @@
 """Sweep-runner micro-benchmark: serial against a process pool.
 
-Times the default meta-game tournament grid (4 collectors x 4
-adversaries x 2 repetitions of 10-round games) through the
-:mod:`repro.runtime` sweep runner serially and on a 4-process pool —
-both play the grid in lockstep groups — asserts the two payoff matrices
-are byte-identical, and persists the wall-clock trajectory to
-``benchmarks/results/BENCH_sweep.json`` so later performance PRs have a
-baseline to beat.
+Times the ``metagame`` scenario at quick scale (4 collectors x 4
+adversaries x 2 repetitions of 10-round games) through ``run_scenario``
+serially and with ``workers=4`` — both play the grid in lockstep groups
+— asserts the two payoff matrices are byte-identical, and persists the
+wall-clock trajectory to ``benchmarks/results/BENCH_sweep.json`` so
+later performance PRs have a baseline to beat.
 
 The parallel speedup is hardware-bound: the assertion only requires
 >= 2x when at least 4 CPUs are actually available (on a single-core
@@ -16,27 +15,26 @@ by ``bench_batched_engine.py``).  Run standalone with
 ``python benchmarks/bench_sweep_runner.py``.
 """
 
-import dataclasses
 import json
 import os
 import time
 
-from repro.experiments import TournamentConfig, run_tournament
+from repro.scenarios import get_scenario, run_scenario
 
 from conftest import available_cpus
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_sweep.json")
 
-#: The default tournament grid (32 games of 10 rounds each).
-BASE = TournamentConfig()
+#: Quick scale is the default tournament grid (32 games of 10 rounds).
+METAGAME = get_scenario("metagame")
 PARALLEL_WORKERS = 4
 
 
-def _timed(config) -> tuple:
+def _timed(workers: int) -> tuple:
     t0 = time.perf_counter()
-    result = run_tournament(config)
-    return time.perf_counter() - t0, result
+    run = run_scenario(METAGAME, workers=workers)
+    return time.perf_counter() - t0, run
 
 
 def _matrices_identical(a, b) -> bool:
@@ -51,22 +49,21 @@ def run_sweep_benchmark() -> dict:
 
     The two payoff matrices must be byte-identical.
     """
-    serial_s, serial = _timed(BASE)
-    parallel_s, parallel = _timed(
-        dataclasses.replace(BASE, workers=PARALLEL_WORKERS)
-    )
-    identical = _matrices_identical(serial, parallel)
+    serial_s, serial = _timed(1)
+    parallel_s, parallel = _timed(PARALLEL_WORKERS)
+    identical = _matrices_identical(serial.value, parallel.value)
+    result, params = serial.value, serial.params
     n_games = (
-        len(serial.collector_names)
-        * len(serial.adversary_names)
-        * BASE.repetitions
+        len(result.collector_names)
+        * len(result.adversary_names)
+        * params["repetitions"]
     )
     return {
         "grid": {
-            "collectors": list(serial.collector_names),
-            "adversaries": list(serial.adversary_names),
-            "repetitions": BASE.repetitions,
-            "rounds": BASE.rounds,
+            "collectors": list(result.collector_names),
+            "adversaries": list(result.adversary_names),
+            "repetitions": params["repetitions"],
+            "rounds": params["rounds"],
             "n_games": n_games,
         },
         "workers": PARALLEL_WORKERS,

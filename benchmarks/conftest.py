@@ -1,10 +1,8 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the performance benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it times the
-scaled-down experiment via pytest-benchmark and renders the same
-rows/series the paper reports, both to stdout (visible with ``-s``) and to
-``benchmarks/results/<artifact>.txt`` so EXPERIMENTS.md can reference the
-measured numbers.
+Each bench gates byte-equality and speed of one layer, writes its
+payload to ``benchmarks/results/BENCH_*.json`` and a one-screen summary
+to ``benchmarks/results/<name>.txt`` (and stdout, visible with ``-s``).
 """
 
 import os
@@ -36,11 +34,3 @@ def report():
 
     return _report
 
-
-def once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under the benchmark timer.
-
-    The experiments are end-to-end simulations (seconds each); a single
-    timed round keeps the harness honest without repeating hours of work.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)

@@ -113,6 +113,8 @@ class LabelAwareRadialTrimmer(RadialTrimmer):
         self._set_reference_scores(
             np.linalg.norm(features - self._center, axis=1)
         )
+        # The full labeled row: rounds trim the rows this fit was given.
+        self.reference_row_shape = arr.shape[1:]
         return self
 
 

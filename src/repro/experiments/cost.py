@@ -156,17 +156,14 @@ def aggregate_cost(config: CostConfig, records: Sequence[float]) -> List[CostRow
 
 
 def run_cost_analysis(
-    config: CostConfig,
-    store: Optional[object] = None,
-    workers: int = 1,
+    config: CostConfig, store: Optional[object] = None
 ) -> List[CostRow]:
     """Produce the Table IV rows (on the sweep runtime).
 
     The hand-rolled per-row loop this replaces called
     :func:`roundwise_cost` twice per round number; the cells now flow
     through :class:`~repro.runtime.runner.SweepRunner` — numerically
-    identical, with optional process parallelism and result-store
-    caching.
+    identical, with result-store caching.
     """
-    runner = SweepRunner(workers=workers, store=store)
+    runner = SweepRunner(store=store)
     return aggregate_cost(config, runner.run(cost_specs(config)))

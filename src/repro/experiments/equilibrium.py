@@ -10,7 +10,7 @@ The (scheme × attack ratio × repetition) grid runs on the
 ``SeedSequence`` spawn keys (the previous ``hash(scheme)``-based mixing
 was not even stable across interpreter runs), the k-means fit happens
 *inside* the worker so only the two scalars cross the process boundary,
-and ``EquilibriumConfig.workers > 1`` parallelizes the panel.
+and ``run_scenario(..., workers=N)`` parallelizes the panel.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class EquilibriumConfig:
     batch_size: int = 100
     dataset_size: Optional[int] = None
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -179,5 +178,5 @@ def run_kmeans_experiment(
 ) -> List[EquilibriumCell]:
     """Run one full panel and return all (scheme, ratio) cells."""
     specs, reduce = kmeans_plan(config)
-    runner = SweepRunner(workers=config.workers, reduce=reduce, store=store)
+    runner = SweepRunner(reduce=reduce, store=store)
     return aggregate_kmeans(config, runner.run(specs))

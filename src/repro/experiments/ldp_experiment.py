@@ -294,9 +294,7 @@ def aggregate_ldp(config: LDPConfig, records: Sequence[float]) -> List[LDPCell]:
 
 
 def run_ldp_experiment(
-    config: LDPConfig,
-    store: Optional[object] = None,
-    workers: int = 1,
+    config: LDPConfig, store: Optional[object] = None
 ) -> List[LDPCell]:
     """Run the Fig. 9 sweep and return all cells (on the sweep runtime).
 
@@ -304,8 +302,7 @@ def run_ldp_experiment(
     :func:`ldp_specs` cells played through a
     :class:`~repro.runtime.runner.SweepRunner` — byte-identical output
     (the legacy per-rep seeds are preserved, see
-    :func:`_legacy_rep_seed`), plus process parallelism and result-store
-    resumability.
+    :func:`_legacy_rep_seed`), plus result-store resumability.
     """
-    runner = SweepRunner(workers=workers, store=store)
+    runner = SweepRunner(store=store)
     return aggregate_ldp(config, runner.run(ldp_specs(config)))

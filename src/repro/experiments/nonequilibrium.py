@@ -16,7 +16,7 @@ The (p × scheme × repetition) grid runs on the :mod:`repro.runtime`
 sweep runner with ``SeedSequence``-derived per-cell seeds; the default
 :class:`~repro.runtime.runner.GameRecord` reducer already carries the
 termination round and poison fraction, so no custom reducer is needed
-and ``NonEquilibriumConfig.workers > 1`` parallelizes the sweep.
+and ``run_scenario(..., workers=N)`` parallelizes the sweep.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class NonEquilibriumConfig:
         0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
     )
     seed: int = 0
-    workers: int = 1
 
 
 def _pairs(config: NonEquilibriumConfig) -> tuple:
@@ -184,5 +183,5 @@ def run_nonequilibrium(
     config: NonEquilibriumConfig, store: Optional[object] = None
 ) -> List[NonEquilibriumRow]:
     """Run the §VI-D sweep over the mixed-strategy parameter ``p``."""
-    runner = SweepRunner(workers=config.workers, store=store)
+    runner = SweepRunner(store=store)
     return aggregate_nonequilibrium(config, runner.run(nonequilibrium_plan(config)))

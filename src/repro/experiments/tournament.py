@@ -9,7 +9,7 @@ position, the ``P(x)`` reading) and the collector loses that plus the
 trimming overhead (the benign mass she removed).
 
 Solving the matrix as a zero-sum game with the minimax LP then yields an
-*empirical* Stackelberg/minimax profile, which the bench compares against
+*empirical* Stackelberg/minimax profile, which the tests compare against
 the analytic expectations: tolerant collectors are exploited by evasive
 adversaries, the grim trigger dominates against extreme play, and the
 empirical equilibrium concentrates on the adaptive schemes.
@@ -19,7 +19,7 @@ Execution goes through the :mod:`repro.runtime` sweep runner: the
 :class:`~repro.runtime.spec.GameSpec` cells with collision-free
 ``SeedSequence``-derived seeds (the previous ``seed + 101*rep + 13*i +
 7*j`` arithmetic collided across cells, silently correlating
-repetitions), and ``TournamentConfig.workers > 1`` plays the grid on a
+repetitions), and ``run_scenario(..., workers=N)`` plays the grid on a
 process pool — byte-identical to the serial run.
 """
 
@@ -87,7 +87,6 @@ class TournamentConfig:
     batch_size: int = 100
     overhead_weight: float = 1.0
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -221,5 +220,5 @@ def run_tournament(
 ) -> TournamentResult:
     """Play the full strategy cross-product and solve the meta-game."""
     specs, reduce = tournament_plan(config)
-    runner = SweepRunner(workers=config.workers, reduce=reduce, store=store)
+    runner = SweepRunner(reduce=reduce, store=store)
     return aggregate_tournament(config, runner.run(specs))

@@ -20,6 +20,16 @@ class TestGainCostFamilies:
         vals = [cost(x) for x in xs]
         assert all(b <= a for a, b in zip(vals, vals[1:], strict=False))
 
+    def test_default_model_trades_off_across_domain(self):
+        """Fig. 1a of arXiv 2403.10313: on the default model, the poison
+        payoff P rises and the trimming overhead T falls over [0, 1]."""
+        model = PayoffModel()
+        xs = np.linspace(0.0, 1.0, 11)
+        p_values = [model.poison_payoff(x) for x in xs]
+        t_values = [model.trim_overhead(x) for x in xs]
+        assert all(b >= a for a, b in zip(p_values, p_values[1:], strict=False))
+        assert all(b <= a for a, b in zip(t_values, t_values[1:], strict=False))
+
     def test_trim_cost_zero_at_one(self):
         assert power_trim_cost()(1.0) == 0.0
 

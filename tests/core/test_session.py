@@ -44,6 +44,11 @@ from repro.core.strategies import (
 )
 from repro.core.strategies.titfortat import MixedStrategyTrigger, QualityTrigger
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
+from repro.datasets import generate_control
+from repro.experiments.classifiers import (
+    LabelAwareRadialTrimmer,
+    LabelMimicInjector,
+)
 from repro.streams import ArrayStream, PoisonInjector
 
 #: The full shipped strategy matrix the snapshot contract is tested
@@ -414,6 +419,25 @@ class TestRejectedBatches:
             uninterrupted.submit(batch)
             probed.submit(batch)
         assert_results_identical(probed.close(), uninterrupted.close())
+
+    def test_labeled_rejection_moves_no_state(self):
+        """The classifier games' ``[features | label]`` rows are
+        width-checked before the label-mimicking injector draws."""
+        data, labels = generate_control(seed=7)
+        stacked = np.column_stack([data, labels.astype(float)])
+        session = GameSession.open(
+            collector=TitForTatCollector(0.95),
+            adversary=FixedAdversary(0.99),
+            injector=LabelMimicInjector(0.4, mode="radial", seed=1),
+            trimmer=LabelAwareRadialTrimmer(),
+            reference=stacked,
+        )
+        session.submit(stacked[:60])
+        state = pickle.dumps(session.state_dict())
+        with pytest.raises(ValueError, match="round batch"):
+            session.submit(np.zeros((60, 10)))
+        assert pickle.dumps(session.state_dict()) == state
+        assert session.round_index == 1
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_lockstep_rejection_moves_no_state(self, kind):

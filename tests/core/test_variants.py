@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import CollectionGame, NoisyPositionJudge
 from repro.core.strategies import (
+    FixedAdversary,
     GenerousCollector,
     MirrorCollector,
+    MixedStrategyTrigger,
+    TitForTatCollector,
     TitForTwoTatsCollector,
 )
 from repro.core.strategies.base import RoundObservation
+from repro.core.trimming import RadialTrimmer
+from repro.datasets import load_dataset
+from repro.streams import ArrayStream, PoisonInjector
 
 
 def obs(index=1, betrayal=False):
@@ -119,3 +126,46 @@ class TestTitForTwoTats:
             tftt.react(obs(betrayal=bool(b))) < 0.9 for b in flags
         )
         assert tftt_punish < 0.5 * mirror_punish
+
+
+@pytest.mark.slow
+class TestNoisyJudgement:
+    def test_tolerant_variants_punish_a_compliant_adversary_less(self):
+        """§V of arXiv 2403.10313: against a fully compliant adversary
+        under a judge with 10 % false positives, the grim trigger
+        (Algorithm 1) hard-trims at least as many rounds as mirror
+        Tit-for-tat, and generosity and two-tats tolerance both fewer."""
+        data, _ = load_dataset("control")
+        collectors = {
+            "grim": lambda: TitForTatCollector(
+                0.9, trigger=MixedStrategyTrigger(1.0, redundancy=0.05, warmup=5)
+            ),
+            "mirror": lambda: MirrorCollector(0.9),
+            "generous": lambda: GenerousCollector(0.9, 0.3, seed=11),
+            "two-tats": lambda: TitForTwoTatsCollector(0.9),
+        }
+        hard_rounds = {}
+        for name, make_collector in collectors.items():
+            counts = []
+            for rep in range(5):
+                result = CollectionGame(
+                    source=ArrayStream(data, batch_size=100, seed=rep),
+                    collector=make_collector(),
+                    adversary=FixedAdversary(0.99),
+                    injector=PoisonInjector(0.2, mode="radial", seed=rep + 1),
+                    trimmer=RadialTrimmer(),
+                    reference=data,
+                    judge=NoisyPositionJudge(
+                        boundary=0.905,
+                        miss_rate=0.0,
+                        false_positive_rate=0.1,
+                        seed=rep + 2,
+                    ),
+                    rounds=30,
+                    anchor="batch",
+                ).run()
+                counts.append(int(np.sum(result.threshold_path() < 0.9)))
+            hard_rounds[name] = float(np.mean(counts))
+        assert hard_rounds["grim"] >= hard_rounds["mirror"]
+        assert hard_rounds["generous"] < hard_rounds["mirror"]
+        assert hard_rounds["two-tats"] < hard_rounds["mirror"]

@@ -1,13 +1,29 @@
-"""Tests for repro.experiments.tournament — the empirical meta-game."""
+"""Tests for repro.experiments.tournament — the empirical meta-game.
+
+The structural tests play a small private config through
+``run_tournament``; the meta-game's claims are checked on the registered
+``metagame`` scenario at quick scale, the artifact the registry renders.
+"""
 
 import pytest
 
 from repro.experiments import TournamentConfig, run_tournament
+from repro.scenarios import get_scenario, run_scenario
 
 
 @pytest.fixture(scope="module")
 def result():
     return run_tournament(TournamentConfig(repetitions=1, rounds=6))
+
+
+@pytest.fixture(scope="module")
+def metagame():
+    return run_scenario(get_scenario("metagame")).value
+
+
+def _adversary_payoff(result, adversary, collector):
+    i = result.adversary_names.index(adversary)
+    return result.adversary_payoffs[i, result.collector_names.index(collector)]
 
 
 @pytest.mark.slow
@@ -33,25 +49,21 @@ class TestTournament:
             result.collector_payoffs <= -result.adversary_payoffs + 1e-12
         ).all()
 
-    def test_extreme_adversary_zeroed_by_trimming_collectors(self, result):
-        i = result.adversary_names.index("extreme@0.99")
-        j = result.collector_names.index("titfortat")
-        assert result.adversary_payoffs[i, j] == pytest.approx(0.0, abs=0.01)
+    def test_extreme_adversary_zeroed_by_trimming_collectors(self, metagame):
+        payoff = _adversary_payoff(metagame, "extreme@0.99", "titfortat")
+        assert payoff == pytest.approx(0.0, abs=0.01)
 
-    def test_extreme_adversary_survives_ostrich(self, result):
-        i = result.adversary_names.index("extreme@0.99")
-        j = result.collector_names.index("ostrich")
-        assert result.adversary_payoffs[i, j] > 0.15
+    def test_extreme_adversary_survives_ostrich(self, metagame):
+        assert _adversary_payoff(metagame, "extreme@0.99", "ostrich") > 0.15
 
-    def test_just_below_exploits_static(self, result):
-        i = result.adversary_names.index("just-below")
-        j = result.collector_names.index("static")
-        assert result.adversary_payoffs[i, j] > 0.1
+    def test_just_below_exploits_static(self, metagame):
+        assert _adversary_payoff(metagame, "just-below", "static") > 0.1
 
-    def test_empirical_equilibrium_is_adaptive(self, result):
-        # The headline: the minimax solution concentrates on the Elastic
-        # scheme — the paper's interactive equilibrium found empirically.
-        assert result.best_collector() == "elastic0.5"
+    def test_empirical_equilibrium_is_adaptive(self, metagame):
+        # The headline (beyond the paper, on its §III-B payoffs): the
+        # minimax collector is the Elastic scheme — the paper's
+        # interactive equilibrium found empirically.
+        assert metagame.best_collector() == "elastic0.5"
 
     def test_game_value_consistent_with_matrix(self, result):
         value = float(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import generate_creditcard
 from repro.ml import SelfOrganizingMap
 
 
@@ -71,6 +72,16 @@ class TestMapQuality:
         som, data = trained_som
         bmus = som.best_matching_units(data)
         assert bmus.min() >= 0 and bmus.max() < som.n_neurons
+
+    def test_creditcard_minority_points_are_isolated(self):
+        """Fig. 6b of arXiv 2403.10313: a map trained on the clean
+        Creditcard stand-in is dominated by the bulk, so the 7 minority
+        points sit distinctly further from their neurons."""
+        data, labels = generate_creditcard(n_samples=2000, seed=23)
+        som = SelfOrganizingMap(rows=10, cols=10, n_iter=4000, seed=0).fit(data)
+        bulk_qe = som.quantization_error(data[labels == 0])
+        minority_qe = som.quantization_error(data[labels > 0])
+        assert minority_qe > 1.3 * bulk_qe
 
 
 class TestUMatrix:

@@ -203,11 +203,14 @@ class TestTournamentParallelism:
     """The acceptance gate: payoff matrices identical at any worker count."""
 
     def test_tournament_workers_1_vs_4_byte_identical(self):
-        from repro.experiments import TournamentConfig, run_tournament
+        from repro.scenarios import get_scenario, run_scenario
 
-        serial = run_tournament(TournamentConfig(repetitions=2, rounds=4))
-        parallel = run_tournament(
-            TournamentConfig(repetitions=2, rounds=4, workers=4)
+        serial, parallel = (
+            run_scenario(
+                get_scenario("metagame"), overrides={"rounds": "4"},
+                workers=workers,
+            ).value
+            for workers in (1, 4)
         )
         assert serial.adversary_payoffs.tobytes() == (
             parallel.adversary_payoffs.tobytes()
