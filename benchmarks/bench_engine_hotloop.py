@@ -100,7 +100,7 @@ class NaiveCutoffTrimmer(ValueTrimmer):
 
     def _cutoff(self, batch_scores, q):
         if self.is_reference_anchored:
-            source = self._reference_scores
+            source = self.reference_scores
         else:
             source = batch_scores
         return float(np.quantile(source, q))

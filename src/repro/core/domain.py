@@ -10,8 +10,9 @@ input space the game is played on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Dict, Optional, Tuple, Union, overload
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .arrays import Array, ArrayLike
 __all__ = [
     "Domain",
     "QuantileTable",
+    "ReferenceFit",
     "empirical_quantile",
     "percentile_of",
     "clip_percentile",
@@ -120,6 +122,14 @@ class QuantileTable:
         """The sorted sample (read-only view)."""
         return self._sorted
 
+    @overload
+    def quantile(self, q: float) -> float:
+        ...
+
+    @overload
+    def quantile(self, q: Array) -> Array:
+        ...
+
     def quantile(self, q: ArrayLike) -> Union[float, Array]:
         """Interpolated quantile(s) at fraction(s) ``q`` in [0, 1].
 
@@ -168,6 +178,103 @@ class QuantileTable:
         if x_arr.ndim == 0:
             return float(out)
         return out
+
+
+def _corner_direction(points: Array, center: Array) -> Array:
+    """Unit vector from ``center`` toward the per-feature 0.99 corner.
+
+    The colluding direction of radial poison placement; a degenerate
+    spread (zero-length direction) falls back to the first axis.
+    """
+    direction = np.quantile(points, 0.99, axis=0) - center
+    norm = float(np.linalg.norm(direction))
+    if norm <= 0.0:
+        direction = np.zeros(points.shape[1])
+        direction[0] = 1.0
+        norm = 1.0
+    return direction / norm
+
+
+def _freeze(arr: Array) -> Array:
+    arr.setflags(write=False)
+    return arr
+
+
+class ReferenceFit:
+    """The reference-derived arrays of one calibration, computed once.
+
+    The collector's trimmer and the white-box adversary's injector both
+    calibrate on the public clean reference (§III), so they need the
+    same arrays.  A fit holds them for one score family ``kind`` (the
+    trimmers' ``score_kind`` tags):
+
+    * ``"value"`` — ``scores`` is the (1-D) reference itself and
+      ``table`` its sort-once :class:`QuantileTable`;
+    * ``"radial"`` — ``center`` is the coordinate-wise median (0-d for
+      a 1-D reference), ``scores`` the distances from it and ``table``
+      their :class:`QuantileTable`.  On a 2-D reference ``direction``
+      is also set: the unit vector toward the per-feature 0.99 corner
+      that radial poison is placed along.
+
+    A fit is read-only.  :meth:`of` shares one fit among all live
+    components fit on the same read-only array, and the lane programs
+    group lanes by that identity.
+    """
+
+    center: Optional[Array] = None
+    direction: Optional[Array] = None
+
+    def __init__(self, reference: Array, kind: str) -> None:
+        if reference.size == 0:
+            raise ValueError("reference must be non-empty")
+        # Holding the array keeps its id unique while the fit is shared.
+        self._reference: Optional[Array] = reference
+        self.kind = kind
+        if kind == "value":
+            self.scores = reference
+        elif kind == "radial" and reference.ndim == 2:
+            self.center = _freeze(np.median(reference, axis=0))
+            self.scores = _freeze(np.linalg.norm(reference - self.center, axis=1))
+            self.direction = _freeze(_corner_direction(reference, self.center))
+        elif kind == "radial" and reference.ndim == 1:
+            self.center = _freeze(np.asarray(np.median(reference)))
+            self.scores = _freeze(np.abs(reference - float(self.center)))
+        elif kind == "radial":
+            raise ValueError("reference must be 1-D or 2-D")
+        else:
+            raise ValueError(f"unknown reference fit kind {kind!r}")
+        self.table = QuantileTable(self.scores)
+
+    @classmethod
+    def of(cls, reference: ArrayLike, kind: str) -> "ReferenceFit":
+        """The fit of ``reference`` for ``kind``, shared when read-only.
+
+        A read-only array is taken as unchanging, so every component
+        fit on it while an earlier fit is alive gets that same object.
+        A writable array gets a private fit.
+        """
+        arr = np.asarray(reference, dtype=float)
+        if arr.flags.writeable:
+            return cls(arr, kind)
+        key = (id(arr), kind)
+        fit = _LIVE_FITS.get(key)
+        if fit is None:
+            fit = _LIVE_FITS[key] = cls(arr, kind)
+        return fit
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The reference only anchors the sharing memo: a restored fit is
+        # private, and a snapshot's components carry the rows they need.
+        state = dict(self.__dict__)
+        state["_reference"] = None
+        return state
+
+
+#: Live fits of read-only references, keyed by (array id, kind).  An
+#: entry dies with the last component holding its fit.
+_LIVE_FITS: "weakref.WeakValueDictionary[Tuple[int, str], ReferenceFit]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def empirical_quantile(values: ArrayLike, q: ArrayLike) -> Union[float, Array]:

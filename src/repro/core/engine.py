@@ -20,6 +20,12 @@ Both engines are thin loops over :mod:`repro.core.session`:
 :class:`BatchedCollectionGame` opens one such session per lane and steps
 them together through :func:`~repro.core.session.lockstep_cohort`, so
 every lane's result is its own session's ``close()``.
+
+Every engine (and ``GameSession.open``) calibrates through one routine,
+``_calibrate``: it freezes a writable reference into one read-only copy
+and fits each distinct component once, so a game's trimmer and injector
+— and all the lanes of a lockstep game — hold one shared
+:class:`~repro.core.domain.ReferenceFit` per score family.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -56,7 +62,7 @@ from .strategies.base import (
     rng_state,
     set_rng_state,
 )
-from .trimming import RadialTrimmer, Trimmer, ValueTrimmer
+from .trimming import Trimmer
 
 __all__ = [
     "BandExcessJudge",
@@ -290,97 +296,64 @@ class GameResult:
         return records
 
 
-#: Exact shipped classes whose reference fit is a pure function of the
-#: reference and the named parameters: (fit parameters, fitted state).
-_SHARED_FITS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    ValueTrimmer: ((), ("_reference_scores", "_reference_table", "reference_row_shape")),
-    RadialTrimmer: (
-        (),
-        ("_center", "_reference_scores", "_reference_table", "reference_row_shape"),
-    ),
-    PoisonInjector: (
-        (),
-        ("_ref_center", "_ref_scores", "_ref_values", "_ref_corner"),
-    ),
-    TailMassEvaluator: (("reference_quantile",), ("_cutoff",)),
-}
-
-
-def _fit_lanes(instances: Sequence[Any], fit: Callable[[Any], Any]) -> None:
-    """Fit every lane's component, each distinct fit only once.
-
-    Fitting is deterministic, so a lane of an exact shipped class (with
-    equal fit parameters) aliases the first such lane's calibration
-    arrays instead of refitting — byte-identical to independent fits at
-    1/L of the cost.  Any other instance is fit once, however many lanes
-    share it.
-    """
-    leads: Dict[tuple, Any] = {}
-    fitted: List[Any] = []
+def _distinct(instances: Iterable[Any]) -> List[Any]:
+    """``instances`` in order, each object once."""
+    seen: Dict[int, Any] = {}
     for inst in instances:
-        shared = _SHARED_FITS.get(type(inst))
-        if shared is None:
-            if not any(inst is done for done in fitted):
-                fit(inst)
-                fitted.append(inst)
-            continue
-        params, state = shared
-        key = (type(inst),) + tuple(getattr(inst, name) for name in params)
-        lead = leads.get(key)
-        if lead is None:
-            fit(inst)
-            leads[key] = inst
-        elif lead is not inst:
-            for name in state:
-                setattr(inst, name, getattr(lead, name))
+        seen.setdefault(id(inst), inst)
+    return list(seen.values())
 
 
 def _calibrate(
-    reference: Array,
+    reference: ArrayLike,
     trimmers: Sequence[Any],
     injectors: Sequence[Any],
     evaluators: Sequence[Any],
     judges: Sequence[Any],
     anchor: str = "reference",
-) -> None:
+) -> Array:
     """Fit one or many lanes' round components on the clean reference.
 
     The white-box adversary knows the public quality standard, so the
     injectors calibrate on the same reference as the trimmers and the
     evaluators.  The score center always comes from the reference (a
     batch-local center is evadable — see :mod:`repro.core.trimming`);
-    ``anchor`` only selects the cutoff-quantile source.  Each lane's
-    judge reuses its own trimmer's reference scores rather than a second
-    scoring sweep, and a :class:`BandExcessJudge` takes the trimmer's
-    sort-once quantile table outright.  ``None`` injectors (live-mode
-    sessions) are skipped.
+    ``anchor`` only selects the cutoff-quantile source.  Each distinct
+    instance is fit once, trimmers first, then injectors (``None`` ones,
+    of live-mode sessions, are skipped) and evaluators; each lane's
+    judge then reuses its own trimmer's reference scores, and a
+    :class:`BandExcessJudge` takes the trimmer's quantile table outright.
+
+    A writable reference is first frozen into one read-only copy, so
+    the trimmers and injectors fit here share one
+    :class:`~repro.core.domain.ReferenceFit` per score family — as do
+    all live components fit on one read-only (e.g. process-cached)
+    reference.  Returns the read-only reference.
     """
     if anchor not in ("reference", "batch"):
         raise ValueError("anchor must be 'reference' or 'batch'")
-
-    def fit_trimmer(trimmer: Any) -> None:
-        trimmer.fit_reference(reference)
-        # Sort the reference once here, so lanes sharing this fit share
-        # one table (and the judges calibrate on it) too.
-        getattr(trimmer, "reference_table", None)
-
+    arr = np.asarray(reference, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
     for trimmer in trimmers:
         trimmer.anchor = anchor
-    _fit_lanes(trimmers, fit_trimmer)
-    _fit_lanes(
-        [inj for inj in injectors if inj is not None],
-        lambda injector: injector.fit_reference(reference),
-    )
-    _fit_lanes(evaluators, lambda evaluator: evaluator.fit(reference))
+    for trimmer in _distinct(trimmers):
+        trimmer.fit_reference(arr)
+    for injector in _distinct(inj for inj in injectors if inj is not None):
+        injector.fit_reference(arr)
+    for evaluator in _distinct(evaluators):
+        evaluator.fit(arr)
     for trimmer, judge in zip(trimmers, judges, strict=False):
         reference_scores = getattr(trimmer, "reference_scores", None)
         if reference_scores is None:
-            reference_scores = trimmer.scores(reference)
+            reference_scores = trimmer.scores(arr)
         table = getattr(trimmer, "reference_table", None)
         if isinstance(judge, BandExcessJudge) and table is not None:
             judge.fit(table)
         else:
             judge.fit(reference_scores)
+    return arr
 
 
 class CollectionGame:
@@ -445,12 +418,11 @@ class CollectionGame:
         self.injector = injector
         self.trimmer = trimmer
         self.rounds = int(rounds)
-        self.reference = np.asarray(reference, dtype=float)
         self.store_retained = bool(store_retained)
         self.quality_evaluator = quality_evaluator or TailMassEvaluator()
         self.judge = judge or BandExcessJudge(noise_sigma=0.0)
-        _calibrate(
-            self.reference,
+        self.reference = _calibrate(
+            reference,
             [self.trimmer],
             [self.injector],
             [self.quality_evaluator],
@@ -546,9 +518,9 @@ class BatchedCollectionGame:
     **byte-identical** to the corresponding solo :class:`CollectionGame`
     seeded from the same ``SeedSequence`` children.  The ingredients:
     per-lane component instances wherever state or randomness lives
-    (streams, strategies, injector jitter, judge noise), shared
-    deterministic calibration (reference fits of the shipped classes),
-    and vectorized kernels whose per-lane rows are elementwise-identical
+    (streams, strategies, injector jitter, judge noise), one shared
+    read-only calibration (the lanes' trimmers and injectors hold one
+    :class:`~repro.core.domain.ReferenceFit`), and vectorized kernels whose per-lane rows are elementwise-identical
     to the scalar paths.
 
     Parameters mirror :class:`CollectionGame`, with one instance per
@@ -604,7 +576,6 @@ class BatchedCollectionGame:
                 "repetition"
             )
         self.rounds = int(rounds)
-        self.reference = np.asarray(reference, dtype=float)
         self.store_retained = bool(store_retained)
         self.sources = list(sources)
         self.collectors = list(collectors)
@@ -613,8 +584,8 @@ class BatchedCollectionGame:
         self._trimmers = list(trimmers)
         self._quality_evaluators = list(quality_evaluators)
         self._judges = list(judges)
-        _calibrate(
-            self.reference,
+        self.reference = _calibrate(
+            reference,
             self._trimmers,
             self._injectors,
             self._quality_evaluators,

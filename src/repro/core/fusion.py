@@ -20,15 +20,16 @@ caller seats the lanes through :func:`~repro.core.session.lockstep_cohort`
   instead of O(L).
 * **Trim program** — :class:`TrimLanes` resolves the per-lane trimmer
   dispatch (exact shipped class stack / custom loop) once at build
-  time; per round it runs one vector score sweep plus per-lane scalar
-  cutoffs, byte-identical to L solo
+  time; per round it runs one vector score sweep plus one cutoff pass
+  per shared reference fit, byte-identical to L solo
   :meth:`~repro.core.trimming.Trimmer.trim` calls.
 * **Poison program** — :class:`InjectorLanes` packs attack ratios into
-  a column, partitions exact-:class:`~repro.streams.PoisonInjector`
-  lanes by shared reference content once at build time, and
-  materializes each reference group's poison in a single vectorized
-  quantile pass, with per-lane jitter draws still taken from each
-  lane's own Generator; subclass lanes call their own ``materialize``.
+  a column, groups exact-:class:`~repro.streams.PoisonInjector` lanes
+  by the identity of their shared
+  :class:`~repro.core.domain.ReferenceFit` at build time, and
+  materializes each group's poison in a single vectorized quantile
+  pass, with per-lane jitter draws still taken from each lane's own
+  Generator; subclass lanes call their own ``materialize``.
 * **Quality and judge programs** — :class:`QualityLanes` scores
   exact-:class:`~repro.core.quality.TailMassEvaluator` stacks in one
   array sweep and :class:`JudgeLanes` computes the shipped judges'
@@ -40,13 +41,13 @@ its solo :class:`~repro.core.session.GameSession` would have produced.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..streams.injection import LanePositionServer, PoisonInjector
 from .arrays import Array
-from .domain import QuantileTable, empirical_quantile
+from .domain import ReferenceFit, empirical_quantile
 from .engine import BandExcessJudge, NoisyPositionJudge
 from .quality import QualityEvaluator, TailMassEvaluator
 from .strategies.base import RoundObservationBatch
@@ -200,6 +201,26 @@ def fused_adversary_lanes(instances: Sequence[Any]) -> AdversaryLanes:
     return FusedAdversaryLanes(instances, parts)
 
 
+def _group_by_identity(objects: Sequence[Any]) -> Tuple[Array, List[Any]]:
+    """(lane -> group id, distinct objects in first-seen order).
+
+    Lanes holding the same object share a group; ``None`` lanes get id
+    ``-1``.  Identity only: a lane build compares no array content.
+    """
+    gid = np.full(len(objects), -1, dtype=np.intp)
+    slots: Dict[int, int] = {}
+    distinct: List[Any] = []
+    for r, obj in enumerate(objects):
+        if obj is None:
+            continue
+        slot = slots.get(id(obj))
+        if slot is None:
+            slot = slots[id(obj)] = len(distinct)
+            distinct.append(obj)
+        gid[r] = slot
+    return gid, distinct
+
+
 # --------------------------------------------------------------------- #
 # compiled trim program
 # --------------------------------------------------------------------- #
@@ -229,19 +250,27 @@ class TrimLanes:
             self.mode = "stacked"
         else:
             self.mode = "loop"
-        # Reference-group partition for the cutoff sweep, built lazily:
-        # lanes whose sorted reference tables are byte-equal share one
-        # vectorized QuantileTable.quantile call (group id -1 marks
-        # batch-anchored lanes, whose cutoff depends on the round's own
-        # scores).
-        self._cutoff_groups: Optional[Tuple[Array, List[QuantileTable]]] = None
+        # Cutoff groups: stacked reference-anchored lanes holding one fit
+        # share one vectorized QuantileTable.quantile call (group id -1
+        # marks batch-anchored lanes, whose cutoff depends on the round's
+        # own scores).
+        self._cutoff_gid, self._tables = _group_by_identity(
+            [
+                t.reference_table
+                if self.mode == "stacked" and t.is_reference_anchored
+                else None
+                for t in self.trimmers
+            ]
+        )
         # Pack radial centers into a column when every lane has a fitted
         # scalar (1-D) or same-dimension center; otherwise the score
         # sweep falls back to a per-lane loop for the odd lanes.
         self._centers_1d: Optional[Array] = None
         self._centers_nd: Optional[Array] = None
         if self.mode == "stacked" and type(lead) is RadialTrimmer:
-            centers = [t._center for t in self.trimmers]
+            centers = [
+                None if t._fit is None else t._fit.center for t in self.trimmers
+            ]
             if all(c is not None and np.size(c) == 1 for c in centers):
                 self._centers_1d = np.array(
                     [float(np.reshape(c, ())) for c in centers]
@@ -261,27 +290,6 @@ class TrimLanes:
         """Number of trim lanes."""
         return len(self.trimmers)
 
-    def _ensure_cutoff_groups(self) -> Tuple[Array, List[QuantileTable]]:
-        """(lane -> group id, group tables); -1 = batch-anchored lane."""
-        if self._cutoff_groups is None:
-            gid = np.full(self.n_reps, -1, dtype=np.intp)
-            tables: List[QuantileTable] = []
-            for r, trimmer in enumerate(self.trimmers):
-                if not trimmer.is_reference_anchored:
-                    continue
-                table = trimmer.reference_table
-                for g, lead in enumerate(tables):
-                    if lead is table or np.array_equal(
-                        lead.values, table.values
-                    ):
-                        gid[r] = g
-                        break
-                else:
-                    gid[r] = len(tables)
-                    tables.append(table)
-            self._cutoff_groups = (gid, tables)
-        return self._cutoff_groups
-
     def scores_stack(self, stack: Array, lanes: Array) -> Array:
         """(rows, n) per-point scores; row ``j`` scored by lane ``lanes[j]``."""
         if self.mode == "stacked" and type(self.trimmers[0]) is ValueTrimmer:
@@ -294,10 +302,12 @@ class TrimLanes:
             if stack.ndim == 3 and self._centers_nd is not None:
                 centers = self._centers_nd[lanes]
                 if centers.shape[1] == stack.shape[2]:
-                    # Same contiguous-axis reduction as the solo norm.
-                    return np.linalg.norm(
-                        stack - centers[:, None, :], axis=2
-                    )
+                    # np.linalg.norm(diff, axis=2) with the squares taken
+                    # in place: the solo norm's contiguous-axis sum of
+                    # squares, without a second stack-sized temporary.
+                    diff = stack - centers[:, None, :]
+                    np.multiply(diff, diff, out=diff)
+                    return np.sqrt(np.add.reduce(diff, axis=2))
         return np.stack(
             [
                 self.trimmers[r].scores(stack[j])
@@ -341,14 +351,13 @@ class TrimLanes:
         cutoffs = np.full(n_rows, np.inf)
         active = np.flatnonzero(q < 1.0)
         if active.size:
-            # One QuantileTable.quantile sweep per reference group — the
+            # One QuantileTable.quantile sweep per reference fit — the
             # vector path is elementwise identical to the solo scalar
             # `_cutoff` call against each lane's own sorted-once table.
-            gid, tables = self._ensure_cutoff_groups()
-            row_gids = gid[np.asarray(lanes)[active]]
+            row_gids = self._cutoff_gid[np.asarray(lanes)[active]]
             for g in np.unique(row_gids[row_gids >= 0]):
                 rows = active[row_gids == g]
-                cutoffs[rows] = tables[g].quantile(q[rows])
+                cutoffs[rows] = self._tables[g].quantile(q[rows])
             for j in active[row_gids < 0]:
                 # Batch-anchored lanes: the cutoff is a quantile of the
                 # round's own scores, per lane by construction.
@@ -367,26 +376,21 @@ class TrimLanes:
 # --------------------------------------------------------------------- #
 # compiled poison program
 # --------------------------------------------------------------------- #
-def _refs_equal(a: Optional[Array], b: Optional[Array]) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a is b or (a.shape == b.shape and np.array_equal(a, b))
-
-
 class InjectorLanes:
     """Per-lane poison injectors compiled into one round program.
 
     Lanes carry *different* attack ratios, jitters and reference
     datasets; the program packs the ratios into an ``(L,)`` column (the
-    session segments rounds by poison count) and partitions lanes into
-    reference groups **once at build time** — lanes whose calibration
-    arrays are byte-equal share one vectorized quantile pass per round,
-    exactly the rep-batched fast path, while each lane's jitter
-    positions still come from its own Generator.  Only exact
+    session segments rounds by poison count) and groups lanes by the
+    identity of their :class:`~repro.core.domain.ReferenceFit` **once
+    at build time** — lanes fit on one reference share one vectorized
+    quantile pass per round, while each lane's jitter positions still
+    come from its own Generator.  Only exact
     :class:`~repro.streams.PoisonInjector` lanes are vectorized: a
     subclass may override ``materialize`` (e.g. to append a label
     column), so its lanes call their own ``materialize`` — jitter draws
-    included — exactly as they would solo.
+    included — exactly as they would solo.  Unfitted lanes and
+    corner-mode lanes on 2-D references place per lane, as solo.
     """
 
     def __init__(self, injectors: Sequence[Any]) -> None:
@@ -399,8 +403,17 @@ class InjectorLanes:
         self._exact = np.array(
             [type(inj) is PoisonInjector for inj in self.injectors]
         )
-        self._groups_1d: Optional[Tuple[Array, List[Any], List[Optional[QuantileTable]]]] = None
-        self._groups_2d: Optional[Tuple[Array, List[Any], List[Optional[QuantileTable]]]] = None
+        # A value fit places 1-D lanes; a radial fit places radial-mode
+        # lanes along its direction (corner mode reads the batch).
+        fits: List[Optional[ReferenceFit]] = [
+            inj._fit
+            if exact
+            and inj._fit is not None
+            and (inj._fit.kind == "value" or inj.mode == "radial")
+            else None
+            for inj, exact in zip(self.injectors, self._exact, strict=True)
+        ]
+        self._fit_gid, self._fits = _group_by_identity(fits)
         self._position_server: Optional[LanePositionServer] = None
 
     @property
@@ -425,59 +438,6 @@ class InjectorLanes:
         """
         if self._position_server is not None:
             self._position_server.sync()
-
-    def _group(self, match: Callable[[Any, Any], bool]) -> Tuple[Array, List[Any]]:
-        """(lane -> group id, group lead injectors) under ``match``.
-
-        Subclass lanes join no group (id ``-1``).
-        """
-        gid = np.full(self.n_reps, -1, dtype=np.intp)
-        leads: List[Any] = []
-        for r, injector in enumerate(self.injectors):
-            if not self._exact[r]:
-                continue
-            for g, lead in enumerate(leads):
-                if match(injector, lead):
-                    gid[r] = g
-                    break
-            else:
-                gid[r] = len(leads)
-                leads.append(injector)
-        return gid, leads
-
-    def _ensure_groups_1d(self) -> Tuple[Array, List[Any], List[Optional[QuantileTable]]]:
-        if self._groups_1d is None:
-            gid, leads = self._group(
-                lambda a, b: _refs_equal(a._ref_values, b._ref_values)
-            )
-            # Sort-once tables: QuantileTable.quantile is bit-identical
-            # to np.quantile's linear method, minus the per-call
-            # partition of the full reference.
-            tables = [
-                None
-                if lead._ref_values is None
-                else QuantileTable(lead._ref_values)
-                for lead in leads
-            ]
-            self._groups_1d = (gid, leads, tables)
-        return self._groups_1d
-
-    def _ensure_groups_2d(self) -> Tuple[Array, List[Any], List[Optional[QuantileTable]]]:
-        if self._groups_2d is None:
-            gid, leads = self._group(
-                lambda a, b: a.mode == b.mode
-                and _refs_equal(a._ref_center, b._ref_center)
-                and _refs_equal(a._ref_scores, b._ref_scores)
-                and _refs_equal(a._ref_corner, b._ref_corner)
-            )
-            tables = [
-                None
-                if lead._ref_scores is None
-                else QuantileTable(lead._ref_scores)
-                for lead in leads
-            ]
-            self._groups_2d = (gid, leads, tables)
-        return self._groups_2d
 
     def materialize_many(
         self,
@@ -535,61 +495,29 @@ class InjectorLanes:
             # bit-state at the moment draws actually start.
             self._position_server = LanePositionServer(self.injectors)
         positions = self._position_server.positions(lanes, percentiles, count)
-        if stack.ndim == 2:
-            gid, leads, tables = self._ensure_groups_1d()
-            out = np.empty((lanes.shape[0], count))
-            row_gids = gid[lanes]
-            for g in np.unique(row_gids):
-                rows = np.flatnonzero(row_gids == g)
-                if tables[g] is not None:
-                    out[rows] = tables[g].quantile(
-                        positions[rows].ravel()
-                    ).reshape(rows.size, count)
-                else:
-                    # Unfitted lanes anchor on their own benign row.
-                    for j in rows:
-                        out[j] = self.injectors[lanes[j]]._materialize_1d(
-                            stack[j], positions[j]
-                        )
-            return out
-        gid, leads, tables = self._ensure_groups_2d()
-        out = np.empty((lanes.shape[0], count, stack.shape[2]))
-        row_gids = gid[lanes]
-        for g in np.unique(row_gids):
+        out = np.empty((lanes.shape[0], count) + stack.shape[2:])
+        row_gids = self._fit_gid[lanes]
+        solo = row_gids < 0
+        for g in np.unique(row_gids[~solo]):
             rows = np.flatnonzero(row_gids == g)
-            lead = leads[g]
-            if (
-                lead.mode == "radial"
-                and lead._ref_center is not None
-                and tables[g] is not None
-            ):
-                targets = tables[g].quantile(
+            fit = self._fits[g]
+            if stack.ndim == 2 and fit.kind == "value":
+                out[rows] = fit.table.quantile(
                     positions[rows].ravel()
                 ).reshape(rows.size, count)
-                direction = lead._ref_corner - lead._ref_center
-                norm = float(np.linalg.norm(direction))
-                if norm <= 0.0:
-                    direction = np.zeros(stack.shape[2])
-                    direction[0] = 1.0
-                    norm = 1.0
-                direction = direction / norm
+            elif stack.ndim == 3 and fit.direction is not None:
+                targets = fit.table.quantile(
+                    positions[rows].ravel()
+                ).reshape(rows.size, count)
                 out[rows] = (
-                    lead._ref_center[None, None, :]
-                    + targets[:, :, None] * direction[None, None, :]
+                    fit.center[None, None, :]
+                    + targets[:, :, None] * fit.direction[None, None, :]
                 )
             else:
-                # Corner mode (batch-anchored) and unfitted radial
-                # lanes: per-lane passes, exactly like the solo path.
-                for j in rows:
-                    injector = self.injectors[lanes[j]]
-                    if injector.mode == "radial":
-                        out[j] = injector._materialize_radial(
-                            stack[j], positions[j]
-                        )
-                    else:
-                        out[j] = injector._materialize_corner(
-                            stack[j], positions[j]
-                        )
+                solo[rows] = True
+        for j in np.flatnonzero(solo):
+            # Same placement as the lane's solo call, on its own row.
+            out[j] = self.injectors[lanes[j]]._place(stack[j], positions[j])
         return out
 
 

@@ -549,7 +549,7 @@ class GameSession:
         quality_evaluator = quality_evaluator or TailMassEvaluator()
         judge = judge or BandExcessJudge(noise_sigma=0.0)
         _calibrate(
-            np.asarray(reference, dtype=float),
+            reference,
             [trimmer],
             [injector],
             [quality_evaluator],

@@ -11,6 +11,11 @@ coordinates, matching §VI-A.  Two score families are provided:
   coordinate-wise median, the distance-based sanitization of Kloft &
   Laskov used for the k-means / SVM / SOM experiments.
 
+A fitted trimmer holds a :class:`~repro.core.domain.ReferenceFit` of its
+reference (center, reference scores and their sort-once quantile
+table), shared with every other live component fit on the same
+read-only reference.
+
 The percentile can be *anchored* two ways (see DESIGN.md §4):
 
 * ``reference`` anchoring (after :meth:`Trimmer.fit_reference`): the score
@@ -33,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .arrays import Array, ArrayLike
-from .domain import QuantileTable, clip_percentile, empirical_quantile
+from .domain import QuantileTable, ReferenceFit, clip_percentile, empirical_quantile
 
 __all__ = [
     "TrimReport",
@@ -172,35 +177,25 @@ class Trimmer:
         if anchor not in ("reference", "batch"):
             raise ValueError("anchor must be 'reference' or 'batch'")
         self.anchor = anchor
-        self._reference_scores: Optional[Array] = None
-        # Lazy memo of a pure function of _reference_scores: rebuilding
-        # it yields byte-identical content, so it is calibration cache,
-        # not mid-game state.
-        self._reference_table: Optional[QuantileTable] = None  # repro: noqa[REP005]
+        self._fit: Optional[ReferenceFit] = None
 
     def scores(self, batch: Array) -> Array:
         """Per-point trimming scores ``d_i`` (higher = more suspicious)."""
         raise NotImplementedError
-
-    def _set_reference_scores(self, scores: Array) -> None:
-        """Store reference scores; their quantile table builds lazily.
-
-        Deferring the sort to the first reference-anchored cutoff keeps
-        ``anchor="batch"`` trimmers (which never query the table) from
-        paying an O(n log n) sort per fit, and guarantees a stale table
-        can never outlive a refit.
-        """
-        self._reference_scores = scores
-        self._reference_table = None
 
     def fit_reference(self, reference: ArrayLike) -> "Trimmer":
         """Calibrate score centers/quantiles on a clean reference."""
         arr = np.asarray(reference, dtype=float)
         if arr.size == 0:
             raise ValueError("reference must be non-empty")
-        self._set_reference_scores(self.scores(arr))
+        self._fit = self._reference_fit(arr)
         self.reference_row_shape = arr.shape[1:]
         return self
+
+    def _reference_fit(self, reference: Array) -> ReferenceFit:
+        # A value fit of the reference's own scores: the reference
+        # itself for a ValueTrimmer, a private fit for user scores.
+        return ReferenceFit.of(self.scores(reference), "value")
 
     @property
     def reference_scores(self) -> Optional[Array]:
@@ -210,31 +205,27 @@ class Trimmer:
         engine's compliance judge in particular) can reuse them instead
         of running a second scoring pass.
         """
-        return self._reference_scores
+        return None if self._fit is None else self._fit.scores
 
     @property
     def reference_table(self) -> Optional[QuantileTable]:
         """Sort-once quantile table of the reference scores.
 
-        Built lazily on first access (or first reference-anchored
-        cutoff) and cached until the next :meth:`fit_reference`; None
-        before fitting.  Consumers calibrated on the same reference
+        None before fitting.  Consumers calibrated on the same reference
         (the engine's band judge) share it instead of re-sorting.
         """
-        if self._reference_table is None and self._reference_scores is not None:
-            self._reference_table = QuantileTable(self._reference_scores)
-        return self._reference_table
+        return None if self._fit is None else self._fit.table
 
     @property
     def is_reference_anchored(self) -> bool:
         """Whether cutoffs come from a fitted reference."""
-        return self.anchor == "reference" and self._reference_scores is not None
+        return self.anchor == "reference" and self._fit is not None
 
     def _cutoff(self, batch_scores: Array, q: float) -> float:
-        if self.is_reference_anchored:
+        if self._fit is not None and self.anchor == "reference":
             # O(1) against the sorted-once reference instead of an
             # O(n) numpy.quantile partition every round (bit-identical).
-            return float(self.reference_table.quantile(q))
+            return float(self._fit.table.quantile(q))
         return float(empirical_quantile(batch_scores, q))
 
     def trim(self, batch: ArrayLike, percentile: float) -> TrimReport:
@@ -302,37 +293,27 @@ class RadialTrimmer(Trimmer):
 
     score_kind = "radial"
 
-    def __init__(self, anchor: str = "reference") -> None:
-        super().__init__(anchor)
-        self._center: Optional[Array] = None
-
-    def fit_reference(self, reference: ArrayLike) -> "RadialTrimmer":
-        arr = np.asarray(reference, dtype=float)
-        if arr.size == 0:
-            raise ValueError("reference must be non-empty")
-        self._center = (
-            np.median(arr, axis=0) if arr.ndim == 2 else np.asarray(np.median(arr))
-        )
-        self._set_reference_scores(self.scores(arr))
-        self.reference_row_shape = arr.shape[1:]
-        return self
+    def _reference_fit(self, reference: Array) -> ReferenceFit:
+        # The fit computes the center and radial scores itself; a
+        # subclass that scores otherwise overrides this hook too.
+        return ReferenceFit.of(reference, "radial")
 
     def scores(self, batch: Array) -> Array:
         arr = np.asarray(batch, dtype=float)
+        center = None if self._fit is None else self._fit.center
         if arr.ndim == 1:
-            if self._center is None:
-                center = np.median(arr)
-            elif np.size(self._center) == 1:
-                center = float(np.reshape(self._center, ()))
-            else:
+            if center is None:
+                return np.abs(arr - np.median(arr))
+            if np.size(center) != 1:
                 raise ValueError(
                     "dimension mismatch: RadialTrimmer was fit on "
-                    f"{np.size(self._center)}-dimensional reference data but "
+                    f"{np.size(center)}-dimensional reference data but "
                     "received a 1-D batch; refit on 1-D data or pass 2-D "
                     "batches with matching dimensionality"
                 )
-            return np.abs(arr - center)
+            return np.abs(arr - float(np.reshape(center, ())))
         if arr.ndim != 2:
             raise ValueError("RadialTrimmer expects 1-D or 2-D batches")
-        center = np.median(arr, axis=0) if self._center is None else self._center
+        if center is None:
+            center = np.median(arr, axis=0)
         return np.linalg.norm(arr - center, axis=1)

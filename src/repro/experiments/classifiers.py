@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.domain import ReferenceFit
 from ..core.engine import CollectionGame
 from ..core.quality import TailMassEvaluator
 from ..core.trimming import RadialTrimmer
@@ -104,18 +105,12 @@ class LabelAwareRadialTrimmer(RadialTrimmer):
             raise ValueError("labeled batches must be 2-D with >= 2 columns")
         return super().scores(arr[:, :-1])
 
-    def fit_reference(self, reference) -> "LabelAwareRadialTrimmer":
-        arr = np.asarray(reference, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] < 2:
+    def _reference_fit(self, reference: np.ndarray) -> ReferenceFit:
+        if reference.ndim != 2 or reference.shape[1] < 2:
             raise ValueError("labeled reference must be 2-D with >= 2 columns")
-        features = arr[:, :-1]
-        self._center = np.median(features, axis=0)
-        self._set_reference_scores(
-            np.linalg.norm(features - self._center, axis=1)
-        )
-        # The full labeled row: rounds trim the rows this fit was given.
-        self.reference_row_shape = arr.shape[1:]
-        return self
+        # Fit on the features; reference_row_shape stays the full
+        # labeled row, the rows rounds trim.
+        return ReferenceFit.of(reference[:, :-1], "radial")
 
 
 # --------------------------------------------------------------------- #

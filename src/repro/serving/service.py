@@ -21,14 +21,18 @@ lockstep engine already eliminated for sweep repetitions, so
   flushes each lane's rows into the tenant's own board.  Cohorts are
   built by :func:`~repro.core.session.lockstep_cohort`, which the
   sweep engine's lockstep games use too, and cached between rounds
-  (invalidated on any out-of-band touch of a member).  Tenants that
+  (any out-of-band touch of a member flushes the cohort's sink, which
+  retires the cached cohort).  Tenants that
   cannot join a cohort (odd round position, odd batch shape, singleton
   group) fall back to their solo
   :meth:`~repro.core.session.GameSession.submit`, byte-identically;
 * idle tenants are evicted to snapshots — in memory, or persisted in a
   :class:`~repro.runtime.store.ResultStore` — and transparently
   restored on their next submit, so resident memory is bounded by
-  ``max_resident`` rather than by the tenant count.
+  ``max_resident`` rather than by the tenant count.  Live tenants on
+  one dataset and size share one
+  :class:`~repro.core.domain.ReferenceFit`; a snapshot carries its
+  tenant's fit once, and a restored tenant holds a private one.
 
 The byte-identity contract of the lockstep path (every multiplexed
 round equals the tenant's solo round, bit for bit) is asserted by the
@@ -157,9 +161,9 @@ class DefenseService:
     The last :data:`_COHORT_CACHE_SIZE` built cohorts stay resident
     (LRU): a cohort whose membership, sessions and round position are
     unchanged since its last lockstep round reuses its compiled lane
-    programs, and any out-of-band touch of a member (solo round,
-    eviction, restore, ``session()`` access …) invalidates every cohort
-    it belongs to.
+    programs.  Any out-of-band touch of a member (solo round, eviction,
+    ``session()`` access …) flushes the cohort's deferred sink, which
+    invalidates it; a restored tenant is a new session object.
     """
 
     def __init__(
@@ -187,9 +191,6 @@ class DefenseService:
         self._cohort_cache: "OrderedDict[Tuple[str, ...], dict]" = (
             OrderedDict()
         )
-        #: Per-tenant state epoch; bumped on every out-of-band touch,
-        #: checked before a cached cohort may play.
-        self._epochs: Dict[str, int] = {}
         self._clock = 0
         self._touched: Dict[str, int] = {}
         self._next_id = 0
@@ -234,7 +235,6 @@ class DefenseService:
         self._sessions[session_id] = session
         self._specs[session_id] = spec
         self._group_of[session_id] = self._group_index(spec)
-        self._invalidate(session_id)
         self._touch(session_id)
         self.stats.opened += 1
         self._enforce_residency(protect={session_id})
@@ -251,16 +251,6 @@ class DefenseService:
     def _touch(self, session_id: str) -> None:
         self._clock += 1
         self._touched[session_id] = self._clock
-
-    def _invalidate(self, session_id: str) -> None:
-        """Bump a tenant's epoch: its cached cohorts must rebuild.
-
-        Called on every path that can change a session's identity or
-        state outside a cohort's own lockstep rounds — solo submits,
-        ``session()`` handle exposure, open/close, evict/restore,
-        quarantine, adopt.
-        """
-        self._epochs[session_id] = self._epochs.get(session_id, 0) + 1
 
     def session_ids(self) -> List[str]:
         """All known session ids (resident and evicted), oldest first."""
@@ -291,16 +281,15 @@ class DefenseService:
     def session(self, session_id: str) -> GameSession:
         """The live :class:`GameSession` (restoring it if evicted).
 
-        Handing out the live handle invalidates the tenant's cached
-        cohorts — the caller may step or mutate the session directly —
-        and flushes any deferred lockstep rounds first, so the handle's
-        board and round position are authoritative.  A restore that
-        pushes the resident count above ``max_resident`` evicts the
-        least recently used other sessions.
+        Handing out the live handle flushes any deferred lockstep
+        rounds first, so the handle's board and round position are
+        authoritative; the flush also invalidates the tenant's cached
+        cohort, since the caller may step or mutate the session
+        directly.  A restore that pushes the resident count above
+        ``max_resident`` evicts the least recently used other sessions.
         """
         session = self._resident(session_id)
         session._flush_deferred()
-        self._invalidate(session_id)
         self._enforce_residency(protect={session_id})
         return session
 
@@ -324,7 +313,6 @@ class DefenseService:
         """Play one round of one tenant (the solo routing path)."""
         session = self._resident(session_id)
         decision = session.submit(batch, poison_mask=poison_mask)
-        self._invalidate(session_id)
         self._touch(session_id)
         self.stats.solo_rounds += 1
         self._enforce_residency(protect={session_id})
@@ -454,7 +442,6 @@ class DefenseService:
                             raise
                         self._quarantine(sid, "round", exc)
                         continue
-                    self._invalidate(sid)
                     self.stats.solo_rounds += 1
             for sid in members:
                 if sid in decisions:
@@ -478,7 +465,6 @@ class DefenseService:
         self._specs.pop(session_id, None)
         self._group_of.pop(session_id, None)
         self._touched.pop(session_id, None)
-        self._invalidate(session_id)
         self._quarantined[session_id] = TenantFailure(
             session_id=session_id,
             kind=kind,
@@ -529,12 +515,13 @@ class DefenseService:
     ) -> Tuple[BatchedGameSession, ColumnarBoard]:
         """The cohort's lockstep session: cached, else built and cached.
 
-        A cached cohort is valid only when every member's epoch is
-        unchanged (no solo round, eviction, restore or handle exposure
-        since the build), the live session objects are identical, the
-        compiled program sits at exactly the cohort's round, *and* the
-        cohort's deferred sink has not been flushed (a flush means some
-        member's authoritative state was read out-of-band) — the
+        A cached cohort is valid only when its deferred sink has not
+        been flushed — every out-of-band touch of a member (solo round,
+        ``session()`` access, close, an eviction's snapshot) flushes it —
+        the live session objects are the cached ones (a restored or
+        reopened tenant, e.g. one reusing a quarantined tenant's id, is
+        a new object that no cached cohort holds), *and* the compiled
+        program sits at exactly the cohort's round — the
         silent-divergence bug class that made the pre-fusion service
         rebuild lanes every round is ruled out by construction.
         """
@@ -544,18 +531,14 @@ class DefenseService:
         if entry is not None:
             lockstep = entry["lockstep"]
             if (
-                all(
-                    entry["epochs"][sid] == self._epochs.get(sid, 0)
-                    for sid in members
-                )
+                not entry["sink"].flushed
                 and all(
                     cached is live
                     for cached, live in zip(
-                        entry["sessions"], lane_sessions
-                    , strict=False)
+                        entry["sessions"], lane_sessions, strict=True
+                    )
                 )
                 and lockstep.round_index == lead.round_index
-                and not entry["sink"].flushed
             ):
                 self._cohort_cache.move_to_end(key)
                 self.stats.lane_cache_hits += 1
@@ -569,7 +552,6 @@ class DefenseService:
             "lockstep": lockstep,
             "sink": sink,
             "sessions": list(lane_sessions),
-            "epochs": {sid: self._epochs.get(sid, 0) for sid in members},
         }
         while len(self._cohort_cache) > _COHORT_CACHE_SIZE:
             self._cohort_cache.popitem(last=False)
@@ -591,7 +573,6 @@ class DefenseService:
         del self._specs[session_id]
         del self._group_of[session_id]
         self._touched.pop(session_id, None)
-        self._invalidate(session_id)
         if self._store is not None:
             self._store.record_path(self._session_key(session_id)).unlink(
                 missing_ok=True
@@ -638,7 +619,6 @@ class DefenseService:
         else:
             self._evicted[session_id] = blob
         self._touched.pop(session_id, None)
-        self._invalidate(session_id)
         self.stats.evictions += 1
 
     def adopt(self, spec: GameSpec, session_id: str) -> None:
@@ -668,7 +648,6 @@ class DefenseService:
         self._specs[session_id] = spec
         self._group_of[session_id] = self._group_index(spec)
         self._evicted[session_id] = None
-        self._invalidate(session_id)
 
     def _validate_snapshot_record(
         self, record: Any, session_id: str, spec: GameSpec
@@ -710,7 +689,6 @@ class DefenseService:
         session = GameSession.restore(blob)
         del self._evicted[session_id]
         self._sessions[session_id] = session
-        self._invalidate(session_id)
         self._touch(session_id)
         self.stats.restores += 1
         return session

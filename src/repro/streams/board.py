@@ -274,9 +274,13 @@ class PublicBoard:
         return self._columns_cache
 
     def record(self, entry: BoardEntry) -> None:
-        """Append a completed round's record."""
-        entries = self.entries  # materializes a column-born board first
-        expected = len(entries) + 1
+        """Append a completed round's record.
+
+        A column-born board stays column-born: the round joins the
+        column lists (and a full board's retained payload), and entry
+        objects still materialize only when :attr:`entries` is read.
+        """
+        expected = len(self) + 1
         if entry.observation.index != expected:
             raise ValueError(
                 f"round {entry.observation.index} recorded out of order "
@@ -284,7 +288,14 @@ class PublicBoard:
             )
         if not self.store_retained and entry.retained is not None:
             entry = replace(entry, retained=None, n_retained=entry.n_retained)
-        entries.append(entry)
+        if self._entries is None:
+            if self.store_retained and self._source_retained is not None:
+                self._source_retained.append(entry.retained)
+            elif self.store_retained or self._source_retained is not None:
+                # A payload that cannot stay aligned with the rounds.
+                self._materialize_entries()
+        if self._entries is not None:
+            self._entries.append(entry)
         self._append_columns(entry)
         self._columns_cache = None
 

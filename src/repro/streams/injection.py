@@ -25,6 +25,11 @@ The number of poison points follows the attack ratio: ``round(ratio · n)``
 poison values accompany ``n`` benign ones, i.e. the adversary controls a
 ``ratio/(1+ratio)`` fraction of the round's traffic.
 
+A fitted injector places poison against the public reference instead
+of the batch, reading the :class:`~repro.core.domain.ReferenceFit` it
+shares with the trimmer fit on the same reference: the value or score
+quantile table, the center and the corner direction.
+
 Lockstep games keep one :class:`PoisonInjector` per lane; their round
 program is :class:`~repro.core.fusion.InjectorLanes`, which converts
 positions to values in vectorized quantile passes and draws the jitter
@@ -38,6 +43,7 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from ..core.arrays import Array, ArrayLike
+from ..core.domain import ReferenceFit, _corner_direction
 from ..core.strategies.base import rng_state, set_rng_state
 
 __all__ = ["PoisonInjector", "LanePositionServer"]
@@ -83,10 +89,7 @@ class PoisonInjector:
         self.mode = mode
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._ref_center: Optional[Array] = None
-        self._ref_scores: Optional[Array] = None
-        self._ref_values: Optional[Array] = None
-        self._ref_corner: Optional[Array] = None
+        self._fit: Optional[ReferenceFit] = None
 
     def fit_reference(self, reference: ArrayLike) -> "PoisonInjector":
         """Calibrate percentile positions on the public reference.
@@ -98,20 +101,7 @@ class PoisonInjector:
         trimming exactly commensurable.
         """
         arr = np.asarray(reference, dtype=float)
-        if arr.size == 0:
-            raise ValueError("reference must be non-empty")
-        if arr.ndim == 1:
-            self._ref_values = np.sort(arr)
-            self._ref_center = None
-            self._ref_scores = None
-            self._ref_corner = None
-        elif arr.ndim == 2:
-            self._ref_center = np.median(arr, axis=0)
-            self._ref_scores = np.linalg.norm(arr - self._ref_center, axis=1)
-            self._ref_corner = np.quantile(arr, 0.99, axis=0)
-            self._ref_values = None
-        else:
-            raise ValueError("reference must be 1-D or 2-D")
+        self._fit = ReferenceFit.of(arr, "value" if arr.ndim == 1 else "radial")
         return self
 
     def reset(self) -> None:
@@ -138,8 +128,9 @@ class PoisonInjector:
         return self._rng.uniform(low, high, size=count)
 
     def _materialize_1d(self, benign: Array, positions: Array) -> Array:
-        source = self._ref_values if self._ref_values is not None else benign
-        return np.quantile(source, positions)
+        if self._fit is not None and self._fit.kind == "value":
+            return self._fit.table.quantile(positions)
+        return np.quantile(benign, positions)
 
     def _materialize_corner(
         self, benign: Array, positions: Array
@@ -151,26 +142,26 @@ class PoisonInjector:
     def _materialize_radial(
         self, benign: Array, positions: Array
     ) -> Array:
-        if self._ref_center is not None and self._ref_scores is not None:
-            center = self._ref_center
-            scores = self._ref_scores
-            corner = self._ref_corner
+        fit = self._fit
+        if fit is not None and fit.center is not None and fit.direction is not None:
+            center, direction = fit.center, fit.direction
+            targets = fit.table.quantile(positions)
         else:
             center = np.median(benign, axis=0)
             scores = np.linalg.norm(benign - center, axis=1)
-            corner = np.quantile(benign, 0.99, axis=0)
-        targets = np.quantile(scores, positions)
-
-        # Colluding direction: toward the upper-tail quantile corner.
-        direction = corner - center
-        norm = float(np.linalg.norm(direction))
-        if norm <= 0.0:
-            # Degenerate batch: fall back to the first axis direction.
-            direction = np.zeros(benign.shape[1])
-            direction[0] = 1.0
-            norm = 1.0
-        direction = direction / norm
+            targets = np.quantile(scores, positions)
+            direction = _corner_direction(benign, center)
+        # Colluding placement: along the direction toward the upper-tail
+        # quantile corner, at the target radial score.
         return center[None, :] + targets[:, None] * direction[None, :]
+
+    def _place(self, benign: Array, positions: Array) -> Array:
+        """Poison rows at the given jitter positions of ``benign``."""
+        if benign.ndim == 1:
+            return self._materialize_1d(benign, positions)
+        if self.mode == "radial":
+            return self._materialize_radial(benign, positions)
+        return self._materialize_corner(benign, positions)
 
     def materialize(self, benign: Array, percentile: float) -> Array:
         """Poison rows for one round, at a percentile of ``benign``.
@@ -184,12 +175,7 @@ class PoisonInjector:
         count = self.poison_count(arr.shape[0])
         if count == 0:
             return arr[:0].copy()
-        positions = self._positions(percentile, count)
-        if arr.ndim == 1:
-            return self._materialize_1d(arr, positions)
-        if self.mode == "radial":
-            return self._materialize_radial(arr, positions)
-        return self._materialize_corner(arr, positions)
+        return self._place(arr, self._positions(percentile, count))
 
 
 class LanePositionServer:

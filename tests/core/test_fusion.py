@@ -342,18 +342,35 @@ class TestInjectorLanes:
         out = lanes.materialize_many(np.zeros((2, 50)), np.array([0.99, 0.99]))
         assert out.shape == (2, 0)
 
-    def test_reference_groups_partition_by_content(self):
-        ref_copy = REFERENCE_A.copy()
+    def test_reference_groups_partition_by_fit_identity(self):
+        shared = REFERENCE_A.copy()
+        shared.setflags(write=False)  # read-only: fits on it are shared
         injectors = [
             PoisonInjector(attack_ratio=0.2, mode="quantile", seed=1)
-            .fit_reference(REFERENCE_A),
+            .fit_reference(shared),
             PoisonInjector(attack_ratio=0.2, mode="quantile", seed=2)
-            .fit_reference(ref_copy),  # equal content, distinct array
+            .fit_reference(shared),
             PoisonInjector(attack_ratio=0.2, mode="quantile", seed=3)
+            .fit_reference(REFERENCE_A),  # equal content, private fit
+            PoisonInjector(attack_ratio=0.2, mode="quantile", seed=4)
             .fit_reference(REFERENCE_B),
         ]
+        assert injectors[0]._fit is injectors[1]._fit
         lanes = InjectorLanes(injectors)
-        gid, leads, tables = lanes._ensure_groups_1d()
-        assert gid.tolist() == [0, 0, 1]
-        assert len(leads) == 2
-        assert all(table is not None for table in tables)
+        assert lanes._fit_gid.tolist() == [0, 0, 1, 2]
+        leads = (injectors[0], injectors[2], injectors[3])
+        assert all(
+            fit is lead._fit for fit, lead in zip(lanes._fits, leads, strict=True)
+        )
+        # Grouping changes no byte: every row equals a twin's solo call.
+        twins = [
+            PoisonInjector(attack_ratio=0.2, mode="quantile", seed=seed)
+            .fit_reference(REFERENCE_B if seed == 4 else REFERENCE_A)
+            for seed in (1, 2, 3, 4)
+        ]
+        benign = np.random.default_rng(31).uniform(size=(4, 50))
+        q = np.array([0.99, 0.97, 0.98, 0.9])
+        out = lanes.materialize_many(benign, q)
+        for j, twin in enumerate(twins):
+            want = twin.materialize(benign[j], float(q[j]))
+            assert out[j].tobytes() == want.tobytes()

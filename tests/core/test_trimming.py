@@ -191,12 +191,6 @@ class TestQuantileTableCutoffs:
         report = trimmer.trim(rng.normal(size=50) + 100.0, 0.9)
         assert report.threshold_score == float(np.quantile(shifted, 0.9))
 
-    def test_batch_anchor_never_builds_reference_table(self, rng):
-        trimmer = ValueTrimmer(anchor="batch")
-        trimmer.fit_reference(rng.normal(size=500))
-        trimmer.trim(rng.normal(size=100), 0.9)
-        assert trimmer._reference_table is None  # lazy: never queried
-
     def test_reference_scores_property(self, rng):
         trimmer = ValueTrimmer()
         assert trimmer.reference_scores is None

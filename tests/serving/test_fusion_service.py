@@ -210,6 +210,35 @@ class TestCohortCache:
             assert_results_identical(service.close(sid), reference)
 
 
+    def test_reopened_id_never_reuses_the_stale_cohort(self):
+        # A tenant quarantined in pre-flight is dropped without a flush,
+        # so its cohort's sink stays unflushed.  A newcomer reusing the
+        # id is a new session object: only identity shows the cached
+        # cohort is stale.
+        spec_a, spec_b = hetero_specs(seed=140, rounds=10)[:2]
+        service = DefenseService()
+        service.open(spec_a, session_id="a")
+        service.open(spec_b, session_id="b")
+        for _ in range(2):
+            service.submit_many(["a", "b"])
+        service.submit_many(
+            {"a": np.full((spec_a.batch_size, 60), np.nan)},
+            on_error="quarantine",
+        )
+        assert service.quarantined_ids == ["a"]
+        service.open(spec_a, session_id="a")
+        for _ in range(2):
+            service.submit("a")
+        for _ in range(2):
+            service.submit_many(["a", "b"])
+        assert service.stats.lane_builds == 2
+        for sid, spec in (("a", spec_a), ("b", spec_b)):
+            replay = spec.session()
+            for _ in range(4):
+                replay.submit()
+            assert_results_identical(service.close(sid), replay.close())
+
+
 class TestFusedResults:
     def test_quality_and_poison_columns_heterogeneous(self):
         # Spot-check that per-lane ratios flow through the fused poison

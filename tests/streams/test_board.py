@@ -180,7 +180,24 @@ class TestBoardColumns:
         )
         board.record(_entry(3, np.zeros((5, 1)), 9))
         assert len(board) == 3
+        assert board._entries is None  # a record keeps entries lazy
         assert board.columns.rounds == 3
+        assert [o.index for o in board.observations] == [1, 2, 3]
+
+    def test_from_columns_full_board_record_append(self):
+        source = self._two_round_board()
+        board = PublicBoard.from_columns(
+            source.columns, retained=[e.retained for e in source.entries]
+        )
+        appended = np.full((5, 1), 7.0)
+        board.record(_entry(3, appended, 9))
+        assert board._entries is None  # a record keeps entries lazy
+        assert len(board) == 3
+        np.testing.assert_array_equal(
+            board.retained_data(),
+            np.concatenate([source.retained_data(), appended]),
+        )
+        assert board.entries[-1].retained is appended
 
     def test_from_columns_retained_payload(self):
         source = self._two_round_board()

@@ -108,3 +108,59 @@ class TestMultivariateInjection:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             PoisonInjector(0.1).fit_reference(np.array([]))
+
+
+# --------------------------------------------------------------------- #
+# fitted placement, bit for bit against the per-call computation
+# --------------------------------------------------------------------- #
+def _positions(rng, percentile, count, jitter):
+    """The injector's jitter draw, replayed on a twin Generator."""
+    low = min(1.0, max(0.0, percentile))
+    high = min(1.0, low + jitter)
+    if high <= low:
+        return np.full(count, low)
+    return rng.uniform(low, high, size=count)
+
+
+def _placement_1d(reference, positions):
+    """Per-call 1-D placement: quantiles of the sorted reference."""
+    return np.quantile(np.sort(reference), positions)
+
+
+def _placement_radial(reference, positions):
+    """Per-call radial placement: center, scores and corner each call."""
+    center = np.median(reference, axis=0)
+    scores = np.linalg.norm(reference - center, axis=1)
+    targets = np.quantile(scores, positions)
+    direction = np.quantile(reference, 0.99, axis=0) - center
+    norm = float(np.linalg.norm(direction))
+    if norm <= 0.0:
+        direction = np.zeros(reference.shape[1])
+        direction[0] = 1.0
+        norm = 1.0
+    direction = direction / norm
+    return center[None, :] + targets[:, None] * direction[None, :]
+
+
+class TestFittedPlacementBitwise:
+    """A fitted injector reads its shared fit's tables, center and
+    direction; every poison row must equal the per-call computation
+    bit for bit (``assert_allclose`` would hide a last-bit change)."""
+
+    @pytest.mark.parametrize("shape", [(500,), (500, 1), (500, 3), (500, 60)])
+    @pytest.mark.parametrize("jitter", [0.0, 0.01, 0.05])
+    def test_matches_per_call_placement(self, shape, jitter):
+        rng = np.random.default_rng(sum(shape) + int(jitter * 100))
+        reference = rng.lognormal(size=shape)
+        benign = rng.normal(size=(100,) + shape[1:])
+        placement = _placement_1d if len(shape) == 1 else _placement_radial
+        for ratio in (0.05, 0.2, 0.5):
+            injector = PoisonInjector(ratio, jitter=jitter, seed=5)
+            injector.fit_reference(reference)
+            twin = np.random.default_rng(5)
+            count = injector.poison_count(benign.shape[0])
+            for percentile in (-0.1, 0.0, 0.5, 0.97, 1.0, 1.2):
+                got = injector.materialize(benign, percentile)
+                positions = _positions(twin, percentile, count, jitter)
+                want = placement(reference, positions)
+                assert got.tobytes() == want.tobytes()
