@@ -17,9 +17,10 @@ transition:
   historical loop, pinned by the test suite.
 * :meth:`GameSession.snapshot` / :meth:`GameSession.restore` — complete
   mid-game state capture: strategy state, every RNG consumer's
-  ``Generator`` bit-state, the board's column arrays and the horizon
-  position.  A session suspended in one process resumes byte-identically
-  in another.
+  ``Generator`` bit-state and the board's columns (plus one retained
+  array per round on a full board).  The board's length is the session's
+  round position.  A session suspended in one process resumes
+  byte-identically in another.
 * :class:`BatchedGameSession` — the lockstep round program: one
   ``submit((L, batch, ...))`` call steps L solo sessions ("lanes")
   through one round of shared array kernels.  It is built from the
@@ -65,7 +66,7 @@ if TYPE_CHECKING:
     from .engine import GameResult
     from .payoffs import PayoffModel
 
-from ..streams.board import BoardEntry, ColumnarBoard, PublicBoard
+from ..streams.board import ColumnarBoard, PublicBoard
 from ..streams.injection import PoisonInjector
 from ..streams.source import StreamSource
 from .fusion import (
@@ -81,6 +82,7 @@ from .strategies.base import (
     CollectorStrategy,
     RoundObservation,
     RoundObservationBatch,
+    observation_from_row,
 )
 from .trimming import Trimmer
 
@@ -227,16 +229,13 @@ class BatchedRoundDecision:
 
     def rep_observation(self, r: int) -> RoundObservation:
         """Lane ``r``'s public observation, scalar form."""
-        injection = self.injection_percentile[r]
-        return RoundObservation(
-            index=self.index,
-            trim_percentile=float(self.threshold[r]),
-            injection_percentile=(
-                None if np.isnan(injection) else float(injection)
-            ),
-            quality=float(self.quality[r]),
-            observed_poison_ratio=float(self.observed_poison_ratio[r]),
-            betrayal=bool(self.betrayal[r]),
+        return observation_from_row(
+            self.index,
+            self.threshold[r],
+            self.injection_percentile[r],
+            self.quality[r],
+            self.observed_poison_ratio[r],
+            self.betrayal[r],
         )
 
 
@@ -495,7 +494,6 @@ class GameSession:
                     component_reset()
         self._board = PublicBoard(store_retained=self.store_retained)
         self._last: Optional[RoundObservation] = None
-        self._round = 0
         self._closed = False
         self._superseded = False
         # Deferred lockstep rounds: while attached to a cohort sink the
@@ -603,31 +601,23 @@ class GameSession:
         if sink.n_rounds <= base:
             return
         columns, retained = sink.lane_rows(lane, base)
-        self._board.extend_columns(
-            columns, retained if self.store_retained else None
+        self._board.extend_columns(columns, retained)
+        self._last = observation_from_row(
+            columns["index"][-1],
+            columns["trim_percentile"][-1],
+            columns["injection_percentile"][-1],
+            columns["quality"][-1],
+            columns["observed_poison_ratio"][-1],
+            columns["betrayal"][-1],
         )
-        # Rebuild the public observation of the final deferred round with
-        # exactly rep_observation's scalar conversions (byte-identity).
-        inj = columns["injection_percentile"][-1]
-        self._last = RoundObservation(
-            index=int(columns["index"][-1]),
-            trim_percentile=float(columns["trim_percentile"][-1]),
-            injection_percentile=None if np.isnan(inj) else float(inj),
-            quality=float(columns["quality"][-1]),
-            observed_poison_ratio=float(
-                columns["observed_poison_ratio"][-1]
-            ),
-            betrayal=bool(columns["betrayal"][-1]),
-        )
-        self._round = int(columns["index"][-1])
 
     # ------------------------------------------------------------------ #
     @property
     def round_index(self) -> int:
         """Number of completed rounds (deferred lockstep rounds included)."""
         if self._sink is None:
-            return self._round
-        return self._round + (self._sink.n_rounds - self._sink_base)
+            return len(self._board)
+        return len(self._board) + (self._sink.n_rounds - self._sink_base)
 
     @property
     def last_observation(self) -> Optional[RoundObservation]:
@@ -744,7 +734,7 @@ class GameSession:
                         f"poison_mask must be shaped ({benign.shape[0]},), "
                         f"got {mask.shape}"
                     )
-        index = self._round + 1
+        index = len(self._board) + 1
         trim_q, inject_q = self._decide_positions()
 
         if self.adversary is not None:
@@ -790,17 +780,14 @@ class GameSession:
         retained = combined[report.kept] if self.store_retained else None
         n_poison_retained = int(np.count_nonzero(report.kept & mask))
         self._board.record(
-            BoardEntry(
-                observation=observation,
-                retained=retained,
-                n_collected=combined.shape[0],
-                n_poison_injected=n_poison_injected,
-                n_poison_retained=n_poison_retained,
-                n_retained=report.n_kept,
-            )
+            observation,
+            retained,
+            n_collected=combined.shape[0],
+            n_poison_injected=n_poison_injected,
+            n_poison_retained=n_poison_retained,
+            n_retained=report.n_kept,
         )
         self._last = observation
-        self._round = index
         return RoundDecision(
             index=index,
             threshold=float(trim_q),
@@ -891,8 +878,9 @@ class GameSession:
 
         The envelope carries the calibrated components, the structured
         :meth:`state_dict`, the board's column arrays (plus retained
-        payloads on full boards) and the horizon position.  See the
-        module docstring for the format contract.
+        payloads on full boards) and the round position, which a restore
+        checks against the board.  See the module docstring for the
+        format contract.
         """
         from .. import __version__
 
@@ -905,11 +893,6 @@ class GameSession:
             )
         self._flush_deferred()
 
-        retained = (
-            [entry.retained for entry in self._board.entries]
-            if self.store_retained
-            else None
-        )
         payload = {
             "format": SNAPSHOT_FORMAT,
             "package_version": __version__,
@@ -921,13 +904,13 @@ class GameSession:
             "state": self.state_dict(),
             "board": {
                 "columns": self._board.columns,
-                "retained": retained,
+                "retained": self._board.retained,
             },
             "session": {
                 "horizon": self.horizon,
                 "store_retained": self.store_retained,
                 "share_scores": self._share_scores,
-                "round": self._round,
+                "round": len(self._board),
                 "closed": self._closed,
                 "last_observation": self._last,
             },
@@ -946,7 +929,8 @@ class GameSession:
         original — in this process or any other.
 
         Every failure mode — corrupt bytes, a foreign envelope, a
-        structurally broken payload — raises :class:`SnapshotError`.
+        structurally broken payload, a board that does not fit its
+        round position — raises :class:`SnapshotError`.
         """
         try:
             payload = pickle.loads(blob)
@@ -1003,12 +987,18 @@ class GameSession:
                 retained=board_doc["retained"],
                 store_retained=doc["store_retained"],
             )
+            if int(doc["round"]) != len(session._board):
+                raise SnapshotError(
+                    f"snapshot session is at round {int(doc['round'])}, but "
+                    f"its board records {len(session._board)} rounds"
+                )
             session._last = doc["last_observation"]
-            session._round = int(doc["round"])
             session._closed = bool(doc["closed"])
         except SnapshotError:
             raise
-        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        except (
+            KeyError, TypeError, AttributeError, IndexError, ValueError
+        ) as exc:
             raise SnapshotError(
                 "malformed session snapshot payload: "
                 f"{type(exc).__name__}: {exc}"

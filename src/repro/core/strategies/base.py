@@ -24,6 +24,7 @@ from ..arrays import Array, ArrayLike
 __all__ = [
     "RoundObservation",
     "RoundObservationBatch",
+    "observation_from_row",
     "CollectorStrategy",
     "AdversaryStrategy",
     "rng_state",
@@ -82,6 +83,34 @@ class RoundObservation:
     betrayal: bool
 
 
+def observation_from_row(
+    index: Any,
+    trim_percentile: Any,
+    injection_percentile: Any,
+    quality: Any,
+    observed_poison_ratio: Any,
+    betrayal: Any,
+) -> RoundObservation:
+    """The :class:`RoundObservation` of one column row.
+
+    The one conversion from the column form of a round (numpy or plain
+    scalars, ``NaN`` = no injection) to the observation object; board
+    views and lockstep lanes all build their observations through it,
+    so every path hands the strategies the same Python scalars.
+    """
+    return RoundObservation(
+        index=int(index),
+        trim_percentile=float(trim_percentile),
+        injection_percentile=(
+            None if np.isnan(injection_percentile)
+            else float(injection_percentile)
+        ),
+        quality=float(quality),
+        observed_poison_ratio=float(observed_poison_ratio),
+        betrayal=bool(betrayal),
+    )
+
+
 @dataclass(frozen=True)
 class RoundObservationBatch:
     """One completed round observed across R lockstep repetitions.
@@ -111,16 +140,13 @@ class RoundObservationBatch:
 
     def rep(self, r: int) -> RoundObservation:
         """The scalar :class:`RoundObservation` of repetition ``r``."""
-        injection = self.injection_percentile[r]
-        return RoundObservation(
-            index=self.index,
-            trim_percentile=float(self.trim_percentile[r]),
-            injection_percentile=(
-                None if np.isnan(injection) else float(injection)
-            ),
-            quality=float(self.quality[r]),
-            observed_poison_ratio=float(self.observed_poison_ratio[r]),
-            betrayal=bool(self.betrayal[r]),
+        return observation_from_row(
+            self.index,
+            self.trim_percentile[r],
+            self.injection_percentile[r],
+            self.quality[r],
+            self.observed_poison_ratio[r],
+            self.betrayal[r],
         )
 
     def take(self, indices: ArrayLike) -> "RoundObservationBatch":

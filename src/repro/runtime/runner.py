@@ -159,9 +159,8 @@ class FailureRecord:
 def summarize_game(spec: GameSpec, result: GameResult) -> GameRecord:
     """The default reducer: compress a game into its bookkeeping totals.
 
-    Reads the board's column arrays (never the per-round entry objects),
-    so lockstep-sliced results summarize without materializing a single
-    ``BoardEntry``.
+    Reads the board's column arrays, never per-round observation
+    objects.
     """
     cols = result.board.columns
     return GameRecord(

@@ -1,11 +1,10 @@
 """Streaming substrate: sources, poison injection, and the public board."""
 
-from .board import BoardEntry, PublicBoard
+from .board import PublicBoard
 from .injection import PoisonInjector
 from .source import ArrayStream, GeneratorStream, StreamSource
 
 __all__ = [
-    "BoardEntry",
     "PublicBoard",
     "PoisonInjector",
     "StreamSource",

@@ -2,79 +2,52 @@
 
 The board is the complete-information channel: the collector records every
 round's retained data and the threshold she used, and the adversary can
-access and verify them.  It is an append-only log of
-:class:`~repro.core.strategies.base.RoundObservation` entries plus the
-retained batches, giving both parties (and the experiment harness) a
+access and verify them.  Every round leaves one public record — its
+:class:`~repro.core.strategies.base.RoundObservation` fields plus the
+ground-truth counts — giving both parties (and the experiment harness) a
 consistent view of the game's history.
+
+Columns
+-------
+The board stores rounds as **append-only columns** only: one value per
+round for every public observation field and ground-truth count, and on
+a full board one retained array per round.  Path queries
+(``GameResult.threshold_path()``, ``injection_path()``, ``to_records()``)
+and the aggregate fractions read the stacked columns directly;
+:attr:`PublicBoard.observations` is the one object view, built row by
+row through :func:`~repro.core.strategies.base.observation_from_row`.
 
 Long games and large sweep grids mostly consume the board through
 *summary* reducers that never touch the per-round retained arrays; the
 lean mode (``PublicBoard(store_retained=False)``) drops those payloads at
-record time and keeps only running counts and aggregates, cutting peak
-memory from O(rounds × batch) to O(rounds).
+record time and keeps only the columns, cutting peak memory from
+O(rounds × batch) to O(rounds).
 
-Columns
--------
-Alongside the entry log the board maintains **append-only column
-arrays** — one value per round for every public observation field and
-ground-truth count.  Path queries (``GameResult.threshold_path()``,
-``injection_path()``, ``to_records()``) and the aggregate fractions read
-these columns directly instead of rebuilding Python list comprehensions
-over observation objects on every call.  :class:`ColumnarBoard` is the
-lockstep counterpart: one cohort's sink records ``(L,)`` column vectors
-per round for all L lanes at once, and flushes each lane's rows into its
-session's :class:`PublicBoard` wholesale (entry objects materialize
-lazily, only when a consumer actually walks ``entries``).  Sweep games
-and service cohorts record and flush through the same sink.
+:class:`ColumnarBoard` is the lockstep counterpart: one cohort's sink
+records ``(L,)`` column vectors per round for all L lanes at once, and
+flushes each lane's rows into its session's :class:`PublicBoard`
+wholesale.  Sweep games and service cohorts record and flush through the
+same sink.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.arrays import Array
-from ..core.strategies.base import RoundObservation
+from ..core.strategies.base import RoundObservation, observation_from_row
 
 if TYPE_CHECKING:
     from ..core.session import BatchedRoundDecision
 
 __all__ = [
-    "BoardEntry",
     "BoardColumns",
     "ColumnarBoard",
     "PublicBoard",
 ]
-
-
-@dataclass(frozen=True)
-class BoardEntry:
-    """One round's public record.
-
-    ``retained`` is the untrimmed (kept) data the collector published
-    (``None`` on a lean board, which keeps only its row count in
-    ``n_retained``); ``observation`` the public per-round summary both
-    parties strategize on; ``n_poison_retained``/``n_poison_injected``
-    are ground-truth bookkeeping available to the experiment harness
-    (not used by strategies, which only see the observation).
-    """
-
-    observation: RoundObservation
-    retained: Optional[Array]
-    n_collected: int
-    n_poison_injected: int
-    n_poison_retained: int
-    n_retained: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n_retained is None:
-            if self.retained is None:
-                raise ValueError(
-                    "a lean entry (retained=None) must carry n_retained"
-                )
-            object.__setattr__(self, "n_retained", int(self.retained.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -103,13 +76,17 @@ class BoardColumns:
         return int(self.index.size)
 
 
-_COLUMN_FIELDS = (
+#: The public fields of a round, in :class:`RoundObservation` order.
+_OBSERVATION_FIELDS = (
     "index",
     "trim_percentile",
     "injection_percentile",
     "quality",
     "observed_poison_ratio",
     "betrayal",
+)
+
+_COLUMN_FIELDS = _OBSERVATION_FIELDS + (
     "n_collected",
     "n_poison_injected",
     "n_poison_retained",
@@ -131,54 +108,24 @@ def _freeze(arr: Array) -> Array:
     return arr
 
 
-def _entry_row(entry: BoardEntry) -> Tuple[Any, ...]:
-    obs = entry.observation
-    return (
-        obs.index,
-        obs.trim_percentile,
-        np.nan if obs.injection_percentile is None else obs.injection_percentile,
-        obs.quality,
-        obs.observed_poison_ratio,
-        obs.betrayal,
-        entry.n_collected,
-        entry.n_poison_injected,
-        entry.n_poison_retained,
-        int(entry.n_retained),
-    )
-
-
 class PublicBoard:
     """Append-only public record of the collection game.
 
-    ``store_retained=False`` selects the lean mode: recorded entries are
-    stripped of their ``retained`` payload at record time, keeping only
+    The board holds one append-only list per column field and, on a full
+    board, one retained array per round; :attr:`columns` stacks the
+    lists into (cached, read-only) arrays so path and aggregate queries
+    never iterate observation objects.  ``store_retained=False`` selects
+    the lean mode: the retained payload is dropped at record time, and
     the per-round counts (``n_retained`` et al.) the aggregate queries
-    need — peak memory drops from O(rounds × batch) to O(rounds).
-
-    The board keeps append-only per-field column lists in sync with the
-    entry log; :attr:`columns` stacks them into (cached, read-only)
-    arrays so path and aggregate queries never iterate observation
-    objects.  Boards restored from a snapshot (:meth:`from_columns`) or
-    extended by a lockstep flush (:meth:`extend_columns`) go the other
-    way: they hold columns and materialize :attr:`entries` lazily on
-    first access.
+    need stay in the columns — peak memory drops from O(rounds × batch)
+    to O(rounds).
     """
 
-    def __init__(
-        self,
-        entries: Optional[Sequence[BoardEntry]] = None,
-        store_retained: bool = True,
-    ):
+    def __init__(self, *, store_retained: bool = True):
         self.store_retained = bool(store_retained)
-        self._entries: Optional[List[BoardEntry]] = (
-            list(entries) if entries is not None else []
-        )
-        self._col_lists = {name: [] for name in _COLUMN_FIELDS}
-        for entry in self._entries:
-            self._append_columns(entry)
+        self._cols: dict[str, List[Any]] = {name: [] for name in _COLUMN_FIELDS}
+        self._retained: Optional[List[Array]] = [] if self.store_retained else None
         self._columns_cache: Optional[BoardColumns] = None
-        # Payload of a lazily-entried, column-born board (see from_columns).
-        self._source_retained: Optional[List[Array]] = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -190,79 +137,22 @@ class PublicBoard:
     ) -> "PublicBoard":
         """A board born from column arrays (a session snapshot's restore).
 
-        ``retained`` optionally carries the per-round retained arrays;
-        entry objects are only materialized when :attr:`entries` is
-        first read, so summary consumers (column-based reducers, the
-        aggregate fractions) never pay the per-round object cost.
+        A full board needs ``retained`` to carry one array per round; a
+        lean board drops it.
         """
-        if retained is not None and len(retained) != columns.rounds:
-            raise ValueError("retained payload must carry one array per round")
-        board = cls.__new__(cls)
-        board.store_retained = bool(store_retained)
-        board._entries = None
-        board._col_lists = None  # rebuilt from the columns only on append
-        board._columns_cache = columns
-        board._source_retained = list(retained) if retained is not None else None
+        board = cls(store_retained=store_retained)
+        board.extend_columns(
+            {name: getattr(columns, name).tolist() for name in _COLUMN_FIELDS},
+            retained,
+        )
         return board
 
     # ------------------------------------------------------------------ #
-    def _append_columns(self, entry: BoardEntry) -> None:
-        if self._col_lists is None:  # column-born board, first append
-            cols = self._columns_cache
-            self._col_lists = {
-                name: list(getattr(cols, name)) for name in _COLUMN_FIELDS
-            }
-        for name, value in zip(_COLUMN_FIELDS, _entry_row(entry), strict=False):
-            self._col_lists[name].append(value)
-
-    def _materialize_entries(self) -> List[BoardEntry]:
-        """Build the entry log of a column-born board on first access."""
-        entries: List[BoardEntry] = []
-        cols = self.columns
-        for t in range(cols.rounds):
-            inj = cols.injection_percentile[t]
-            retained = (
-                self._source_retained[t]
-                if self._source_retained is not None
-                else None
-            )
-            entries.append(
-                BoardEntry(
-                    observation=RoundObservation(
-                        index=int(cols.index[t]),
-                        trim_percentile=float(cols.trim_percentile[t]),
-                        injection_percentile=(
-                            None if np.isnan(inj) else float(inj)
-                        ),
-                        quality=float(cols.quality[t]),
-                        observed_poison_ratio=float(
-                            cols.observed_poison_ratio[t]
-                        ),
-                        betrayal=bool(cols.betrayal[t]),
-                    ),
-                    retained=retained,
-                    n_collected=int(cols.n_collected[t]),
-                    n_poison_injected=int(cols.n_poison_injected[t]),
-                    n_poison_retained=int(cols.n_poison_retained[t]),
-                    n_retained=int(cols.n_retained[t]),
-                )
-            )
-        self._entries = entries
-        return entries
-
-    # ------------------------------------------------------------------ #
-    @property
-    def entries(self) -> List[BoardEntry]:
-        """The entry log (materialized on demand for column-born boards)."""
-        if self._entries is None:
-            return self._materialize_entries()
-        return self._entries
-
     @property
     def columns(self) -> BoardColumns:
         """Stacked, read-only per-round column arrays (cached per append)."""
         if self._columns_cache is None:
-            cols = self._col_lists
+            cols = self._cols
             self._columns_cache = BoardColumns(
                 **{
                     name: _freeze(
@@ -273,30 +163,54 @@ class PublicBoard:
             )
         return self._columns_cache
 
-    def record(self, entry: BoardEntry) -> None:
+    @property
+    def retained(self) -> Optional[Tuple[Array, ...]]:
+        """The per-round retained arrays, or ``None`` on a lean board."""
+        return None if self._retained is None else tuple(self._retained)
+
+    def record(
+        self,
+        observation: RoundObservation,
+        retained: Optional[Array],
+        *,
+        n_collected: int,
+        n_poison_injected: int,
+        n_poison_retained: int,
+        n_retained: int,
+    ) -> None:
         """Append a completed round's record.
 
-        A column-born board stays column-born: the round joins the
-        column lists (and a full board's retained payload), and entry
-        objects still materialize only when :attr:`entries` is read.
+        ``observation`` is the round's public record, ``retained`` the
+        untrimmed (kept) rows the collector published — required on a
+        full board, dropped on a lean one — and the ``n_*`` counts the
+        ground-truth bookkeeping available to the experiment harness
+        (strategies only ever see the observation).
         """
         expected = len(self) + 1
-        if entry.observation.index != expected:
+        if observation.index != expected:
             raise ValueError(
-                f"round {entry.observation.index} recorded out of order "
+                f"round {observation.index} recorded out of order "
                 f"(expected {expected})"
             )
-        if not self.store_retained and entry.retained is not None:
-            entry = replace(entry, retained=None, n_retained=entry.n_retained)
-        if self._entries is None:
-            if self.store_retained and self._source_retained is not None:
-                self._source_retained.append(entry.retained)
-            elif self.store_retained or self._source_retained is not None:
-                # A payload that cannot stay aligned with the rounds.
-                self._materialize_entries()
-        if self._entries is not None:
-            self._entries.append(entry)
-        self._append_columns(entry)
+        if self._retained is not None:
+            if retained is None:
+                raise ValueError("a full board needs the round's retained array")
+            self._retained.append(retained)
+        injection = observation.injection_percentile
+        row = (
+            observation.index,
+            observation.trim_percentile,
+            np.nan if injection is None else injection,
+            observation.quality,
+            observation.observed_poison_ratio,
+            observation.betrayal,
+            n_collected,
+            n_poison_injected,
+            n_poison_retained,
+            n_retained,
+        )
+        for name, value in zip(_COLUMN_FIELDS, row, strict=True):
+            self._cols[name].append(value)
         self._columns_cache = None
 
     def extend_columns(
@@ -309,10 +223,8 @@ class PublicBoard:
         ``columns`` maps every field of the board's column layout to a
         sequence of per-round values (``index`` included, absolute and
         contiguous with the existing log); ``retained`` carries the
-        matching per-round retained arrays on a full board.  The board
-        stays (or becomes) column-born: entry objects materialize lazily
-        on the next :attr:`entries` access, so a flush never pays the
-        per-round object cost the deferred rounds avoided.
+        matching per-round retained arrays, required on a full board and
+        dropped on a lean one.
         """
         added = len(columns["index"])
         if added == 0:
@@ -322,55 +234,30 @@ class PublicBoard:
                 f"round {int(columns['index'][0])} appended out of order "
                 f"(expected {len(self) + 1})"
             )
-        if self._col_lists is None:  # column-born board, first append
-            cols = self._columns_cache
-            self._col_lists = {
-                name: list(getattr(cols, name)) for name in _COLUMN_FIELDS
-            }
-        payload: Optional[List[Array]] = None
-        if self.store_retained:
+        for name in _COLUMN_FIELDS:
+            if len(columns[name]) != added:
+                raise ValueError(
+                    f"column {name!r} must carry {added} rows, "
+                    f"got {len(columns[name])}"
+                )
+        if self._retained is not None:
             if retained is None or len(retained) != added:
                 raise ValueError(
                     "a full board needs one retained array per appended round"
                 )
-            if self._entries is not None:
-                payload = [e.retained for e in self._entries]
-            elif self._source_retained is not None:
-                payload = list(self._source_retained)
-            else:
-                payload = []
-            if len(payload) != len(self):
-                raise ValueError(
-                    "board's retained payload is incomplete; cannot extend"
-                )
-            payload.extend(retained)
+            self._retained.extend(retained)
         for name in _COLUMN_FIELDS:
-            values = columns[name]
-            if len(values) != added:
-                raise ValueError(
-                    f"column {name!r} must carry {added} rows, "
-                    f"got {len(values)}"
-                )
-            self._col_lists[name].extend(values)
-        self._entries = None
-        self._source_retained = payload
+            self._cols[name].extend(columns[name])
         self._columns_cache = None
 
     def __len__(self) -> int:
-        if self._col_lists is None:
-            return self._columns_cache.rounds
-        return len(self._col_lists["index"])
-
-    @property
-    def last(self) -> Optional[BoardEntry]:
-        """Most recent entry, or ``None`` before round 1."""
-        entries = self.entries
-        return entries[-1] if entries else None
+        return len(self._cols["index"])
 
     @property
     def observations(self) -> List[RoundObservation]:
         """All public round observations, in order."""
-        return [e.observation for e in self.entries]
+        rows = zip(*(self._cols[name] for name in _OBSERVATION_FIELDS), strict=True)
+        return [observation_from_row(*row) for row in rows]
 
     def retained_data(self) -> Array:
         """All retained data concatenated across rounds.
@@ -381,15 +268,13 @@ class PublicBoard:
         """
         if len(self) == 0:
             raise ValueError("board is empty")
-        if self._entries is None and self._source_retained is not None:
-            return np.concatenate(self._source_retained, axis=0)
-        if any(e.retained is None for e in self.entries):
+        if self._retained is None:
             raise ValueError(
                 "board is lean (store_retained=False): per-round retained "
                 "arrays were not stored; replay the game with "
                 "store_retained=True to collect them"
             )
-        return np.concatenate([e.retained for e in self.entries], axis=0)
+        return np.concatenate(self._retained, axis=0)
 
     def poison_retained_fraction(self) -> float:
         """Ground truth: fraction of retained points that are poison.

@@ -79,25 +79,35 @@ class ArrayStream(StreamSource):
         self._rng = np.random.default_rng(self._seed)
         self._order: Array = np.arange(self._data.shape[0])
         if self.shuffle:
-            self._rng.shuffle(self._order)
+            self._order = self._rng.permutation(self._order)
+        self._order.setflags(write=False)
         self._cursor = 0
 
     def export_state(self) -> dict[str, Any]:
+        # The epoch order is read-only and replaced, never shuffled in
+        # place, so the state shares it: a snapshot pickles it once.
         return {
             "rng": rng_state(self._rng),
-            "order": self._order.copy(),
+            "order": self._order,
             "cursor": int(self._cursor),
         }
 
     def import_state(self, state: dict[str, Any]) -> None:
         set_rng_state(self._rng, state["rng"])
-        self._order = np.asarray(state["order"], dtype=np.int64).copy()
+        order = np.asarray(state["order"], dtype=np.int64)
+        if order.flags.writeable:
+            order = order.copy()
+            order.setflags(write=False)
+        self._order = order
         self._cursor = int(state["cursor"])
 
     def next_batch(self) -> Array:
         if self._cursor + self.batch_size > self._data.shape[0]:
             if self.shuffle:
-                self._rng.shuffle(self._order)
+                # Generator.permutation draws exactly as an in-place
+                # shuffle of the same order would.
+                self._order = self._rng.permutation(self._order)
+                self._order.setflags(write=False)
             self._cursor = 0
         idx = self._order[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size

@@ -258,7 +258,7 @@ class TestLeanMode:
         result = game.run()
         with pytest.raises(ValueError, match="lean"):
             result.retained_data()
-        assert all(e.retained is None for e in result.board.entries)
+        assert result.board.retained is None
 
 
 class TestSharedScoreSweep:

@@ -48,13 +48,20 @@ class TestEngineInvariants:
         self, reference_data, ratio, trim_q, inject_q, anchor
     ):
         result = _run(reference_data, ratio, trim_q, inject_q, anchor)
-        for entry in result.board.entries:
+        cols = result.board.columns
+        for retained, n_collected, n_poison_injected, n_poison_retained in zip(
+            result.board.retained,
+            cols.n_collected,
+            cols.n_poison_injected,
+            cols.n_poison_retained,
+            strict=True,
+        ):
             # Retained is a subset of collected.
-            assert 0 <= entry.retained.shape[0] <= entry.n_collected
+            assert 0 <= retained.shape[0] <= n_collected
             # Poison bookkeeping is conserved.
-            assert 0 <= entry.n_poison_retained <= entry.n_poison_injected
+            assert 0 <= n_poison_retained <= n_poison_injected
             # Collected = benign batch + injected poison.
-            assert entry.n_collected == 80 + entry.n_poison_injected
+            assert n_collected == 80 + n_poison_injected
         assert 0.0 <= result.poison_retained_fraction() <= 1.0
         assert 0.0 <= result.trimmed_fraction() <= 1.0
 

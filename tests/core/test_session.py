@@ -24,6 +24,7 @@ from repro.core.session import (
     SNAPSHOT_FORMAT,
     GameSession,
     RoundDecision,
+    SnapshotError,
     lockstep_cohort,
     round_payoffs,
 )
@@ -549,6 +550,37 @@ class TestSnapshotRestore:
             GameSession.restore(pickle.dumps({"format": "something-else"}))
         with pytest.raises(ValueError):
             GameSession.restore(pickle.dumps([1, 2, 3]))
+
+    @staticmethod
+    def _edited_blob(edit, rounds=3):
+        """A full-board spec session's snapshot after ``edit(payload)``."""
+        session = matrix_spec("elastic-paper", "elastic", "band").session()
+        for _ in range(rounds):
+            session.submit()
+        payload = pickle.loads(session.snapshot())
+        edit(payload)
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def test_restore_rejects_truncated_retained_payload(self):
+        def drop_last_round(payload):
+            payload["board"]["retained"] = payload["board"]["retained"][:-1]
+
+        with pytest.raises(SnapshotError, match="retained"):
+            GameSession.restore(self._edited_blob(drop_last_round))
+
+    def test_restore_rejects_round_that_disagrees_with_board(self):
+        def skip_ahead(payload):
+            payload["session"]["round"] = 7
+
+        with pytest.raises(SnapshotError, match="round 7"):
+            GameSession.restore(self._edited_blob(skip_ahead))
+
+    def test_snapshot_pickles_stream_order_once(self):
+        session = matrix_spec("static", "fixed", "band").session()
+        session.submit()
+        payload = pickle.loads(session.snapshot())
+        source = payload["components"]["source"]
+        assert payload["state"]["source"]["order"] is source._order
 
     def test_state_dict_covers_every_rng_consumer(self):
         spec = matrix_spec("generous", "mixed", "position", seed=1)

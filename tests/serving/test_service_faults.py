@@ -126,6 +126,27 @@ class TestTenantQuarantine:
                 service.close(sids[index]), references[index]
             )
 
+    def test_truncated_board_payload_quarantines_as_snapshot(self, tmp_path):
+        store = ResultStore(tmp_path)
+        service = DefenseService(store=store)
+        specs, sids = self._cohort(service, n=2)
+        service.submit_many(sids)
+        service.evict(sids[1])
+        # The blob unpickles, but its board's retained payload is one
+        # round short of its columns.
+        key = service._session_key(sids[1])
+        record = store.load(key)
+        payload = pickle.loads(record["blob"])
+        payload["board"]["retained"] = payload["board"]["retained"][:-1]
+        record["blob"] = pickle.dumps(payload)
+        store.save(key, record)
+
+        decisions = service.submit_many(sids, on_error="quarantine")
+        assert set(decisions) == {sids[0]}
+        failure = service.quarantine_reason(sids[1])
+        assert failure.kind == "snapshot"
+        assert "SnapshotError" in failure.error
+
     def test_unknown_and_closed_tenants_quarantine_as_lifecycle(self):
         service = DefenseService()
         spec = matrix_spec("elastic-paper", "elastic", "band", seed=90)

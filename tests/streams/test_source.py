@@ -31,6 +31,15 @@ class TestArrayStream:
         assert sorted(first.tolist()) == sorted(second.tolist())
         assert not np.array_equal(first, second)  # reshuffled order
 
+    def test_exported_state_survives_an_epoch_boundary(self):
+        stream = ArrayStream(np.arange(20.0), batch_size=15, seed=0)
+        state = stream.export_state()
+        order = state["order"].copy()
+        stream.next_batch()
+        stream.next_batch()  # crosses the epoch boundary: a reshuffle
+        assert not np.array_equal(stream.export_state()["order"], order)
+        np.testing.assert_array_equal(state["order"], order)
+
     def test_unshuffled_stream_preserves_order(self):
         data = np.arange(30.0)
         stream = ArrayStream(data, batch_size=10, shuffle=False)
