@@ -66,7 +66,6 @@ from .core.session import (
     RoundDecision,
     RoundPayoffs,
     SnapshotError,
-    lockstep_cohort,
 )
 from .core.strategies import (
     ElasticAdversary,
@@ -133,7 +132,6 @@ __all__ = [
     # sessions + serving
     "GameSession",
     "BatchedGameSession",
-    "lockstep_cohort",
     "RoundDecision",
     "BatchedRoundDecision",
     "RoundPayoffs",

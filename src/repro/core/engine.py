@@ -17,8 +17,8 @@ poison) that strategies never see but experiments report on.
 Both engines are thin loops over :mod:`repro.core.session`:
 :class:`CollectionGame` submits one round at a time to a solo
 :class:`~repro.core.session.GameSession`, and
-:class:`BatchedCollectionGame` opens one such session per lane and steps
-them together through :func:`~repro.core.session.lockstep_cohort`, so
+:class:`BatchedCollectionGame` opens one such session per lane and seats
+them in one :class:`~repro.core.session.BatchedGameSession` cohort, so
 every lane's result is its own session's ``close()``.
 
 Every engine (and ``GameSession.open``) calibrates through one routine,
@@ -507,8 +507,8 @@ class BatchedCollectionGame:
     per lane's stream, and every later step (strategy reactions, poison
     materialization, trimming, quality evaluation, compliance judgement)
     operates on ``(R, batch)`` stacks through the lane programs of
-    :mod:`repro.core.fusion`; the round is recorded as one ``(R,)``
-    row-batch on the cohort's :class:`~repro.streams.board.ColumnarBoard`
+    :mod:`repro.core.fusion`; the cohort records the round as one
+    ``(R,)`` row-batch on its :class:`~repro.streams.board.ColumnarBoard`
     sink.  The R lanes may be repetitions of one sweep cell or different
     cells: strategies, attack ratios, jitters and component parameters
     may all differ lane to lane.
@@ -600,14 +600,14 @@ class BatchedCollectionGame:
         Each lane is a solo :class:`~repro.core.session.GameSession`
         over its own components and source, whose opening reset rewinds
         every stochastic component, so running the same engine twice
-        replays all L games identically.  The sessions step together
-        through one :func:`~repro.core.session.lockstep_cohort` — the
+        replays all L games identically.  The sessions step together as
+        one :class:`~repro.core.session.BatchedGameSession` cohort — the
         round program and deferred sink the
         :class:`~repro.serving.DefenseService` multiplexes live tenants
-        through — and the first ``close()`` flushes the sink into every
-        lane's session.
+        through — and the first ``close()`` flushes the cohort's sink
+        into every lane's session.
         """
-        from .session import GameSession, lockstep_cohort
+        from .session import BatchedGameSession, GameSession
 
         lanes = zip(
             self.sources, self.collectors, self.adversaries, self._injectors,
@@ -621,11 +621,7 @@ class BatchedCollectionGame:
             )
             for source, collector, adversary, injector, trimmer, quality, judge in lanes
         ]
-        lockstep, sink = lockstep_cohort(sessions)
+        lockstep = BatchedGameSession(sessions)
         for _ in range(self.rounds):
-            sink.record_decision(
-                lockstep.submit(
-                    np.stack([source.next_batch() for source in self.sources])
-                )
-            )
+            lockstep.submit(np.stack([source.next_batch() for source in self.sources]))
         return [session.close() for session in sessions]

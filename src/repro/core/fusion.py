@@ -3,8 +3,8 @@
 A lockstep game steps L *lanes* — one per repetition, sweep cell or
 service tenant — through one round of shared array kernels.
 :class:`~repro.core.session.BatchedGameSession` builds its lane programs
-from the per-lane component instances with the pieces below, whichever
-caller seats the lanes through :func:`~repro.core.session.lockstep_cohort`
+from its seated sessions' component instances with the pieces below,
+whichever caller seats the lanes
 (:class:`~repro.core.engine.BatchedCollectionGame` or the
 :class:`~repro.serving.DefenseService`):
 

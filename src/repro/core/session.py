@@ -21,20 +21,19 @@ transition:
   array per round on a full board).  The board's length is the session's
   round position.  A session suspended in one process resumes
   byte-identically in another.
-* :class:`BatchedGameSession` — the lockstep round program: one
-  ``submit((L, batch, ...))`` call steps L solo sessions ("lanes")
-  through one round of shared array kernels.  It is built from the
-  lanes' component instances and compiles its own lane programs
-  (:mod:`repro.core.fusion`), so there is one lane builder and one
-  lockstep round body, which runs once per poison-count segment (a
-  round where every lane injects the same count is one segment).
-* :func:`lockstep_cohort` — the one place that builds it.  It seats
-  L :class:`GameSession` objects in a :class:`BatchedGameSession` plus
-  a :class:`~repro.streams.board.ColumnarBoard` sink that records every
-  lockstep round and flushes each lane's rows into its own session.
-  Both lockstep loops use it: ``BatchedCollectionGame.run()``
-  (repetitions and fused sweep cells, from freshly reset sessions) and
-  the :class:`~repro.serving.DefenseService` multiplexer (live tenants,
+* :class:`BatchedGameSession` — one lockstep *cohort*:
+  ``BatchedGameSession(sessions)`` seats L :class:`GameSession` objects
+  ("lanes"), compiles their lane programs (:mod:`repro.core.fusion`)
+  and owns a :class:`~repro.streams.board.ColumnarBoard` sink.  One
+  ``submit((L, batch, ...))`` call steps every lane through one round
+  of shared array kernels — once per poison-count segment (a round
+  where every lane injects the same count is one segment) — and
+  records it on the sink, which flushes each lane's rows into its own
+  session.  A seated session links to its cohort until that flush.
+  Both lockstep loops seat their sessions this way:
+  ``BatchedCollectionGame.run()`` (repetitions and fused sweep cells,
+  from freshly reset sessions) and the
+  :class:`~repro.serving.DefenseService` multiplexer (live tenants,
   from their current state).
 
 Snapshot format
@@ -95,7 +94,6 @@ __all__ = [
     "LaneRoundDecision",
     "GameSession",
     "BatchedGameSession",
-    "lockstep_cohort",
     "round_payoffs",
     "stack_observations",
 ]
@@ -496,12 +494,11 @@ class GameSession:
         self._last: Optional[RoundObservation] = None
         self._closed = False
         self._superseded = False
-        # Deferred lockstep rounds: while attached to a cohort sink the
-        # lockstep loop records this session's rounds as (L,)
-        # row-batches there; every authoritative access flushes them
+        # Deferred lockstep rounds: while seated in a cohort, its round
+        # program records this session's rounds as (L,) row-batches on
+        # the cohort's sink; every authoritative access flushes them
         # wholesale.
-        self._sink: Optional[ColumnarBoard] = None
-        self._sink_base = 0
+        self._cohort: Optional[BatchedGameSession] = None
 
     def _supersede(self) -> None:
         """Mark the session dead because its components were re-reset.
@@ -570,37 +567,22 @@ class GameSession:
     # ------------------------------------------------------------------ #
     # deferred lockstep rounds (cohort sink)
     # ------------------------------------------------------------------ #
-    def _attach_sink(self, sink: Any, lane: int) -> None:
-        """Route subsequent lockstep rounds through a cohort sink.
-
-        While attached, the lockstep loop records fused rounds as one
-        ``(L,)`` row-batch on ``sink`` (a
-        :class:`~repro.streams.board.ColumnarBoard`) instead of
-        materializing this session's per-round board objects.  Any
-        authoritative access — a solo submit, ``result``/``close``,
-        ``snapshot``, or reading the board — flushes the whole cohort
-        first, so callers never observe a stale session.
-        """
-        if self._sink is not None:
-            raise RuntimeError(
-                "session is already attached to a deferred cohort sink; "
-                "flush it before re-attaching"
-            )
-        self._sink = sink
-        self._sink_base = sink.n_rounds
-        sink.attach(self, lane)
-
     def _flush_deferred(self) -> None:
-        """Make any deferred lockstep rounds authoritative (whole cohort)."""
-        if self._sink is not None:
-            self._sink.flush_all()
+        """Make any deferred lockstep rounds authoritative (whole cohort).
 
-    def _absorb_sink_rows(self, sink: Any, lane: int, base: int) -> None:
+        Any authoritative access — a solo submit, ``result``/``close``,
+        ``snapshot``, or reading the board — calls this first, so
+        callers never observe a stale session.
+        """
+        if self._cohort is not None:
+            self._cohort.sink.flush_all()
+
+    def _absorb_sink_rows(self, sink: ColumnarBoard, lane: int) -> None:
         """Adopt this session's pending sink rows (sink flush callback)."""
-        self._sink = None
-        if sink.n_rounds <= base:
+        self._cohort = None
+        if sink.n_rounds == 0:
             return
-        columns, retained = sink.lane_rows(lane, base)
+        columns, retained = sink.lane_rows(lane)
         self._board.extend_columns(columns, retained)
         self._last = observation_from_row(
             columns["index"][-1],
@@ -615,9 +597,9 @@ class GameSession:
     @property
     def round_index(self) -> int:
         """Number of completed rounds (deferred lockstep rounds included)."""
-        if self._sink is None:
+        if self._cohort is None:
             return len(self._board)
-        return len(self._board) + (self._sink.n_rounds - self._sink_base)
+        return self._cohort.round_index
 
     @property
     def last_observation(self) -> Optional[RoundObservation]:
@@ -1010,79 +992,131 @@ class GameSession:
 # the lockstep session
 # --------------------------------------------------------------------- #
 class BatchedGameSession:
-    """L lockstep games as one step-driven round program.
+    """L solo sessions stepped in lockstep as one round program.
 
-    Every :meth:`submit` steps all L lanes through one vectorized round
-    and returns the full column decision; the caller records it, lane
-    by lane, on the :class:`~repro.streams.board.ColumnarBoard` sink
-    that :func:`lockstep_cohort` pairs the program with.  The lanes'
-    horizons and lifecycles belong to their own :class:`GameSession`
-    objects.
+    ``BatchedGameSession(sessions)`` seats L :class:`GameSession`
+    objects ("lanes") as one lockstep *cohort*.  Every :meth:`submit`
+    steps all L lanes through one vectorized round, records it on the
+    cohort's own :class:`~repro.streams.board.ColumnarBoard` sink and
+    returns the full column decision.  The sink flushes each lane's
+    rows into its session; any authoritative access to a member (a solo
+    submit, ``result``/``close``, ``snapshot``, reading the board)
+    flushes the whole cohort first, and a flushed cohort plays no more.
 
-    The session takes one component instance per lane and compiles its
-    lane programs from them: fused strategy lanes, a
+    The cohort compiles its lane programs from the members' live
+    component instances: fused strategy lanes (by family, heterogeneous
+    specs packed into per-lane parameter columns), a
     :class:`~repro.core.fusion.TrimLanes`,
     :class:`~repro.core.fusion.InjectorLanes`,
     :class:`~repro.core.fusion.QualityLanes` and
-    :class:`~repro.core.fusion.JudgeLanes` program.  The components must
-    already be calibrated.  Strategy lanes initialize from their
-    instances' current state, so with ``start_index`` and ``last`` the
-    session can be seated mid-game, not just at round 1.
+    :class:`~repro.core.fusion.JudgeLanes` program.  Every lane still
+    draws from its own components' Generators, byte-identically to its
+    solo session.  Members may be seated mid-game: strategy lanes start
+    from their instances' current state and the cohort from the
+    members' round.
+
+    Seating checks every member before it touches any: duplicates and
+    members that disagree on round position or board mode raise
+    ``ValueError``; a closed, superseded or exhausted member raises its
+    own ``RuntimeError``.  Deferred rounds a member still owes an
+    earlier cohort are flushed before the lanes are built.
     """
 
-    def __init__(
-        self,
-        *,
-        collectors: Sequence[CollectorStrategy],
-        adversaries: Sequence[Any],
-        injectors: Sequence[Any],
-        trimmers: Sequence[Trimmer],
-        quality_evaluators: Sequence[Any],
-        judges: Sequence[Any],
-        store_retained: bool = True,
-        start_index: int = 0,
-        last: Optional[RoundObservationBatch] = None,
-    ):
-        n_reps = len(collectors)
-        if any(
-            len(lane) != n_reps
-            for lane in (
-                adversaries, injectors, trimmers, quality_evaluators, judges
-            )
-        ):
+    def __init__(self, sessions: Sequence[GameSession]):
+        sessions = list(sessions)
+        if not sessions:
+            raise ValueError("a lockstep cohort needs at least one session")
+        if len({id(session) for session in sessions}) != len(sessions):
+            raise ValueError("a session is seated twice in one cohort")
+        for session in sessions:
+            session._check_submittable()
+        lead = sessions[0]
+        start = lead.round_index
+        if any(session.round_index != start for session in sessions):
             raise ValueError(
-                "need one collector, adversary, injector, trimmer, quality "
-                "evaluator and judge per lane"
+                "cohort members sit at different rounds: "
+                f"{sorted({session.round_index for session in sessions})}"
             )
-        self.n_reps = n_reps
-        self._collectors = fused_collector_lanes(collectors)
-        self._adversaries = fused_adversary_lanes(adversaries)
-        self.injector = InjectorLanes(injectors)
+        if any(
+            session.store_retained != lead.store_retained
+            for session in sessions
+        ):
+            raise ValueError("cohort members mix full and lean boards")
+        # The build reads live strategy state: earlier cohorts write
+        # theirs back first.
+        for session in sessions:
+            session._flush_deferred()
+        self.n_reps = len(sessions)
+        self._collectors = fused_collector_lanes(
+            [session.collector for session in sessions]
+        )
+        self._adversaries = fused_adversary_lanes(
+            [session.adversary for session in sessions]
+        )
+        self.injector = InjectorLanes([session.injector for session in sessions])
+        trimmers = [session.trimmer for session in sessions]
         self._trim_lanes = TrimLanes(trimmers)
-        self._quality = QualityLanes(quality_evaluators, self._trim_lanes)
-        self._judges = JudgeLanes(judges)
+        self._quality = QualityLanes(
+            [session.quality_evaluator for session in sessions],
+            self._trim_lanes,
+        )
+        self._judges = JudgeLanes([session.judge for session in sessions])
         self._reference_rows = _reference_rows(trimmers)
-        self.store_retained = bool(store_retained)
-        self._round = int(start_index)
-        self._last = last
+        self.store_retained = lead.store_retained
+        self._horizon = min(
+            (session.horizon for session in sessions if session.horizon is not None),
+            default=None,
+        )
+        self._last: Optional[RoundObservationBatch] = None
+        if lead.last_observation is not None:
+            self._last = stack_observations(
+                [session.last_observation for session in sessions]
+            )
+        self.sink = ColumnarBoard(
+            sessions,
+            store_retained=self.store_retained,
+            start_index=start,
+            sync=self.sync_lanes,
+        )
+        for session in sessions:
+            session._cohort = self
 
     # ------------------------------------------------------------------ #
     @property
     def round_index(self) -> int:
-        """Number of completed lockstep rounds."""
-        return self._round
+        """The members' round: completed lockstep rounds included."""
+        return self.sink.start_index + self.sink.n_rounds
+
+    def seats(self, sessions: Sequence[GameSession]) -> bool:
+        """Whether the cohort seats exactly ``sessions``, in this order."""
+        seated = self.sink.sessions
+        return len(seated) == len(sessions) and all(
+            mine is theirs for mine, theirs in zip(seated, sessions, strict=True)
+        )
 
     # ------------------------------------------------------------------ #
     def submit(self, batches: ArrayLike) -> BatchedRoundDecision:
-        """Step every lane through one lockstep round.
+        """Step every lane through one lockstep round and record it.
 
         ``batches`` is the round's benign stack ``(R, batch[, d])`` —
         one row per lane, e.g. one ``next_batch()`` of each lane's
-        :class:`~repro.streams.source.StreamSource`, stacked.  A
-        misshapen, empty or non-finite stack, or one whose rows are
-        shaped unlike the trimmers' calibrated references, raises
-        ``ValueError`` before any lane reacts.
+        :class:`~repro.streams.source.StreamSource`, stacked.  Before
+        any lane reacts, a flushed cohort, or a round past the smallest
+        member horizon, raises ``RuntimeError``; a misshapen, empty or
+        non-finite stack, or one whose rows are shaped unlike the
+        trimmers' calibrated references, raises ``ValueError``.
         """
+        if self.sink.flushed:
+            raise RuntimeError(
+                "lockstep cohort flushed: a member was accessed or played "
+                "on its own, so seat the sessions in a new cohort"
+            )
+        index = self.round_index + 1
+        if self._horizon is not None and index > self._horizon:
+            raise RuntimeError(
+                f"horizon of {self._horizon} rounds exhausted; close() the "
+                "member sessions to obtain their GameResults"
+            )
         benign = np.asarray(batches, dtype=float)
         if benign.ndim not in (2, 3) or benign.shape[0] != self.n_reps:
             raise ValueError(
@@ -1090,7 +1124,6 @@ class BatchedGameSession:
                 f"got {benign.shape}"
             )
         _check_batch(benign, self._reference_rows, stacked=True)
-        index = self._round + 1
         if self._last is None:
             trim = np.asarray(self._collectors.first_many(), dtype=float)
             inject = np.asarray(self._adversaries.first_many(), dtype=float)
@@ -1115,7 +1148,7 @@ class BatchedGameSession:
             ),
             betrayal=np.asarray(decision.betrayal, dtype=bool),
         )
-        self._round = index
+        self.sink.record_decision(decision)
         return decision
 
     def _play_segments(
@@ -1215,54 +1248,3 @@ class BatchedGameSession:
         self._collectors.finalize()
         self._adversaries.finalize()
         self.injector.finalize()
-
-
-def lockstep_cohort(
-    sessions: Sequence[GameSession],
-) -> Tuple[BatchedGameSession, ColumnarBoard]:
-    """Seat L solo sessions in one lockstep round program and its sink.
-
-    The one place that builds a :class:`BatchedGameSession`: it compiles the
-    lane programs from the sessions' live component instances (strategy
-    lanes fuse by family, heterogeneous specs pack into per-lane
-    parameter columns), and every lane still draws from its own
-    components' Generators, byte-identically to its solo session.
-
-    Any deferred rounds a session still carries from a previous cohort
-    are flushed first (the build reads live strategy state and round
-    positions), then every session is attached to a fresh
-    :class:`~repro.streams.board.ColumnarBoard` sink.  The caller
-    records each lockstep round there (``sink.record_decision``); the
-    sink's flush writes the lane state back once (``sync_lanes``) and
-    every session absorbs its rows.
-    """
-    for session in sessions:
-        session._flush_deferred()
-    lead = sessions[0]
-    last = None
-    if lead.last_observation is not None:
-        last = stack_observations(
-            [session.last_observation for session in sessions]
-        )
-    lockstep = BatchedGameSession(
-        collectors=[session.collector for session in sessions],
-        adversaries=[session.adversary for session in sessions],
-        injectors=[session.injector for session in sessions],
-        trimmers=[session.trimmer for session in sessions],
-        quality_evaluators=[
-            session.quality_evaluator for session in sessions
-        ],
-        judges=[session.judge for session in sessions],
-        store_retained=lead.store_retained,
-        start_index=lead.round_index,
-        last=last,
-    )
-    sink = ColumnarBoard(
-        len(sessions),
-        store_retained=lead.store_retained,
-        start_index=lead.round_index,
-        sync=lockstep.sync_lanes,
-    )
-    for lane, session in enumerate(sessions):
-        session._attach_sink(sink, lane)
-    return lockstep, sink

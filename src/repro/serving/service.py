@@ -16,13 +16,13 @@ lockstep engine already eliminated for sweep repetitions, so
   :class:`~repro.core.session.BatchedGameSession` round — strategy
   lanes fused per family with heterogeneous parameters packed into
   ``(L,)`` columns (:mod:`repro.core.fusion`), trims, quality scores
-  and judge verdicts computed on ``(L, n)`` stacks — and records it on
-  the cohort's :class:`~repro.streams.board.ColumnarBoard` sink, which
-  flushes each lane's rows into the tenant's own board.  Cohorts are
-  built by :func:`~repro.core.session.lockstep_cohort`, which the
-  sweep engine's lockstep games use too, and cached between rounds
-  (any out-of-band touch of a member flushes the cohort's sink, which
-  retires the cached cohort).  Tenants that
+  and judge verdicts computed on ``(L, n)`` stacks.  The cohort records
+  the round on its :class:`~repro.streams.board.ColumnarBoard` sink,
+  which flushes each lane's rows into the tenant's own board.  A
+  cohort lives on its members across rounds, and the service finds it
+  again through the lead member; any out-of-band touch of a member
+  flushes the cohort, which ends it.  The sweep engine's lockstep
+  games seat their sessions the same way.  Tenants that
   cannot join a cohort (odd round position, odd batch shape, singleton
   group) fall back to their solo
   :meth:`~repro.core.session.GameSession.submit`, byte-identically;
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -55,7 +54,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -69,10 +67,8 @@ from ..core.session import (
     SnapshotError,
     _check_batch,
     _reference_rows,
-    lockstep_cohort,
 )
 from ..runtime.spec import GameSpec, fusion_group_key, rep_keys_equal
-from ..streams.board import ColumnarBoard
 
 if TYPE_CHECKING:  # annotation-only imports
     from ..core.engine import GameResult
@@ -86,20 +82,21 @@ __all__ = ["DefenseService", "ServiceStats", "TenantFailure"]
 #: attribute surface, same values).
 AnyRoundDecision = Union[RoundDecision, LaneRoundDecision]
 
-#: Built lockstep cohorts kept resident between rounds (LRU).
-_COHORT_CACHE_SIZE = 16
-
 
 @dataclass
 class ServiceStats:
     """Running operation counters of one :class:`DefenseService`.
 
+    ``lane_builds`` counts the lockstep cohorts the service seated;
+    ``lane_cache_hits`` counts the lockstep rounds that reused the
+    members' live cohort instead.
+
     The ``*_seconds`` fields are cumulative wall-clock phase timers of
     the lockstep path: ``lane_build_seconds`` covers cohort compilation
     (including the wholesale flush of any deferred rounds a rebuild
-    forces), ``kernel_seconds`` the fused round kernels, and
-    ``absorb_seconds`` the per-round decision distribution (columnar
-    sink append + lane decision views).
+    forces), ``kernel_seconds`` the fused round kernels and the
+    cohort's sink append, and ``absorb_seconds`` the per-round lane
+    decision views.
     """
 
     opened: int = 0
@@ -158,12 +155,12 @@ class DefenseService:
 
     Same-shape cohorts of two or more tenants play in lockstep, each as
     one whole ``(L, batch)`` stack; a lone tenant takes the solo path.
-    The last :data:`_COHORT_CACHE_SIZE` built cohorts stay resident
-    (LRU): a cohort whose membership, sessions and round position are
-    unchanged since its last lockstep round reuses its compiled lane
-    programs.  Any out-of-band touch of a member (solo round, eviction,
-    ``session()`` access …) flushes the cohort's deferred sink, which
-    invalidates it; a restored tenant is a new session object.
+    A cohort lives on its members: while the lead member's cohort seats
+    exactly the round's sessions, in order, the round reuses its
+    compiled lane programs, however many cohorts are live.  Any
+    out-of-band touch of a member (solo round, eviction, ``session()``
+    access …) flushes the cohort's deferred sink, which ends it; a
+    restored tenant is a new session object.
     """
 
     def __init__(
@@ -186,11 +183,6 @@ class DefenseService:
         self._evicted: Dict[str, Optional[bytes]] = {}
         #: Tenants pulled out of service by a quarantining submit_many.
         self._quarantined: Dict[str, TenantFailure] = {}
-        #: Cohort members tuple -> built lockstep session + validity
-        #: witnesses (see :meth:`_cohort_lockstep`).
-        self._cohort_cache: "OrderedDict[Tuple[str, ...], dict]" = (
-            OrderedDict()
-        )
         self._clock = 0
         self._touched: Dict[str, int] = {}
         self._next_id = 0
@@ -283,10 +275,10 @@ class DefenseService:
 
         Handing out the live handle flushes any deferred lockstep
         rounds first, so the handle's board and round position are
-        authoritative; the flush also invalidates the tenant's cached
-        cohort, since the caller may step or mutate the session
-        directly.  A restore that pushes the resident count above
-        ``max_resident`` evicts the least recently used other sessions.
+        authoritative; the flush also ends the tenant's cohort, since
+        the caller may step or mutate the session directly.  A restore
+        that pushes the resident count above ``max_resident`` evicts the
+        least recently used other sessions.
         """
         session = self._resident(session_id)
         session._flush_deferred()
@@ -480,14 +472,17 @@ class DefenseService:
     ) -> List[LaneRoundDecision]:
         """One fused round across same-family, same-round tenants.
 
-        The cohort's compiled lane programs come from
-        :meth:`_cohort_lockstep` — reused from the cohort cache when the
-        membership, session identities and round position are unchanged
-        since the cohort's last lockstep round, rebuilt from the
-        tenants' live instances otherwise.
+        The cohort is the lead member's live
+        :class:`~repro.core.session.BatchedGameSession` when that one
+        seats exactly these session objects, in this order; otherwise a
+        new cohort is seated from the tenants' live instances.  A cohort
+        that has not been flushed is at its members' round: every
+        out-of-band touch of a member (solo round, ``session()`` access,
+        close, an eviction's snapshot) flushes it, and a restored or
+        reopened tenant is a new object that no live cohort seats.
 
-        The round itself is *deferred*: the batched decision is appended
-        to the cohort's :class:`ColumnarBoard` sink as one ``(L,)``
+        The round itself is *deferred*: the cohort records it on its
+        :class:`~repro.streams.board.ColumnarBoard` sink as one ``(L,)``
         row-batch and the tenants receive lazy
         :class:`LaneRoundDecision` views — no per-lane board entries,
         no per-round ``sync_lanes()``.  Diverged lane state is written
@@ -496,11 +491,17 @@ class DefenseService:
         tenant byte-identical to solo play.
         """
         lane_sessions = [sessions[sid] for sid in members]
-        lockstep, sink = self._cohort_lockstep(members, lane_sessions)
+        lockstep = lane_sessions[0]._cohort
+        if lockstep is not None and lockstep.seats(lane_sessions):
+            self.stats.lane_cache_hits += 1
+        else:
+            t0 = time.perf_counter()
+            lockstep = BatchedGameSession(lane_sessions)
+            self.stats.lane_build_seconds += time.perf_counter() - t0
+            self.stats.lane_builds += 1
         t0 = time.perf_counter()
         decision = lockstep.submit(benign)
         t1 = time.perf_counter()
-        sink.record_decision(decision)
         views = [
             LaneRoundDecision(decision, rep, session)
             for rep, session in enumerate(lane_sessions)
@@ -509,53 +510,6 @@ class DefenseService:
         self.stats.kernel_seconds += t1 - t0
         self.stats.absorb_seconds += t2 - t1
         return views
-
-    def _cohort_lockstep(
-        self, members: List[str], lane_sessions: List[GameSession]
-    ) -> Tuple[BatchedGameSession, ColumnarBoard]:
-        """The cohort's lockstep session: cached, else built and cached.
-
-        A cached cohort is valid only when its deferred sink has not
-        been flushed — every out-of-band touch of a member (solo round,
-        ``session()`` access, close, an eviction's snapshot) flushes it —
-        the live session objects are the cached ones (a restored or
-        reopened tenant, e.g. one reusing a quarantined tenant's id, is
-        a new object that no cached cohort holds), *and* the compiled
-        program sits at exactly the cohort's round — the
-        silent-divergence bug class that made the pre-fusion service
-        rebuild lanes every round is ruled out by construction.
-        """
-        key = tuple(members)
-        lead = lane_sessions[0]
-        entry = self._cohort_cache.get(key)
-        if entry is not None:
-            lockstep = entry["lockstep"]
-            if (
-                not entry["sink"].flushed
-                and all(
-                    cached is live
-                    for cached, live in zip(
-                        entry["sessions"], lane_sessions, strict=True
-                    )
-                )
-                and lockstep.round_index == lead.round_index
-            ):
-                self._cohort_cache.move_to_end(key)
-                self.stats.lane_cache_hits += 1
-                return lockstep, entry["sink"]
-            del self._cohort_cache[key]
-        t0 = time.perf_counter()
-        lockstep, sink = lockstep_cohort(lane_sessions)
-        self.stats.lane_build_seconds += time.perf_counter() - t0
-        self.stats.lane_builds += 1
-        self._cohort_cache[key] = {
-            "lockstep": lockstep,
-            "sink": sink,
-            "sessions": list(lane_sessions),
-        }
-        while len(self._cohort_cache) > _COHORT_CACHE_SIZE:
-            self._cohort_cache.popitem(last=False)
-        return lockstep, sink
 
     # ------------------------------------------------------------------ #
     # close / evict / restore

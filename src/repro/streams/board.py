@@ -23,11 +23,11 @@ lean mode (``PublicBoard(store_retained=False)``) drops those payloads at
 record time and keeps only the columns, cutting peak memory from
 O(rounds × batch) to O(rounds).
 
-:class:`ColumnarBoard` is the lockstep counterpart: one cohort's sink
-records ``(L,)`` column vectors per round for all L lanes at once, and
-flushes each lane's rows into its session's :class:`PublicBoard`
-wholesale.  Sweep games and service cohorts record and flush through the
-same sink.
+:class:`ColumnarBoard` is the lockstep counterpart: the sink a
+:class:`~repro.core.session.BatchedGameSession` cohort owns records
+``(L,)`` column vectors per round for all L lanes at once, and flushes
+each lane's rows into its session's :class:`PublicBoard` wholesale.
+Sweep games and service cohorts record and flush through the same sink.
 """
 
 from __future__ import annotations
@@ -300,40 +300,42 @@ class PublicBoard:
 class ColumnarBoard:
     """Deferred-round sink for one lockstep cohort.
 
-    While a cohort stays in lockstep its round loop records one ``(L,)``
-    row-batch per round here (:meth:`record_decision`) instead of
-    appending to every member's :class:`PublicBoard` — no per-lane
-    Python objects exist during play.  Both lockstep loops record here:
-    :meth:`BatchedCollectionGame.run
-    <repro.core.engine.BatchedCollectionGame.run>` for sweep games and
-    the :class:`~repro.serving.DefenseService` for live tenants.  Member
-    sessions :meth:`attach` with their lane index and absorb their
-    pending rows wholesale — via ``PublicBoard.extend_columns`` — only
-    when the cohort is invalidated (solo escape, eviction/snapshot,
+    While a cohort stays in lockstep its round program records one
+    ``(L,)`` row-batch per round here (:meth:`record_decision`) instead
+    of appending to every member's :class:`PublicBoard` — no per-lane
+    Python objects exist during play.  The sink belongs to one
+    :class:`~repro.core.session.BatchedGameSession`, which records every
+    round it plays; both lockstep loops (sweep games and the
+    :class:`~repro.serving.DefenseService`'s live tenants) play through
+    such a cohort.  The sink takes its L member ``sessions`` when it is
+    built; lane ``l`` is ``sessions[l]``.  Members absorb their pending
+    rows wholesale — via ``PublicBoard.extend_columns`` — only when the
+    cohort is invalidated (solo escape, eviction/snapshot,
     ``result``/``close``, or a lane rebuild).  ``sync`` runs exactly
     once, at :meth:`flush_all`, to write the lockstep lane state
-    (strategy counters, injector RNG positions) back onto the member
-    sessions' component instances before the pending rows become
-    authoritative.
+    (strategy counters, injector RNG positions) back onto the members'
+    component instances before the pending rows become authoritative.
+    The flush then drops ``sync`` and the members, so no reference
+    cycle through the sink outlives it.
 
     ``store_retained=True`` additionally keeps, per round, the list of L
     per-lane retained arrays (exactly what L solo full boards would have
     stored); lean mode keeps counts only.  ``start_index`` is the
-    absolute round index the attached sessions had when the sink was
-    created; row ``t`` of the sink is absolute round
-    ``start_index + t + 1``.
+    members' absolute round index when the sink was built; row ``t`` of
+    the sink is absolute round ``start_index + t + 1``.
     """
 
     def __init__(
         self,
-        n_lanes: int,
+        sessions: Sequence[Any],
         store_retained: bool = True,
         start_index: int = 0,
         sync: Optional[Callable[[], None]] = None,
     ) -> None:
-        if n_lanes < 1:
+        if not sessions:
             raise ValueError("a cohort sink needs at least one lane")
-        self.n_lanes = int(n_lanes)
+        self.sessions: Tuple[Any, ...] = tuple(sessions)
+        self.n_lanes = len(self.sessions)
         self.start_index = int(start_index)
         self._sync = sync
         self._rows: dict[str, List[Array]] = {
@@ -343,17 +345,12 @@ class ColumnarBoard:
             [] if store_retained else None
         )
         self._stacked_cache: Optional[dict[str, Array]] = None
-        self._attached: List[Tuple[Any, int, int]] = []
         self.flushed = False
 
     @property
     def n_rounds(self) -> int:
         """Number of recorded rounds."""
         return len(self._rows["trim_percentile"])
-
-    def attach(self, session: Any, lane: int) -> None:
-        """Register a member session for flush-time row absorption."""
-        self._attached.append((session, int(lane), self.n_rounds))
 
     def record_decision(self, decision: "BatchedRoundDecision") -> None:
         """Append one lockstep round's ``(L,)`` columns (and retained rows)."""
@@ -390,35 +387,37 @@ class ColumnarBoard:
         return self._stacked_cache
 
     def lane_rows(
-        self, lane: int, base: int
+        self, lane: int
     ) -> Tuple[dict[str, List[Any]], Optional[List[Array]]]:
-        """Lane ``lane``'s rows from ``base`` on, as per-field lists.
+        """Every recorded row of lane ``lane``, as per-field lists.
 
         The values are plain Python scalars, which the receiving board
         stacks back into arrays without a per-value numpy conversion.
         The index column is absolute (``start_index``-offset) so the
         receiving board can validate contiguity with its existing log.
         """
-        first = self.start_index + base + 1
         columns: dict[str, List[Any]] = {
-            "index": list(range(first, self.start_index + self.n_rounds + 1))
+            "index": list(
+                range(self.start_index + 1, self.start_index + self.n_rounds + 1)
+            )
         }
         for name, stacked in self._stacked().items():
-            columns[name] = stacked[base:, lane].tolist()
+            columns[name] = stacked[:, lane].tolist()
         retained = (
-            [row[lane] for row in self._retained[base:]]
+            [row[lane] for row in self._retained]
             if self._retained is not None
             else None
         )
         return columns, retained
 
     def flush_all(self) -> None:
-        """Sync lane state once, then flush every attached session."""
+        """Sync lane state once, then flush every member session."""
         if self.flushed:
             return
         self.flushed = True
-        if self._sync is not None:
-            self._sync()
-        attached, self._attached = self._attached, []
-        for session, lane, base in attached:
-            session._absorb_sink_rows(self, lane, base)
+        sync, self._sync = self._sync, None
+        sessions, self.sessions = self.sessions, ()
+        if sync is not None:
+            sync()
+        for lane, session in enumerate(sessions):
+            session._absorb_sink_rows(self, lane)

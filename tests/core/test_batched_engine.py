@@ -54,7 +54,10 @@ from repro.experiments.classifiers import (
     LabelAwareRadialTrimmer,
     LabelMimicInjector,
 )
+from repro.runtime.spec import build_batched_game
 from repro.streams import ArrayStream, PoisonInjector
+
+from test_session import cohort_leftovers, matrix_spec
 
 N_REPS = 4
 ROUNDS = 12
@@ -357,6 +360,17 @@ class TestModesAndBoards:
                 first[rep].to_records()
                 == second[rep].to_records()
             )
+
+
+class TestCohortLifetime:
+    def test_cohort_dies_with_its_sessions(self):
+        # The first close() flushes the cohort, which lets go of its
+        # members and its writeback hook: no cycle outlives the run.
+        specs = [
+            matrix_spec("tft-mixed", "mixed", "position", seed=s)
+            for s in range(4)
+        ]
+        assert cohort_leftovers(lambda: build_batched_game(specs).run()) == []
 
 
 class _RandomUserCollector(CollectorStrategy):

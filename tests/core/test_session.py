@@ -12,6 +12,8 @@ The load-bearing contracts:
 * lifecycle errors (horizon exhaustion, submit-after-close) are loud.
 """
 
+import dataclasses
+import gc
 import pickle
 
 import numpy as np
@@ -22,10 +24,10 @@ from repro import CollectionGame, ComponentSpec, GameSpec, PayoffModel
 from repro.core.engine import BandExcessJudge, NoisyPositionJudge
 from repro.core.session import (
     SNAPSHOT_FORMAT,
+    BatchedGameSession,
     GameSession,
     RoundDecision,
     SnapshotError,
-    lockstep_cohort,
     round_payoffs,
 )
 from repro.core.strategies import (
@@ -139,6 +141,28 @@ def assert_results_identical(a, b):
     assert (
         a.retained_data().tobytes() == b.retained_data().tobytes()
     )
+
+
+def cohort_leftovers(play):
+    """The cohorts and sessions ``play()`` leaves to the cyclic collector.
+
+    ``play`` runs with the collector disabled, so whatever it created
+    that only a reference cycle keeps alive is still tracked afterwards.
+    """
+
+    def tracked():
+        kinds = (BatchedGameSession, GameSession)
+        return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+
+    gc.collect()
+    before = tracked()
+    known = {id(obj) for obj in before}
+    gc.disable()
+    try:
+        play()
+        return [obj for obj in tracked() if id(obj) not in known]
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
@@ -447,7 +471,7 @@ class TestRejectedBatches:
             for s in range(3)
         ]
         sessions = [spec.session() for spec in specs]
-        lockstep, sink = lockstep_cohort(sessions)
+        lockstep = BatchedGameSession(sessions)
         for _ in range(specs[0].rounds):
             stack = lane_draws(sessions)
             if kind in ("empty", "wrong-width"):
@@ -460,7 +484,7 @@ class TestRejectedBatches:
             with pytest.raises(ValueError, match="round batch"):
                 lockstep.submit(bad)
             assert lockstep.round_index == index
-            sink.record_decision(lockstep.submit(stack))
+            lockstep.submit(stack)
         for session, spec in zip(sessions, specs, strict=True):
             assert_results_identical(session.close(), spec.play())
 
@@ -622,13 +646,91 @@ class TestBatchedSession:
         solo = [spec.play() for spec in specs]
 
         sessions = [spec.session() for spec in specs]
-        lockstep, sink = lockstep_cohort(sessions)
+        lockstep = BatchedGameSession(sessions)
         for _ in range(specs[0].rounds):
             decision = lockstep.submit(lane_draws(sessions))
-            sink.record_decision(decision)
         # each lane's own session owns its horizon
         assert all(session.done for session in sessions)
         for session, expected in zip(sessions, solo, strict=True):
             assert_results_identical(session.close(), expected)
         assert decision.n_reps == 4
         assert decision.rep_observation(0).index == specs[0].rounds
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("duplicate", ValueError, "twice"),
+            ("rounds", ValueError, "different rounds"),
+            ("modes", ValueError, "full and lean"),
+            ("closed", RuntimeError, "closed"),
+            ("superseded", RuntimeError, "superseded"),
+            ("horizon", RuntimeError, "horizon"),
+        ],
+    )
+    def test_cohort_rejects_unfit_members(self, case, error, match):
+        spec = matrix_spec("tft-mixed", "mixed", "position", rounds=4)
+        other = dataclasses.replace(spec, seed=1)
+        first, second = spec.session(), other.session()
+        if case == "duplicate":
+            second = first
+        elif case == "rounds":
+            for _ in range(3):
+                second.submit()
+        elif case == "modes":
+            second = dataclasses.replace(other, store_retained=False).session()
+        elif case == "closed":
+            second.close()
+        elif case == "superseded":
+            game = other.build()
+            second = game.session(attach_source=True)
+            game.session()
+        elif case == "horizon":
+            for _ in range(spec.rounds):
+                first.submit()
+                second.submit()
+        members = [first, second]
+        states = [pickle.dumps(member.state_dict()) for member in members]
+        with pytest.raises(error, match=match):
+            BatchedGameSession(members)
+        assert all(member._cohort is None for member in members)
+        assert [pickle.dumps(member.state_dict()) for member in members] == states
+
+    def test_cohort_stops_at_the_smallest_horizon(self):
+        specs = [
+            matrix_spec("tft-mixed", "mixed", "position", seed=s)
+            for s in range(3)
+        ]
+        sessions = [
+            spec.session(horizon=horizon)
+            for spec, horizon in zip(specs, (5, 3, None), strict=True)
+        ]
+        lockstep = BatchedGameSession(sessions)
+        for _ in range(3):
+            stack = lane_draws(sessions)
+            lockstep.submit(stack)
+        with pytest.raises(RuntimeError, match="horizon of 3"):
+            lockstep.submit(stack)
+        assert lockstep.round_index == 3
+        for session, spec in zip(sessions, specs, strict=True):
+            replay = spec.session()
+            for _ in range(3):
+                replay.submit()
+            assert_results_identical(session.close(), replay.close())
+
+    def test_flushed_cohort_refuses_to_play(self):
+        specs = [
+            matrix_spec("tft-mixed", "mixed", "position", seed=s)
+            for s in range(3)
+        ]
+        sessions = [spec.session() for spec in specs]
+        lockstep = BatchedGameSession(sessions)
+        lockstep.submit(lane_draws(sessions))
+        stack = lane_draws(sessions)
+        # An out-of-band read flushes the whole cohort.
+        assert len(sessions[0].board) == 1
+        assert all(session._cohort is None for session in sessions)
+        states = [pickle.dumps(session.state_dict()) for session in sessions]
+        with pytest.raises(RuntimeError, match="flushed"):
+            lockstep.submit(stack)
+        assert [pickle.dumps(session.state_dict()) for session in sessions] == states
+        assert [session.round_index for session in sessions] == [1, 1, 1]

@@ -20,6 +20,7 @@ sys.path.insert(
 )
 from test_session import (  # noqa: E402
     assert_results_identical,
+    cohort_leftovers,
     matrix_spec,
 )
 
@@ -237,6 +238,40 @@ class TestCohortCache:
             for _ in range(4):
                 replay.submit()
             assert_results_identical(service.close(sid), replay.close())
+
+    def test_every_live_cohort_is_reused(self):
+        # More live cohorts than any fixed-size cache would hold: each
+        # lives on its members, so every one is found again.
+        specs = [
+            spec
+            for k in range(7)
+            for spec in hetero_specs(seed=200 + 10 * k, rounds=3)
+        ][:40]
+        service = DefenseService()
+        sids = [service.open(spec) for spec in specs]
+        pairs = [sids[i:i + 2] for i in range(0, len(sids), 2)]
+        for _ in range(3):
+            for pair in pairs:
+                service.submit_many(pair)
+        assert service.stats.lane_builds == 20
+        assert service.stats.lane_cache_hits == 40
+        for sid, spec in zip(sids, specs, strict=True):
+            assert_results_identical(service.close(sid), solo_reference(spec))
+
+    def test_closed_cohort_leaves_nothing_behind(self):
+        specs = hetero_specs(seed=160)[:4]
+        service = DefenseService()
+
+        def play():
+            sids = [service.open(spec) for spec in specs]
+            for _ in range(3):
+                service.submit_many(sids)
+            for sid in sids:
+                service.close(sid)
+
+        # The service outlives its tenants: it must not keep their
+        # cohort (or, through it, the closed sessions) alive.
+        assert cohort_leftovers(play) == []
 
 
 class TestFusedResults:

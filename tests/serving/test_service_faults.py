@@ -250,7 +250,7 @@ class TestTenantQuarantine:
         # Raw registry access on purpose: service.session() would flush
         # the deferred rows this test needs to still be pending.
         handle = service._sessions[sids[0]]
-        assert handle._sink is not None, "rounds were not deferred"
+        assert handle._cohort is not None, "rounds were not deferred"
 
         # A valid 5-row batch routes the tenant solo (odd shape), and
         # its trimmer blows up inside the round, after the deferred

@@ -375,13 +375,14 @@ class TestColumnarBoard:
         def __init__(self):
             self.absorbed = []
 
-        def _absorb_sink_rows(self, sink, lane, base):
-            self.absorbed.append((sink, lane, base))
+        def _absorb_sink_rows(self, sink, lane):
+            self.absorbed.append((sink, lane))
 
     def _sink(self, n_lanes=2, store_retained=False, **kwargs):
         from repro.streams.board import ColumnarBoard
 
-        return ColumnarBoard(n_lanes, store_retained=store_retained, **kwargs)
+        sessions = [self._FakeSession() for _ in range(n_lanes)]
+        return ColumnarBoard(sessions, store_retained=store_retained, **kwargs)
 
     def _record(self, sink, kept, retained=None):
         from repro.core.session import BatchedRoundDecision
@@ -408,23 +409,24 @@ class TestColumnarBoard:
         sink = self._sink(start_index=5)
         self._record(sink, [8, 9])
         self._record(sink, [7, 6])
-        columns, retained = sink.lane_rows(1, base=1)
-        assert columns["index"] == [7]
-        assert columns["n_retained"] == [6]
+        columns, retained = sink.lane_rows(1)
+        assert columns["index"] == [6, 7]
+        assert columns["n_retained"] == [9, 6]
         assert type(columns["n_retained"][0]) is int  # plain scalars
         assert retained is None
 
     def test_flush_syncs_once_then_absorbs_every_lane(self):
         synced = []
         sink = self._sink(sync=lambda: synced.append(True))
-        sessions = [self._FakeSession(), self._FakeSession()]
-        for lane, session in enumerate(sessions):
-            sink.attach(session, lane)
+        sessions = sink.sessions
+        assert sink.n_lanes == len(sessions) == 2
         self._record(sink, [8, 9])
         sink.flush_all()
         assert synced == [True]
-        assert sessions[0].absorbed == [(sink, 0, 0)]
-        assert sessions[1].absorbed == [(sink, 1, 0)]
+        assert sessions[0].absorbed == [(sink, 0)]
+        assert sessions[1].absorbed == [(sink, 1)]
+        # the flush lets go of its members and its hook
+        assert sink.sessions == () and sink._sync is None
         # idempotent: a second flush neither syncs nor re-absorbs
         sink.flush_all()
         assert synced == [True]
@@ -447,14 +449,5 @@ class TestColumnarBoard:
             self._record(sink, [8, 8])
         assert sink.n_rounds == 0  # a rejected round records nothing
         self._record(sink, [8, 8], retained=[np.zeros((8, 1))] * 2)
-        _, retained = sink.lane_rows(1, base=0)
+        _, retained = sink.lane_rows(1)
         assert [rows.shape for rows in retained] == [(8, 1)]
-
-    def test_late_attachment_absorbs_from_its_own_base(self):
-        sink = self._sink()
-        self._record(sink, [8, 9])
-        late = self._FakeSession()
-        sink.attach(late, 0)
-        self._record(sink, [7, 6])
-        sink.flush_all()
-        assert late.absorbed == [(sink, 0, 1)]
