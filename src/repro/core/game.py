@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .arrays import Array
 
@@ -139,6 +138,10 @@ def solve_zero_sum(row_payoffs: Any) -> Tuple[Array, Array, float]:
     positive = matrix - shift + 1.0  # all entries >= 1
 
     n_rows, n_cols = positive.shape
+
+    # scipy is imported where it is used: importing it is most of the
+    # cost of ``import repro``, which serving and the CLI pay.
+    from scipy.optimize import linprog
 
     # Row player: maximize v s.t. sum_i x_i A_ij >= v  ->  LP in y = x / v.
     res_row = linprog(

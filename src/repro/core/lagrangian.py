@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .arrays import Array, ArrayLike
 
@@ -278,6 +277,8 @@ def least_action_path(
             [start_arr, flat_interior.reshape(nodes - 2, 2), end_arr]
         )
         return action(lagrangian, path, dr)
+
+    from scipy.optimize import minimize  # imported where used, as in core.game
 
     result = minimize(
         objective,

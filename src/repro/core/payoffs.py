@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .arrays import Array, ArrayLike
 from .domain import clip_percentile
@@ -185,6 +184,8 @@ class PayoffModel:
         if d_hi < 0.0:
             # Overhead dominates everywhere: never worth trimming.
             return hi
+        from scipy.optimize import brentq  # imported where used, as in core.game
+
         return float(brentq(diff, lo, hi, xtol=1e-12))
 
     def right_boundary(self) -> float:

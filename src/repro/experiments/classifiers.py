@@ -146,26 +146,16 @@ def _labeled_control(seed: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def run_svm_experiment(config: SVMConfig) -> List[SVMResult]:
-    """Run Fig. 7: ground truth first, then every scheme."""
+    """Run Fig. 7: ground truth first, then every scheme.
+
+    The games play first; then the seven models (ground truth leading)
+    train as one cohort, each bit-identical to its own solo fit.
+    """
     stacked, clean_x, clean_y = _labeled_control(seed=7)
     n_classes = int(np.unique(clean_y).size)
 
-    results: List[SVMResult] = []
-
-    def evaluate(name: str, train_x, train_y) -> SVMResult:
-        model = OneVsRestSVM(
-            lam=config.svm_lambda,
-            n_iter=config.svm_iterations,
-            seed=config.seed,
-        )
-        model.fit(train_x, train_y)
-        predictions = model.predict(clean_x)
-        summary = confusion_summary(clean_y, predictions, n_classes)
-        return SVMResult(scheme=name, accuracy=summary.accuracy, summary=summary)
-
-    # Ground truth: train on the clean data directly.
-    results.append(evaluate("groundtruth", clean_x, clean_y))
-
+    # Ground truth trains on the clean data directly.
+    training = [("groundtruth", clean_x, clean_y)]
     for scheme in config.schemes:
         collector, adversary = make_scheme(
             scheme, config.t_th, seed=_scheme_seed(config.seed, scheme)
@@ -188,11 +178,29 @@ def run_svm_experiment(config: SVMConfig) -> List[SVMResult]:
             anchor="reference",
         )
         retained = game.run().retained_data()
-        train_x = retained[:, :-1]
         train_y = np.clip(
             np.round(retained[:, -1]).astype(int), 0, n_classes - 1
         )
-        results.append(evaluate(scheme, train_x, train_y))
+        training.append((scheme, retained[:, :-1], train_y))
+
+    models = [
+        OneVsRestSVM(
+            lam=config.svm_lambda,
+            n_iter=config.svm_iterations,
+            seed=config.seed,
+        )
+        for _ in training
+    ]
+    (_, lead_x, lead_y), *rest = training
+    models[0].fit(
+        lead_x,
+        lead_y,
+        peers=[(model, x, y) for model, (_, x, y) in zip(models[1:], rest, strict=True)],
+    )
+    results: List[SVMResult] = []
+    for model, (name, _, _) in zip(models, training, strict=True):
+        summary = confusion_summary(clean_y, model.predict(clean_x), n_classes)
+        results.append(SVMResult(scheme=name, accuracy=summary.accuracy, summary=summary))
     return results
 
 
@@ -236,7 +244,11 @@ def _creditcard_sample(bulk_size: int, seed: int) -> Tuple[np.ndarray, np.ndarra
 
 
 def run_som_experiment(config: SOMConfig) -> List[SOMResult]:
-    """Run Fig. 8: ground truth first, then every scheme."""
+    """Run Fig. 8: ground truth first, then every scheme.
+
+    The games play first; then the seven maps (ground truth leading)
+    train as one cohort, each bit-identical to its own solo fit.
+    """
     data, labels = _creditcard_sample(config.bulk_size, seed=23)
     minority = data[labels > 0]
     clean_eval = data
@@ -251,24 +263,8 @@ def run_som_experiment(config: SOMConfig) -> List[SOMResult]:
                 count += 1
         return count
 
-    def evaluate(name: str, retained: np.ndarray, poison_fraction: float) -> SOMResult:
-        som = SelfOrganizingMap(
-            rows=rows_,
-            cols=cols_,
-            n_iter=config.som_iterations,
-            seed=config.seed,
-        )
-        som.fit(retained)
-        return SOMResult(
-            scheme=name,
-            minority_retained=minority_survivors(retained),
-            poison_retained_fraction=poison_fraction,
-            cluster_count=som.cluster_count(retained),
-            quantization_error=som.quantization_error(clean_eval),
-        )
-
-    results: List[SOMResult] = [evaluate("groundtruth", data, 0.0)]
-
+    # (scheme, retained data, retained poison fraction), ground truth first.
+    training = [("groundtruth", data, 0.0)]
     for scheme in config.schemes:
         collector, adversary = make_scheme(
             scheme, config.t_th, seed=_scheme_seed(config.seed, scheme)
@@ -291,8 +287,31 @@ def run_som_experiment(config: SOMConfig) -> List[SOMResult]:
             anchor="batch",
         )
         result = game.run()
-        retained = result.retained_data()
-        results.append(
-            evaluate(scheme, retained, result.poison_retained_fraction())
+        training.append(
+            (scheme, result.retained_data(), result.poison_retained_fraction())
         )
-    return results
+
+    soms = [
+        SelfOrganizingMap(
+            rows=rows_,
+            cols=cols_,
+            n_iter=config.som_iterations,
+            seed=config.seed,
+        )
+        for _ in training
+    ]
+    (_, lead_data, _), *rest = training
+    soms[0].fit(
+        lead_data,
+        peers=[(som, retained) for som, (_, retained, _) in zip(soms[1:], rest, strict=True)],
+    )
+    return [
+        SOMResult(
+            scheme=name,
+            minority_retained=minority_survivors(retained),
+            poison_retained_fraction=poison_fraction,
+            cluster_count=som.cluster_count(retained),
+            quantization_error=som.quantization_error(clean_eval),
+        )
+        for som, (name, retained, poison_fraction) in zip(soms, training, strict=True)
+    ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "sse",
@@ -50,6 +49,8 @@ def centroid_distance(estimated, reference) -> float:
     if est.shape != ref.shape:
         raise ValueError("centroid sets must have identical shapes")
     cost = np.linalg.norm(est[:, None, :] - ref[None, :, :], axis=2)
+    from scipy.optimize import linear_sum_assignment  # imported where used, as in core.game
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
 
@@ -64,12 +65,24 @@ def accuracy(y_true, y_pred) -> float:
 
 
 def confusion_matrix(y_true, y_pred, n_classes=None) -> np.ndarray:
-    """Counts matrix ``C[i, j]`` = actual class i predicted as class j."""
+    """Counts matrix ``C[i, j]`` = actual class i predicted as class j.
+
+    Labels are class indices in ``[0, n_classes)``; ``n_classes`` defaults
+    to one more than the largest label.
+    """
     t = np.asarray(y_true, dtype=int).ravel()
     p = np.asarray(y_pred, dtype=int).ravel()
     if t.size != p.size or t.size == 0:
         raise ValueError("label vectors must be non-empty and equal-length")
-    k = int(n_classes) if n_classes else int(max(t.max(), p.max())) + 1
+    if n_classes is None:
+        k = int(max(t.max(), p.max())) + 1
+    else:
+        k = int(n_classes)
+        if k < 1:
+            raise ValueError("n_classes must be >= 1")
+    # ``np.add.at`` would wrap a negative label into the last row/column.
+    if min(t.min(), p.min()) < 0 or max(t.max(), p.max()) >= k:
+        raise ValueError(f"labels must be class indices in [0, {k})")
     matrix = np.zeros((k, k), dtype=int)
     np.add.at(matrix, (t, p), 1)
     return matrix

@@ -7,6 +7,11 @@ neuron's weight vector and its grid neighbors', the quantity rendered as
 "color depth between adjacent neurons" in Figs. 6b/8 — plus quantization
 and topographic errors and a BMU-based cluster count give the quantitative
 handles the SOM comparison benchmark reports.
+
+Maps of one configuration fit together by ``fit(data, peers=...)`` train
+as lanes of one loop over a stacked ``(maps, neurons, d)`` weight array,
+each on its own data and generator; a solo fit is the one-map cohort.
+Every lane is bit-identical to the plain one-sample-per-step loop.
 """
 
 from __future__ import annotations
@@ -25,6 +30,22 @@ def _neg_sq_gaps(size: int) -> np.ndarray:
     """``-(i - j) ** 2`` for every pair of positions along one grid axis."""
     pos = np.arange(size, dtype=float)
     return -((pos[:, None] - pos[None, :]) ** 2)
+
+
+def _training_data(data) -> np.ndarray:
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("data must be a non-empty 2-D array")
+    if not np.isfinite(x).all():
+        raise ValueError("data must be finite")
+    return x
+
+
+def _initial_weights(x: np.ndarray, rng: np.random.Generator, n_neurons: int) -> np.ndarray:
+    """Weights drawn uniformly from the data's bounding box."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return lo + rng.random((n_neurons, x.shape[1])) * span
 
 
 class SelfOrganizingMap:
@@ -83,45 +104,78 @@ class SelfOrganizingMap:
             raise RuntimeError("SOM must be fit before use")
         return self.weights
 
-    def fit(self, data) -> "SelfOrganizingMap":
-        """Train the map with the online Kohonen rule."""
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError("data must be a non-empty 2-D array")
-        if not np.isfinite(x).all():
-            raise ValueError("data must be finite")
-        rng = np.random.default_rng(self.seed)
+    def fit(self, data, *, peers=()) -> "SelfOrganizingMap":
+        """Train the map with the online Kohonen rule.
 
-        # Initialize weights from the data's bounding box.
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        weights = lo + rng.random((self.n_neurons, x.shape[1])) * span
+        ``peers`` are ``(som, data)`` pairs: other maps with this one's
+        grid, ``n_iter``, ``learning_rate`` and ``sigma`` (seeds may
+        differ), each with its own training set of this one's feature
+        width.  All members then train as lanes of one loop over an
+        ``(L, neurons, d)`` weight stack, and each ends bit-identical to
+        its own solo fit.  Every member is checked before any member's
+        state changes.
+        """
+        members = [(self, data), *peers]
+        maps = [som for som, _ in members]
+        for i, som in enumerate(maps):
+            if not isinstance(som, SelfOrganizingMap):
+                raise TypeError("cohort members must be SelfOrganizingMap models")
+            if som._schedule() != self._schedule():
+                raise ValueError(
+                    "cohort members must share the grid, n_iter, learning_rate and sigma"
+                )
+            if any(som is other for other in maps[:i]):
+                raise ValueError("a map appears twice in the cohort")
+        sets = [_training_data(x) for _, x in members]
+        if len({x.shape[1] for x in sets}) > 1:
+            raise ValueError("cohort members must share the feature width")
 
-        # Negated squared grid distances along each axis, built once.  A
-        # neuron's distances to the whole grid are their outer sum: small
-        # integers, so exact however they are summed.
-        neg_row_d2 = _neg_sq_gaps(self.rows)
-        neg_col_d2 = _neg_sq_gaps(self.cols)
+        # Each member draws its initial weights, then its samples, from
+        # its own generator, as a solo fit does.  Lane l samples rows
+        # ``starts[l] + integers(n_l)`` of the concatenated data.
+        rngs = [np.random.default_rng(som.seed) for som in maps]
+        weights = np.stack(
+            [_initial_weights(x, rng, self.n_neurons) for x, rng in zip(sets, rngs, strict=True)]
+        )
+        stacked = np.concatenate(sets)
+        sizes = [x.shape[0] for x in sets]
+        starts = np.cumsum([0, *sizes[:-1]])
+
+        # Negated squared grid distances from each neuron along each axis,
+        # built once: ``neg_row_d2[b]`` is a (rows, 1) column and
+        # ``neg_col_d2[b]`` a (1, cols) row.  Neuron b's distances to the
+        # whole grid are their outer sum: small integers, so exact however
+        # they are summed.
+        row_of, col_of = np.divmod(np.arange(self.n_neurons), self.cols)
+        neg_row_d2 = _neg_sq_gaps(self.rows)[row_of][:, :, None]
+        neg_col_d2 = _neg_sq_gaps(self.cols)[col_of][:, None, :]
+        n_lanes = len(maps)
         diff = np.empty_like(weights)
         sq = np.empty_like(weights)
-        d2 = np.empty(self.n_neurons)
-        influence = np.empty(self.n_neurons)
-        influence_grid = influence.reshape(self.rows, self.cols)
+        d2 = np.empty((n_lanes, self.n_neurons))
+        influence = np.empty((n_lanes, self.n_neurons))
+        influence_grid = influence.reshape(n_lanes, self.rows, self.cols)
+        influence_col = influence[:, :, None]
 
         decay = self.n_iter / 4.6  # rate/sigma shrink to ~1% at the end
         for start in range(0, self.n_iter, _CHUNK):
             # One draw per chunk: ``integers(n, size=k)`` returns the same
             # values, and leaves the same state, as ``k`` scalar draws.
-            samples = rng.integers(x.shape[0], size=min(_CHUNK, self.n_iter - start))
-            for t, i in enumerate(samples.tolist(), start):
+            size = min(_CHUNK, self.n_iter - start)
+            draws = [rng.integers(n, size=size) for rng, n in zip(rngs, sizes, strict=True)]
+            samples = stacked[np.stack(draws, axis=1) + starts][:, :, None, :]
+            for t, sample in enumerate(samples, start):
                 factor = np.exp(-t / decay)
                 lr = self.learning_rate * factor
                 sigma = max(self.sigma0 * factor, 0.5)
 
-                np.subtract(weights, x[i], out=diff)
+                # Every step below is elementwise per lane, or reduces
+                # each lane's own rows along the last axis, so each lane
+                # computes what a solo fit computes.
+                np.subtract(weights, sample, out=diff)
                 np.square(diff, out=sq)
-                row, col = divmod(int(np.add.reduce(sq, axis=1, out=d2).argmin()), self.cols)
-                np.add(neg_row_d2[row, :, None], neg_col_d2[col], out=influence_grid)
+                bmu = np.add.reduce(sq, axis=2, out=d2).argmin(axis=1)
+                np.add(neg_row_d2.take(bmu, 0), neg_col_d2.take(bmu, 0), out=influence_grid)
                 influence /= 2.0 * sigma * sigma
                 np.exp(influence, out=influence)
                 # ``w += lr * h * (x - w)``, written as ``w -= lr * h * (w - x)``
@@ -131,11 +185,16 @@ class SelfOrganizingMap:
                 # No weight is ever -0: ``lo + r * span`` is not, and
                 # ``w - v`` is -0 only when ``w`` already is.
                 influence *= lr
-                diff *= influence[:, None]
+                diff *= influence_col
                 weights -= diff
 
-        self.weights = weights
+        for som, lane_weights in zip(maps, weights, strict=True):
+            som.weights = lane_weights
         return self
+
+    def _schedule(self) -> tuple:
+        """What cohort members must share: grid and training schedule."""
+        return (self.rows, self.cols, self.n_iter, self.learning_rate, self.sigma0)
 
     # ------------------------------------------------------------------ #
     def best_matching_units(self, data) -> np.ndarray:

@@ -7,15 +7,18 @@ standardized internally (fit on the training data) so the regularization
 behaves uniformly across datasets.
 
 Every fit runs the same loop, :func:`_pegasos_lanes`, which trains a
-stack of binary models ("lanes") in lockstep: the one-vs-rest models of
-:class:`OneVsRestSVM` are its lanes, and :class:`LinearSVM` is the
-one-lane case.  Each lane is bit-identical to a sequential Pegasos loop
-over its own generator.
+stack of binary models ("lanes") in lockstep, each on its own span of
+rows of one training matrix.  The one-vs-rest models of
+:class:`OneVsRestSVM` are its lanes: those of one model, or those of a
+cohort of models fit together by ``fit(data, labels, peers=...)``, each
+on its own training set.  :class:`LinearSVM` is the one-lane case.
+Each lane is bit-identical to a sequential Pegasos loop over its own
+generator, so a cohort member ends bit-identical to its solo fit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ def _pegasos_lanes(
     x: np.ndarray,
     y: np.ndarray,
     lane_classes: np.ndarray,
+    spans: Sequence[tuple[int, int]],
     lam: float,
     n_iter: int,
     seeds: Sequence[Optional[int]],
@@ -44,11 +48,13 @@ def _pegasos_lanes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train one binary Pegasos model per entry of ``lane_classes``, in lockstep.
 
-    Lane ``k`` labels a sample +1 when its ``y`` equals ``lane_classes[k]``
-    and -1 otherwise, and draws its samples from ``default_rng(seeds[k])``.
-    Returns the ``(lanes, d)`` weights and the ``(lanes,)`` biases.  Each
-    lane performs the floating-point operations of a sequential
-    one-sample-per-step loop, in the same order:
+    Lane ``k`` trains on the ``spans[k] = (start, size)`` rows
+    ``x[start:start + size]``: it draws ``start + integers(size)`` from
+    ``default_rng(seeds[k])`` and labels a row +1 when its ``y`` equals
+    ``lane_classes[k]`` and -1 otherwise.  Returns the ``(lanes, d)``
+    weights and the ``(lanes,)`` biases.  Each lane performs the
+    floating-point operations of a sequential one-sample-per-step loop
+    over its own rows, in the same order:
 
     * margins and norms use a stacked ``(1, d) @ (d, 1)`` ``np.matmul``,
       which calls the BLAS dot that ``x[i] @ w`` and ``np.linalg.norm(w)``
@@ -57,8 +63,10 @@ def _pegasos_lanes(
       them (``where=`` masks), so no other lane gets a ``+ 0`` or ``* 1``.
     """
     n_lanes = lane_classes.size
-    n, d = x.shape
+    d = x.shape[1]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    starts = np.array([start for start, _ in spans], dtype=np.intp)
+    sizes = [size for _, size in spans]
     # Per-lane scalars are (lanes, 1) columns: they broadcast against
     # ``weights`` and mask its rows.  ``weights`` is only ever updated in
     # place, so its (lanes, d, 1) and (lanes, 1, d) views stay valid.
@@ -71,7 +79,11 @@ def _pegasos_lanes(
 
     for start in range(1, n_iter + 1, _CHUNK):
         steps = np.arange(start, min(start + _CHUNK, n_iter + 1))
-        rows = np.stack([rng.integers(n, size=steps.size) for rng in rngs], axis=1)
+        draws = [
+            rng.integers(size, size=steps.size)
+            for rng, size in zip(rngs, sizes, strict=True)
+        ]
+        rows = np.stack(draws, axis=1) + starts
         xs = x[rows][:, :, None, :]  # (chunk, lanes, 1, d)
         ys = np.where(y[rows] == lane_classes, 1.0, -1.0)[:, :, None]  # (chunk, lanes, 1)
         etas = 1.0 / (lam * steps)
@@ -108,6 +120,35 @@ def _pegasos_lanes(
                     np.divide(radius, norms, out=scale, where=mask)
                     np.multiply(weights, scale, out=weights, where=mask)
     return weights, biases.ravel()
+
+
+class _TrainingSet(NamedTuple):
+    """One checked one-vs-rest training set, standardized."""
+
+    classes: np.ndarray
+    #: Index of each row's class in ``classes``, or -1 for a label that
+    #: equals no class (NaN): a lane's label test is ``y == class``.
+    codes: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    scaled: np.ndarray
+
+
+def _training_set(data, labels) -> _TrainingSet:
+    x = np.asarray(data, dtype=float)
+    y = np.asarray(labels).ravel()
+    if x.ndim != 2 or x.shape[0] != y.size or x.shape[0] == 0:
+        raise ValueError("data must be 2-D with one label per row")
+    _check_finite(x)
+    classes, codes = np.unique(y, return_inverse=True)
+    if classes.size < 2:
+        raise ValueError("need at least two classes")
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    return _TrainingSet(
+        classes, np.where(classes[codes] == y, codes, -1), mean, std, (x - mean) / std
+    )
 
 
 class LinearSVM:
@@ -147,7 +188,7 @@ class LinearSVM:
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("binary labels must be -1/+1")
         weights, biases = _pegasos_lanes(
-            x, y, np.ones(1), self.lam, self.n_iter, [self.seed], self.project
+            x, y, np.ones(1), [(0, y.size)], self.lam, self.n_iter, [self.seed], self.project
         )
         self.weights = weights[0]
         self.bias = float(biases[0])
@@ -168,10 +209,11 @@ class LinearSVM:
 class OneVsRestSVM:
     """Multiclass linear SVM by one-vs-rest margin voting.
 
-    One binary :class:`LinearSVM` per class, all trained in lockstep;
-    prediction takes the argmax of the per-class decision margins.
-    Inputs are standardized with the training mean/std, matching common
-    practice for margin-based models.
+    One binary :class:`LinearSVM` per class, all trained in lockstep
+    (with those of any ``peers`` passed to :meth:`fit`); prediction
+    takes the argmax of the per-class decision margins.  Inputs are
+    standardized with the training mean/std, matching common practice
+    for margin-based models.
     """
 
     def __init__(
@@ -191,36 +233,66 @@ class OneVsRestSVM:
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self._mean) / self._std
 
-    def fit(self, data, labels) -> "OneVsRestSVM":
-        """Train one binary model per distinct label."""
-        x = np.asarray(data, dtype=float)
-        y = np.asarray(labels).ravel()
-        if x.ndim != 2 or x.shape[0] != y.size or x.shape[0] == 0:
-            raise ValueError("data must be 2-D with one label per row")
-        _check_finite(x)
-        self.classes_ = np.unique(y)
-        if self.classes_.size < 2:
-            raise ValueError("need at least two classes")
-        self._mean = x.mean(axis=0)
-        self._std = x.std(axis=0)
-        self._std = np.where(self._std > 0.0, self._std, 1.0)
-        xs = self._standardize(x)
+    def fit(self, data, labels, *, peers=()) -> "OneVsRestSVM":
+        """Train one binary model per distinct label.
 
-        models = [
-            LinearSVM(
-                lam=self.lam,
-                n_iter=self.n_iter,
-                seed=None if self.seed is None else self.seed + idx,
-            )
-            for idx in range(self.classes_.size)
+        ``peers`` are ``(model, data, labels)`` triples: other
+        ``OneVsRestSVM`` models with this one's ``lam`` and ``n_iter``
+        (seeds may differ), each with its own training set of this one's
+        feature width.  All members then train as lanes of one loop, and
+        each ends bit-identical to its own solo fit.  Every member is
+        checked before any member's state changes.
+        """
+        members = [(self, data, labels), *peers]
+        models = [model for model, _, _ in members]
+        for i, model in enumerate(models):
+            if not isinstance(model, OneVsRestSVM):
+                raise TypeError("cohort members must be OneVsRestSVM models")
+            if (model.lam, model.n_iter) != (self.lam, self.n_iter):
+                raise ValueError("cohort members must share lam and n_iter")
+            if any(model is other for other in models[:i]):
+                raise ValueError("a model appears twice in the cohort")
+        sets = [_training_set(x, y) for _, x, y in members]
+        if len({s.scaled.shape[1] for s in sets}) > 1:
+            raise ValueError("cohort members must share the feature width")
+        lanes = [
+            [
+                LinearSVM(
+                    lam=self.lam,
+                    n_iter=self.n_iter,
+                    seed=None if model.seed is None else model.seed + idx,
+                )
+                for idx in range(s.classes.size)
+            ]
+            for model, s in zip(models, sets, strict=True)
         ]
+
+        # Member m's K_m class lanes all draw from its own rows.
+        spans = []
+        start = 0
+        for s in sets:
+            spans += [(start, s.scaled.shape[0])] * s.classes.size
+            start += s.scaled.shape[0]
         weights, biases = _pegasos_lanes(
-            xs, y, self.classes_, self.lam, self.n_iter, [m.seed for m in models], True
+            np.concatenate([s.scaled for s in sets]),
+            np.concatenate([s.codes for s in sets]),
+            np.concatenate([np.arange(s.classes.size) for s in sets]),
+            spans,
+            self.lam,
+            self.n_iter,
+            [lane.seed for member_lanes in lanes for lane in member_lanes],
+            True,
         )
-        for model, w, b in zip(models, weights, biases, strict=False):
-            model.weights = w
-            model.bias = float(b)
-        self._models = models
+        k = 0
+        for model, s, member_lanes in zip(models, sets, lanes, strict=True):
+            for lane in member_lanes:
+                lane.weights = weights[k]
+                lane.bias = float(biases[k])
+                k += 1
+            model.classes_ = s.classes
+            model._mean = s.mean
+            model._std = s.std
+            model._models = member_lanes
         return self
 
     def decision_matrix(self, data) -> np.ndarray:

@@ -86,6 +86,31 @@ class TestAccuracyAndConfusion:
         m = confusion_matrix([0], [0], n_classes=4)
         assert m.shape == (4, 4)
 
+    @pytest.mark.parametrize(
+        "y_true, y_pred, n_classes",
+        [
+            ([0, 1, -1], [0, 1, 1], 3),  # np.add.at would count it at [2, 1]
+            ([0, 1, 1], [0, 1, -1], None),
+            ([-2, -1], [-1, -2], None),
+            ([0, 1, 3], [0, 1, 1], 3),  # an index past the last class
+            ([0, 1], [0, 2], 2),
+        ],
+    )
+    def test_confusion_matrix_rejects_labels_outside_classes(
+        self, y_true, y_pred, n_classes
+    ):
+        with pytest.raises(ValueError, match="class indices"):
+            confusion_matrix(y_true, y_pred, n_classes)
+
+    @pytest.mark.parametrize("n_classes", [0, -1])
+    def test_confusion_matrix_rejects_non_positive_class_count(self, n_classes):
+        with pytest.raises(ValueError, match="n_classes"):
+            confusion_matrix([0, 0], [0, 0], n_classes)
+
+    def test_confusion_summary_rejects_labels_outside_classes(self):
+        with pytest.raises(ValueError, match="class indices"):
+            confusion_summary([0, 1, -1], [0, 1, 1], 3)
+
     def test_confusion_summary_ppv_fdr(self):
         s = confusion_summary([0, 0, 1, 1], [0, 1, 1, 1])
         assert s.ppv[0] == pytest.approx(1.0)

@@ -4,6 +4,9 @@
 loop, and ``SelfOrganizingMap.fit`` draws its samples in chunks and
 reuses buffers.  Both must reproduce, bit for bit, the plain
 one-sample-per-step loops below, which are the fits as first written.
+Models fit together as a cohort (``fit(..., peers=...)``) share one
+loop, and every member must end bit-identical to its own solo fit and
+to the reference loop.
 """
 
 import numpy as np
@@ -82,6 +85,13 @@ def _steps(chunk):
     return (1, chunk - 1, chunk, chunk + 1, 3000)
 
 
+def _cohort_steps(chunk):
+    """(members, n_iter): Fig. 7/8's seven-member cohort at every chunk
+    edge, and the long run at two members (the reference loops are slow)."""
+    steps = _steps(chunk)
+    return [(7, n) for n in steps[:-1]] + [(2, n) for n in steps]
+
+
 def _binary_problem(seed, n, d, scale=1.0):
     """Noisy linearly separable ±1 labels, so some steps hinge and some not."""
     rng = np.random.default_rng(seed)
@@ -157,6 +167,115 @@ class TestOneVsRestSVM:
             _assert_same_model(lane.weights, lane.bias, want_w, want_b)
 
 
+def _labeled_cohort(seed, n_members, d):
+    """Training sets that differ in row count, scale and class set.
+
+    Member 1 (when present) lacks class 1, and member 2 names its
+    classes by other values, so the members' lane counts and label
+    codes differ.
+    """
+    rng = np.random.default_rng(seed)
+    n_classes = 3 + seed % 2
+    centers = rng.normal(0.0, 3.0, size=(n_classes, d))
+    sets = []
+    for m in range(n_members):
+        n = 20 + 9 * m
+        labels = rng.integers(0, n_classes, size=n)
+        labels[:n_classes] = np.arange(n_classes)  # every class present
+        if m == 1:
+            labels[labels == 1] = 0
+        x = (centers[labels] + rng.normal(size=(n, d))) * (1.0 + m)
+        if m == 2:
+            labels = labels * 7 + 3
+        sets.append((x, labels))
+    return sets
+
+
+def _fit_ovr_cohort(sets, lam, n_iter, seeds):
+    models = [OneVsRestSVM(lam=lam, n_iter=n_iter, seed=seed) for seed in seeds]
+    (lead_x, lead_y), *rest = sets
+    models[0].fit(
+        lead_x,
+        lead_y,
+        peers=[(model, x, y) for model, (x, y) in zip(models[1:], rest, strict=True)],
+    )
+    return models
+
+
+def _assert_ovr_member(model, x, y, lam, n_iter, seed):
+    """A cohort member equals its solo fit and the reference loops."""
+    solo = OneVsRestSVM(lam=lam, n_iter=n_iter, seed=seed).fit(x, y)
+    assert model.classes_.tobytes() == solo.classes_.tobytes()
+    assert model._mean.tobytes() == solo._mean.tobytes()
+    assert model._std.tobytes() == solo._std.tobytes()
+    expected = reference_one_vs_rest(x, y, lam, n_iter, seed)
+    assert len(model._models) == len(solo._models) == len(expected)
+    for lane, solo_lane, (want_w, want_b) in zip(
+        model._models, solo._models, expected, strict=True
+    ):
+        _assert_same_model(lane.weights, lane.bias, solo_lane.weights, solo_lane.bias)
+        _assert_same_model(lane.weights, lane.bias, want_w, want_b)
+        assert lane.seed == solo_lane.seed
+
+
+class TestOneVsRestCohort:
+    @pytest.mark.parametrize("n_members, n_iter", _cohort_steps(SVM_CHUNK))
+    def test_every_member_matches_solo_and_reference(self, n_members, n_iter):
+        for i, d in enumerate(DIMS):
+            lam = LAMS[(i + n_members) % len(LAMS)]
+            sets = _labeled_cohort(seed=d + n_members, n_members=n_members, d=d)
+            seeds = [10 * m + d for m in range(n_members)]
+            models = _fit_ovr_cohort(sets, lam, n_iter, seeds)
+            for model, (x, y), seed in zip(models, sets, seeds, strict=True):
+                _assert_ovr_member(model, x, y, lam, n_iter, seed)
+
+    def test_shared_seed_members_stay_independent(self, control_data):
+        """Fig. 7's cohort: one seed, six classes, one member per set."""
+        data, labels = control_data
+        rng = np.random.default_rng(3)
+        sets = [(data, labels)] + [
+            (data[keep], labels[keep])
+            for keep in (rng.random(data.shape[0]) < 0.8 for _ in range(2))
+        ]
+        models = _fit_ovr_cohort(sets, 1e-4, 2 * SVM_CHUNK + 1, [0, 0, 0])
+        for model, (x, y) in zip(models, sets, strict=True):
+            _assert_ovr_member(model, x, y, 1e-4, 2 * SVM_CHUNK + 1, 0)
+
+    def test_nan_label_matches_no_class(self):
+        """A lane labels a row +1 when ``y == class``: never for NaN."""
+        sets = [
+            (x, y.astype(float)) for x, y in _labeled_cohort(seed=4, n_members=2, d=2)
+        ]
+        sets[1][1][[3, 8]] = np.nan
+        models = _fit_ovr_cohort(sets, 1e-2, 2 * SVM_CHUNK, [1, 2])
+        assert np.isnan(models[1].classes_[-1])
+        for model, (x, y), seed in zip(models, sets, [1, 2], strict=True):
+            _assert_ovr_member(model, x, y, 1e-2, 2 * SVM_CHUNK, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_members=st.integers(1, 5),
+        d=st.sampled_from((1, 2, 3, 60)),
+        lam=st.sampled_from(LAMS),
+        n_iter=st.integers(1, 3 * SVM_CHUNK + 5),
+    )
+    def test_random_cohorts_match_solo_and_reference(self, seed, n_members, d, lam, n_iter):
+        rng = np.random.default_rng(seed)
+        sets = []
+        for _ in range(n_members):
+            n = int(rng.integers(2, 25))
+            n_classes = int(rng.integers(2, min(n, 4) + 1))
+            labels = rng.integers(0, n_classes, size=n)
+            labels[:2] = (0, 1)  # at least two classes
+            x = rng.normal(size=(n, d)) * rng.choice((1e-3, 1.0, 1e3))
+            sets.append((x, labels))
+        seeds = rng.integers(0, 2**31, size=n_members).tolist()
+        models = _fit_ovr_cohort(sets, lam, n_iter, seeds)
+        for model, (x, y), member_seed in zip(models, sets, seeds, strict=True):
+            _assert_ovr_member(model, x, y, lam, n_iter, member_seed)
+
+
 class TestSelfOrganizingMap:
     @pytest.mark.parametrize("n_iter", _steps(SOM_CHUNK))
     @pytest.mark.parametrize("grid", [(1, 5), (3, 7), (6, 2), (4, 4)])
@@ -193,3 +312,65 @@ class TestSelfOrganizingMap:
         ).fit(x)
         want = reference_som(x, rows, cols, n_iter, learning_rate, sigma, seed)
         assert som.weights.tobytes() == want.tobytes()
+
+
+def _fit_som_cohort(sets, rows, cols, n_iter, learning_rate, sigma, seeds):
+    soms = [
+        SelfOrganizingMap(
+            rows, cols, n_iter=n_iter, learning_rate=learning_rate, sigma=sigma, seed=seed
+        )
+        for seed in seeds
+    ]
+    soms[0].fit(
+        sets[0], peers=[(som, x) for som, x in zip(soms[1:], sets[1:], strict=True)]
+    )
+    return soms
+
+
+def _assert_som_member(som, x, rows, cols, n_iter, learning_rate, sigma, seed):
+    """A cohort member equals its solo fit and the reference loop."""
+    solo = SelfOrganizingMap(
+        rows, cols, n_iter=n_iter, learning_rate=learning_rate, sigma=sigma, seed=seed
+    ).fit(x)
+    want = reference_som(x, rows, cols, n_iter, learning_rate, sigma, seed)
+    assert som.weights.tobytes() == solo.weights.tobytes()
+    assert som.weights.tobytes() == want.tobytes()
+
+
+class TestSelfOrganizingMapCohort:
+    @pytest.mark.parametrize("n_members, n_iter", _cohort_steps(SOM_CHUNK))
+    def test_every_member_matches_solo_and_reference(self, n_members, n_iter):
+        for d in DIMS:
+            rng = np.random.default_rng(d + n_members)
+            sets = [
+                rng.normal(size=(12 + 7 * m, d)) * (1.0 + m) + m for m in range(n_members)
+            ]
+            seeds = [10 * m + d for m in range(n_members)]
+            sigma = None if d % 2 else 0.7
+            soms = _fit_som_cohort(sets, 3, 4, n_iter, 0.4, sigma, seeds)
+            for som, x, seed in zip(soms, sets, seeds, strict=True):
+                _assert_som_member(som, x, 3, 4, n_iter, 0.4, sigma, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_members=st.integers(1, 5),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        d=st.sampled_from((1, 2, 3, 31)),
+        n_iter=st.integers(1, 3 * SOM_CHUNK + 5),
+        learning_rate=st.floats(0.01, 1.0),
+        sigma=st.one_of(st.none(), st.floats(0.05, 6.0)),
+    )
+    def test_random_cohorts_match_solo_and_reference(
+        self, seed, n_members, rows, cols, d, n_iter, learning_rate, sigma
+    ):
+        rng = np.random.default_rng(seed)
+        sets = [
+            rng.normal(size=(int(rng.integers(1, 25)), d)) * rng.choice((1e-3, 1.0, 1e3))
+            for _ in range(n_members)
+        ]
+        seeds = rng.integers(0, 2**31, size=n_members).tolist()
+        soms = _fit_som_cohort(sets, rows, cols, n_iter, learning_rate, sigma, seeds)
+        for som, x, member_seed in zip(soms, sets, seeds, strict=True):
+            _assert_som_member(som, x, rows, cols, n_iter, learning_rate, sigma, member_seed)

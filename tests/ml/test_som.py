@@ -113,3 +113,61 @@ class TestClusterCount:
         data = rng.normal(size=(200, 2))
         som = SelfOrganizingMap(rows=6, cols=6, n_iter=2000, seed=2).fit(data)
         assert som.cluster_count(data) <= som.n_neurons // 2
+
+
+def _som_state(som):
+    return None if som.weights is None else som.weights.tobytes()
+
+
+def _bad_som_member(case, data, fitted):
+    """One cohort member that must make the whole cohort fit fail."""
+    nan_data = data.copy()
+    nan_data[3, 0] = np.inf
+    config = dict(rows=3, cols=4, n_iter=150, seed=5)
+    return {
+        "grid": (SelfOrganizingMap(**{**config, "cols": 3}), data),
+        "n_iter": (SelfOrganizingMap(**{**config, "n_iter": 151}), data),
+        "learning_rate": (SelfOrganizingMap(**config, learning_rate=0.4), data),
+        "sigma": (SelfOrganizingMap(**config, sigma=1.5), data),
+        "width": (SelfOrganizingMap(**config), data[:, :1]),
+        "named_twice": (fitted, data[::-1]),
+        "empty": (SelfOrganizingMap(**config), data[:0]),
+        "non_finite": (SelfOrganizingMap(**config), nan_data),
+    }[case]
+
+
+class TestCohortRejection:
+    """A cohort fit checks every member before any member's state moves."""
+
+    @pytest.mark.parametrize("bad_leads", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        ["grid", "n_iter", "learning_rate", "sigma", "width", "named_twice", "empty", "non_finite"],
+    )
+    def test_rejected_cohort_moves_no_state(self, case, bad_leads):
+        data = np.random.default_rng(4).normal(size=(40, 2))
+        fitted = SelfOrganizingMap(rows=3, cols=4, n_iter=150, seed=1).fit(data)
+        unfitted = SelfOrganizingMap(rows=3, cols=4, n_iter=150, seed=2)
+        members = [(fitted, data), (unfitted, data[::2])]
+        bad = _bad_som_member(case, data, fitted)
+        members = [bad, *members] if bad_leads else [*members, bad]
+        before = [_som_state(som) for som, _ in members]
+        (lead, lead_data), *peers = members
+        with pytest.raises(ValueError):
+            lead.fit(lead_data, peers=peers)
+        assert [_som_state(som) for som, _ in members] == before
+        assert unfitted.weights is None
+
+    def test_lead_named_as_its_own_peer_rejected(self):
+        data = np.random.default_rng(4).normal(size=(40, 2))
+        som = SelfOrganizingMap(rows=3, cols=4, n_iter=150, seed=1)
+        with pytest.raises(ValueError, match="twice"):
+            som.fit(data, peers=[(som, data)])
+        assert som.weights is None
+
+    def test_non_map_peer_rejected(self):
+        data = np.random.default_rng(4).normal(size=(40, 2))
+        som = SelfOrganizingMap(rows=3, cols=4, n_iter=150, seed=1)
+        with pytest.raises(TypeError):
+            som.fit(data, peers=[(object(), data)])
+        assert som.weights is None

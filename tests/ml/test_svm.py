@@ -122,3 +122,73 @@ class TestOneVsRestSVM:
         model = OneVsRestSVM(lam=1e-4, n_iter=20_000, seed=0).fit(data, labels)
         # The Fig. 6a ballpark: the paper reports 96.8% on Control.
         assert model.score(data, labels) > 0.93
+
+
+def _svm_state(model):
+    """Everything a fit sets, as bytes (None while unfitted)."""
+    if model.classes_ is None:
+        assert model._models == [] and model._mean is None and model._std is None
+        return None
+    return (
+        model.classes_.tobytes(),
+        model._mean.tobytes(),
+        model._std.tobytes(),
+        [(lane.weights.tobytes(), lane.bias) for lane in model._models],
+    )
+
+
+def _bad_svm_member(case, data, labels, fitted):
+    """One cohort member that must make the whole cohort fit fail."""
+    nan_data = data.copy()
+    nan_data[4, 1] = np.nan
+    return {
+        "lam": (OneVsRestSVM(lam=2e-3, n_iter=200, seed=5), data, labels),
+        "n_iter": (OneVsRestSVM(n_iter=201, seed=5), data, labels),
+        "width": (OneVsRestSVM(n_iter=200, seed=5), data[:, :1], labels),
+        "named_twice": (fitted, data[::-1], labels[::-1]),
+        "empty": (OneVsRestSVM(n_iter=200, seed=5), data[:0], labels[:0]),
+        "non_finite": (OneVsRestSVM(n_iter=200, seed=5), nan_data, labels),
+        "one_class": (OneVsRestSVM(n_iter=200, seed=5), data, np.zeros_like(labels)),
+    }[case]
+
+
+class TestCohortRejection:
+    """A cohort fit checks every member before any member's state moves."""
+
+    @pytest.mark.parametrize("bad_leads", [False, True])
+    @pytest.mark.parametrize(
+        "case", ["lam", "n_iter", "width", "named_twice", "empty", "non_finite", "one_class"]
+    )
+    def test_rejected_cohort_moves_no_state(self, small_gaussian, case, bad_leads):
+        data, labels = small_gaussian
+        fitted = OneVsRestSVM(n_iter=200, seed=1).fit(data, labels)
+        unfitted = OneVsRestSVM(n_iter=200, seed=2)
+        members = [(fitted, data, labels), (unfitted, data[::2], labels[::2])]
+        bad = _bad_svm_member(case, data, labels, fitted)
+        members = [bad, *members] if bad_leads else [*members, bad]
+        before = [_svm_state(model) for model, _, _ in members]
+        (lead, lead_data, lead_labels), *peers = members
+        with pytest.raises(ValueError):
+            lead.fit(lead_data, lead_labels, peers=peers)
+        assert [_svm_state(model) for model, _, _ in members] == before
+        assert unfitted.classes_ is None
+
+    def test_lead_named_as_its_own_peer_rejected(self, small_gaussian):
+        data, labels = small_gaussian
+        model = OneVsRestSVM(n_iter=200, seed=1)
+        with pytest.raises(ValueError, match="twice"):
+            model.fit(data, labels, peers=[(model, data, labels)])
+        assert _svm_state(model) is None
+
+    def test_non_model_peer_rejected(self, small_gaussian):
+        data, labels = small_gaussian
+        model = OneVsRestSVM(n_iter=200, seed=1)
+        with pytest.raises(TypeError):
+            model.fit(data, labels, peers=[(LinearSVM(n_iter=200), data, labels)])
+        assert _svm_state(model) is None
+
+    def test_solo_one_class_rejection_moves_no_state(self, rng):
+        model = OneVsRestSVM(n_iter=50, seed=0)
+        with pytest.raises(ValueError):
+            model.fit(rng.normal(size=(10, 2)), np.zeros(10))
+        assert _svm_state(model) is None

@@ -1,5 +1,9 @@
 """Smoke tests of the top-level public API."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 import repro
@@ -12,6 +16,26 @@ def test_version():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported where it is used: the package, its CLI and the
+    scenario registry load without it, so serving and every CLI call
+    skip its import cost."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p
+        for p in [os.path.dirname(os.path.dirname(repro.__file__)), env.get("PYTHONPATH", "")]
+        if p
+    )
+    script = (
+        "import sys, repro, repro.cli, repro.scenarios\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_quickstart_flow(control_data):
