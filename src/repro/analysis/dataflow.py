@@ -30,7 +30,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .engine import ModuleContext
+from .engine import ModuleContext, child_nodes
 
 __all__ = [
     "FunctionSummary",
@@ -43,7 +43,7 @@ __all__ = [
 
 def walk_body(fn: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs/classes."""
-    pending: List[ast.AST] = list(ast.iter_child_nodes(fn))
+    pending: List[ast.AST] = list(child_nodes(fn))
     while pending:
         node = pending.pop()
         yield node
@@ -52,7 +52,7 @@ def walk_body(fn: ast.AST) -> Iterator[ast.AST]:
             (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
         ):
             continue
-        pending.extend(ast.iter_child_nodes(node))
+        pending.extend(child_nodes(node))
 
 
 def is_set_expr(ctx: ModuleContext, node: ast.expr) -> bool:
@@ -382,7 +382,7 @@ class ModuleDataflow:
         self._views: Dict[str, ClassView] = {}
 
         tree = ctx.tree
-        for node in ast.iter_child_nodes(tree):
+        for node in child_nodes(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 summary = _summarize(ctx, node.name, node)
                 self.functions[node.name] = summary

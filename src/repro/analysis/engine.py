@@ -7,12 +7,14 @@ list of :class:`Rule` objects that each walk the tree and yield
 deliberately *whole-module* visitors rather than per-node callbacks: the
 repo's violation classes (an ``__init__`` body diffed against ``reset``,
 a call argument flowing into a seed) need more context than a single
-node, and at this codebase's size a handful of extra walks is free.
+node.  So each tree is walked many times, and :func:`walk` and
+:func:`child_nodes` list a node's subtree and children once per parse.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -28,8 +30,44 @@ __all__ = [
     "ModuleContext",
     "Rule",
     "LintEngine",
+    "child_nodes",
     "iter_python_files",
+    "walk",
 ]
+
+
+# --------------------------------------------------------------------- #
+# tree walking
+# --------------------------------------------------------------------- #
+def child_nodes(node: ast.AST) -> List[ast.AST]:
+    """``list(ast.iter_child_nodes(node))``, computed once per node.
+
+    The linter never mutates a parsed tree, so the list is kept on the
+    node itself and every later walk reuses it.
+    """
+    children: Optional[List[ast.AST]] = node.__dict__.get("_child_nodes")
+    if children is None:
+        children = list(ast.iter_child_nodes(node))
+        node.__dict__["_child_nodes"] = children
+    return children
+
+
+def walk(node: ast.AST) -> List[ast.AST]:
+    """``list(ast.walk(node))``, in its breadth-first order, listed once per node.
+
+    Like :func:`child_nodes`, the list is kept on the node; callers only
+    iterate it.
+    """
+    nodes: Optional[List[ast.AST]] = node.__dict__.get("_walk")
+    if nodes is None:
+        nodes = [node]
+        pending = deque([node])
+        while pending:
+            children = child_nodes(pending.popleft())
+            nodes.extend(children)
+            pending.extend(children)
+        node.__dict__["_walk"] = nodes
+    return nodes
 
 
 # --------------------------------------------------------------------- #
@@ -69,7 +107,7 @@ class ModuleContext:
 
     # ------------------------------------------------------------------ #
     def _index_imports(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -81,8 +119,8 @@ class ModuleContext:
                     self.symbol_aliases[local] = f"{node.module}.{alias.name}"
 
     def _index_parents(self) -> None:
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
+        for parent in walk(self.tree):
+            for child in child_nodes(parent):
                 self._parents[id(child)] = parent
 
     # ------------------------------------------------------------------ #

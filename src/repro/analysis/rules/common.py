@@ -6,7 +6,8 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from ..engine import ModuleContext
+from ..dataflow import walk_body
+from ..engine import ModuleContext, walk
 
 __all__ = [
     "PROTOCOL_BASES",
@@ -64,7 +65,7 @@ def component_classes(ctx: ModuleContext) -> List[ast.ClassDef]:
     that qualifies.
     """
     classes = [
-        node for node in ast.walk(ctx.tree) if isinstance(node, ast.ClassDef)
+        node for node in walk(ctx.tree) if isinstance(node, ast.ClassDef)
     ]
     by_name = {cls.name: cls for cls in classes}
     qualified: Dict[str, bool] = {}
@@ -103,19 +104,6 @@ def class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     }
 
 
-def _walk_method(fn: ast.FunctionDef) -> Iterator[ast.AST]:
-    """Walk a method body without descending into nested defs/classes."""
-    pending: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while pending:
-        node = pending.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        pending.extend(ast.iter_child_nodes(node))
-
-
 def self_attribute_assigns(fn: ast.FunctionDef) -> Dict[str, List[ast.stmt]]:
     """``self.X`` attribute names assigned in the method body.
 
@@ -135,7 +123,7 @@ def self_attribute_assigns(fn: ast.FunctionDef) -> Dict[str, List[ast.stmt]]:
                 yield from attr_targets(element)
 
     assigns: Dict[str, List[ast.stmt]] = {}
-    for node in _walk_method(fn):
+    for node in walk_body(fn):
         targets: List[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = list(node.targets)
@@ -150,7 +138,7 @@ def self_attribute_assigns(fn: ast.FunctionDef) -> Dict[str, List[ast.stmt]]:
 def self_method_calls(fn: ast.FunctionDef) -> Set[str]:
     """Names of methods the body invokes as ``self.m(...)``."""
     calls: Set[str] = set()
-    for node in _walk_method(fn):
+    for node in walk_body(fn):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

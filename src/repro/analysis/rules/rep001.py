@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 
 __all__ = ["GlobalRNGRule"]
 
@@ -52,7 +52,7 @@ class GlobalRNGRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve_call(node.func)

@@ -17,7 +17,7 @@ import re
 from typing import Iterator, List
 
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 from .common import target_attr_and_names, terminal_name
 
 __all__ = ["UnstableSeedMaterialRule"]
@@ -54,7 +54,7 @@ class UnstableSeedMaterialRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve_call(node.func)

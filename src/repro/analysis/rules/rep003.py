@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Set
 
 from ..dataflow import ModuleDataflow, is_set_expr
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 from .common import terminal_name
 
 __all__ = ["UnorderedCanonicalIterationRule"]
@@ -59,7 +59,7 @@ class UnorderedCanonicalIterationRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         df = ModuleDataflow.of(ctx)
-        for fn in ast.walk(ctx.tree):
+        for fn in walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not _CANONICAL_FUNC.search(fn.name):
@@ -87,7 +87,7 @@ class UnorderedCanonicalIterationRule(Rule):
         # leak.  Interprocedurally, a local bound to a call whose callee
         # returns a set is tainted the same way.
         set_names: Set[str] = set()
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -122,7 +122,7 @@ class UnorderedCanonicalIterationRule(Rule):
                 f"`{fn_name}()`",
             )
 
-        for node in ast.walk(fn):
+        for node in walk(fn):
             source: Optional[ast.expr] = None
             how = ""
             if isinstance(node, (ast.For, ast.AsyncFor)):

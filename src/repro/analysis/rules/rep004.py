@@ -16,7 +16,7 @@ import ast
 from typing import Iterator, List
 
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 from .common import component_classes, is_mutable_literal
 
 __all__ = ["MutableSharedStateRule"]
@@ -36,7 +36,7 @@ class MutableSharedStateRule(Rule):
 
     # ------------------------------------------------------------------ #
     def _check_defaults(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

@@ -30,7 +30,7 @@ from typing import Dict, Iterator
 
 from ..dataflow import ModuleDataflow
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 from .common import (
     class_methods,
     component_classes,
@@ -51,7 +51,7 @@ def _constructs_rng(node: ast.stmt) -> bool:
     value = getattr(node, "value", None)
     if value is None:
         return False
-    for sub in ast.walk(value):
+    for sub in walk(value):
         if isinstance(sub, ast.Call):
             if terminal_name(sub.func) in _RNG_CONSTRUCTORS:
                 return True

@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..dataflow import ModuleDataflow, walk_body
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 
 __all__ = ["FusionPurityRule"]
 
@@ -198,7 +198,7 @@ class FusionPurityRule(Rule):
     def _instance_reads(value: ast.expr) -> Set[str]:
         """Attribute/string names the RHS reads off non-self objects."""
         reads: Set[str] = set()
-        for node in ast.walk(value):
+        for node in walk(value):
             if isinstance(node, ast.Attribute) and isinstance(
                 node.ctx, ast.Load
             ):
@@ -233,7 +233,7 @@ class FusionPurityRule(Rule):
         for method in cls.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for node in ast.walk(method):
+            for node in walk(method):
                 if node is method or not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
                 ):
@@ -249,7 +249,7 @@ class FusionPurityRule(Rule):
 
     @staticmethod
     def _closure_mutates(fn: ast.AST) -> bool:
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if isinstance(node, ast.Nonlocal):
                 return True
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -259,7 +259,7 @@ class FusionPurityRule(Rule):
                     else [node.target]
                 )
                 for target in targets:
-                    for sub in ast.walk(target):
+                    for sub in walk(target):
                         if (
                             isinstance(sub, ast.Attribute)
                             and isinstance(sub.value, ast.Name)

@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Set
 
 from ..dataflow import ModuleDataflow, walk_body
 from ..diagnostics import Diagnostic
-from ..engine import ModuleContext, Rule
+from ..engine import ModuleContext, Rule, walk
 
 __all__ = ["DeferredWritebackSafetyRule"]
 
@@ -162,7 +162,7 @@ class DeferredWritebackSafetyRule(Rule):
     # (B) raw Generator bit-state outside rng_state/set_rng_state
     # ------------------------------------------------------------------ #
     def _check_bit_state(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for fn in ast.walk(ctx.tree):
+        for fn in walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if fn.name in _RNG_STATE_FUNCS:

@@ -528,8 +528,10 @@ class BatchedCollectionGame:
     exactly the components of one solo game:
 
     sources:
-        One :class:`~repro.streams.source.StreamSource` per lane; every
-        round stacks one ``next_batch()`` per lane.
+        One :class:`~repro.streams.source.StreamSource` per lane; the
+        cohort draws every round through its
+        :class:`~repro.core.fusion.SourceLanes` program, byte-identically
+        to stacking one ``next_batch()`` per lane.
     collectors / adversaries / injectors / trimmers:
         One instance per lane.  Shipped classes run array-native; user
         strategies and custom ``trim`` overrides fall back to a per-lane
@@ -604,8 +606,9 @@ class BatchedCollectionGame:
         one :class:`~repro.core.session.BatchedGameSession` cohort — the
         round program and deferred sink the
         :class:`~repro.serving.DefenseService` multiplexes live tenants
-        through — and the first ``close()`` flushes the cohort's sink
-        into every lane's session.
+        through — which draws each round from the lanes' sources itself,
+        and the first ``close()`` flushes the cohort's sink into every
+        lane's session.
         """
         from .session import BatchedGameSession, GameSession
 
@@ -623,5 +626,5 @@ class BatchedCollectionGame:
         ]
         lockstep = BatchedGameSession(sessions)
         for _ in range(self.rounds):
-            lockstep.submit(np.stack([source.next_batch() for source in self.sources]))
+            lockstep.submit()
         return [session.close() for session in sessions]

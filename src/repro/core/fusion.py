@@ -34,6 +34,15 @@ whichever caller seats the lanes
   exact-:class:`~repro.core.quality.TailMassEvaluator` stacks in one
   array sweep and :class:`JudgeLanes` computes the shipped judges'
   verdicts in array expressions; other classes loop per lane.
+* **Source program** — :class:`SourceLanes` draws a round's benign
+  stack when the cohort is submitted without one.  Exact
+  :class:`~repro.streams.source.ArrayStream` lanes of one draw shape
+  are grouped by the identity of their dataset array at build time and
+  gather their in-epoch rows in one indexed pass per array, each stream
+  handing over its next row indices and advancing its own cursor; a
+  lane whose draw crosses its epoch end calls its own ``next_batch``,
+  so every reshuffle stays in the stream.  A cohort with any other
+  source stacks one ``next_batch`` per lane.
 
 Byte-identity contract: every lane's outputs equal, bit for bit, what
 its solo :class:`~repro.core.session.GameSession` would have produced.
@@ -46,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..streams.injection import LanePositionServer, PoisonInjector
+from ..streams.source import ArrayStream, StreamSource
 from .arrays import Array
 from .domain import ReferenceFit, empirical_quantile
 from .engine import BandExcessJudge, NoisyPositionJudge
@@ -70,6 +80,7 @@ __all__ = [
     "InjectorLanes",
     "QualityLanes",
     "JudgeLanes",
+    "SourceLanes",
 ]
 
 
@@ -743,3 +754,102 @@ class JudgeLanes:
         observed = ~np.isnan(injections)
         betrayed[observed] = injections[observed] < boundary[observed]
         return np.where(betrayed, draws >= miss, draws < fp)
+
+
+# --------------------------------------------------------------------- #
+# compiled draw program
+# --------------------------------------------------------------------- #
+class SourceLanes:
+    """Per-lane stream sources compiled into one draw program.
+
+    :meth:`draw` returns the round's ``(L, batch[, d])`` benign stack;
+    row ``l`` is byte-identical to ``sources[l].next_batch()``, and
+    every stream ends where that call would leave it.  When every lane
+    is an exact :class:`~repro.streams.source.ArrayStream` of one draw
+    shape, the lanes are grouped by the identity of their dataset array
+    **once at build time**; per round each in-epoch lane hands over its
+    next row indices (``ArrayStream.next_indices``, which advances its
+    cursor), and each group's rows are gathered in one indexed pass.  A lane whose draw crosses its epoch
+    end calls its own ``next_batch`` -- the reshuffle stays in the
+    stream.  The program keeps no cursor or permutation of its own, so
+    a draw made outside the cohort between rounds is seen by the next
+    one.  Any other cohort (another source class, mixed geometries)
+    stacks one ``next_batch`` per lane.
+    """
+
+    def __init__(self, sources: Sequence[Optional[StreamSource]]) -> None:
+        self.sources = list(sources)
+        if not self.sources:
+            raise ValueError("need at least one source")
+        self._missing = next(
+            (lane for lane, source in enumerate(self.sources) if source is None),
+            None,
+        )
+        self._attached = [source for source in self.sources if source is not None]
+        streams = [
+            source
+            for source in self._attached
+            # The exact class only: a subclass may draw its own way.
+            if isinstance(source, ArrayStream) and type(source) is ArrayStream
+        ]
+        shapes = {(s.batch_size,) + s._data.shape[1:] for s in streams}
+        #: The ``(batch[, d])`` shape every lane draws when each lane is
+        #: an exact ArrayStream of one geometry (the gathered case);
+        #: ``None`` otherwise.
+        self.shape: Optional[Tuple[int, ...]] = (
+            shapes.pop()
+            if len(streams) == len(self.sources) and len(shapes) == 1
+            else None
+        )
+        # (lane, stream, dataset group) of the gathered case
+        self._plan: List[Tuple[int, ArrayStream, int]] = []
+        self._datas: List[Array] = []
+        if self.shape is not None:
+            gids, self._datas = _group_by_identity([s._data for s in streams])
+            self._plan = list(
+                zip(range(len(streams)), streams, gids.tolist(), strict=True)
+            )
+
+    @property
+    def n_reps(self) -> int:
+        """Number of source lanes."""
+        return len(self.sources)
+
+    def draw(self) -> Array:
+        """Every lane's next batch, stacked ``(L, batch[, d])``.
+
+        A lane without a source raises ``ValueError`` before any stream
+        moves; lanes drawing differently shaped batches raise
+        ``ValueError`` after drawing, as stacking them does.
+        """
+        if self._missing is not None:
+            raise ValueError(
+                f"lane {self._missing} has no attached stream source; "
+                "submit the round's batches explicitly"
+            )
+        if self.shape is None:
+            return np.stack(
+                [np.asarray(source.next_batch(), dtype=float) for source in self._attached]
+            )
+        picks: List[List[Array]] = [[] for _ in self._datas]
+        rows: List[List[int]] = [[] for _ in self._datas]
+        wrapped: List[Tuple[int, Array]] = []
+        for lane, source, gid in self._plan:
+            index = source.next_indices()
+            if index is None:
+                wrapped.append((lane, source.next_batch()))
+            else:
+                picks[gid].append(index)
+                rows[gid].append(lane)
+        out = np.empty((self.n_reps,) + self.shape)
+        for data, lanes, pieces in zip(self._datas, rows, picks, strict=True):
+            if not lanes:
+                continue
+            gathered = np.take(data, np.concatenate(pieces), axis=0)
+            gathered = gathered.reshape((len(lanes),) + self.shape)
+            if len(lanes) == self.n_reps:
+                return gathered  # one dataset, every lane in its epoch
+            out[lanes] = gathered
+        for lane, batch in wrapped:
+            out[lane] = batch
+        return out

@@ -25,12 +25,13 @@ transition:
   ``BatchedGameSession(sessions)`` seats L :class:`GameSession` objects
   ("lanes"), compiles their lane programs (:mod:`repro.core.fusion`)
   and owns a :class:`~repro.streams.board.ColumnarBoard` sink.  One
-  ``submit((L, batch, ...))`` call steps every lane through one round
-  of shared array kernels — once per poison-count segment (a round
-  where every lane injects the same count is one segment) — and
-  records it on the sink, which flushes each lane's rows into its own
-  session.  A seated session links to its cohort until that flush.
-  Both lockstep loops seat their sessions this way:
+  ``submit()`` call draws the round from the lanes' own sources (or
+  takes an explicit ``(L, batch, ...)`` stack) and steps every lane
+  through one round of shared array kernels — once per poison-count
+  segment (a round where every lane injects the same count is one
+  segment) — and records it on the sink, which flushes each lane's
+  rows into its own session.  A seated session links to its cohort
+  until that flush.  Both lockstep loops seat their sessions this way:
   ``BatchedCollectionGame.run()`` (repetitions and fused sweep cells,
   from freshly reset sessions) and the
   :class:`~repro.serving.DefenseService` multiplexer (live tenants,
@@ -72,6 +73,7 @@ from .fusion import (
     InjectorLanes,
     JudgeLanes,
     QualityLanes,
+    SourceLanes,
     TrimLanes,
     fused_adversary_lanes,
     fused_collector_lanes,
@@ -1008,12 +1010,13 @@ class BatchedGameSession:
     specs packed into per-lane parameter columns), a
     :class:`~repro.core.fusion.TrimLanes`,
     :class:`~repro.core.fusion.InjectorLanes`,
-    :class:`~repro.core.fusion.QualityLanes` and
-    :class:`~repro.core.fusion.JudgeLanes` program.  Every lane still
-    draws from its own components' Generators, byte-identically to its
-    solo session.  Members may be seated mid-game: strategy lanes start
-    from their instances' current state and the cohort from the
-    members' round.
+    :class:`~repro.core.fusion.QualityLanes`,
+    :class:`~repro.core.fusion.JudgeLanes` and
+    :class:`~repro.core.fusion.SourceLanes` program.  Every lane still
+    draws from its own components' Generators and its own stream,
+    byte-identically to its solo session.  Members may be seated
+    mid-game: strategy lanes start from their instances' current state
+    and the cohort from the members' round.
 
     Seating checks every member before it touches any: duplicates and
     members that disagree on round position or board mode raise
@@ -1061,6 +1064,7 @@ class BatchedGameSession:
             self._trim_lanes,
         )
         self._judges = JudgeLanes([session.judge for session in sessions])
+        self.sources = SourceLanes([session.source for session in sessions])
         self._reference_rows = _reference_rows(trimmers)
         self.store_retained = lead.store_retained
         self._horizon = min(
@@ -1087,6 +1091,13 @@ class BatchedGameSession:
         """The members' round: completed lockstep rounds included."""
         return self.sink.start_index + self.sink.n_rounds
 
+    @property
+    def done(self) -> bool:
+        """True when flushed or the smallest member horizon is reached."""
+        return self.sink.flushed or (
+            self._horizon is not None and self.round_index >= self._horizon
+        )
+
     def seats(self, sessions: Sequence[GameSession]) -> bool:
         """Whether the cohort seats exactly ``sessions``, in this order."""
         seated = self.sink.sessions
@@ -1095,16 +1106,20 @@ class BatchedGameSession:
         )
 
     # ------------------------------------------------------------------ #
-    def submit(self, batches: ArrayLike) -> BatchedRoundDecision:
+    def submit(self, batches: Optional[ArrayLike] = None) -> BatchedRoundDecision:
         """Step every lane through one lockstep round and record it.
 
-        ``batches`` is the round's benign stack ``(R, batch[, d])`` —
-        one row per lane, e.g. one ``next_batch()`` of each lane's
-        :class:`~repro.streams.source.StreamSource`, stacked.  Before
-        any lane reacts, a flushed cohort, or a round past the smallest
-        member horizon, raises ``RuntimeError``; a misshapen, empty or
-        non-finite stack, or one whose rows are shaped unlike the
-        trimmers' calibrated references, raises ``ValueError``.
+        ``batches`` is the round's benign stack ``(R, batch[, d])``, one
+        row per lane.  Omitted, the cohort draws the round itself: its
+        :class:`~repro.core.fusion.SourceLanes` program returns exactly
+        the stack of each lane's own ``source.next_batch()``, gathered
+        in one indexed pass per dataset, and leaves every stream where
+        those calls would.  Before any lane reacts (and before any
+        draw), a flushed cohort, or a round past the smallest member
+        horizon, raises ``RuntimeError``, and a lane without a source
+        raises ``ValueError``.  A misshapen, empty or non-finite stack,
+        or one whose rows are shaped unlike the trimmers' calibrated
+        references, raises ``ValueError`` before any lane reacts.
         """
         if self.sink.flushed:
             raise RuntimeError(
@@ -1117,7 +1132,10 @@ class BatchedGameSession:
                 f"horizon of {self._horizon} rounds exhausted; close() the "
                 "member sessions to obtain their GameResults"
             )
-        benign = np.asarray(batches, dtype=float)
+        if batches is None:
+            benign = self.sources.draw()
+        else:
+            benign = np.asarray(batches, dtype=float)
         if benign.ndim not in (2, 3) or benign.shape[0] != self.n_reps:
             raise ValueError(
                 f"benign stack must be shaped ({self.n_reps}, batch[, d]), "

@@ -64,14 +64,27 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.mean(t == p))
 
 
+def _class_indices(labels) -> np.ndarray:
+    """Labels as a flat int array, refusing to truncate non-integral ones."""
+    values = np.asarray(labels)
+    if values.dtype.kind not in "biu":
+        # ``astype(int)`` would silently count 1.7 as class 1.
+        as_float = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(as_float) & (np.trunc(as_float) == as_float)):
+            raise ValueError("labels must be integral class indices")
+        values = as_float
+    return values.astype(int).ravel()
+
+
 def confusion_matrix(y_true, y_pred, n_classes=None) -> np.ndarray:
     """Counts matrix ``C[i, j]`` = actual class i predicted as class j.
 
     Labels are class indices in ``[0, n_classes)``; ``n_classes`` defaults
-    to one more than the largest label.
+    to one more than the largest label.  Float labels must be integral
+    (``1.0`` counts as class 1, ``1.7`` raises ``ValueError``).
     """
-    t = np.asarray(y_true, dtype=int).ravel()
-    p = np.asarray(y_pred, dtype=int).ravel()
+    t = _class_indices(y_true)
+    p = _class_indices(y_pred)
     if t.size != p.size or t.size == 0:
         raise ValueError("label vectors must be non-empty and equal-length")
     if n_classes is None:

@@ -222,6 +222,10 @@ class OneVsRestSVM:
         n_iter: int = 20_000,
         seed: Optional[int] = None,
     ):
+        if lam <= 0.0:
+            raise ValueError("regularization lam must be positive")
+        if n_iter < 1:
+            raise ValueError("n_iter must be >= 1")
         self.lam = float(lam)
         self.n_iter = int(n_iter)
         self.seed = seed

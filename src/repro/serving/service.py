@@ -21,7 +21,10 @@ lockstep engine already eliminated for sweep repetitions, so
   which flushes each lane's rows into the tenant's own board.  A
   cohort lives on its members across rounds, and the service finds it
   again through the lead member; any out-of-band touch of a member
-  flushes the cohort, which ends it.  The sweep engine's lockstep
+  flushes the cohort, which ends it.  A call that names one live
+  cohort whole is one ``cohort.submit()``: the cohort draws the round
+  through its :class:`~repro.core.fusion.SourceLanes` program, with no
+  per-tenant pre-flight.  The sweep engine's lockstep
   games seat their sessions the same way.  Tenants that
   cannot join a cohort (odd round position, odd batch shape, singleton
   group) fall back to their solo
@@ -45,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -161,6 +165,14 @@ class DefenseService:
     out-of-band touch of a member (solo round, eviction, ``session()``
     access …) flushes the cohort's deferred sink, which ends it; a
     restored tenant is a new session object.
+
+    A ``submit_many`` call whose ids are exactly one live cohort's
+    seats, in order, all resident and all pulling from their sources,
+    is a *cohort-native tick*: one ``cohort.submit()``, which draws the
+    round itself, plus one LRU update that touches the tenants in call
+    order.  The per-tenant pre-flight is skipped because an unflushed
+    cohort already proves it passes.  Every other call takes the
+    per-tenant path, with the same decisions, errors and quarantines.
     """
 
     def __init__(
@@ -324,7 +336,10 @@ class DefenseService:
         same-shaped batches step through one vectorized lockstep round;
         everyone else is routed solo.  Either way each tenant's
         decision, board and strategy state are byte-identical to solo
-        play.
+        play.  A call that names one live cohort's seats exactly, in
+        order, every tenant resident and pulling from its source, plays
+        as one cohort-native tick (see the class docstring); it returns,
+        raises and counts exactly what the per-tenant path would.
 
         ``on_error="raise"`` (default): a tenant failing pre-flight —
         unknown id, closed session, missing source, a snapshot that
@@ -350,8 +365,11 @@ class DefenseService:
                 raise ValueError(
                     "duplicate session ids in one submit_many call"
                 )
-            batches = {session_id: None for session_id in ids}
+            batches = dict.fromkeys(ids)
         order = list(batches)
+        cohort = self._named_cohort(order, batches)
+        if cohort is not None:
+            return self._submit_cohort(cohort, order)
 
         # Pre-flight *before* any stream or strategy advances: restore
         # evicted members, check lifecycles, batch availability and the
@@ -442,6 +460,62 @@ class DefenseService:
         self._enforce_residency(protect=survivors)
         return {sid: decisions[sid] for sid in order if sid in decisions}
 
+    def _named_cohort(
+        self, order: List[str], batches: Mapping[str, object]
+    ) -> Optional[BatchedGameSession]:
+        """The live cohort a call names whole, or ``None``.
+
+        A call qualifies when its ids are exactly the seats of one live,
+        unflushed cohort, in order, with every tenant resident, in one
+        configuration group and pulling from the source the cohort
+        compiled, and the cohort is short of its horizon and draws from
+        exact :class:`~repro.streams.source.ArrayStream` sources of one
+        shape.  Then every per-tenant pre-flight check is known to
+        pass: an unflushed cohort's members are open, unsuperseded and
+        at one round, and their draws stack.  Every other call takes
+        the per-tenant path.
+        """
+        lead = self._sessions.get(order[0]) if order else None
+        cohort = None if lead is None else lead._cohort
+        if (
+            cohort is None
+            or cohort.done
+            or cohort.sources.shape is None
+            or any(batch is not None for batch in batches.values())
+        ):
+            return None
+        seated = cohort.sink.sessions
+        if (
+            # Identity comparisons: every seat resident under its id...
+            tuple(map(self._sessions.get, order)) != seated
+            # ...still holding the source its cohort compiled...
+            or list(map(attrgetter("source"), seated)) != cohort.sources.sources
+            # ...and the call one configuration group.
+            or len(set(map(self._group_of.__getitem__, order))) != 1
+        ):
+            return None
+        return cohort
+
+    def _submit_cohort(
+        self, cohort: BatchedGameSession, order: List[str]
+    ) -> Dict[str, AnyRoundDecision]:
+        """One cohort-native tick: the cohort draws and plays its round.
+
+        Bookkeeping matches the per-tenant path exactly: one cache hit
+        and one lockstep round, and each tenant touched in call order.
+        """
+        self.stats.lane_cache_hits += 1
+        views = self._play_cohort(cohort, None)
+        self.stats.lockstep_rounds += 1
+        self.stats.lockstep_lanes += len(order)
+        clock = self._clock
+        self._clock += len(order)
+        self._touched.update(
+            zip(order, range(clock + 1, self._clock + 1), strict=True)
+        )
+        self._enforce_residency(protect=set(order))
+        return dict(zip(order, views, strict=True))
+
     def _quarantine(
         self, session_id: str, kind: str, exc: BaseException
     ) -> None:
@@ -499,12 +573,21 @@ class DefenseService:
             lockstep = BatchedGameSession(lane_sessions)
             self.stats.lane_build_seconds += time.perf_counter() - t0
             self.stats.lane_builds += 1
+        return self._play_cohort(lockstep, benign)
+
+    def _play_cohort(
+        self, cohort: BatchedGameSession, benign: Optional[np.ndarray]
+    ) -> List[LaneRoundDecision]:
+        """Play one cohort round and view it per lane, timing both.
+
+        ``benign=None`` lets the cohort draw the round itself.
+        """
         t0 = time.perf_counter()
-        decision = lockstep.submit(benign)
+        decision = cohort.submit(benign)
         t1 = time.perf_counter()
         views = [
             LaneRoundDecision(decision, rep, session)
-            for rep, session in enumerate(lane_sessions)
+            for rep, session in enumerate(cohort.sink.sessions)
         ]
         t2 = time.perf_counter()
         self.stats.kernel_seconds += t1 - t0

@@ -4,13 +4,14 @@ The collection game is played over a data stream with a fixed number of
 samples per round.  Sources wrap a dataset (or a generator) and hand the
 engine one benign batch per round; users of the stream never mutate the
 backing data.  A lockstep game holds one source per lane, exactly as L
-solo games would, and stacks their :meth:`StreamSource.next_batch`
-draws.
+solo games would; its :class:`~repro.core.fusion.SourceLanes` program
+draws them together, byte-identically to stacking their
+:meth:`StreamSource.next_batch` calls.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -101,16 +102,32 @@ class ArrayStream(StreamSource):
         self._order = order
         self._cursor = int(state["cursor"])
 
+    def next_indices(self) -> Optional[Array]:
+        """The next batch's dataset row indices, if it stays in the epoch.
+
+        Advances the cursor past them, exactly as :meth:`next_batch`
+        would.  A draw that would cross the epoch end returns ``None``
+        and moves nothing: only :meth:`next_batch` starts a new epoch.
+        A lockstep cohort gathers many streams' rows in one pass this
+        way (:class:`~repro.core.fusion.SourceLanes`).
+        """
+        start = self._cursor
+        stop = start + self.batch_size
+        if stop > self._data.shape[0]:
+            return None
+        self._cursor = stop
+        return self._order[start:stop]
+
     def next_batch(self) -> Array:
-        if self._cursor + self.batch_size > self._data.shape[0]:
+        idx = self.next_indices()
+        if idx is None:
             if self.shuffle:
                 # Generator.permutation draws exactly as an in-place
                 # shuffle of the same order would.
                 self._order = self._rng.permutation(self._order)
                 self._order.setflags(write=False)
             self._cursor = 0
-        idx = self._order[self._cursor : self._cursor + self.batch_size]
-        self._cursor += self.batch_size
+            idx = self.next_indices()
         # Fancy indexing already materializes a fresh array — callers can
         # never corrupt the backing dataset through the returned batch.
         return self._data[idx]

@@ -6,6 +6,8 @@ per-lane solo calls it replaces — exercised directly on the compiled
 building blocks rather than through a full service round.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.fusion import (
     FusedAdversaryLanes,
     FusedCollectorLanes,
     InjectorLanes,
+    SourceLanes,
     TrimLanes,
     fused_adversary_lanes,
     fused_collector_lanes,
@@ -32,6 +35,7 @@ from repro.core.strategies.base import (
 )
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
 from repro.streams.injection import PoisonInjector
+from repro.streams.source import ArrayStream, GeneratorStream
 
 
 def _observation_batch(n, index=3, seed=0):
@@ -374,3 +378,117 @@ class TestInjectorLanes:
         for j, twin in enumerate(twins):
             want = twin.materialize(benign[j], float(q[j]))
             assert out[j].tobytes() == want.tobytes()
+
+
+class _RecordingStream(ArrayStream):
+    """An ArrayStream subclass: its lane must draw through its own call."""
+
+    def next_batch(self):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().next_batch()
+
+
+SHARED_1D = np.random.default_rng(40).normal(size=150)
+SHARED_1D.setflags(write=False)
+
+
+class TestSourceLanes:
+    """Every draw equals the stack of twin streams' own next_batch calls."""
+
+    @staticmethod
+    def _states(streams):
+        return [pickle.dumps(stream.export_state()) for stream in streams]
+
+    def _assert_draws_match(self, build, rounds):
+        lanes_streams, twins = build(), build()
+        lanes = SourceLanes(lanes_streams)
+        for _ in range(rounds):
+            stack = lanes.draw()
+            want = np.stack([np.asarray(t.next_batch(), dtype=float) for t in twins])
+            assert stack.tobytes() == want.tobytes()
+            assert stack.shape == want.shape
+            assert self._states(lanes_streams) == self._states(twins)
+        return lanes
+
+    def test_lanes_crossing_epoch_ends_on_different_rounds(self):
+        # Sizes 150, 60, 90 and 120 at batch 30 wrap every 5, 2, 3 and
+        # 4 rounds (the unshuffled lane rewinds instead): 15 rounds span
+        # at least three epochs on every lane, with epoch ends on
+        # staggered rounds and four dataset arrays in one cohort.
+        other = np.random.default_rng(41).normal(size=60)
+
+        def build():
+            return [
+                ArrayStream(SHARED_1D, batch_size=30, seed=1),
+                ArrayStream(other, batch_size=30, seed=2),
+                ArrayStream(SHARED_1D, batch_size=30, seed=3),
+                ArrayStream(SHARED_1D[:90], batch_size=30, seed=4),
+                ArrayStream(SHARED_1D[:120], batch_size=30, shuffle=False, seed=5),
+            ]
+
+        lanes = self._assert_draws_match(build, 15)
+        assert lanes.shape == (30,)
+
+    def test_two_dimensional_rows_in_one_gather(self):
+        data = np.random.default_rng(5).normal(size=(200, 3))
+        data.setflags(write=False)
+
+        def build():
+            return [ArrayStream(data, batch_size=50, seed=s) for s in range(4)]
+
+        lanes = self._assert_draws_match(build, 9)
+        assert lanes.shape == (50, 3)
+
+    def test_other_source_classes_draw_through_their_own_calls(self):
+        def factory(rng, size):
+            return rng.normal(size=size)
+
+        def build():
+            return [
+                ArrayStream(SHARED_1D, batch_size=30, seed=1),
+                GeneratorStream(factory, batch_size=30, seed=7),
+                _RecordingStream(SHARED_1D, batch_size=30, seed=2),
+            ]
+
+        lanes = self._assert_draws_match(build, 7)
+        assert lanes.shape is None
+        assert lanes.sources[2].calls == 7
+
+    def test_a_draw_outside_the_program_is_seen_next_round(self):
+        # The streams stay authoritative: no cursor or permutation is
+        # cached, so an out-of-band draw (here one that reshuffles)
+        # moves the next gathered round exactly as it moves the twin.
+        streams = [ArrayStream(SHARED_1D, batch_size=40, seed=s) for s in range(3)]
+        twins = [ArrayStream(SHARED_1D, batch_size=40, seed=s) for s in range(3)]
+        lanes = SourceLanes(streams)
+        for round_index in range(8):
+            if round_index in (2, 5):
+                for stream in (streams[1], twins[1]):
+                    stream.next_batch()
+            want = np.stack([twin.next_batch() for twin in twins])
+            assert lanes.draw().tobytes() == want.tobytes()
+        assert self._states(streams) == self._states(twins)
+
+    def test_missing_source_raises_before_any_stream_moves(self):
+        streams = [ArrayStream(SHARED_1D, batch_size=30, seed=s) for s in range(2)]
+        lanes = SourceLanes([streams[0], None, streams[1]])
+        before = self._states(streams)
+        with pytest.raises(ValueError, match="lane 1 has no attached stream source"):
+            lanes.draw()
+        assert self._states(streams) == before
+        assert lanes.shape is None
+
+    def test_ragged_draws_raise_like_stacking_them(self):
+        lanes = SourceLanes(
+            [
+                ArrayStream(SHARED_1D, batch_size=30, seed=1),
+                ArrayStream(SHARED_1D, batch_size=20, seed=2),
+            ]
+        )
+        assert lanes.shape is None
+        with pytest.raises(ValueError, match="same shape"):
+            lanes.draw()
+
+    def test_empty_lane_list_rejected(self):
+        with pytest.raises(ValueError):
+            SourceLanes([])

@@ -94,6 +94,11 @@ class TestAccuracyAndConfusion:
             ([-2, -1], [-1, -2], None),
             ([0, 1, 3], [0, 1, 1], 3),  # an index past the last class
             ([0, 1], [0, 2], 2),
+            ([0, 1.7, 1], [0, 1, 1.2], None),  # astype(int) counted 1 twice
+            ([0, 1, 1], [0, 0.5, 1], 2),
+            ([0, 1], [0, np.nan], None),
+            (np.array([0.0, np.inf]), [0, 1], None),
+            ([0, -0.5], [0, 0], None),  # truncates into the class range
         ],
     )
     def test_confusion_matrix_rejects_labels_outside_classes(
@@ -101,6 +106,13 @@ class TestAccuracyAndConfusion:
     ):
         with pytest.raises(ValueError, match="class indices"):
             confusion_matrix(y_true, y_pred, n_classes)
+
+    def test_confusion_matrix_accepts_integral_floats(self):
+        m = confusion_matrix([0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=float))
+        np.testing.assert_array_equal(m, [[1, 0], [0, 2]])
+        np.testing.assert_array_equal(
+            m, confusion_matrix([0, 1, 1], [0, 1, 1])
+        )
 
     @pytest.mark.parametrize("n_classes", [0, -1])
     def test_confusion_matrix_rejects_non_positive_class_count(self, n_classes):

@@ -84,6 +84,14 @@ class TestOneVsRestSVM:
         model = OneVsRestSVM(n_iter=3000, seed=0).fit(data, labels)
         assert set(np.unique(model.predict(data))) <= {7, 42}
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"lam": 0.0}, {"lam": -1e-3}, {"n_iter": 0}, {"lam": 0.0, "n_iter": 0}]
+    )
+    def test_invalid_hyperparameters_rejected_at_construction(self, kwargs):
+        # The same checks as LinearSVM, before any fit is attempted.
+        with pytest.raises(ValueError, match="lam|n_iter"):
+            OneVsRestSVM(**kwargs)
+
     def test_single_class_rejected(self, rng):
         data = rng.normal(size=(10, 2))
         with pytest.raises(ValueError):

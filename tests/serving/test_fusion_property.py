@@ -6,12 +6,14 @@ mixed batch shapes), and join/evict/park/restore/solo/close churn at
 random rounds — and demands that every tenant's closed result equals
 its standalone :class:`GameSession` run, byte for byte.
 
-Since PR 9 the lockstep path defers per-lane writeback into a cohort
+The lockstep path defers per-lane writeback into a cohort
 :class:`~repro.streams.board.ColumnarBoard` sink, so every churn
 action here lands mid-deferral by construction: eviction snapshots,
 out-of-band solo rounds, mid-game closes and cohort-membership changes
 must each flush the pending rows without losing or duplicating a
-round.
+round.  A call that names one live cohort whole lets the cohort draw
+the round itself; small taxi streams make those draws cross epoch
+ends on staggered rounds.
 """
 
 import dataclasses
@@ -43,6 +45,9 @@ tenant_st = st.fixed_dictionaries(
         "adversary": st.sampled_from(sorted(MATRIX_ADVERSARIES)),
         "ratio": st.sampled_from((0.0, 0.1, 0.2, 0.3)),
         "dataset": st.sampled_from(("control", "taxi")),
+        # Taxi rows: 120 and 180 wrap the stream every 2 and 3 rounds at
+        # batch 60, so cohort draws cross staggered epoch ends.
+        "taxi_size": st.sampled_from((120, 180, 1500)),
         "seed": st.integers(min_value=0, max_value=2**16),
         "join_round": st.integers(min_value=0, max_value=2),
         "evict_round": st.one_of(
@@ -72,7 +77,7 @@ def _spec(tenant) -> GameSpec:
     )
     kwargs = dict(attack_ratio=tenant["ratio"], dataset=tenant["dataset"])
     if tenant["dataset"] == "taxi":
-        kwargs["dataset_size"] = 1500
+        kwargs["dataset_size"] = tenant["taxi_size"]
     return dataclasses.replace(base, **kwargs)
 
 

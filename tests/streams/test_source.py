@@ -1,5 +1,7 @@
 """Tests for repro.streams.source — stream sources."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,28 @@ class TestArrayStream:
         batch = stream.next_batch()
         batch[:] = -1.0
         assert data[0] == 0.0
+
+    def test_next_indices_stop_at_the_epoch_end(self):
+        # In-epoch draws hand over the rows next_batch would gather; at
+        # the epoch end nothing moves until next_batch reshuffles.
+        data = np.arange(25.0) * 10.0
+        stream = ArrayStream(data, batch_size=10, seed=4)
+        twin = ArrayStream(data, batch_size=10, seed=4)
+        epoch_ends = 0
+        for _ in range(12):
+            state = pickle.dumps(stream.export_state())
+            idx = stream.next_indices()
+            if idx is None:
+                epoch_ends += 1
+                assert pickle.dumps(stream.export_state()) == state
+                batch = stream.next_batch()
+            else:
+                batch = data[idx]
+            np.testing.assert_array_equal(batch, twin.next_batch())
+            assert pickle.dumps(stream.export_state()) == pickle.dumps(
+                twin.export_state()
+            )
+        assert epoch_ends == 5  # rounds 3, 5, 7, 9 and 11
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(ValueError):
