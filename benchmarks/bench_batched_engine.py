@@ -11,11 +11,13 @@ plays the grid in lockstep groups.
 
 Correctness gate (non-negotiable): every record of the batched run must
 equal the solo run's record for the same spec — the per-rep
-byte-equality contract of the batched engine — at every R.  Performance:
-~3.5x games/sec at R = 32 on the dev container, with a 2x blocking gate
-that leaves headroom for noisy CI runners.  Results are persisted to
-``benchmarks/results/BENCH_batched.json`` so the perf trajectory stays
-inspectable per commit.
+byte-equality contract of the batched engine — at every R.  Performance
+at R = 32 on a shared 2-CPU container, over 15 runs: about 600 games/s
+batched against about 260 solo (medians), 1.75-2.66x (median 2.31x),
+with a 2x blocking gate; R = 8 and R = 128 read medians of 2.44x and 2.82x.
+Results are persisted to ``benchmarks/results/BENCH_batched.json``,
+stamped with the commit and host they measured, so the perf trajectory
+stays inspectable per commit.
 
 Run standalone with ``python benchmarks/bench_batched_engine.py``.
 """
@@ -31,16 +33,17 @@ from repro.experiments.tournament import (
 )
 from repro.runtime import SweepGrid, SweepRunner, cross_pairs, summarize_game
 
+from conftest import host_stamp
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_batched.json")
 
 #: Repetition counts to sweep; the gate applies at GATED_REPS.
 REP_COUNTS = (8, 32, 128)
 GATED_REPS = 32
-#: CI regression gate.  Measured ~3.5x at R=32 on the dev container
-#: (see results/BENCH_batched.json); the blocking assertion keeps ample
-#: headroom for noisy shared CI runners, like the sibling hot-loop
-#: gates do.
+#: CI regression gate.  One timed pass per side, so a host hiccup moves
+#: the ratio: 15 runs at R=32 on a shared 2-CPU container read
+#: 1.75-2.66x (see results/BENCH_batched.json for one, with its host).
 MIN_SPEEDUP = 2.0
 
 BASE = TournamentConfig()
@@ -96,6 +99,7 @@ def run_batched_benchmark() -> dict:
             }
         )
     return {
+        "host": host_stamp(),
         "workload": {
             "pairs": 16,
             "rounds": BASE.rounds,

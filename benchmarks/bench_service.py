@@ -17,20 +17,27 @@ Workloads:
 
 * ``taxi`` (homogeneous, gated) — R same-configuration tenants on the
   paper's 1-D live-stream shape.  Rounds are Python-overhead-bound,
-  which is exactly what multiplexing removes: about 4.6x end to end
-  and 6.1x steady-state at R = 32 (medians of 6 runs on a 2-CPU
-  container), gated at 2x and 4x for noisy CI runners.
+  which is exactly what multiplexing removes: at R = 32 about 6,000
+  solo against 30,000 multiplexed session-rounds/s, 4.1-4.9x end to
+  end and 5.3-6.3x steady-state (five runs of the gated figure on a
+  shared 2-CPU container), gated at 2x and 4x for noisy CI runners.
 * ``hetero-taxi`` (heterogeneous, gated) — the same shape but tenants
   cycle through three strategy schemes x three attack ratios: nine
   distinct configurations that the pre-fusion service served solo.
-  Gated at 2x end to end and 2.5x steady-state (medians 2.8x and 3.2x
-  over 6 runs, single runs 2.1-3.0x and 2.4-3.5x: the margin is thin
-  on a shared host; the pre-fusion service scores exactly 1x here by
-  construction).
+  Gated at 2x end to end and 2.5x steady-state; the gated figure read
+  2.45-3.19x and 2.75-3.68x over five runs, while its single passes
+  read 2.34-4.13x and 2.59-5.01x (the pre-fusion service scores
+  exactly 1x here by construction).
 * ``control`` (reported, ungated) — 60-dimensional batches.  Here the
   round is numpy-compute-bound (the norms dominate), so lockstep saves
   only the loop overhead (~1.45x at R = 32).  The point is recorded so the
   trade-off stays visible instead of silently truncated.
+
+Each gated point (R = 32 on ``taxi`` and ``hetero-taxi``) plays the
+same tenants ``GATE_REPEATS`` = 5 times and gates on the median
+ratios: one timed pass lasts about 0.1 s, so a single pass is decided
+by whatever else the host runs at that moment.  Every pass's ratios
+are recorded next to the medians.
 
 Correctness gate (non-negotiable, every workload): every multiplexed
 tenant's final board must equal its solo session's board, record for
@@ -44,12 +51,9 @@ Run standalone with ``python benchmarks/bench_service.py``.
 
 import json
 import os
-import platform
 import resource
-import subprocess
+import statistics
 import time
-
-import numpy as np
 
 from repro import ComponentSpec, DefenseService, GameSpec
 from repro.core.strategies import (
@@ -60,6 +64,8 @@ from repro.core.strategies import (
     MirrorCollector,
     TitForTatCollector,
 )
+
+from conftest import host_stamp
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_service.json")
@@ -76,6 +82,10 @@ GATED_WORKLOADS = ("taxi", "hetero-taxi")
 #: this container (see results/BENCH_service.json).
 MIN_SPEEDUP = 2.0
 MIN_STEADY_SPEEDUP = {"taxi": 4.0, "hetero-taxi": 2.5}
+#: Each gated point times the same tenants GATE_REPEATS times and gates
+#: on the median ratios: one timed phase lasts about 0.1 s, so a single
+#: pass is decided by whatever else the host runs at that moment.
+GATE_REPEATS = 5
 
 #: 60-round horizons: tenants are long-lived, so the serving phase —
 #: not the one-time onboarding both paths pay identically — dominates
@@ -188,78 +198,72 @@ def _peak_rss_kib() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _host_stamp() -> dict:
-    """The code and host the numbers were measured on.
-
-    ``git_dirty`` marks a working tree with uncommitted changes to
-    tracked files, whose code ``git_sha`` alone does not name.
-    """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-    def git(*args: str) -> str | None:
-        try:
-            out = subprocess.run(
-                ["git", *args], cwd=root, capture_output=True, text=True,
-                timeout=10,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    sha = git("rev-parse", "HEAD")
-    status = git("status", "--porcelain", "--untracked-files=no")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count() or 1
+def _measure(spec_fn, n_sessions: int) -> dict:
+    """One solo and one multiplexed pass over the same R tenants."""
+    solo_on, solo_rounds, solo_results = _solo(spec_fn, n_sessions)
+    mux_on, mux_rounds, mux_results, stats = _multiplexed(spec_fn, n_sessions)
+    identical = all(
+        solo.to_records() == mux.to_records()
+        and solo.termination_round == mux.termination_round
+        for solo, mux in zip(solo_results, mux_results, strict=True)
+    )
     return {
-        "git_sha": sha or None,
-        "git_dirty": None if status is None else bool(status),
-        "usable_cpus": cpus,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "solo_seconds": solo_on + solo_rounds,
+        "multiplexed_seconds": mux_on + mux_rounds,
+        "solo_onboard_seconds": solo_on,
+        "multiplexed_onboard_seconds": mux_on,
+        "speedup": (solo_on + solo_rounds) / (mux_on + mux_rounds),
+        "steady_state_speedup": solo_rounds / mux_rounds,
+        "lane_build_seconds": stats.lane_build_seconds,
+        "kernel_seconds": stats.kernel_seconds,
+        "absorb_seconds": stats.absorb_seconds,
+        "boards_identical": bool(identical),
     }
 
 
 def run_service_benchmark() -> dict:
-    """Time solo vs multiplexed per workload; assert board equality."""
+    """Time solo vs multiplexed per workload; assert board equality.
+
+    A gated point plays GATE_REPEATS passes: its seconds and ratios are
+    the medians over them, and ``repeat_speedups`` /
+    ``repeat_steady_state_speedups`` keep every pass's ratios.
+    """
     points = []
     for label, spec_fn in WORKLOADS:
         for n_sessions in SESSION_COUNTS:
-            solo_on, solo_rounds, solo_results = _solo(spec_fn, n_sessions)
-            mux_on, mux_rounds, mux_results, stats = _multiplexed(
-                spec_fn, n_sessions
-            )
-            identical = all(
-                solo.to_records() == mux.to_records()
-                and solo.termination_round == mux.termination_round
-                for solo, mux in zip(solo_results, mux_results, strict=False)
-            )
-            solo_s = solo_on + solo_rounds
-            mux_s = mux_on + mux_rounds
+            gated = label in GATED_WORKLOADS and n_sessions == GATED_SESSIONS
+            runs = [
+                _measure(spec_fn, n_sessions)
+                for _ in range(GATE_REPEATS if gated else 1)
+            ]
+            point = {
+                key: statistics.median(run[key] for run in runs)
+                for key in runs[0]
+                if key != "boards_identical"
+            }
             total_rounds = n_sessions * ROUNDS
             points.append(
                 {
                     "dataset": label,
                     "sessions": n_sessions,
                     "rounds_per_session": ROUNDS,
-                    "solo_seconds": solo_s,
-                    "multiplexed_seconds": mux_s,
-                    "solo_onboard_seconds": solo_on,
-                    "multiplexed_onboard_seconds": mux_on,
-                    "solo_rounds_per_second": total_rounds / solo_s,
-                    "multiplexed_rounds_per_second": total_rounds / mux_s,
-                    "speedup": solo_s / mux_s,
-                    "steady_state_speedup": solo_rounds / mux_rounds,
-                    "lane_build_seconds": stats.lane_build_seconds,
-                    "kernel_seconds": stats.kernel_seconds,
-                    "absorb_seconds": stats.absorb_seconds,
+                    **point,
+                    "solo_rounds_per_second": total_rounds / point["solo_seconds"],
+                    "multiplexed_rounds_per_second": (
+                        total_rounds / point["multiplexed_seconds"]
+                    ),
+                    "repeat_speedups": [run["speedup"] for run in runs],
+                    "repeat_steady_state_speedups": [
+                        run["steady_state_speedup"] for run in runs
+                    ],
                     "peak_rss_kib": _peak_rss_kib(),
-                    "boards_identical": bool(identical),
+                    "boards_identical": all(
+                        run["boards_identical"] for run in runs
+                    ),
                 }
             )
     return {
-        "host": _host_stamp(),
+        "host": host_stamp(),
         "workload": {
             "homogeneous_scheme": "elastic0.5",
             "heterogeneous_schemes": [s[0] for s in HETERO_SCHEMES],
@@ -273,6 +277,8 @@ def run_service_benchmark() -> dict:
             "sessions": GATED_SESSIONS,
             "min_speedup": MIN_SPEEDUP,
             "min_steady_state_speedup": dict(MIN_STEADY_SPEEDUP),
+            "repeats": GATE_REPEATS,
+            "statistic": "median",
         },
         "points": points,
     }
@@ -304,6 +310,19 @@ def test_defense_service(report):
             f"absorb {point['absorb_seconds']:.3f}s; "
             f"peak RSS {point['peak_rss_kib'] / 1024:.0f} MiB"
         )
+        if len(point["repeat_speedups"]) > 1:
+            lines.append(
+                f"{'':>12} {len(point['repeat_speedups'])} passes "
+                "(end to end/steady-state): "
+                + ", ".join(
+                    f"{end:.2f}x/{steady:.2f}x"
+                    for end, steady in zip(
+                        point["repeat_speedups"],
+                        point["repeat_steady_state_speedups"],
+                        strict=True,
+                    )
+                )
+            )
     report("defense_service", "\n".join(lines))
 
     # Correctness gate: multiplexing must not change a single bit.
@@ -321,14 +340,16 @@ def test_defense_service(report):
             if p["sessions"] == GATED_SESSIONS and p["dataset"] == dataset
         )
         assert gated["speedup"] >= MIN_SPEEDUP, (
-            f"multiplexed speedup {gated['speedup']:.2f}x below the "
-            f"{MIN_SPEEDUP}x gate at R={GATED_SESSIONS} on {dataset}"
+            f"median multiplexed speedup {gated['speedup']:.2f}x below the "
+            f"{MIN_SPEEDUP}x gate at R={GATED_SESSIONS} on {dataset} "
+            f"(passes: {gated['repeat_speedups']})"
         )
         steady_gate = MIN_STEADY_SPEEDUP[dataset]
         assert gated["steady_state_speedup"] >= steady_gate, (
-            f"steady-state speedup {gated['steady_state_speedup']:.2f}x "
-            f"below the {steady_gate}x gate at R={GATED_SESSIONS} "
-            f"on {dataset}"
+            f"median steady-state speedup "
+            f"{gated['steady_state_speedup']:.2f}x below the {steady_gate}x "
+            f"gate at R={GATED_SESSIONS} on {dataset} "
+            f"(passes: {gated['repeat_steady_state_speedups']})"
         )
 
 

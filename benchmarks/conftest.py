@@ -6,7 +6,10 @@ to ``benchmarks/results/<name>.txt`` (and stdout, visible with ``-s``).
 """
 
 import os
+import platform
+import subprocess
 
+import numpy as np
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -18,6 +21,35 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def host_stamp() -> dict:
+    """The code and host a bench's numbers were measured on.
+
+    ``git_dirty`` marks a working tree with uncommitted changes to
+    tracked files, whose code ``git_sha`` alone does not name.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": sha or None,
+        "git_dirty": None if status is None else bool(status),
+        "usable_cpus": available_cpus(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -69,6 +69,8 @@ class UnrestoredInitStateRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         df = ModuleDataflow.of(ctx)
         for cls in component_classes(ctx):
+            if df.class_defs.get(cls.name) is not cls:
+                continue  # function-local: outside the module dataflow
             own = class_methods(cls)
             init_fn = own.get("__init__")
             if init_fn is None:

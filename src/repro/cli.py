@@ -26,8 +26,9 @@ anything.
 
 ``sweep`` runs an ad-hoc scheme × attack-ratio × repetition grid on the
 sweep runner, which plays each run of same-family cells as one lockstep
-:class:`~repro.core.engine.BatchedCollectionGame`; ``--workers N`` fans
-those groups out over N processes, with identical results.
+:class:`~repro.core.engine.BatchedCollectionGame` of the cells' solo
+games; ``--workers N`` fans those groups out over N processes, with
+identical results.
 """
 
 from __future__ import annotations

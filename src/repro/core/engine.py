@@ -17,15 +17,18 @@ poison) that strategies never see but experiments report on.
 Both engines are thin loops over :mod:`repro.core.session`:
 :class:`CollectionGame` submits one round at a time to a solo
 :class:`~repro.core.session.GameSession`, and
-:class:`BatchedCollectionGame` opens one such session per lane and seats
-them in one :class:`~repro.core.session.BatchedGameSession` cohort, so
-every lane's result is its own session's ``close()``.
+:class:`BatchedCollectionGame` takes L calibrated ``CollectionGame``
+objects, opens each one's session and seats them in one
+:class:`~repro.core.session.BatchedGameSession` cohort, so lane ``r``'s
+result is ``games[r]``'s own session's ``close()``.
 
-Every engine (and ``GameSession.open``) calibrates through one routine,
+A game (and ``GameSession.open``) calibrates through one routine,
 ``_calibrate``: it freezes a writable reference into one read-only copy
-and fits each distinct component once, so a game's trimmer and injector
-— and all the lanes of a lockstep game — hold one shared
-:class:`~repro.core.domain.ReferenceFit` per score family.
+and fits the game's trimmer, injector, evaluator and judge on it, so
+the trimmer and injector hold one shared
+:class:`~repro.core.domain.ReferenceFit` per score family — as do all
+the games built on one read-only reference, such as every lane
+:class:`~repro.runtime.spec.GameSpec` builds on a dataset.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -296,36 +298,38 @@ class GameResult:
         return records
 
 
-def _distinct(instances: Iterable[Any]) -> List[Any]:
-    """``instances`` in order, each object once."""
-    seen: Dict[int, Any] = {}
-    for inst in instances:
-        seen.setdefault(id(inst), inst)
-    return list(seen.values())
+def _default_judge() -> BandExcessJudge:
+    """The judge a game takes when none is given: a noiseless band judge.
+
+    It never draws from its Generator (``noise_sigma=0``), but the
+    Generator still rides in every snapshot, so it is seeded: two
+    sessions of one game snapshot to the same bytes.
+    """
+    return BandExcessJudge(noise_sigma=0.0, seed=0)
 
 
 def _calibrate(
     reference: ArrayLike,
-    trimmers: Sequence[Any],
-    injectors: Sequence[Any],
-    evaluators: Sequence[Any],
-    judges: Sequence[Any],
+    trimmer: Any,
+    injector: Optional[Any],
+    evaluator: Any,
+    judge: Any,
     anchor: str = "reference",
 ) -> Array:
-    """Fit one or many lanes' round components on the clean reference.
+    """Fit one game's round components on the clean reference.
 
     The white-box adversary knows the public quality standard, so the
-    injectors calibrate on the same reference as the trimmers and the
-    evaluators.  The score center always comes from the reference (a
+    injector calibrates on the same reference as the trimmer and the
+    evaluator.  The score center always comes from the reference (a
     batch-local center is evadable — see :mod:`repro.core.trimming`);
-    ``anchor`` only selects the cutoff-quantile source.  Each distinct
-    instance is fit once, trimmers first, then injectors (``None`` ones,
-    of live-mode sessions, are skipped) and evaluators; each lane's
-    judge then reuses its own trimmer's reference scores, and a
-    :class:`BandExcessJudge` takes the trimmer's quantile table outright.
+    ``anchor`` only selects the cutoff-quantile source.  The trimmer is
+    fit first, then the injector (skipped when ``None``, as in
+    live-mode sessions) and the evaluator; the judge then reuses the
+    trimmer's reference scores, and a :class:`BandExcessJudge` takes
+    the trimmer's quantile table outright.
 
     A writable reference is first frozen into one read-only copy, so
-    the trimmers and injectors fit here share one
+    the trimmer and injector share one
     :class:`~repro.core.domain.ReferenceFit` per score family — as do
     all live components fit on one read-only (e.g. process-cached)
     reference.  Returns the read-only reference.
@@ -336,23 +340,19 @@ def _calibrate(
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
-    for trimmer in trimmers:
-        trimmer.anchor = anchor
-    for trimmer in _distinct(trimmers):
-        trimmer.fit_reference(arr)
-    for injector in _distinct(inj for inj in injectors if inj is not None):
+    trimmer.anchor = anchor
+    trimmer.fit_reference(arr)
+    if injector is not None:
         injector.fit_reference(arr)
-    for evaluator in _distinct(evaluators):
-        evaluator.fit(arr)
-    for trimmer, judge in zip(trimmers, judges, strict=False):
-        reference_scores = getattr(trimmer, "reference_scores", None)
-        if reference_scores is None:
-            reference_scores = trimmer.scores(arr)
-        table = getattr(trimmer, "reference_table", None)
-        if isinstance(judge, BandExcessJudge) and table is not None:
-            judge.fit(table)
-        else:
-            judge.fit(reference_scores)
+    evaluator.fit(arr)
+    reference_scores = getattr(trimmer, "reference_scores", None)
+    if reference_scores is None:
+        reference_scores = trimmer.scores(arr)
+    table = getattr(trimmer, "reference_table", None)
+    if isinstance(judge, BandExcessJudge) and table is not None:
+        judge.fit(table)
+    else:
+        judge.fit(reference_scores)
     return arr
 
 
@@ -380,7 +380,7 @@ class CollectionGame:
         :class:`~repro.core.quality.TailMassEvaluator` at the 0.9
         reference quantile.
     judge:
-        Per-round compliance judge; defaults to a noiseless
+        Per-round compliance judge; defaults to a noiseless, fixed-seed
         :class:`BandExcessJudge`.
     rounds:
         Number of rounds to play.
@@ -420,13 +420,13 @@ class CollectionGame:
         self.rounds = int(rounds)
         self.store_retained = bool(store_retained)
         self.quality_evaluator = quality_evaluator or TailMassEvaluator()
-        self.judge = judge or BandExcessJudge(noise_sigma=0.0)
+        self.judge = judge or _default_judge()
         self.reference = _calibrate(
             reference,
-            [self.trimmer],
-            [self.injector],
-            [self.quality_evaluator],
-            [self.judge],
+            self.trimmer,
+            self.injector,
+            self.quality_evaluator,
+            self.judge,
             anchor,
         )
         # Whether the evaluator can score rounds straight off the trim
@@ -468,7 +468,8 @@ class CollectionGame:
         previous = getattr(self, "_active_session", None)
         if previous is not None:
             previous._supersede()
-        self.source.reset()
+        if not attach_source:  # an attached stream is rewound by the session
+            self.source.reset()
         self._active_session = session = GameSession(
             collector=self.collector,
             adversary=self.adversary,
@@ -501,129 +502,67 @@ class CollectionGame:
 
 
 class BatchedCollectionGame:
-    """Plays R collection games in lockstep over one dataset.
+    """Plays L calibrated collection games in lockstep.
 
-    One Python loop over the T rounds total: each round stacks one draw
-    per lane's stream, and every later step (strategy reactions, poison
-    materialization, trimming, quality evaluation, compliance judgement)
-    operates on ``(R, batch)`` stacks through the lane programs of
-    :mod:`repro.core.fusion`; the cohort records the round as one
-    ``(R,)`` row-batch on its :class:`~repro.streams.board.ColumnarBoard`
-    sink.  The R lanes may be repetitions of one sweep cell or different
-    cells: strategies, attack ratios, jitters and component parameters
-    may all differ lane to lane.
+    ``BatchedCollectionGame(games)`` takes L :class:`CollectionGame`
+    objects that share one ``rounds``.  :meth:`run` opens each game's
+    session with its stream attached, seats the L sessions in one
+    :class:`~repro.core.session.BatchedGameSession` cohort and submits
+    ``rounds`` times: one Python loop over the T rounds total, in which
+    the cohort draws each round from the games' own streams and every
+    later step (strategy reactions, poison materialization, trimming,
+    quality evaluation, compliance judgement) operates on ``(L, batch)``
+    stacks through the lane programs of :mod:`repro.core.fusion`; the
+    cohort records the round as one ``(L,)`` row-batch on its
+    :class:`~repro.streams.board.ColumnarBoard` sink.  The games may be
+    repetitions of one sweep cell or different cells: strategies,
+    attack ratios, jitters and component parameters may all differ game
+    to game.  Shipped classes run array-native; user strategies and
+    custom ``trim`` overrides fall back to a per-lane loop.
 
     Reproducibility contract (asserted by the test suite and the
-    ``bench_batched_engine`` gate): every lane of a batched run is
-    **byte-identical** to the corresponding solo :class:`CollectionGame`
-    seeded from the same ``SeedSequence`` children.  The ingredients:
-    per-lane component instances wherever state or randomness lives
-    (streams, strategies, injector jitter, judge noise), one shared
-    read-only calibration (the lanes' trimmers and injectors hold one
-    :class:`~repro.core.domain.ReferenceFit`), and vectorized kernels whose per-lane rows are elementwise-identical
-    to the scalar paths.
-
-    Parameters mirror :class:`CollectionGame`, with one instance per
-    lane where the solo engine takes a single component — lane ``r`` is
-    exactly the components of one solo game:
-
-    sources:
-        One :class:`~repro.streams.source.StreamSource` per lane; the
-        cohort draws every round through its
-        :class:`~repro.core.fusion.SourceLanes` program, byte-identically
-        to stacking one ``next_batch()`` per lane.
-    collectors / adversaries / injectors / trimmers:
-        One instance per lane.  Shipped classes run array-native; user
-        strategies and custom ``trim`` overrides fall back to a per-lane
-        loop (still byte-identical).
-    quality_evaluators / judges:
-        Optional sequences of one instance per lane (defaults: per-lane
-        :class:`~repro.core.quality.TailMassEvaluator` /
-        noiseless :class:`BandExcessJudge`, as in the solo engine).
+    ``bench_batched_engine`` gate): lane ``r`` of :meth:`run` is
+    **byte-identical** to ``games[r].run()``.  Each lane is that game's
+    own session over its own components, so this holds wherever the
+    lane programs match the solo round, which they do: every lane draws
+    from its own streams and Generators (strategies, injector jitter,
+    judge noise), games built on one read-only reference hold one
+    :class:`~repro.core.domain.ReferenceFit`, and the vectorized kernels'
+    per-lane rows are elementwise-identical to the scalar paths.  After
+    :meth:`run`, each game's components hold its lane's end state, as
+    after ``games[r].run()``.
     """
 
-    def __init__(
-        self,
-        sources: Sequence[StreamSource],
-        collectors: Sequence[CollectorStrategy],
-        adversaries: Sequence[AdversaryStrategy],
-        injectors: Sequence[PoisonInjector],
-        trimmers: Sequence[Trimmer],
-        reference: ArrayLike,
-        quality_evaluators: Optional[Sequence[QualityEvaluator]] = None,
-        judges: Optional[Sequence[Any]] = None,
-        rounds: int = 20,
-        anchor: str = "reference",
-        store_retained: bool = True,
-    ) -> None:
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        n_reps = len(collectors)
-        if n_reps < 1:
-            raise ValueError("need at least one repetition")
-        if quality_evaluators is None:
-            quality_evaluators = [TailMassEvaluator() for _ in range(n_reps)]
-        if judges is None:
-            judges = [BandExcessJudge(noise_sigma=0.0) for _ in range(n_reps)]
-        if any(
-            len(lane) != n_reps
-            for lane in (
-                sources, adversaries, injectors, trimmers,
-                quality_evaluators, judges,
-            )
-        ):
+    def __init__(self, games: Sequence[CollectionGame]) -> None:
+        games = list(games)
+        if not games:
+            raise ValueError("a lockstep game needs at least one game")
+        if len({id(game) for game in games}) != len(games):
+            raise ValueError("a game is seated twice in one lockstep game")
+        horizons = sorted({game.rounds for game in games})
+        if len(horizons) > 1:
             raise ValueError(
-                "sources, collectors, adversaries, injectors, trimmers, "
-                "quality evaluators and judges must have one entry per "
-                "repetition"
+                f"lockstep games must share one horizon, got rounds {horizons}"
             )
-        self.rounds = int(rounds)
-        self.store_retained = bool(store_retained)
-        self.sources = list(sources)
-        self.collectors = list(collectors)
-        self.adversaries = list(adversaries)
-        self._injectors = list(injectors)
-        self._trimmers = list(trimmers)
-        self._quality_evaluators = list(quality_evaluators)
-        self._judges = list(judges)
-        self.reference = _calibrate(
-            reference,
-            self._trimmers,
-            self._injectors,
-            self._quality_evaluators,
-            self._judges,
-            anchor,
-        )
+        self.games = games
+        self.rounds = horizons[0]
 
     # ------------------------------------------------------------------ #
     def run(self) -> List[GameResult]:
-        """Play all rounds for every lane; one result per lane, in order.
+        """Play all rounds for every game; one result per game, in order.
 
-        Each lane is a solo :class:`~repro.core.session.GameSession`
-        over its own components and source, whose opening reset rewinds
-        every stochastic component, so running the same engine twice
-        replays all L games identically.  The sessions step together as
-        one :class:`~repro.core.session.BatchedGameSession` cohort — the
-        round program and deferred sink the
+        Each game's ``session(attach_source=True)`` rewinds its
+        stochastic components and stream, so running the same engine
+        twice replays all L games identically.  The sessions step
+        together as one :class:`~repro.core.session.BatchedGameSession`
+        cohort — the round program and deferred sink the
         :class:`~repro.serving.DefenseService` multiplexes live tenants
-        through — which draws each round from the lanes' sources itself,
-        and the first ``close()`` flushes the cohort's sink into every
-        lane's session.
+        through — and the first ``close()`` flushes the cohort's sink
+        into every game's session.
         """
-        from .session import BatchedGameSession, GameSession
+        from .session import BatchedGameSession
 
-        lanes = zip(
-            self.sources, self.collectors, self.adversaries, self._injectors,
-            self._trimmers, self._quality_evaluators, self._judges, strict=True,
-        )
-        sessions = [
-            GameSession(
-                source=source, collector=collector, adversary=adversary,
-                injector=injector, trimmer=trimmer, quality_evaluator=quality,
-                judge=judge, horizon=self.rounds, store_retained=self.store_retained,
-            )
-            for source, collector, adversary, injector, trimmer, quality, judge in lanes
-        ]
+        sessions = [game.session(attach_source=True) for game in self.games]
         lockstep = BatchedGameSession(sessions)
         for _ in range(self.rounds):
             lockstep.submit()

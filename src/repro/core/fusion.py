@@ -5,8 +5,8 @@ service tenant — through one round of shared array kernels.
 :class:`~repro.core.session.BatchedGameSession` builds its lane programs
 from its seated sessions' component instances with the pieces below,
 whichever caller seats the lanes
-(:class:`~repro.core.engine.BatchedCollectionGame` or the
-:class:`~repro.serving.DefenseService`):
+(:class:`~repro.core.engine.BatchedCollectionGame`, one session per
+solo game, or the :class:`~repro.serving.DefenseService`):
 
 * **Strategy planner** — :func:`fused_collector_lanes` /
   :func:`fused_adversary_lanes` group live strategy instances by lane

@@ -32,8 +32,8 @@ transition:
   segment) — and records it on the sink, which flushes each lane's
   rows into its own session.  A seated session links to its cohort
   until that flush.  Both lockstep loops seat their sessions this way:
-  ``BatchedCollectionGame.run()`` (repetitions and fused sweep cells,
-  from freshly reset sessions) and the
+  ``BatchedCollectionGame.run()`` (the freshly reset sessions of L
+  ``CollectionGame`` objects: repetitions and fused sweep cells) and the
   :class:`~repro.serving.DefenseService` multiplexer (live tenants,
   from their current state).
 
@@ -540,17 +540,17 @@ class GameSession:
         fit, judge fit on the shared reference scores) and returns the
         opened session.
         """
-        from .engine import BandExcessJudge, _calibrate
+        from .engine import _calibrate, _default_judge
         from .quality import TailMassEvaluator
 
         quality_evaluator = quality_evaluator or TailMassEvaluator()
-        judge = judge or BandExcessJudge(noise_sigma=0.0)
+        judge = judge or _default_judge()
         _calibrate(
             reference,
-            [trimmer],
-            [injector],
-            [quality_evaluator],
-            [judge],
+            trimmer,
+            injector,
+            quality_evaluator,
+            judge,
             anchor,
         )
         return cls(

@@ -71,7 +71,6 @@ from .spec import (
     ComponentSpec,
     GameSpec,
     TaskSpec,
-    build_batched_game,
     load_reference,
     play_rep_batch,
     rep_group_key,
@@ -101,7 +100,6 @@ __all__ = [
     "cross_pairs",
     "summarize_game",
     "load_reference",
-    "build_batched_game",
     "play_rep_batch",
     "rep_group_key",
     "SOURCE_CHANNEL",

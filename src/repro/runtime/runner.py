@@ -505,8 +505,9 @@ class SweepRunner:
 
     Game cells always play in lockstep groups: consecutive specs of one
     fusion family — a sweep cell's repetitions and neighboring cells —
-    play as one :class:`~repro.core.engine.BatchedCollectionGame` per
-    horizon and dataset, byte-identical to per-spec ``spec.play()``.  A
+    play as one :class:`~repro.core.engine.BatchedCollectionGame` of
+    their ``spec.build()`` games per horizon and dataset,
+    byte-identical to per-spec ``spec.play()``.  A
     group is one retry/quarantine/checkpoint unit; a task cell is a
     group of one.
 

@@ -66,7 +66,6 @@ __all__ = [
     "rep_group_key",
     "rep_keys_equal",
     "fusion_group_key",
-    "build_batched_game",
     "play_rep_batch",
     "play_fused_batch",
     "SOURCE_CHANNEL",
@@ -227,49 +226,42 @@ class GameSpec:
         return replace(self, tags=merged)
 
     # ------------------------------------------------------------------ #
-    def _components(self, data: np.ndarray) -> Dict[str, Any]:
-        """The cell's unfitted components, keyed as ``CollectionGame`` takes them.
+    def build(self) -> CollectionGame:
+        """Materialize the game: load data, build components, wire engine.
 
         Every seeded component draws from its own derivation channel.
-        This is the one recipe both engines build from: ``build()``
-        wires one set into a solo game, :func:`build_batched_game` one
-        set per lane.
+        The dataset is the process-cached read-only array, so every game
+        built on it shares one reference fit per score family.
         """
-        return {
-            "source": ArrayStream(
+        data = load_reference(self.dataset, self.dataset_size)
+        return CollectionGame(
+            source=ArrayStream(
                 data,
                 batch_size=self.batch_size,
                 seed=self.child_seed(SOURCE_CHANNEL),
             ),
-            "collector": self.collector.build(
+            collector=self.collector.build(
                 self.child_seed(COLLECTOR_CHANNEL)
             ),
-            "adversary": self.adversary.build(
+            adversary=self.adversary.build(
                 self.child_seed(ADVERSARY_CHANNEL)
             ),
-            "injector": PoisonInjector(
+            injector=PoisonInjector(
                 attack_ratio=self.attack_ratio,
                 jitter=self.injection_jitter,
                 mode=self.injection_mode,
                 seed=self.child_seed(INJECTOR_CHANNEL),
             ),
-            "trimmer": self.trimmer.build(),
-            "quality_evaluator": (
+            trimmer=self.trimmer.build(),
+            reference=data,
+            quality_evaluator=(
                 None if self.quality is None
                 else self.quality.build(self.child_seed(QUALITY_CHANNEL))
             ),
-            "judge": (
+            judge=(
                 None if self.judge is None
                 else self.judge.build(self.child_seed(JUDGE_CHANNEL))
             ),
-        }
-
-    def build(self) -> CollectionGame:
-        """Materialize the game: load data, build components, wire engine."""
-        data = load_reference(self.dataset, self.dataset_size)
-        return CollectionGame(
-            **self._components(data),
-            reference=data,
             rounds=self.rounds,
             anchor=self.anchor,
             store_retained=self.store_retained,
@@ -423,61 +415,6 @@ def fusion_group_key(spec: GameSpec) -> tuple:
     )
 
 
-def _lockstep_key(spec: GameSpec) -> tuple:
-    """A fusion family plus the horizon and dataset one batched game shares."""
-    return fusion_group_key(spec) + (
-        spec.rounds,
-        spec.dataset,
-        spec.dataset_size,
-    )
-
-
-def build_batched_game(specs: Iterable[GameSpec]) -> BatchedCollectionGame:
-    """Materialize one lockstep engine for L specs of one family.
-
-    The specs must share a :func:`fusion_group_key`, a horizon and a
-    dataset; strategies, attack ratios, jitters, component parameters
-    and seeds may differ.  Each lane gets exactly the components the
-    solo ``spec.build()`` would wire — the same recipe, so the same
-    derivation channels — while the dataset and the deterministic
-    reference fits are shared across the lanes.
-    """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("need at least one spec")
-    lead = specs[0]
-    key = _lockstep_key(lead)
-    for other in specs[1:]:
-        if not rep_keys_equal(_lockstep_key(other), key):
-            raise ValueError(
-                "lockstep specs must agree on the fusion family, horizon "
-                "and dataset"
-            )
-    data = load_reference(lead.dataset, lead.dataset_size)
-    lanes = [spec._components(data) for spec in specs]
-
-    def column(name: str) -> List[Any]:
-        return [lane[name] for lane in lanes]
-
-    # The family shares one quality and judge class, so either every
-    # lane builds its own or every lane takes the engine default.
-    return BatchedCollectionGame(
-        sources=column("source"),
-        collectors=column("collector"),
-        adversaries=column("adversary"),
-        injectors=column("injector"),
-        trimmers=column("trimmer"),
-        reference=data,
-        quality_evaluators=(
-            None if lead.quality is None else column("quality_evaluator")
-        ),
-        judges=None if lead.judge is None else column("judge"),
-        rounds=lead.rounds,
-        anchor=lead.anchor,
-        store_retained=lead.store_retained,
-    )
-
-
 def play_rep_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
     """Play R same-cell specs in lockstep; one result per spec, in order.
 
@@ -500,11 +437,13 @@ def play_fused_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
     """Play L same-*family* specs in lockstep; results in spec order.
 
     The specs may differ in strategies, attack ratios, datasets and
-    horizons as long as they share a :func:`fusion_group_key`.  They
-    split by horizon and dataset, and each part plays as one
-    :func:`build_batched_game` lockstep (a part of one spec plays solo).
-    Every returned :class:`~repro.core.engine.GameResult` is
-    byte-identical to the corresponding solo ``spec.play()``.
+    horizons.  They split by horizon and dataset; a part of one spec
+    plays solo, and a larger part — whose specs must share a
+    :func:`fusion_group_key` — plays as one
+    :class:`~repro.core.engine.BatchedCollectionGame` of the games its
+    specs ``build()``.  Every returned
+    :class:`~repro.core.engine.GameResult` is byte-identical to the
+    corresponding solo ``spec.play()``.
     """
     specs = list(specs)
     parts: Dict[tuple, List[int]] = {}
@@ -514,10 +453,20 @@ def play_fused_batch(specs: Iterable[GameSpec]) -> List[GameResult]:
         ).append(slot)
     results: List[Any] = [None] * len(specs)
     for slots in parts.values():
-        if len(slots) == 1:
-            played = [specs[slots[0]].play()]
+        part = [specs[s] for s in slots]
+        if len(part) == 1:
+            played = [part[0].play()]
         else:
-            played = build_batched_game([specs[s] for s in slots]).run()
-        for slot, result in zip(slots, played, strict=False):
+            family = fusion_group_key(part[0])
+            if not all(
+                rep_keys_equal(fusion_group_key(spec), family)
+                for spec in part[1:]
+            ):
+                raise ValueError(
+                    "lockstep specs of one horizon and dataset must agree "
+                    "on the fusion family"
+                )
+            played = BatchedCollectionGame([spec.build() for spec in part]).run()
+        for slot, result in zip(slots, played, strict=True):
             results[slot] = result
     return results

@@ -610,3 +610,50 @@ class TestRep008:
             "        self._streak += 1\n", "        pass\n"
         ).replace("        self._streak = 0\n", "        pass\n")
         assert rules_in(engine, src) == []
+
+
+# --------------------------------------------------------------------- #
+# function-local component classes
+# --------------------------------------------------------------------- #
+_LOCAL_COMPONENT = (
+    "import numpy as np\n"
+    "def make_trimmer():\n"
+    "    class _DriftingTrimmer:\n"
+    "        history = []\n"
+    "        def __init__(self):\n"
+    "            self._rng = np.random.default_rng(0)\n"
+    "            self._calls = 0\n"
+    "        def trim(self, batch, percentile):\n"
+    "            self._calls += 1\n"
+    "        def export_state(self):\n"
+    "            return {}\n"
+    "    return _DriftingTrimmer\n"
+)
+
+
+class TestFunctionLocalComponents:
+    def test_local_class_is_linted_without_a_crash(self, engine):
+        # REP005/REP008 read the module dataflow, which holds module-level
+        # classes only; REP004 still covers the local class.
+        assert rules_in(engine, _LOCAL_COMPONENT) == ["REP004"]
+
+    def test_local_class_never_borrows_a_module_class_view(self, engine):
+        # Analyzed through the module class's view, the local class's
+        # _count would read as mutated in react() and never restored.
+        src = (
+            "class ShadowCollector:\n"
+            "    def __init__(self):\n"
+            "        self._seen = 0\n"
+            "    def react(self, last):\n"
+            "        self._count = 1\n"
+            "    def reset(self):\n"
+            "        self._seen = 0\n"
+            "def make():\n"
+            "    class ShadowCollector:\n"
+            "        def __init__(self):\n"
+            "            self._count = 0\n"
+            "        def reset(self):\n"
+            "            self._count = 0\n"
+            "    return ShadowCollector\n"
+        )
+        assert rules_in(engine, src) == []

@@ -54,7 +54,6 @@ from repro.experiments.classifiers import (
     LabelAwareRadialTrimmer,
     LabelMimicInjector,
 )
-from repro.runtime.spec import build_batched_game
 from repro.streams import ArrayStream, PoisonInjector
 
 from test_session import cohort_leftovers, matrix_spec
@@ -73,16 +72,23 @@ def _roots():
     return [SeedSequence(17, spawn_key=(0, 0, 0, rep)) for rep in range(N_REPS)]
 
 
+def _read_only(data):
+    """Games calibrated on one read-only array share one reference fit,
+    so their lanes take the lane programs' shared-fit groups."""
+    data.setflags(write=False)
+    return data
+
+
 @pytest.fixture(scope="module")
 def data_2d():
     rng = np.random.default_rng(5)
-    return rng.normal(size=(2000, 2)) + 4.0
+    return _read_only(rng.normal(size=(2000, 2)) + 4.0)
 
 
 @pytest.fixture(scope="module")
 def data_1d():
     rng = np.random.default_rng(6)
-    return rng.lognormal(size=2000)
+    return _read_only(rng.lognormal(size=2000))
 
 
 def _assert_batched_matches_solo(
@@ -101,7 +107,7 @@ def _assert_batched_matches_solo(
     mode = "radial" if np.ndim(data) == 2 else "quantile"
     roots = _roots()
 
-    def solo(rep):
+    def game(rep):
         root = roots[rep]
         return CollectionGame(
             source=ArrayStream(data, batch_size=80, seed=_child(root, 0)),
@@ -114,32 +120,13 @@ def _assert_batched_matches_solo(
             rounds=rounds,
             anchor=anchor,
             store_retained=store_retained,
-        ).run()
+        )
 
-    batched = BatchedCollectionGame(
-        sources=[
-            ArrayStream(data, batch_size=80, seed=_child(r, 0)) for r in roots
-        ],
-        collectors=[make_collector(_child(r, 1)) for r in roots],
-        adversaries=[make_adversary(_child(r, 2)) for r in roots],
-        injectors=[
-            PoisonInjector(ratio, mode=mode, seed=_child(r, 3)) for r in roots
-        ],
-        trimmers=[trimmer_cls() for _ in roots],
-        reference=data,
-        judges=(
-            None
-            if judge_maker is None
-            else [judge_maker(_child(r, 4)) for r in roots]
-        ),
-        rounds=rounds,
-        anchor=anchor,
-        store_retained=store_retained,
-    ).run()
+    batched = BatchedCollectionGame([game(rep) for rep in range(N_REPS)]).run()
 
     assert len(batched) == N_REPS
     for rep in range(N_REPS):
-        solo_result = solo(rep)
+        solo_result = game(rep).run()
         rep_result = batched[rep]
         assert rep_result.rounds == rounds
         assert json.dumps(solo_result.to_records(), sort_keys=True) == (
@@ -331,27 +318,22 @@ class TestModesAndBoards:
         )
 
     def test_rerun_replays_identically(self, data_1d):
-        roots = _roots()
         game = BatchedCollectionGame(
-            sources=[
-                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
-                for r in roots
-            ],
-            collectors=[MirrorCollector(0.9) for _ in roots],
-            adversaries=[
-                MixedAdversary(0.4, seed=_child(r, 2)) for r in roots
-            ],
-            injectors=[
-                PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
-                for r in roots
-            ],
-            trimmers=[ValueTrimmer() for _ in roots],
-            reference=data_1d,
-            judges=[
-                BandExcessJudge(noise_sigma=0.05, seed=_child(r, 4))
-                for r in roots
-            ],
-            rounds=6,
+            [
+                CollectionGame(
+                    source=ArrayStream(data_1d, batch_size=80, seed=_child(r, 0)),
+                    collector=MirrorCollector(0.9),
+                    adversary=MixedAdversary(0.4, seed=_child(r, 2)),
+                    injector=PoisonInjector(
+                        0.2, mode="quantile", seed=_child(r, 3)
+                    ),
+                    trimmer=ValueTrimmer(),
+                    reference=data_1d,
+                    judge=BandExcessJudge(noise_sigma=0.05, seed=_child(r, 4)),
+                    rounds=6,
+                )
+                for r in _roots()
+            ]
         )
         first = game.run()
         second = game.run()
@@ -370,7 +352,9 @@ class TestCohortLifetime:
             matrix_spec("tft-mixed", "mixed", "position", seed=s)
             for s in range(4)
         ]
-        assert cohort_leftovers(lambda: build_batched_game(specs).run()) == []
+        assert cohort_leftovers(
+            lambda: BatchedCollectionGame([spec.build() for spec in specs]).run()
+        ) == []
 
 
 class _RandomUserCollector(CollectorStrategy):
@@ -470,7 +454,7 @@ class TestFallbackLoop:
         """A non-TailMass evaluator routes through the per-rep loop."""
         roots = _roots()
 
-        def solo(rep):
+        def game(rep):
             root = roots[rep]
             return CollectionGame(
                 source=ArrayStream(data_1d, batch_size=80, seed=_child(root, 0)),
@@ -483,26 +467,11 @@ class TestFallbackLoop:
                 reference=data_1d,
                 quality_evaluator=MeanShiftEvaluator(),
                 rounds=6,
-            ).run()
+            )
 
-        batched = BatchedCollectionGame(
-            sources=[
-                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
-                for r in roots
-            ],
-            collectors=[ElasticCollector(0.9, 0.5) for _ in roots],
-            adversaries=[FixedAdversary(0.99) for _ in roots],
-            injectors=[
-                PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
-                for r in roots
-            ],
-            trimmers=[ValueTrimmer() for _ in roots],
-            reference=data_1d,
-            quality_evaluators=[MeanShiftEvaluator() for _ in roots],
-            rounds=6,
-        ).run()
+        batched = BatchedCollectionGame([game(rep) for rep in range(N_REPS)]).run()
         for rep in range(N_REPS):
-            assert solo(rep).to_records() == batched[rep].to_records()
+            assert game(rep).run().to_records() == batched[rep].to_records()
 
 
 class _TightenedTrimmer(ValueTrimmer):
@@ -516,8 +485,8 @@ class _DriftingTrimmer(ValueTrimmer):
     """STATEFUL custom trimmer: cutoff tightens with every trim() call.
 
     Byte-identity to solo play requires one instance per rep — the
-    engine must route each rep's rounds through its own instance when
-    given a trimmer sequence.
+    engine must route each rep's rounds through its own game's
+    instance.
     """
 
     def __init__(self):
@@ -547,10 +516,10 @@ class TestCustomTrimmer:
         )
 
     def test_stateful_trimmer_sequence_isolates_reps(self, data_1d):
-        """A trimmer *sequence* gives each rep its own state path."""
+        """Each game's own trimmer gives its rep its own state path."""
         roots = _roots()
 
-        def solo(rep):
+        def game(rep):
             root = roots[rep]
             return CollectionGame(
                 source=ArrayStream(data_1d, batch_size=80, seed=_child(root, 0)),
@@ -562,25 +531,11 @@ class TestCustomTrimmer:
                 trimmer=_DriftingTrimmer(),
                 reference=data_1d,
                 rounds=8,
-            ).run()
+            )
 
-        batched = BatchedCollectionGame(
-            sources=[
-                ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
-                for r in roots
-            ],
-            collectors=[StaticCollector(0.9) for _ in roots],
-            adversaries=[FixedAdversary(0.99) for _ in roots],
-            injectors=[
-                PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
-                for r in roots
-            ],
-            trimmers=[_DriftingTrimmer() for _ in roots],
-            reference=data_1d,
-            rounds=8,
-        ).run()
+        batched = BatchedCollectionGame([game(rep) for rep in range(N_REPS)]).run()
         for rep in range(N_REPS):
-            assert solo(rep).to_records() == batched[rep].to_records()
+            assert game(rep).run().to_records() == batched[rep].to_records()
 
     def test_runtime_builds_per_rep_trimmers(self, data_1d):
         """Sweep cells with a stateful custom trimmer batch correctly."""
@@ -630,34 +585,25 @@ def _lane_games(data, collectors, adversaries, trimmers, rounds=8):
     ``r``-th maker of each list (one quantile injector per lane)."""
     roots = _roots()[: len(collectors)]
     lanes = list(zip(roots, collectors, adversaries, trimmers, strict=True))
-    solo = [
-        CollectionGame(
-            source=ArrayStream(data, batch_size=80, seed=_child(root, 0)),
-            collector=collector(),
-            adversary=adversary(),
-            injector=PoisonInjector(
-                0.2, mode="quantile", seed=_child(root, 3)
-            ),
-            trimmer=trimmer(),
-            reference=data,
-            rounds=rounds,
-        ).run()
-        for root, collector, adversary, trimmer in lanes
-    ]
-    batched = BatchedCollectionGame(
-        sources=[
-            ArrayStream(data, batch_size=80, seed=_child(r, 0)) for r in roots
-        ],
-        collectors=[collector() for collector in collectors],
-        adversaries=[adversary() for adversary in adversaries],
-        injectors=[
-            PoisonInjector(0.2, mode="quantile", seed=_child(r, 3))
-            for r in roots
-        ],
-        trimmers=[trimmer() for trimmer in trimmers],
-        reference=data,
-        rounds=rounds,
-    ).run()
+
+    def games():
+        return [
+            CollectionGame(
+                source=ArrayStream(data, batch_size=80, seed=_child(root, 0)),
+                collector=collector(),
+                adversary=adversary(),
+                injector=PoisonInjector(
+                    0.2, mode="quantile", seed=_child(root, 3)
+                ),
+                trimmer=trimmer(),
+                reference=data,
+                rounds=rounds,
+            )
+            for root, collector, adversary, trimmer in lanes
+        ]
+
+    solo = [game.run() for game in games()]
+    batched = BatchedCollectionGame(games()).run()
     return solo, batched
 
 
@@ -746,7 +692,7 @@ class TestInjectorSubclassLanes:
         ],
     )
     def test_lockstep_equals_solo(self, make_data, injectors, trimmer, mode, batch):
-        data = make_data()
+        data = _read_only(make_data())
         roots = _roots()[: len(injectors)]
 
         def lane(root, injector_cls):
@@ -763,15 +709,11 @@ class TestInjectorSubclassLanes:
             CollectionGame(**lane(root, cls), reference=data, rounds=8).run()
             for root, cls in pairs
         ]
-        lanes = [lane(root, cls) for root, cls in pairs]
         batched = BatchedCollectionGame(
-            sources=[parts["source"] for parts in lanes],
-            collectors=[parts["collector"] for parts in lanes],
-            adversaries=[parts["adversary"] for parts in lanes],
-            injectors=[parts["injector"] for parts in lanes],
-            trimmers=[parts["trimmer"] for parts in lanes],
-            reference=data,
-            rounds=8,
+            [
+                CollectionGame(**lane(root, cls), reference=data, rounds=8)
+                for root, cls in pairs
+            ]
         ).run()
         for rep, result in enumerate(solo):
             assert batched[rep].to_records() == result.to_records()
@@ -782,32 +724,30 @@ class TestInjectorSubclassLanes:
 
 
 class TestValidation:
-    def test_rejects_mismatched_lengths(self, data_1d):
-        roots = _roots()
-        with pytest.raises(ValueError, match="one entry per repetition"):
-            BatchedCollectionGame(
-                sources=[
-                    ArrayStream(data_1d, batch_size=80, seed=_child(r, 0))
-                    for r in roots
-                ],
-                collectors=[OstrichCollector() for _ in roots],
-                adversaries=[NullAdversary()],
-                injectors=[PoisonInjector(0.2) for _ in roots],
-                trimmers=[ValueTrimmer() for _ in roots],
-                reference=data_1d,
-            )
+    def _game(self, data, seed, rounds=4):
+        return CollectionGame(
+            source=ArrayStream(data, batch_size=80, seed=seed),
+            collector=OstrichCollector(),
+            adversary=NullAdversary(),
+            injector=PoisonInjector(0.2, mode="quantile", seed=seed),
+            trimmer=ValueTrimmer(),
+            reference=data,
+            rounds=rounds,
+        )
 
-    def test_rejects_wrong_lane_count(self, data_1d):
-        with pytest.raises(ValueError, match="one entry per repetition"):
+    def test_rejects_no_games(self):
+        with pytest.raises(ValueError, match="at least one game"):
+            BatchedCollectionGame([])
+
+    def test_rejects_a_game_seated_twice(self, data_1d):
+        game = self._game(data_1d, 0)
+        with pytest.raises(ValueError, match="seated twice"):
+            BatchedCollectionGame([game, self._game(data_1d, 1), game])
+
+    def test_rejects_mixed_horizons(self, data_1d):
+        with pytest.raises(ValueError, match=r"one horizon.*\[4, 6\]"):
             BatchedCollectionGame(
-                sources=[
-                    ArrayStream(data_1d, batch_size=80, seed=s) for s in (0, 1)
-                ],
-                collectors=[OstrichCollector() for _ in range(3)],
-                adversaries=[NullAdversary() for _ in range(3)],
-                injectors=[PoisonInjector(0.2) for _ in range(3)],
-                trimmers=[ValueTrimmer() for _ in range(3)],
-                reference=data_1d,
+                [self._game(data_1d, 0), self._game(data_1d, 1, rounds=6)]
             )
 
 

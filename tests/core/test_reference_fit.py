@@ -13,12 +13,17 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import CollectionGame, ComponentSpec, DefenseService, GameSpec
+from repro import (
+    BatchedCollectionGame,
+    CollectionGame,
+    ComponentSpec,
+    DefenseService,
+    GameSpec,
+)
 from repro.core.domain import _LIVE_FITS, ReferenceFit
 from repro.core.session import GameSession
 from repro.core.strategies import FixedAdversary, StaticCollector
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
-from repro.runtime import build_batched_game
 from repro.streams import ArrayStream, PoisonInjector
 
 
@@ -128,11 +133,13 @@ class TestReferenceFit:
 
 class TestSharedCalibration:
     def test_lockstep_lanes_hold_one_fit(self):
-        game = build_batched_game([_taxi_spec(seed) for seed in range(4)])
-        fit = game._trimmers[0]._fit
+        game = BatchedCollectionGame(
+            [_taxi_spec(seed).build() for seed in range(4)]
+        )
+        fit = game.games[0].trimmer._fit
         # Taxi rows are (1,)-shaped: trimmer and injector are both radial.
-        assert all(t._fit is fit for t in game._trimmers)
-        assert all(inj._fit is fit for inj in game._injectors)
+        assert all(lane.trimmer._fit is fit for lane in game.games)
+        assert all(lane.injector._fit is fit for lane in game.games)
 
     def test_tenants_on_one_dataset_and_size_share_one_fit(self):
         service = DefenseService()

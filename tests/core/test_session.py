@@ -26,7 +26,6 @@ from repro.core.session import (
     SNAPSHOT_FORMAT,
     BatchedGameSession,
     GameSession,
-    RoundDecision,
     SnapshotError,
     round_payoffs,
 )
@@ -617,6 +616,37 @@ class TestSnapshotRestore:
         assert "rng" in state["judge"]         # verdict noise stream
         assert "rng" in state["source"]        # epoch shuffling
         assert state["trimmer"] == {}          # stateless after fit
+
+    def test_default_judge_snapshots_to_equal_bytes(self, reference):
+        # A game given no judge takes a noiseless band judge, which
+        # never draws, but its Generator rides in every snapshot: two
+        # sessions of one game must snapshot to the same bytes.
+        spec = GameSpec(
+            collector=MATRIX_COLLECTORS["elastic-paper"],
+            adversary=MATRIX_ADVERSARIES["elastic"],
+            rounds=6,
+            batch_size=60,
+            seed=8,
+        )
+        first, second = spec.session(), spec.session()
+        for _ in range(3):
+            first.submit()
+            second.submit()
+        assert first.snapshot() == second.snapshot()
+
+        def opened():
+            session = GameSession.open(
+                collector=StaticCollector(0.9),
+                adversary=FixedAdversary(0.99),
+                injector=PoisonInjector(0.2, seed=1),
+                trimmer=RadialTrimmer(),
+                reference=reference,
+                source=ArrayStream(reference, batch_size=60, seed=2),
+            )
+            session.submit()
+            return session.snapshot()
+
+        assert opened() == opened()
 
     def test_lean_session_snapshot_roundtrip(self):
         spec = GameSpec(

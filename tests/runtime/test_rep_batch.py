@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from repro.core.strategies import (
-    ElasticAdversary,
     ElasticCollector,
     FixedAdversary,
     MixedAdversary,
@@ -209,6 +208,29 @@ class TestPlayRepBatch:
             play_rep_batch([specs[0], specs[-1]])
 
 
+class TestPlayFusedBatch:
+    def test_rejects_mixed_families_in_one_part(self):
+        # One horizon and dataset: both specs land in one lockstep part,
+        # but batch sizes 60 and 40 are two fusion families.
+        a = _grid(repetitions=1).expand()[0]
+        b = _grid(repetitions=1, batch_size=40).expand()[0]
+        assert (a.rounds, a.dataset) == (b.rounds, b.dataset)
+        assert fusion_group_key(a) != fusion_group_key(b)
+        with pytest.raises(ValueError, match="fusion family"):
+            play_fused_batch([a, b])
+
+    def test_families_may_differ_across_parts(self):
+        # The family is checked per multi-spec part: two parts (one per
+        # horizon) of different families each play as one lockstep.
+        short = _grid(repetitions=2, rounds=4).expand()[:2]
+        long = _grid(repetitions=2, rounds=6, batch_size=40).expand()[:2]
+        assert fusion_group_key(short[0]) != fusion_group_key(long[0])
+        specs = [short[0], long[0], short[1], long[1]]
+        fused = play_fused_batch(specs)
+        for spec, result in zip(specs, fused, strict=True):
+            assert result.to_records() == spec.play().to_records()
+
+
 class TestReviewRegressions:
     def test_ndarray_component_kwargs_degrade_to_singletons(self):
         """Equal-but-distinct ComponentSpecs with ndarray kwargs must not
@@ -241,10 +263,10 @@ class TestReviewRegressions:
 
     def test_mixed_trigger_counters_restored(self):
         """Post-game lane state must match solo play (the sink flush)."""
-        from repro.core.engine import BandExcessJudge
+        from repro.core.engine import BandExcessJudge, BatchedCollectionGame
         from repro.core.strategies import MixedStrategyTrigger
         from repro.experiments import SCHEMES, scheme_specs
-        from repro.runtime.spec import GameSpec, build_batched_game
+        from repro.runtime.spec import GameSpec
 
         pairs = (
             StrategyPair(
@@ -267,9 +289,10 @@ class TestReviewRegressions:
             store_retained=False, seed=0,
         )
         specs = grid.expand()
-        game = build_batched_game(specs)
+        game = BatchedCollectionGame([spec.build() for spec in specs])
         game.run()
-        for spec, collector in zip(specs, game.collectors, strict=False):
+        for spec, lane in zip(specs, game.games, strict=True):
+            collector = lane.collector
             solo_game = spec.build()
             solo_game.run()
             solo_collector = solo_game.collector
@@ -302,20 +325,21 @@ class TestReviewRegressions:
                 scheme_specs(name, 0.9) for name in SCHEMES
             )
         ]
-        game = build_batched_game(specs)
+        game = BatchedCollectionGame([spec.build() for spec in specs])
         game.run()
-        lanes = zip(
-            game.collectors, game.adversaries, game._injectors,
-            game._judges, game.sources, strict=True,
-        )
-        for spec, lane in zip(specs, lanes, strict=True):
+
+        def components(game):
+            return (
+                game.collector, game.adversary, game.injector, game.judge,
+                game.source,
+            )
+
+        for spec, lane in zip(specs, game.games, strict=True):
             solo_game = spec.build()
             solo_game.run()
-            solo = (
-                solo_game.collector, solo_game.adversary,
-                solo_game.injector, solo_game.judge, solo_game.source,
-            )
-            for got, want in zip(lane, solo, strict=True):
+            for got, want in zip(
+                components(lane), components(solo_game), strict=True
+            ):
                 assert pickle.dumps(got.export_state()) == pickle.dumps(
                     want.export_state()
                 ), f"{spec.collector.name}: {type(got).__name__}"
