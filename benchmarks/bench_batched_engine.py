@@ -11,13 +11,17 @@ plays the grid in lockstep groups.
 
 Correctness gate (non-negotiable): every record of the batched run must
 equal the solo run's record for the same spec — the per-rep
-byte-equality contract of the batched engine — at every R.  Performance
-at R = 32 on a shared 2-CPU container, over 15 runs: about 600 games/s
-batched against about 260 solo (medians), 1.75-2.66x (median 2.31x),
-with a 2x blocking gate; R = 8 and R = 128 read medians of 2.44x and 2.82x.
-Results are persisted to ``benchmarks/results/BENCH_batched.json``,
-stamped with the commit and host they measured, so the perf trajectory
-stays inspectable per commit.
+byte-equality contract of the batched engine — at every R, in every
+pass.  Performance at R = 32 on a shared 2-CPU container, over 15
+single-pass runs: about 600 games/s batched against about 260 solo
+(medians), 1.75-2.66x (median 2.31x); R = 8 and R = 128 read medians of
+2.44x and 2.82x.  So the R = 32 point plays ``GATE_REPEATS`` = 5 passes
+over the same grid and its 2x blocking gate reads the median ratio;
+every pass's ratio is recorded next to it.  Over four runs on the same
+host the gated median read 2.36-2.46x (passes 2.25-3.01x, about 560-600
+games/s batched against 200-240 solo).  Results are persisted to
+``benchmarks/results/BENCH_batched.json``, stamped with the commit and
+host they measured, so the perf trajectory stays inspectable per commit.
 
 Run standalone with ``python benchmarks/bench_batched_engine.py``.
 """
@@ -25,6 +29,7 @@ Run standalone with ``python benchmarks/bench_batched_engine.py``.
 import json
 import os
 import time
+from functools import partial
 
 from repro.experiments.tournament import (
     TournamentConfig,
@@ -33,7 +38,7 @@ from repro.experiments.tournament import (
 )
 from repro.runtime import SweepGrid, SweepRunner, cross_pairs, summarize_game
 
-from conftest import host_stamp
+from conftest import host_stamp, median_of_passes
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_batched.json")
@@ -41,10 +46,11 @@ BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_batched.json")
 #: Repetition counts to sweep; the gate applies at GATED_REPS.
 REP_COUNTS = (8, 32, 128)
 GATED_REPS = 32
-#: CI regression gate.  One timed pass per side, so a host hiccup moves
-#: the ratio: 15 runs at R=32 on a shared 2-CPU container read
-#: 1.75-2.66x (see results/BENCH_batched.json for one, with its host).
+#: CI regression gate on the median of GATE_REPEATS passes at
+#: GATED_REPS: single passes at R=32 on a shared 2-CPU container read
+#: 1.75-2.66x over 15 runs, so one pass is decided by host noise.
 MIN_SPEEDUP = 2.0
+GATE_REPEATS = 5
 
 BASE = TournamentConfig()
 
@@ -77,25 +83,42 @@ def _time_run(play, grid: SweepGrid):
     return time.perf_counter() - t0, records
 
 
+def _measure(grid: SweepGrid) -> dict:
+    """One solo and one batched pass over the same grid."""
+    solo_s, solo_records = _time_run(_solo_loop, grid)
+    batched_s, batched_records = _time_run(SweepRunner().run_grid, grid)
+    return {
+        "solo_seconds": solo_s,
+        "batched_seconds": batched_s,
+        "speedup": solo_s / batched_s,
+        "records_identical": bool(solo_records == batched_records),
+    }
+
+
 def run_batched_benchmark() -> dict:
-    """Time solo vs batched at every R; assert record equality; report."""
+    """Time solo vs batched at every R; assert record equality; report.
+
+    The gated point plays GATE_REPEATS passes: its seconds and ratio are
+    the medians over them, and ``repeat_speedups`` keeps every pass's
+    ratio.
+    """
     points = []
     for repetitions in REP_COUNTS:
         grid = _grid(repetitions)
-        solo_s, solo_records = _time_run(_solo_loop, grid)
-        batched_s, batched_records = _time_run(SweepRunner().run_grid, grid)
+        point, runs = median_of_passes(
+            partial(_measure, grid),
+            GATE_REPEATS if repetitions == GATED_REPS else 1,
+        )
         n_games = grid.n_cells
         points.append(
             {
                 "repetitions": repetitions,
                 "n_games": n_games,
                 "rounds": BASE.rounds,
-                "solo_seconds": solo_s,
-                "batched_seconds": batched_s,
-                "solo_games_per_second": n_games / solo_s,
-                "batched_games_per_second": n_games / batched_s,
-                "speedup": solo_s / batched_s,
-                "records_identical": bool(solo_records == batched_records),
+                **point,
+                "solo_games_per_second": n_games / point["solo_seconds"],
+                "batched_games_per_second": n_games / point["batched_seconds"],
+                "repeat_speedups": [run["speedup"] for run in runs],
             }
         )
     return {
@@ -107,7 +130,12 @@ def run_batched_benchmark() -> dict:
             "dataset": BASE.dataset,
             "attack_ratio": BASE.attack_ratio,
         },
-        "gate": {"repetitions": GATED_REPS, "min_speedup": MIN_SPEEDUP},
+        "gate": {
+            "repetitions": GATED_REPS,
+            "min_speedup": MIN_SPEEDUP,
+            "repeats": GATE_REPEATS,
+            "statistic": "median",
+        },
         "points": points,
     }
 
@@ -131,6 +159,11 @@ def test_batched_engine(report):
             f"({point['speedup']:.2f}x), records identical: "
             f"{point['records_identical']}"
         )
+        if len(point["repeat_speedups"]) > 1:
+            lines.append(
+                f"       {len(point['repeat_speedups'])} passes: "
+                + ", ".join(f"{ratio:.2f}x" for ratio in point["repeat_speedups"])
+            )
     report("batched_engine", "\n".join(lines))
 
     # Correctness gates: the batched engine must not change a single bit.
@@ -143,8 +176,9 @@ def test_batched_engine(report):
         p for p in payload["points"] if p["repetitions"] == GATED_REPS
     )
     assert gated["speedup"] >= MIN_SPEEDUP, (
-        f"batched speedup {gated['speedup']:.2f}x below the "
-        f"{MIN_SPEEDUP}x gate at R={GATED_REPS}"
+        f"median batched speedup {gated['speedup']:.2f}x below the "
+        f"{MIN_SPEEDUP}x gate at R={GATED_REPS} "
+        f"(passes: {gated['repeat_speedups']})"
     )
 
 

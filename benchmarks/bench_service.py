@@ -52,8 +52,8 @@ Run standalone with ``python benchmarks/bench_service.py``.
 import json
 import os
 import resource
-import statistics
 import time
+from functools import partial
 
 from repro import ComponentSpec, DefenseService, GameSpec
 from repro.core.strategies import (
@@ -65,7 +65,7 @@ from repro.core.strategies import (
     TitForTatCollector,
 )
 
-from conftest import host_stamp
+from conftest import host_stamp, median_of_passes
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_service.json")
@@ -232,15 +232,10 @@ def run_service_benchmark() -> dict:
     for label, spec_fn in WORKLOADS:
         for n_sessions in SESSION_COUNTS:
             gated = label in GATED_WORKLOADS and n_sessions == GATED_SESSIONS
-            runs = [
-                _measure(spec_fn, n_sessions)
-                for _ in range(GATE_REPEATS if gated else 1)
-            ]
-            point = {
-                key: statistics.median(run[key] for run in runs)
-                for key in runs[0]
-                if key != "boards_identical"
-            }
+            point, runs = median_of_passes(
+                partial(_measure, spec_fn, n_sessions),
+                GATE_REPEATS if gated else 1,
+            )
             total_rounds = n_sessions * ROUNDS
             points.append(
                 {
@@ -257,9 +252,6 @@ def run_service_benchmark() -> dict:
                         run["steady_state_speedup"] for run in runs
                     ],
                     "peak_rss_kib": _peak_rss_kib(),
-                    "boards_identical": all(
-                        run["boards_identical"] for run in runs
-                    ),
                 }
             )
     return {

@@ -7,7 +7,9 @@ to ``benchmarks/results/<name>.txt`` (and stdout, visible with ``-s``).
 
 import os
 import platform
+import statistics
 import subprocess
+from typing import Callable, List, Tuple
 
 import numpy as np
 import pytest
@@ -50,6 +52,30 @@ def host_stamp() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def median_of_passes(
+    measure: Callable[[], dict], passes: int
+) -> Tuple[dict, List[dict]]:
+    """Call ``measure()`` ``passes`` times and fold them into one point.
+
+    Each pass returns a flat dict of one measurement.  A numeric field
+    becomes its median over the passes, and a boolean field (an
+    identity check) holds only if it held in every pass.  The passes
+    come back too, so a bench can record each pass's ratio next to the
+    median it gates on: one short pass is decided by whatever else the
+    host runs at that moment.
+    """
+    runs = [measure() for _ in range(passes)]
+    point = {
+        key: (
+            all(run[key] for run in runs)
+            if isinstance(value, bool)
+            else statistics.median(run[key] for run in runs)
+        )
+        for key, value in runs[0].items()
+    }
+    return point, runs
 
 
 @pytest.fixture(scope="session")

@@ -544,32 +544,18 @@ class QualityLanes:
     its reference quantile or calibrated cutoff, which pack into
     per-lane ``(L,)`` columns — the whole stack is scored by one array
     sweep; otherwise the documented per-lane loop runs each instance on
-    its own row.  ``trim_lanes`` only informs the per-lane score-sharing
-    probe.
+    its own row.  ``share_flags`` says per lane whether its evaluator
+    reuses the trimmer's batch scores: the member session's own
+    ``share_scores`` decision, so lane and solo round agree.
     """
 
     def __init__(
-        self, evaluators: Sequence[QualityEvaluator], trim_lanes: TrimLanes
+        self, evaluators: Sequence[QualityEvaluator], share_flags: Sequence[bool]
     ) -> None:
         self.evaluators = list(evaluators)
-        lead = self.evaluators[0]
-        kinds = [getattr(t, "score_kind", None) for t in trim_lanes.trimmers]
-        if all(type(ev) is type(lead) for ev in self.evaluators) and (
-            len(set(kinds)) == 1
-        ):
-            # Same concrete class everywhere: the (signature-inspecting)
-            # share probe runs once instead of once per lane.
-            self.share_flags = [lead.accepts_scores(kinds[0])] * len(
-                self.evaluators
-            )
-        else:
-            self.share_flags = [
-                evaluator.accepts_scores(kind)
-                for evaluator, kind in zip(self.evaluators, kinds, strict=False)
-            ]
+        self.share_flags = list(share_flags)
         # The vector program needs one shared score-reuse decision; a
-        # mixed-flag cohort (possible only with per-lane trimmer kinds)
-        # takes the loop.
+        # mixed-flag cohort takes the loop.
         self.vectorized = all(
             type(ev) is TailMassEvaluator for ev in self.evaluators
         ) and len(set(self.share_flags)) == 1

@@ -19,7 +19,8 @@ transition:
   mid-game state capture: strategy state, every RNG consumer's
   ``Generator`` bit-state and the board's columns (plus one retained
   array per round on a full board).  The board's length is the session's
-  round position.  A session suspended in one process resumes
+  round position, and its last row the observation both strategies
+  react to next.  A session suspended in one process resumes
   byte-identically in another.
 * :class:`BatchedGameSession` — one lockstep *cohort*:
   ``BatchedGameSession(sessions)`` seats L :class:`GameSession` objects
@@ -83,7 +84,6 @@ from .strategies.base import (
     CollectorStrategy,
     RoundObservation,
     RoundObservationBatch,
-    observation_from_row,
 )
 from .trimming import Trimmer
 
@@ -203,18 +203,15 @@ class BatchedRoundDecision:
     """One lockstep round across R rep lanes (column form).
 
     The ``(R,)`` column counterpart of :class:`RoundDecision`:
-    ``injection_percentile`` uses NaN for "no injection",
-    ``accept_masks`` holds one boolean mask per lane (lanes may disagree
-    on batch width in the ragged mixed-injection case), and ``retained``
-    carries the per-lane retained rows on full (non-lean) sessions.
+    ``observation`` is the round's public record for every lane (its
+    ``injection_percentile`` uses NaN for "no injection"), which the
+    cohort's strategies react to next round; ``accept_masks`` holds one
+    boolean mask per lane (lanes may disagree on batch width in the
+    ragged mixed-injection case), and ``retained`` carries the per-lane
+    retained rows on full (non-lean) sessions.
     """
 
-    index: int
-    threshold: Array
-    injection_percentile: Array
-    quality: Array
-    observed_poison_ratio: Array
-    betrayal: Array
+    observation: RoundObservationBatch
     n_collected: Array
     n_retained: Array
     n_poison_injected: Array
@@ -225,18 +222,7 @@ class BatchedRoundDecision:
     @property
     def n_reps(self) -> int:
         """Number of rep lanes the round stepped."""
-        return int(self.threshold.shape[0])
-
-    def rep_observation(self, r: int) -> RoundObservation:
-        """Lane ``r``'s public observation, scalar form."""
-        return observation_from_row(
-            self.index,
-            self.threshold[r],
-            self.injection_percentile[r],
-            self.quality[r],
-            self.observed_poison_ratio[r],
-            self.betrayal[r],
-        )
+        return self.observation.n_reps
 
 
 class LaneRoundDecision:
@@ -247,7 +233,8 @@ class LaneRoundDecision:
     :class:`BatchedRoundDecision` columns plus the lane index.  Scalars,
     the :class:`RoundObservation` and the payoffs materialize lazily on
     first access, so the multiplexer's steady state never pays the
-    per-lane object construction a solo round does.
+    per-lane object construction a solo round does.  The session is
+    held for its payoff model only.
     """
 
     __slots__ = ("_decision", "_rep", "_session", "_obs", "_pay")
@@ -263,15 +250,15 @@ class LaneRoundDecision:
 
     @property
     def index(self) -> int:
-        return self._decision.index
+        return self._decision.observation.index
 
     @property
     def threshold(self) -> float:
-        return float(self._decision.threshold[self._rep])
+        return float(self._decision.observation.trim_percentile[self._rep])
 
     @property
     def injection_percentile(self) -> Optional[float]:
-        inj = self._decision.injection_percentile[self._rep]
+        inj = self._decision.observation.injection_percentile[self._rep]
         return None if np.isnan(inj) else float(inj)
 
     @property
@@ -280,15 +267,17 @@ class LaneRoundDecision:
 
     @property
     def quality(self) -> float:
-        return float(self._decision.quality[self._rep])
+        return float(self._decision.observation.quality[self._rep])
 
     @property
     def observed_poison_ratio(self) -> float:
-        return float(self._decision.observed_poison_ratio[self._rep])
+        return float(
+            self._decision.observation.observed_poison_ratio[self._rep]
+        )
 
     @property
     def betrayal(self) -> bool:
-        return bool(self._decision.betrayal[self._rep])
+        return bool(self._decision.observation.betrayal[self._rep])
 
     @property
     def n_collected(self) -> int:
@@ -309,14 +298,13 @@ class LaneRoundDecision:
     @property
     def observation(self) -> RoundObservation:
         if self._obs is None:
-            self._obs = self._decision.rep_observation(self._rep)
+            self._obs = self._decision.observation.rep(self._rep)
         return self._obs
 
     @property
     def retained(self) -> Optional[Array]:
-        if self._decision.retained is None or not self._session.store_retained:
-            return None
-        return self._decision.retained[self._rep]
+        retained = self._decision.retained
+        return None if retained is None else retained[self._rep]
 
     @property
     def payoffs(self) -> Optional[RoundPayoffs]:
@@ -479,7 +467,6 @@ class GameSession:
         self.quality_evaluator = quality_evaluator
         self.judge = judge
         self.horizon = None if horizon is None else int(horizon)
-        self.store_retained = bool(store_retained)
         self.payoff_model = payoff_model
         self.source = source
         if share_scores is None:
@@ -492,8 +479,7 @@ class GameSession:
                 component_reset = getattr(component, "reset", None)
                 if callable(component_reset):
                     component_reset()
-        self._board = PublicBoard(store_retained=self.store_retained)
-        self._last: Optional[RoundObservation] = None
+        self._board = PublicBoard(store_retained=store_retained)
         self._closed = False
         self._superseded = False
         # Deferred lockstep rounds: while seated in a cohort, its round
@@ -584,16 +570,7 @@ class GameSession:
         self._cohort = None
         if sink.n_rounds == 0:
             return
-        columns, retained = sink.lane_rows(lane)
-        self._board.extend_columns(columns, retained)
-        self._last = observation_from_row(
-            columns["index"][-1],
-            columns["trim_percentile"][-1],
-            columns["injection_percentile"][-1],
-            columns["quality"][-1],
-            columns["observed_poison_ratio"][-1],
-            columns["betrayal"][-1],
-        )
+        self._board.extend_columns(*sink.lane_rows(lane))
 
     # ------------------------------------------------------------------ #
     @property
@@ -605,15 +582,23 @@ class GameSession:
 
     @property
     def last_observation(self) -> Optional[RoundObservation]:
-        """The most recent public observation, or ``None`` before round 1."""
+        """The most recent public observation, or ``None`` before round 1.
+
+        The board's own last record: the session keeps no copy of it.
+        """
         self._flush_deferred()
-        return self._last
+        return self._board.last_observation
 
     @property
     def board(self) -> PublicBoard:
         """The session's public board (append-only, live)."""
         self._flush_deferred()
         return self._board
+
+    @property
+    def store_retained(self) -> bool:
+        """Whether the board keeps each round's retained rows (full mode)."""
+        return self._board.store_retained
 
     @property
     def is_closed(self) -> bool:
@@ -639,19 +624,26 @@ class GameSession:
 
     # ------------------------------------------------------------------ #
     def _decide_positions(self) -> Tuple[float, Optional[float]]:
-        """Both parties' positions for the upcoming round."""
-        if self._last is None:
+        """Both parties' positions for the upcoming round.
+
+        An adversary position of NaN means no injection, as it does in
+        the lockstep lanes and in the board's injection column.
+        """
+        last = self._board.last_observation
+        if last is None:
             trim_q = self.collector.first()
             inject_q = (
                 self.adversary.first() if self.adversary is not None else None
             )
         else:
-            trim_q = self.collector.react(self._last)
+            trim_q = self.collector.react(last)
             inject_q = (
-                self.adversary.react(self._last)
+                self.adversary.react(last)
                 if self.adversary is not None
                 else None
             )
+        if inject_q is not None and np.isnan(inject_q):
+            inject_q = None
         return trim_q, inject_q
 
     def _check_submittable(self) -> None:
@@ -771,7 +763,6 @@ class GameSession:
             n_poison_retained=n_poison_retained,
             n_retained=report.n_kept,
         )
-        self._last = observation
         return RoundDecision(
             index=index,
             threshold=float(trim_q),
@@ -862,9 +853,10 @@ class GameSession:
 
         The envelope carries the calibrated components, the structured
         :meth:`state_dict`, the board's column arrays (plus retained
-        payloads on full boards) and the round position, which a restore
-        checks against the board.  See the module docstring for the
-        format contract.
+        payloads on full boards), and the round position and board mode,
+        which a restore checks against the board.  The last observation
+        is not stored: the restored board derives it from its last row.
+        See the module docstring for the format contract.
         """
         from .. import __version__
 
@@ -896,7 +888,6 @@ class GameSession:
                 "share_scores": self._share_scores,
                 "round": len(self._board),
                 "closed": self._closed,
-                "last_observation": self._last,
             },
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -914,7 +905,7 @@ class GameSession:
 
         Every failure mode — corrupt bytes, a foreign envelope, a
         structurally broken payload, a board that does not fit its
-        round position — raises :class:`SnapshotError`.
+        round position or board mode — raises :class:`SnapshotError`.
         """
         try:
             payload = pickle.loads(blob)
@@ -966,6 +957,11 @@ class GameSession:
                 reset=False,
             )
             board_doc = payload["board"]
+            if (board_doc["retained"] is None) == bool(doc["store_retained"]):
+                raise SnapshotError(
+                    "snapshot board's retained rows do not match its "
+                    f"store_retained={bool(doc['store_retained'])}"
+                )
             session._board = PublicBoard.from_columns(
                 board_doc["columns"],
                 retained=board_doc["retained"],
@@ -976,7 +972,6 @@ class GameSession:
                     f"snapshot session is at round {int(doc['round'])}, but "
                     f"its board records {len(session._board)} rounds"
                 )
-            session._last = doc["last_observation"]
             session._closed = bool(doc["closed"])
         except SnapshotError:
             raise
@@ -1061,7 +1056,7 @@ class BatchedGameSession:
         self._trim_lanes = TrimLanes(trimmers)
         self._quality = QualityLanes(
             [session.quality_evaluator for session in sessions],
-            self._trim_lanes,
+            [session._share_scores for session in sessions],
         )
         self._judges = JudgeLanes([session.judge for session in sessions])
         self.sources = SourceLanes([session.source for session in sessions])
@@ -1156,16 +1151,7 @@ class BatchedGameSession:
             observed, self.injector.poison_counts(benign.shape[1]), 0
         )
         decision = self._play_segments(index, benign, trim, inject, counts)
-        self._last = RoundObservationBatch(
-            index=index,
-            trim_percentile=decision.threshold,
-            injection_percentile=decision.injection_percentile,
-            quality=np.asarray(decision.quality, dtype=float),
-            observed_poison_ratio=np.asarray(
-                decision.observed_poison_ratio, dtype=float
-            ),
-            betrayal=np.asarray(decision.betrayal, dtype=bool),
-        )
+        self._last = decision.observation
         self.sink.record_decision(decision)
         return decision
 
@@ -1237,12 +1223,14 @@ class BatchedGameSession:
                     retained[r] = combined[j][report.kept[j]]
 
         return BatchedRoundDecision(
-            index=index,
-            threshold=trim,
-            injection_percentile=inject,
-            quality=quality,
-            observed_poison_ratio=observed_ratio,
-            betrayal=betrayal,
+            observation=RoundObservationBatch(
+                index=index,
+                trim_percentile=trim,
+                injection_percentile=inject,
+                quality=quality,
+                observed_poison_ratio=observed_ratio,
+                betrayal=betrayal,
+            ),
             n_collected=n_collected,
             n_retained=n_kept,
             n_poison_injected=counts.astype(np.int64),

@@ -90,7 +90,6 @@ from .spec import (
     TaskSpec,
     fusion_group_key,
     play_fused_batch,
-    rep_group_key,
     rep_keys_equal,
 )
 
@@ -222,10 +221,9 @@ def _run_unit_task(
     return [record for group in groups for record in _run_group(group, reduce)]
 
 
-#: Default lockstep width cap for cross-cell fused groups.  Same-cell
-#: rep runs stay unbounded (the historical behavior); fused runs stop
-#: absorbing further cells here so wide sweeps still fan out over
-#: workers instead of collapsing into one giant serial cohort.
+#: Default lockstep width cap: a group stops absorbing further cells
+#: here so wide sweeps still fan out over workers instead of collapsing
+#: into one giant serial cohort.
 _FUSED_WIDTH = 64
 
 
@@ -234,49 +232,29 @@ def _group_reps(
 ) -> List[List[Union[GameSpec, TaskSpec]]]:
     """Chunk *consecutive* lockstep-compatible specs into play groups.
 
-    Grid expansion keeps a cell's repetitions adjacent, so consecutive
-    grouping recovers exactly the rep axis; beyond that, consecutive
-    *different* cells sharing a :func:`fusion_group_key` — neighboring
-    ratios, strategy pairings or seeds of one sweep family — fuse into
-    the same group (capped at ``max_width`` or :data:`_FUSED_WIDTH`).
-    Arbitrary spec lists degrade gracefully to singleton groups.
-    ``max_width`` caps the lockstep width (``None`` = unbounded for
-    same-cell reps).  Non-game cells (``TaskSpec``) have no lockstep
-    engine and always form singleton groups.
+    Consecutive game cells sharing a :func:`fusion_group_key` — a
+    cell's repetitions, which grid expansion keeps adjacent, and
+    neighboring ratios, strategy pairings or seeds of one sweep family
+    — join one group while it holds fewer than ``max_width`` (default
+    :data:`_FUSED_WIDTH`) cells.  Arbitrary spec lists degrade
+    gracefully to singleton groups.  Non-game cells (``TaskSpec``) have
+    no lockstep engine and always form singleton groups.
     """
+    width = max_width or _FUSED_WIDTH
     groups: List[List[Union[GameSpec, TaskSpec]]] = []
-    current_key = None
-    current_fusion = None
+    current = None
     for spec in specs:
-        key = rep_group_key(spec) if isinstance(spec, GameSpec) else None
         fusion = fusion_group_key(spec) if isinstance(spec, GameSpec) else None
-        full = (
-            max_width is not None
-            and groups
-            and len(groups[-1]) >= max_width
-        )
-        joinable = (
-            bool(groups)
-            and not full
-            and key is not None
-            and current_key is not None
-        )
-        if joinable and rep_keys_equal(key, current_key):
-            groups[-1].append(spec)
-        elif (
-            joinable
-            and rep_keys_equal(fusion, current_fusion)
-            and len(groups[-1]) < (max_width or _FUSED_WIDTH)
+        if (
+            fusion is not None
+            and current is not None
+            and len(groups[-1]) < width
+            and rep_keys_equal(fusion, current)
         ):
-            # A different cell of the same lockstep family: fuse, and
-            # compare the *next* spec against this cell's rep key so a
-            # following rep run keeps extending the group.
             groups[-1].append(spec)
-            current_key = key
         else:
             groups.append([spec])
-            current_key = key
-            current_fusion = fusion
+            current = fusion
     return groups
 
 

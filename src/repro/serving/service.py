@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
@@ -186,7 +187,9 @@ class DefenseService:
         self._store = store
         self.namespace = str(namespace)
         self.max_resident = max_resident
-        self._sessions: Dict[str, GameSession] = {}
+        #: Resident sessions, least recently used first: a touch moves
+        #: the id to the end, and eviction takes from the front.
+        self._sessions: OrderedDict[str, GameSession] = OrderedDict()
         self._specs: Dict[str, GameSpec] = {}
         self._group_of: Dict[str, int] = {}
         self._group_keys: List[tuple] = []
@@ -195,8 +198,6 @@ class DefenseService:
         self._evicted: Dict[str, Optional[bytes]] = {}
         #: Tenants pulled out of service by a quarantining submit_many.
         self._quarantined: Dict[str, TenantFailure] = {}
-        self._clock = 0
-        self._touched: Dict[str, int] = {}
         self._next_id = 0
         self.stats = ServiceStats()
 
@@ -239,7 +240,6 @@ class DefenseService:
         self._sessions[session_id] = session
         self._specs[session_id] = spec
         self._group_of[session_id] = self._group_index(spec)
-        self._touch(session_id)
         self.stats.opened += 1
         self._enforce_residency(protect={session_id})
         return session_id
@@ -252,10 +252,6 @@ class DefenseService:
         self._group_keys.append(key)
         return len(self._group_keys) - 1
 
-    def _touch(self, session_id: str) -> None:
-        self._clock += 1
-        self._touched[session_id] = self._clock
-
     def session_ids(self) -> List[str]:
         """All known session ids (resident and evicted), oldest first."""
         return list(self._specs)
@@ -265,7 +261,7 @@ class DefenseService:
 
     @property
     def resident_ids(self) -> List[str]:
-        """Ids of sessions currently held live in memory."""
+        """Ids of sessions held live in memory, least recently used first."""
         return list(self._sessions)
 
     @property
@@ -317,7 +313,7 @@ class DefenseService:
         """Play one round of one tenant (the solo routing path)."""
         session = self._resident(session_id)
         decision = session.submit(batch, poison_mask=poison_mask)
-        self._touch(session_id)
+        self._sessions.move_to_end(session_id)
         self.stats.solo_rounds += 1
         self._enforce_residency(protect={session_id})
         return decision
@@ -455,7 +451,7 @@ class DefenseService:
                     self.stats.solo_rounds += 1
             for sid in members:
                 if sid in decisions:
-                    self._touch(sid)
+                    self._sessions.move_to_end(sid)
         survivors = {sid for sid in order if sid in decisions}
         self._enforce_residency(protect=survivors)
         return {sid: decisions[sid] for sid in order if sid in decisions}
@@ -508,11 +504,8 @@ class DefenseService:
         views = self._play_cohort(cohort, None)
         self.stats.lockstep_rounds += 1
         self.stats.lockstep_lanes += len(order)
-        clock = self._clock
-        self._clock += len(order)
-        self._touched.update(
-            zip(order, range(clock + 1, self._clock + 1), strict=True)
-        )
+        for sid in order:
+            self._sessions.move_to_end(sid)
         self._enforce_residency(protect=set(order))
         return dict(zip(order, views, strict=True))
 
@@ -530,7 +523,6 @@ class DefenseService:
         self._evicted.pop(session_id, None)
         self._specs.pop(session_id, None)
         self._group_of.pop(session_id, None)
-        self._touched.pop(session_id, None)
         self._quarantined[session_id] = TenantFailure(
             session_id=session_id,
             kind=kind,
@@ -609,7 +601,6 @@ class DefenseService:
         del self._sessions[session_id]
         del self._specs[session_id]
         del self._group_of[session_id]
-        self._touched.pop(session_id, None)
         if self._store is not None:
             self._store.record_path(self._session_key(session_id)).unlink(
                 missing_ok=True
@@ -655,7 +646,6 @@ class DefenseService:
             self._evicted[session_id] = None
         else:
             self._evicted[session_id] = blob
-        self._touched.pop(session_id, None)
         self.stats.evictions += 1
 
     def adopt(self, spec: GameSpec, session_id: str) -> None:
@@ -726,7 +716,6 @@ class DefenseService:
         session = GameSession.restore(blob)
         del self._evicted[session_id]
         self._sessions[session_id] = session
-        self._touch(session_id)
         self.stats.restores += 1
         return session
 
@@ -735,12 +724,9 @@ class DefenseService:
         if self.max_resident is None:
             return
         while len(self._sessions) > self.max_resident:
-            candidates = [
-                sid for sid in self._sessions if sid not in protect
-            ]
-            if not candidates:
-                return
-            victim = min(
-                candidates, key=lambda sid: self._touched.get(sid, 0)
+            victim = next(
+                (sid for sid in self._sessions if sid not in protect), None
             )
+            if victim is None:
+                return
             self.evict(victim)

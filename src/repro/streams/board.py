@@ -16,6 +16,8 @@ a full board one retained array per round.  Path queries
 and the aggregate fractions read the stacked columns directly;
 :attr:`PublicBoard.observations` is the one object view, built row by
 row through :func:`~repro.core.strategies.base.observation_from_row`.
+:attr:`PublicBoard.last_observation` is the last round's, the one record
+both strategies react to next: a session keeps no copy of it.
 
 Long games and large sweep grids mostly consume the board through
 *summary* reducers that never touch the per-round retained arrays; the
@@ -126,6 +128,7 @@ class PublicBoard:
         self._cols: dict[str, List[Any]] = {name: [] for name in _COLUMN_FIELDS}
         self._retained: Optional[List[Array]] = [] if self.store_retained else None
         self._columns_cache: Optional[BoardColumns] = None
+        self._last: Optional[RoundObservation] = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -212,6 +215,7 @@ class PublicBoard:
         for name, value in zip(_COLUMN_FIELDS, row, strict=True):
             self._cols[name].append(value)
         self._columns_cache = None
+        self._last = observation
 
     def extend_columns(
         self,
@@ -249,9 +253,24 @@ class PublicBoard:
         for name in _COLUMN_FIELDS:
             self._cols[name].extend(columns[name])
         self._columns_cache = None
+        self._last = None
 
     def __len__(self) -> int:
         return len(self._cols["index"])
+
+    @property
+    def last_observation(self) -> Optional[RoundObservation]:
+        """The last round's public observation, or ``None`` before round 1.
+
+        The object :meth:`record` stored last; after a bulk append
+        (:meth:`extend_columns`, :meth:`from_columns`) it is derived once
+        from the last column row.
+        """
+        if self._last is None and len(self):
+            self._last = observation_from_row(
+                *(self._cols[name][-1] for name in _OBSERVATION_FIELDS)
+            )
+        return self._last
 
     @property
     def observations(self) -> List[RoundObservation]:
@@ -353,13 +372,18 @@ class ColumnarBoard:
         return len(self._rows["trim_percentile"])
 
     def record_decision(self, decision: "BatchedRoundDecision") -> None:
-        """Append one lockstep round's ``(L,)`` columns (and retained rows)."""
+        """Append one lockstep round's ``(L,)`` columns (and retained rows).
+
+        The public columns come from the decision's observation batch,
+        the counts from the decision itself.
+        """
         if self.flushed:
             raise RuntimeError("cannot record into a flushed sink")
         row: dict[str, Array] = {}
+        observation = decision.observation
         for name in _COLUMN_FIELDS[1:]:
-            attr = "threshold" if name == "trim_percentile" else name
-            arr = np.asarray(getattr(decision, attr))
+            owner = observation if name in _OBSERVATION_FIELDS else decision
+            arr = np.asarray(getattr(owner, name))
             if arr.shape != (self.n_lanes,):
                 raise ValueError(
                     f"column {name!r} must be shaped ({self.n_lanes},), "

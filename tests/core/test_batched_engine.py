@@ -395,6 +395,19 @@ class _SometimesAdversary(AdversaryStrategy):
         return None if self._rng.random() < 0.5 else 0.92
 
 
+class _NanAdversary(_SometimesAdversary):
+    """Says "no injection" with NaN instead of None."""
+
+    name = "user-nan"
+
+    def first(self):
+        return float("nan")
+
+    def react(self, last):
+        position = super().react(last)
+        return float("nan") if position is None else position
+
+
 class _SubclassedElastic(ElasticCollector):
     """Subclass overriding react: must not take the vectorized lane."""
 
@@ -414,6 +427,23 @@ class TestFallbackLoop:
             judge_maker=lambda s: BandExcessJudge(noise_sigma=0.05, seed=s),
             rounds=20,
         )
+
+    def test_nan_position_injects_nothing(self, data_1d):
+        # Solo and lockstep both read a NaN position as no injection,
+        # as the board's injection column does.
+        batched = _assert_batched_matches_solo(
+            lambda s: _RandomUserCollector(seed=s),
+            lambda s: _NanAdversary(seed=s),
+            data_1d,
+            ValueTrimmer,
+            rounds=20,
+        )
+        for result in batched:
+            columns = result.board.columns
+            skipped = np.isnan(columns.injection_percentile)
+            assert skipped[0] and not skipped.all()
+            assert not columns.n_poison_injected[skipped].any()
+            assert columns.n_poison_injected[~skipped].all()
 
     def test_shipped_subclass_falls_back(self, data_1d):
         lanes = fused_collector_lanes(

@@ -598,6 +598,41 @@ class TestSnapshotRestore:
         with pytest.raises(SnapshotError, match="round 7"):
             GameSession.restore(self._edited_blob(skip_ahead))
 
+    def test_restore_rejects_retained_that_disagrees_with_mode(self):
+        def go_lean(payload):
+            payload["session"]["store_retained"] = False
+
+        with pytest.raises(SnapshotError, match="store_retained=False"):
+            GameSession.restore(self._edited_blob(go_lean))
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_blob_with_a_last_observation_field_restores_identically(
+        self, lockstep
+    ):
+        # Older blobs of the same envelope also pickled the session's
+        # last observation; the restore now reads it off the board, so
+        # the field is ignored and the game continues byte-identically.
+        spec = matrix_spec("elastic-paper", "elastic", "band", seed=3)
+        session = spec.session()
+        if lockstep:
+            twin = dataclasses.replace(spec, seed=4).session()
+            cohort = BatchedGameSession([session, twin])
+            for _ in range(3):
+                cohort.submit()
+        else:
+            for _ in range(3):
+                session.submit()
+        payload = pickle.loads(session.snapshot())
+        assert "last_observation" not in payload["session"]
+        payload["session"]["last_observation"] = session.last_observation
+        resumed = GameSession.restore(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert resumed.last_observation == session.last_observation
+        while not resumed.done:
+            resumed.submit()
+        assert_results_identical(resumed.close(), spec.play())
+
     def test_snapshot_pickles_stream_order_once(self):
         session = matrix_spec("static", "fixed", "band").session()
         session.submit()
@@ -684,7 +719,7 @@ class TestBatchedSession:
         for session, expected in zip(sessions, solo, strict=True):
             assert_results_identical(session.close(), expected)
         assert decision.n_reps == 4
-        assert decision.rep_observation(0).index == specs[0].rounds
+        assert decision.observation.rep(0).index == specs[0].rounds
 
     @pytest.mark.parametrize(
         "case, error, match",

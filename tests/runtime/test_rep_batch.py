@@ -179,6 +179,17 @@ class TestGrouping:
         assert all(len(group) <= 2 for group in groups)
         assert [spec for group in groups for spec in group] == specs
 
+    def test_same_cell_run_takes_the_default_cap(self):
+        # One width cap for every group: a 70-rep run of one cell
+        # splits at 64 like a run of different cells would.
+        specs = _grid(repetitions=70).expand()[:70]
+        assert all(
+            rep_group_key(spec) == rep_group_key(specs[0]) for spec in specs
+        )
+        groups = _group_reps(specs, None)
+        assert [len(g) for g in groups] == [64, 6]
+        assert [spec for group in groups for spec in group] == specs
+
     def test_key_excludes_seed_and_tags(self):
         specs = _grid(repetitions=2).expand()
         assert rep_group_key(specs[0]) == rep_group_key(specs[1])

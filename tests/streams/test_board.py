@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.strategies.base import RoundObservation
+from repro.core.strategies.base import RoundObservation, RoundObservationBatch
 from repro.streams import PublicBoard
 from repro.streams.board import BoardColumns
 
@@ -50,6 +50,17 @@ class TestPublicBoard:
         board = PublicBoard()
         assert board.columns.rounds == 0
         assert board.observations == []
+        assert board.last_observation is None
+
+    def test_last_observation_is_the_recorded_object(self):
+        board = PublicBoard()
+        _record(board, 1, np.zeros((5, 2)), 6)
+        observation = _observation(2)
+        board.record(
+            observation, np.zeros((5, 2)), n_collected=6,
+            n_poison_injected=0, n_poison_retained=0, n_retained=5,
+        )
+        assert board.last_observation is observation
 
     def test_full_board_requires_retained(self):
         board = PublicBoard()
@@ -268,6 +279,14 @@ class TestExtendColumns:
         assert len(board) == 3
         np.testing.assert_array_equal(board.columns.index, [1, 2, 3])
 
+    def test_last_observation_follows_the_extension(self):
+        board = PublicBoard(store_retained=False)
+        _record(board, 1, np.zeros((8, 1)), 10)
+        board.extend_columns(self._columns(2, 3))
+        assert board.last_observation == board.observations[-1]
+        assert board.last_observation.index == 4
+        assert board.last_observation.injection_percentile is None
+
 
 #: One round: its public fields, retained row count and poison count.
 _ROUND = st.tuples(
@@ -367,6 +386,7 @@ class TestOneRepresentation:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert board.observations == reference.observations
+        assert board.last_observation == reference.last_observation
         assert _retained_outcome(board) == _retained_outcome(reference)
 
 
@@ -390,12 +410,14 @@ class TestColumnarBoard:
         n = len(kept)
         sink.record_decision(
             BatchedRoundDecision(
-                index=sink.start_index + sink.n_rounds + 1,
-                threshold=np.full(n, 0.9),
-                injection_percentile=np.full(n, np.nan),
-                quality=np.zeros(n),
-                observed_poison_ratio=np.zeros(n),
-                betrayal=np.zeros(n, dtype=bool),
+                observation=RoundObservationBatch(
+                    index=sink.start_index + sink.n_rounds + 1,
+                    trim_percentile=np.full(n, 0.9),
+                    injection_percentile=np.full(n, np.nan),
+                    quality=np.zeros(n),
+                    observed_poison_ratio=np.zeros(n),
+                    betrayal=np.zeros(n, dtype=bool),
+                ),
                 n_collected=np.full(n, 10),
                 n_retained=np.asarray(kept),
                 n_poison_injected=np.zeros(n, dtype=int),
