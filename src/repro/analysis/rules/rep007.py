@@ -15,8 +15,10 @@ break batched-equals-solo byte identity.  Two checks:
   assigned only from the sanctioned surfaces or their helpers;
 * **(B)** raw ``Generator`` bit-state (``.bit_generator.state``) may be
   touched only inside the protocol helpers ``rng_state`` /
-  ``set_rng_state`` — every other read or write bypasses the deep-copy
-  contract those helpers pin (module-wide, not just lane classes).
+  ``set_rng_state`` — the one place that states the no-aliasing
+  contract snapshots rely on (numpy's getter returns a fresh document
+  and its setter copies), and the path every snapshot ``Generator``
+  reducer takes (module-wide, not just lane classes).
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class DeferredWritebackSafetyRule(Rule):
                     "rng_state()/set_rng_state()",
                     hint=(
                         "use rng_state()/set_rng_state() from "
-                        "repro.core.strategies.base — they pin the "
-                        "deep-copy contract snapshots rely on"
+                        "repro.core.strategies.base — they hold the "
+                        "no-aliasing contract snapshots rely on"
                     ),
                 )

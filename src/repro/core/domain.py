@@ -10,9 +10,10 @@ input space the game is played on.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union, overload
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union, overload
 
 import numpy as np
 
@@ -22,6 +23,9 @@ __all__ = [
     "Domain",
     "QuantileTable",
     "ReferenceFit",
+    "ReferenceKey",
+    "key_reference",
+    "reference_key",
     "empirical_quantile",
     "percentile_of",
     "clip_percentile",
@@ -218,7 +222,10 @@ class ReferenceFit:
 
     A fit is read-only.  :meth:`of` shares one fit among all live
     components fit on the same read-only array, and the lane programs
-    group lanes by that identity.
+    group lanes by that identity.  A fit of a keyed array (see
+    :func:`key_reference`) pickles as the key and the kind, and
+    unpickles as the live shared fit; any other fit pickles whole and
+    unpickles private.
     """
 
     center: Optional[Array] = None
@@ -262,12 +269,29 @@ class ReferenceFit:
             fit = _LIVE_FITS[key] = cls(arr, kind)
         return fit
 
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        # A fit of a keyed reference pickles (and copies) as the
+        # reference's key and the kind; unpickling resolves the key and
+        # takes ReferenceFit.of, so the copy is the live shared fit, and
+        # a restored component rejoins its lane group.
+        key = reference_key(self._reference)
+        if key is None:
+            return super().__reduce_ex__(protocol)
+        return (_shared_fit, (key, self.kind))
+
     def __getstate__(self) -> Dict[str, Any]:
-        # The reference only anchors the sharing memo: a restored fit is
-        # private, and a snapshot's components carry the rows they need.
+        # A fit of an unkeyed reference pickles whole, minus the
+        # reference, which only anchors the sharing memo: the copy is a
+        # private fit, and a snapshot's components carry the rows they
+        # need.
         state = dict(self.__dict__)
         state["_reference"] = None
         return state
+
+
+def _shared_fit(key: "ReferenceKey", kind: str) -> ReferenceFit:
+    """Unpickle (or copy) a keyed fit: the live shared fit of its reference."""
+    return ReferenceFit.of(key.resolve(), kind)
 
 
 #: Live fits of read-only references, keyed by (array id, kind).  An
@@ -275,6 +299,78 @@ class ReferenceFit:
 _LIVE_FITS: "weakref.WeakValueDictionary[Tuple[int, str], ReferenceFit]" = (
     weakref.WeakValueDictionary()
 )
+
+
+class ReferenceKey(NamedTuple):
+    """How to rebuild one shared read-only array: ``loader(*args)``.
+
+    ``digest`` is a content digest of the array the key was made for.
+    An object that pickles a key in place of its array resolves it on
+    the way back (:meth:`resolve`), so it holds the loader's
+    (process-cached) array again, and a loader whose output changed
+    fails loudly instead of resuming on other data.  ``loader`` pickles
+    by reference: it must be a module-level function.
+    """
+
+    loader: Callable[..., Array]
+    args: Tuple[Any, ...]
+    digest: str
+
+    def resolve(self) -> Array:
+        """The loader's array, checked against the digest."""
+        array = self.loader(*self.args)
+        key = reference_key(array)
+        found = key.digest if key is not None else _content_digest(array)
+        if found != self.digest:
+            name = getattr(self.loader, "__qualname__", repr(self.loader))
+            raise ValueError(
+                f"{name}{tuple(self.args)!r} no longer returns the array this "
+                "key was made for (content digest differs)"
+            )
+        return array
+
+
+def _content_digest(array: Array) -> str:
+    arr = np.ascontiguousarray(array)
+    digest = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    digest.update(arr.data)
+    return digest.hexdigest()
+
+
+#: Keyed arrays: array id -> (weak reference to the array, its key).
+#: The weak reference checks identity on lookup and drops the entry
+#: when the array dies, so the registry keeps no array alive.
+_KEYED: Dict[int, Tuple["weakref.ref[Array]", ReferenceKey]] = {}
+
+
+def key_reference(
+    array: Array, loader: Callable[..., Array], args: Tuple[Any, ...]
+) -> None:
+    """Register a read-only ``array`` as what ``loader(*args)`` returns.
+
+    Objects holding it (a :class:`ReferenceFit`, an
+    :class:`~repro.streams.source.ArrayStream`) then pickle its
+    :class:`ReferenceKey` instead of its rows.
+    """
+    if array.flags.writeable:
+        raise ValueError("only a read-only array can be keyed")
+    array_id = id(array)
+
+    def forget(ref: "weakref.ref[Array]") -> None:
+        entry = _KEYED.get(array_id)
+        if entry is not None and entry[0] is ref:
+            del _KEYED[array_id]
+
+    key = ReferenceKey(loader, tuple(args), _content_digest(array))
+    _KEYED[array_id] = (weakref.ref(array, forget), key)
+
+
+def reference_key(array: Any) -> Optional[ReferenceKey]:
+    """The key ``array`` was registered under, or ``None``."""
+    entry = _KEYED.get(id(array))
+    if entry is None or entry[0]() is not array:
+        return None
+    return entry[1]
 
 
 def empirical_quantile(values: ArrayLike, q: ArrayLike) -> Union[float, Array]:

@@ -47,17 +47,36 @@ structured ``state_dict()`` — each stateful component's
 ``reset()``s every one that exports authoritative state, and replays the
 state document through ``import_state()``; the byte-identity of the
 continued game (tested across the full shipped strategy matrix) is the
-proof that the exported state is complete.  Snapshots are a *process
-migration* format, not an archival one: they are tied to the package
-version that wrote them and to pickle availability (see README,
+proof that the exported state is complete.  What a spec's dataset
+already determines is named, not carried: a fit or stream built on a
+keyed array (:func:`~repro.core.domain.key_reference`, e.g. every
+``load_reference`` dataset) pickles its key, and restores onto the live
+array and shared fit.  The snapshot's own pickler writes each Generator
+whose state the document exported as a rebuild from that document, and
+a stream's epoch order in the smallest unsigned dtype.  Snapshots are a
+*process migration* format, not an archival one: they are tied to the
+package version that wrote them and to pickle availability (see README,
 "Serving live streams").
 """
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -82,8 +101,11 @@ from .fusion import (
 from .strategies.base import (
     AdversaryStrategy,
     CollectorStrategy,
+    RngExports,
     RoundObservation,
     RoundObservationBatch,
+    generator_from_state,
+    recorded_rng_states,
 )
 from .trimming import Trimmer
 
@@ -105,17 +127,77 @@ SNAPSHOT_FORMAT = "repro.session/1"
 
 
 class SnapshotError(ValueError):
-    """A session snapshot blob could not be restored.
+    """A session snapshot could not be taken or restored.
 
     Raised for every failure mode of :meth:`GameSession.restore` —
     corrupt or truncated bytes, a foreign/stale envelope format, a
-    structurally broken payload, or pickled components referencing code
-    that no longer exists — so callers (notably the
-    :class:`~repro.serving.DefenseService` tenant quarantine) get one
-    typed failure path instead of raw ``pickle`` internals.  Subclasses
-    :class:`ValueError` for backward compatibility with callers that
-    caught the old untyped error.
+    structurally broken payload, pickled components referencing code
+    that no longer exists, or a keyed reference whose loader no longer
+    returns the same content — and by :meth:`GameSession.snapshot` when
+    the session holds something pickle cannot serialize (the session is
+    left untouched), so callers (notably the
+    :class:`~repro.serving.DefenseService` tenant quarantine and
+    eviction) get one typed failure path instead of raw ``pickle``
+    internals.  Subclasses :class:`ValueError` for backward
+    compatibility with callers that caught the old untyped error.
     """
+
+
+#: Unsigned dtypes a snapshot stores an index vector in, smallest first.
+_INDEX_DTYPES = tuple((int(np.iinfo(t).max), t) for t in (np.uint8, np.uint16, np.uint32))
+#: Shorter vectors (a board's count columns) save less than compacting costs.
+_COMPACT_MIN_SIZE = 256
+
+
+def _widened(compact: Array) -> Array:
+    """Unpickle a compacted index vector: int64 and read-only again."""
+    wide = compact.astype(np.int64)
+    wide.setflags(write=False)
+    return wide
+
+
+def _reduce_array(array: Array) -> Any:
+    # A read-only, non-negative int64 vector (a stream's epoch order)
+    # travels in the smallest unsigned dtype that holds it.
+    if (
+        array.ndim == 1
+        and array.dtype == np.int64
+        and array.size >= _COMPACT_MIN_SIZE
+        and not array.flags.writeable
+    ):
+        top = int(array.view(np.uint64).max())  # a negative entry reads huge
+        for limit, dtype in _INDEX_DTYPES:
+            if top <= limit:
+                return (_widened, (array.astype(dtype),))
+    return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+
+
+def _snapshot_bytes(payload: Dict[str, Any], recorded: RngExports) -> bytes:
+    """Pickle a snapshot payload with the snapshot's own reducers.
+
+    A Generator whose state the payload's state document recorded
+    (:func:`~repro.core.strategies.base.recorded_rng_states`) is written
+    as a rebuild from that very document, so its bit-state travels once
+    and unpickles without OS-entropy seeding; an index vector is stored
+    compactly (:func:`_reduce_array`).  Everything else pickles as
+    ``pickle.dumps`` would, and no class-level pickling changes, so a
+    standalone ``pickle`` or ``copy.deepcopy`` of a component is whole.
+    """
+
+    def reduce_generator(rng: np.random.Generator) -> Any:
+        entry = recorded.get(id(rng))
+        if entry is None or entry[0] is not rng:
+            return rng.__reduce__()
+        return (generator_from_state, (entry[1],))
+
+    table: Dict[type, Callable[[Any], Any]] = dict(copyreg.dispatch_table)
+    table[np.random.Generator] = reduce_generator
+    table[np.ndarray] = _reduce_array
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = table
+    pickler.dump(payload)
+    return buffer.getvalue()
 
 
 # --------------------------------------------------------------------- #
@@ -856,7 +938,9 @@ class GameSession:
         payloads on full boards), and the round position and board mode,
         which a restore checks against the board.  The last observation
         is not stored: the restored board derives it from its last row.
-        See the module docstring for the format contract.
+        See the module docstring for the format contract.  Raises
+        :class:`SnapshotError` (chained to pickle's error) when the
+        payload cannot be pickled; the session stays live.
         """
         from .. import __version__
 
@@ -868,7 +952,8 @@ class GameSession:
                 "live game"
             )
         self._flush_deferred()
-
+        with recorded_rng_states() as recorded:
+            state = self.state_dict()
         payload = {
             "format": SNAPSHOT_FORMAT,
             "package_version": __version__,
@@ -877,7 +962,7 @@ class GameSession:
                 for name, component in self._stateful_components()
             },
             "payoff_model": self.payoff_model,
-            "state": self.state_dict(),
+            "state": state,
             "board": {
                 "columns": self._board.columns,
                 "retained": self._board.retained,
@@ -890,7 +975,14 @@ class GameSession:
                 "closed": self._closed,
             },
         }
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            return _snapshot_bytes(payload, recorded)
+        except Exception as exc:
+            # A component holding a lambda, a lock, an open file...:
+            # the session stays live and untouched, only unparkable.
+            raise SnapshotError(
+                f"session cannot be snapshot: {type(exc).__name__}: {exc}"
+            ) from exc
 
     @classmethod
     def restore(cls, blob: bytes) -> "GameSession":

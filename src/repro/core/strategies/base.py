@@ -13,9 +13,10 @@ percentile; adversary strategies map it to the next injection percentile
 
 from __future__ import annotations
 
-import copy
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -29,24 +30,87 @@ __all__ = [
     "AdversaryStrategy",
     "rng_state",
     "set_rng_state",
+    "generator_from_state",
+    "recorded_rng_states",
 ]
+
+#: Exported Generators -> ``(generator, document)``, by generator id,
+#: while :func:`recorded_rng_states` is active in this context.
+RngExports = Dict[int, Tuple[np.random.Generator, Dict[str, Any]]]
+_RECORDED: ContextVar[Optional[RngExports]] = ContextVar("_RECORDED", default=None)
+
+#: numpy's bit generators, by the name their state documents carry.
+_BIT_GENERATORS = {
+    cls.__name__: cls
+    for cls in (
+        np.random.PCG64,
+        np.random.PCG64DXSM,
+        np.random.MT19937,
+        np.random.Philox,
+        np.random.SFC64,
+    )
+}
+#: Seeds the bit generator :func:`generator_from_state` overwrites.
+_FILLER_SEED = np.random.SeedSequence(0)
 
 
 def rng_state(rng: np.random.Generator) -> dict[str, Any]:
     """The exact bit-state of a :class:`numpy.random.Generator`.
 
-    The returned dict is a deep copy of ``rng.bit_generator.state`` — a
-    plain-data document that fully determines every future draw.  The
-    session snapshot layer (:mod:`repro.core.session`) carries these for
-    every RNG consumer so a restored game replays byte-identically.
+    The returned dict is ``rng.bit_generator.state`` — a plain-data
+    document that fully determines every future draw.  numpy's getter
+    builds a fresh document on every read (array fields included), so
+    mutating it never moves ``rng``.  The session snapshot layer
+    (:mod:`repro.core.session`) carries these for every RNG consumer so
+    a restored game replays byte-identically; inside
+    :func:`recorded_rng_states` the document is also recorded.
     """
-    state: dict[str, Any] = copy.deepcopy(rng.bit_generator.state)
+    state: dict[str, Any] = rng.bit_generator.state
+    recorded = _RECORDED.get()
+    if (
+        recorded is not None
+        and _BIT_GENERATORS.get(state["bit_generator"]) is type(rng.bit_generator)
+    ):
+        recorded[id(rng)] = (rng, state)
     return state
 
 
 def set_rng_state(rng: np.random.Generator, state: dict[str, Any]) -> None:
-    """Restore a Generator to a bit-state captured by :func:`rng_state`."""
-    rng.bit_generator.state = copy.deepcopy(state)
+    """Restore a Generator to a bit-state captured by :func:`rng_state`.
+
+    numpy's setter copies what it is given, so mutating ``state``
+    afterwards never moves ``rng``.
+    """
+    rng.bit_generator.state = state
+
+
+def generator_from_state(state: dict[str, Any]) -> np.random.Generator:
+    """A new Generator at the bit-state :func:`rng_state` exported.
+
+    About a quarter of the cost of unpickling a Generator, which seeds
+    its bit generator from OS entropy before setting the state.
+    """
+    rng = np.random.Generator(_BIT_GENERATORS[state["bit_generator"]](_FILLER_SEED))
+    set_rng_state(rng, state)
+    return rng
+
+
+@contextmanager
+def recorded_rng_states() -> Iterator[RngExports]:
+    """Record the documents :func:`rng_state` exports in this block.
+
+    Only Generators :func:`generator_from_state` can rebuild (numpy's
+    five bit generators) are recorded.  A session snapshot exports its
+    components' states inside one, so its pickler can write each
+    recorded Generator as a rebuild from the document the state already
+    carries: the bit-state travels once.
+    """
+    recorded: RngExports = {}
+    token = _RECORDED.set(recorded)
+    try:
+        yield recorded
+    finally:
+        _RECORDED.reset(token)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ uniform night floor, quantize to the same integer grid and normalize to
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,17 +64,26 @@ def generate_taxi(
     return 2.0 * seconds / SECONDS_MAX - 1.0
 
 
-def taxi_batch_factory(normalized: bool = True):
-    """A ``factory(rng, batch_size)`` for :class:`~repro.streams.GeneratorStream`.
+@dataclass(frozen=True)
+class _TaxiBatches:
+    """``factory(rng, batch_size)`` drawing taxi batches, as a picklable callable."""
 
-    Lets the collection game stream taxi-like batches without
-    materializing the million-value dataset.
-    """
+    normalized: bool
 
-    def factory(rng: np.random.Generator, batch_size: int) -> np.ndarray:
+    def __call__(self, rng: np.random.Generator, batch_size: int) -> np.ndarray:
         seconds = _draw_seconds(rng, batch_size)
-        if not normalized:
+        if not self.normalized:
             return seconds
         return 2.0 * seconds / SECONDS_MAX - 1.0
 
-    return factory
+
+def taxi_batch_factory(
+    normalized: bool = True,
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """A ``factory(rng, batch_size)`` for :class:`~repro.streams.GeneratorStream`.
+
+    Lets the collection game stream taxi-like batches without
+    materializing the million-value dataset.  The factory is a plain
+    frozen-dataclass callable, so a session streaming from it snapshots.
+    """
+    return _TaxiBatches(bool(normalized))

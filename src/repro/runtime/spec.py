@@ -44,6 +44,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.domain import key_reference
 from ..core.engine import (
     BatchedCollectionGame,
     CollectionGame,
@@ -156,6 +157,7 @@ class ComponentSpec:
 def _load_reference_cached(name: str, size: Optional[int]) -> np.ndarray:
     data, _ = load_dataset(name, n_samples=size)
     data.setflags(write=False)  # shared across every game in this process
+    key_reference(data, load_reference, (name, size))
     return data
 
 
@@ -164,7 +166,10 @@ def load_reference(name: str, size: Optional[int] = None) -> np.ndarray:
 
     Workers replaying many :class:`GameSpec` cells over the same dataset
     hit the cache instead of regenerating it per game; the array is
-    marked read-only because it is shared.
+    marked read-only because it is shared.  It is also keyed
+    (:func:`~repro.core.domain.key_reference`): the fits and streams
+    built on it pickle ``(name, size)`` and a content digest instead of
+    its rows, and unpickle onto this function's array again.
     """
     return _load_reference_cached(name, None if size is None else int(size))
 

@@ -34,8 +34,10 @@ lockstep engine already eliminated for sweep repetitions, so
   restored on their next submit, so resident memory is bounded by
   ``max_resident`` rather than by the tenant count.  Live tenants on
   one dataset and size share one
-  :class:`~repro.core.domain.ReferenceFit`; a snapshot carries its
-  tenant's fit once, and a restored tenant holds a private one.
+  :class:`~repro.core.domain.ReferenceFit`.  A tenant's snapshot names
+  that fit and its stream's dataset by key (``load_reference``'s name
+  and size plus a content digest) instead of carrying their rows, so a
+  restored tenant rejoins the live shared fit and its lane group.
 
 The byte-identity contract of the lockstep path (every multiplexed
 round equals the tenant's solo round, bit for bit) is asserted by the
@@ -156,7 +158,10 @@ class DefenseService:
     max_resident:
         Soft cap on live (non-evicted) sessions.  When an ``open`` or
         restore pushes the resident count above it, the least recently
-        used idle sessions are evicted automatically.
+        used idle sessions are evicted automatically.  A tenant that
+        cannot be snapshot (:class:`SnapshotError`) is passed over and
+        stays resident; if no tenant can go, the count stays above the
+        cap and the call succeeds anyway.
 
     Same-shape cohorts of two or more tenants play in lockstep, each as
     one whole ``(L, batch)`` stack; a lone tenant takes the solo path.
@@ -622,16 +627,18 @@ class DefenseService:
         With a result store attached, the snapshot blob persists on
         disk (surviving the process); otherwise it is kept in memory.
         The next ``submit`` touching the session restores it
-        transparently.
+        transparently.  A tenant whose snapshot fails
+        (:class:`SnapshotError`) stays resident and playable.
         """
-        session = self._sessions.pop(session_id, None)
+        session = self._sessions.get(session_id)
         if session is None:
             if session_id in self._evicted:
                 return  # already parked
             raise KeyError(f"unknown session id {session_id!r}")
         blob = session.snapshot()
+        del self._sessions[session_id]
         # The snapshot is now the authoritative copy; a caller-held
-        # handle to the popped object must die loudly, not silently
+        # handle to the evicted object must die loudly, not silently
         # diverge from its restored twin.
         session._supersede()
         if self._store is not None:
@@ -720,13 +727,20 @@ class DefenseService:
         return session
 
     def _enforce_residency(self, protect: AbstractSet[str] = frozenset()) -> None:
-        """Evict least-recently-used sessions above ``max_resident``."""
+        """Evict least-recently-used sessions above ``max_resident``.
+
+        A tenant whose snapshot fails is skipped and stays resident, so
+        the cap is soft: the call that pushed the count over it never
+        fails for it, and later calls try that tenant again.
+        """
         if self.max_resident is None:
             return
+        candidates = (sid for sid in list(self._sessions) if sid not in protect)
         while len(self._sessions) > self.max_resident:
-            victim = next(
-                (sid for sid in self._sessions if sid not in protect), None
-            )
+            victim = next(candidates, None)
             if victim is None:
                 return
-            self.evict(victim)
+            try:
+                self.evict(victim)
+            except SnapshotError:
+                continue

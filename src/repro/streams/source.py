@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..core.arrays import Array, ArrayLike
+from ..core.domain import ReferenceKey, reference_key
 from ..core.strategies.base import rng_state, set_rng_state
 
 __all__ = ["StreamSource", "ArrayStream", "GeneratorStream"]
@@ -77,12 +78,27 @@ class ArrayStream(StreamSource):
         self.reset()
 
     def reset(self) -> None:
+        # The stream starts at an epoch end: its first draw shuffles the
+        # identity order with this fresh Generator, exactly as a shuffle
+        # here would, and a restore that imports a state draws nothing.
         self._rng = np.random.default_rng(self._seed)
         self._order: Array = np.arange(self._data.shape[0])
-        if self.shuffle:
-            self._order = self._rng.permutation(self._order)
         self._order.setflags(write=False)
-        self._cursor = 0
+        self._cursor = self._data.shape[0]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A keyed dataset (a process-cached registry dataset) pickles and
+        # copies as its key, resolved back onto the loader's array by
+        # __setstate__; any other array pickles whole.
+        state = self.__dict__.copy()
+        state["_data"] = reference_key(self._data) or self._data
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        data = state["_data"]
+        if isinstance(data, ReferenceKey):
+            state = {**state, "_data": data.resolve()}
+        self.__dict__.update(state)
 
     def export_state(self) -> dict[str, Any]:
         # The epoch order is read-only and replaced, never shuffled in

@@ -7,8 +7,10 @@ every lane of a lockstep game, every tenant on one dataset — holds the
 same fit object.
 """
 
+import copy
 import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -20,11 +22,16 @@ from repro import (
     DefenseService,
     GameSpec,
 )
-from repro.core.domain import _LIVE_FITS, ReferenceFit
+from repro.core import domain
+from repro.core.domain import _LIVE_FITS, ReferenceFit, key_reference, reference_key
 from repro.core.session import GameSession
 from repro.core.strategies import FixedAdversary, StaticCollector
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
 from repro.streams import ArrayStream, PoisonInjector
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _read_only(values):
@@ -105,6 +112,21 @@ class TestReferenceFit:
         gc.collect()
         assert _LIVE_FITS.get((id(reference), "value")) is None
 
+    def test_key_registry_checks_identity_and_holds_no_array(self, rng):
+        reference = _read_only(rng.normal(size=50))
+        key_reference(reference, np.asarray, (50,))
+        assert reference_key(reference).args == (50,)
+        assert reference_key(reference.copy()) is None  # equal content
+        assert reference_key(reference[:]) is None  # a view of it
+        with pytest.raises(ValueError, match="read-only"):
+            key_reference(rng.normal(size=5), np.asarray, (5,))
+        alive = weakref.ref(reference)
+        array_id = id(reference)
+        del reference
+        gc.collect()
+        assert alive() is None
+        assert array_id not in domain._KEYED
+
     def test_refit_yields_a_new_fit(self, rng):
         trimmer = RadialTrimmer().fit_reference(
             _read_only(rng.normal(size=(60, 2)))
@@ -151,12 +173,59 @@ class TestSharedCalibration:
         assert all(s.injector._fit is fit for s in sessions)
         assert service.session(other).trimmer._fit is not fit
 
-    def test_restored_session_shares_one_private_fit(self):
+    def test_restored_session_shares_one_private_fit(self, rng):
+        # A spec-built session's fit is keyed by its dataset: the
+        # restored session rejoins the live shared fit.
         session = _taxi_spec(3).session()
         session.submit()
         restored = GameSession.restore(session.snapshot())
-        assert restored.trimmer._fit is restored.injector._fit
-        assert restored.trimmer._fit is not session.trimmer._fit
+        assert restored.trimmer._fit is session.trimmer._fit
+        assert restored.injector._fit is session.trimmer._fit
+        # A writable reference is frozen into an unkeyed copy: the
+        # restored session holds one private fit, shared by its trimmer
+        # and injector.
+        opened = GameSession.open(
+            collector=StaticCollector(0.9),
+            adversary=FixedAdversary(0.99),
+            injector=PoisonInjector(0.2, seed=1),
+            trimmer=RadialTrimmer(),
+            reference=rng.normal(size=(200, 2)),
+        )
+        opened.submit(rng.normal(size=(40, 2)))
+        private = GameSession.restore(opened.snapshot())
+        assert private.trimmer._fit is private.injector._fit
+        assert private.trimmer._fit is not opened.trimmer._fit
+
+    def test_restored_tenant_rejoins_the_live_fit(self):
+        # An evicted tenant restores onto its dataset's live fit, so it
+        # joins the same lane group as the tenants that stayed resident.
+        service = DefenseService()
+        sids = [service.open(_taxi_spec(seed)) for seed in range(3)]
+        service.submit_many(sids)
+        service.evict(sids[1])
+        service.submit_many(sids)
+        fit = service.session(sids[0]).trimmer._fit
+        restored = service.session(sids[1])
+        assert restored.trimmer._fit is fit
+        assert restored.injector._fit is fit
+        assert restored.source._data is service.session(sids[2]).source._data
+
+    def test_copies_of_keyed_fits_and_streams_keep_the_shared_arrays(self):
+        # A copy, deep copy or pickle of a fit or stream on a keyed
+        # dataset holds the live fit and dataset, and a deep copy of the
+        # stream draws on exactly like the original.
+        session = _taxi_spec(4).session()
+        session.submit()
+        fit, source = session.trimmer._fit, session.source
+        assert copy.copy(source)._data is source._data
+        for clone in (copy.copy, copy.deepcopy, _pickled):
+            assert clone(fit) is fit
+        twins = [copy.deepcopy(source), _pickled(source)]
+        for _ in range(12):
+            batch = source.next_batch()
+            for twin in twins:
+                assert twin._data is source._data
+                assert twin.next_batch().tobytes() == batch.tobytes()
 
     def test_writable_reference_stays_writable_and_the_fit_read_only(self, rng):
         reference = rng.normal(size=(200, 2))

@@ -12,8 +12,10 @@ The load-bearing contracts:
 * lifecycle errors (horizon exhaustion, submit-after-close) are loud.
 """
 
+import copy
 import dataclasses
 import gc
+import io
 import pickle
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CollectionGame, ComponentSpec, GameSpec, PayoffModel
+from repro.core import domain
 from repro.core.engine import BandExcessJudge, NoisyPositionJudge
 from repro.core.session import (
     SNAPSHOT_FORMAT,
@@ -44,14 +47,17 @@ from repro.core.strategies import (
     TitForTwoTatsCollector,
     UniformRangeAdversary,
 )
+from repro.core.strategies.base import rng_state
 from repro.core.strategies.titfortat import MixedStrategyTrigger, QualityTrigger
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
-from repro.datasets import generate_control
+from repro.datasets import generate_control, generate_taxi, taxi_batch_factory
 from repro.experiments.classifiers import (
     LabelAwareRadialTrimmer,
     LabelMimicInjector,
 )
-from repro.streams import ArrayStream, PoisonInjector
+from repro.runtime import spec as spec_module
+from repro.runtime.spec import _load_reference_cached, load_reference
+from repro.streams import ArrayStream, GeneratorStream, PoisonInjector
 
 #: The full shipped strategy matrix the snapshot contract is tested
 #: over (shared with the cross-process test in test_session_process.py).
@@ -639,6 +645,142 @@ class TestSnapshotRestore:
         payload = pickle.loads(session.snapshot())
         source = payload["components"]["source"]
         assert payload["state"]["source"]["order"] is source._order
+
+    def test_snapshot_compacts_the_order_and_writes_each_generator_once(self):
+        # The blob stores the epoch order in the smallest unsigned dtype,
+        # and no Generator in numpy's own pickle form, which seeds from
+        # OS entropy on load: each is rebuilt from its exported state.
+        session = matrix_spec("generous", "mixed", "band", seed=2).session()
+        session.submit()
+        blob = session.snapshot()
+        order = session.source._order
+        assert order.astype(np.uint16).tobytes() in blob
+        assert order.tobytes() not in blob
+        for role in ("collector", "adversary", "injector", "judge", "source"):
+            word = rng_state(getattr(session, role)._rng)["state"]["state"]
+            encoded = word.to_bytes((word.bit_length() + 8) // 8, "little", signed=True)
+            assert blob.count(encoded) == 1, role  # the bit-state travels once
+        loaded = []
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.append(name)
+                return super().find_class(module, name)
+
+        payload = Recording(io.BytesIO(blob)).load()
+        assert "__generator_ctor" not in loaded
+        assert "generator_from_state" in loaded
+        for role in ("collector", "adversary", "injector", "judge", "source"):
+            rng = payload["components"][role]._rng
+            assert rng_state(rng) == payload["state"][role]["rng"]
+        restored = payload["components"]["source"]
+        assert restored._order.dtype == np.int64
+        assert not restored._order.flags.writeable
+        assert payload["state"]["source"]["order"] is restored._order
+
+    @pytest.mark.parametrize("last_observation", [False, True])
+    def test_blob_in_the_unkeyed_layout_restores_identically(
+        self, monkeypatch, last_observation
+    ):
+        # Blobs written before references were keyed carry the dataset
+        # and fits whole, Generators in numpy's own pickle form and the
+        # order as int64: they restore and continue byte-identically.
+        spec = matrix_spec("generous", "mixed", "band", seed=4)
+        session = spec.session()
+        for _ in range(3):
+            session.submit()
+        payload = pickle.loads(session.snapshot())
+        if last_observation:
+            payload["session"]["last_observation"] = session.last_observation
+        with monkeypatch.context() as patch:
+            patch.setattr(domain, "_KEYED", {})
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert session.source._data.tobytes() in blob
+        assert b"__generator_ctor" in blob
+        resumed = GameSession.restore(blob)
+        assert resumed.trimmer._fit is not session.trimmer._fit
+        while not resumed.done:
+            resumed.submit()
+        assert_results_identical(resumed.close(), spec.play())
+
+    def test_keyed_reference_rebuilt_after_the_cache_dropped_it(self, monkeypatch):
+        # A keyed blob names its dataset, not its rows: a restore after
+        # the load cache dropped the array regenerates it, and the
+        # content digest guards against a loader that changed.
+        spec = matrix_spec("elastic-paper", "elastic", "band", seed=6)
+        session = spec.session()
+        for _ in range(3):
+            session.submit()
+        blob = session.snapshot()
+        assert session.source._data.tobytes() not in blob
+        _load_reference_cached.cache_clear()
+        try:
+            resumed = GameSession.restore(blob)
+            assert resumed.source._data is load_reference("control")
+            assert resumed.source._data is not session.source._data
+            while not resumed.done:
+                resumed.submit()
+            assert_results_identical(resumed.close(), spec.play())
+
+            _load_reference_cached.cache_clear()
+            real = spec_module.load_dataset
+
+            def shifted(name, n_samples=None):
+                data, labels = real(name, n_samples=n_samples)
+                return data + 1.0, labels
+
+            monkeypatch.setattr(spec_module, "load_dataset", shifted)
+            with pytest.raises(SnapshotError, match="digest"):
+                GameSession.restore(blob)
+        finally:
+            monkeypatch.undo()
+            _load_reference_cached.cache_clear()
+
+    def test_components_deepcopy_and_pickle_whole(self):
+        # Only the snapshot's own pickler writes Generators from their
+        # state and orders compactly: a standalone copy of a session
+        # (every component with it) plays on exactly like the original.
+        cells = [(c, "mixed", "position") for c in sorted(MATRIX_COLLECTORS)]
+        cells += [("generous", a, "band") for a in sorted(MATRIX_ADVERSARIES)]
+        for index, cell in enumerate(cells):
+            session = matrix_spec(*cell, seed=50 + index, rounds=5).session()
+            session.submit()
+            twins = [
+                copy.deepcopy(session),
+                pickle.loads(pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)),
+            ]
+            for twin in twins:
+                assert twin.source._rng is not session.source._rng
+                assert twin.source._order.tobytes() == session.source._order.tobytes()
+            for _ in range(4):
+                want = session.submit()
+                for twin in twins:
+                    got = twin.submit()
+                    assert got.observation == want.observation, cell
+                    assert got.retained.tobytes() == want.retained.tobytes()
+
+    def test_taxi_factory_stream_snapshots(self):
+        # A session streaming from taxi_batch_factory() snapshots, and
+        # the restored session continues byte-identically.
+        def opened():
+            return GameSession.open(
+                collector=StaticCollector(0.9),
+                adversary=FixedAdversary(0.99),
+                injector=PoisonInjector(0.2, seed=1),
+                trimmer=ValueTrimmer(),
+                reference=generate_taxi(2000, seed=1),
+                source=GeneratorStream(taxi_batch_factory(), 50, seed=3),
+            )
+
+        session, twin = opened(), opened()
+        session.submit()
+        twin.submit()
+        resumed = GameSession.restore(session.snapshot())
+        for _ in range(4):
+            want = twin.submit()
+            got = resumed.submit()
+            assert got.observation == want.observation
+            assert got.retained.tobytes() == want.retained.tobytes()
 
     def test_state_dict_covers_every_rng_consumer(self):
         spec = matrix_spec("generous", "mixed", "position", seed=1)

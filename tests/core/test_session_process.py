@@ -115,3 +115,31 @@ def test_full_matrix_snapshot_survives_process_migration(tmp_path):
         f"{len(mismatches)} matrix cells diverged after cross-process "
         f"restore: {mismatches[:5]}"
     )
+
+
+def test_keyed_blob_restores_in_a_fresh_interpreter(tmp_path):
+    # A spec-built session's blob names its dataset (load_reference's
+    # name, size and digest) instead of carrying its rows; a fresh
+    # interpreter regenerates the dataset and resumes byte-identically.
+    spec = matrix_spec("generous", "mixed", "band", seed=77)
+    session = spec.session()
+    for _ in range(3):
+        session.submit()
+    blob = session.snapshot()
+    assert session.source._data.tobytes() not in blob
+
+    blob_path = tmp_path / "keyed.pkl"
+    out_path = tmp_path / "continued.pkl"
+    blob_path.write_bytes(pickle.dumps([blob]))
+    env = dict(os.environ)
+    src_dir = os.path.dirname(
+        os.path.dirname(os.path.abspath(sys.modules["repro"].__file__))
+    )
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [sys.executable, "-c", _CHILD_PROGRAM, str(blob_path), str(out_path)],
+        env=env,
+        check=True,
+        timeout=600,
+    )
+    assert pickle.loads(out_path.read_bytes()) == [_outcome(spec.play())]

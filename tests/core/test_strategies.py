@@ -17,7 +17,12 @@ from repro.core.strategies import (
     TitForTatCollector,
     UniformRangeAdversary,
 )
-from repro.core.strategies.base import RoundObservation
+from repro.core.strategies.base import (
+    RoundObservation,
+    generator_from_state,
+    rng_state,
+    set_rng_state,
+)
 
 
 def obs(index=1, trim=0.9, inject=0.95, quality=0.0, ratio=0.0, betrayal=False):
@@ -254,3 +259,52 @@ class TestAdversaries:
     def test_mixed_rejects_bad_positions(self):
         with pytest.raises(ValueError):
             MixedAdversary(0.5, equilibrium_position=0.8, greedy_position=0.9)
+
+
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+def _scribble(document):
+    """Overwrite every value of a bit-state document, arrays in place."""
+    for key, value in document.items():
+        if isinstance(value, dict):
+            _scribble(value)
+        elif isinstance(value, np.ndarray):
+            value[...] = 7
+        elif isinstance(value, int):
+            document[key] = value + 1
+
+
+class TestRngState:
+    """The contract snapshots rely on: documents never alias a Generator."""
+
+    @staticmethod
+    def _generator(name, seed=11):
+        rng = np.random.Generator(getattr(np.random, name)(seed))
+        rng.random(5)  # move off the seeded state (buffered halves too)
+        rng.integers(0, 10, size=3, dtype=np.uint32)
+        return rng
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_mutating_an_exported_document_never_moves_the_generator(self, name):
+        rng, twin = self._generator(name), self._generator(name)
+        _scribble(rng_state(rng))
+        assert rng.random(8).tobytes() == twin.random(8).tobytes()
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_mutating_an_imported_document_never_moves_the_generator(self, name):
+        rng, twin = self._generator(name, seed=1), self._generator(name)
+        document = rng_state(twin)
+        set_rng_state(rng, document)
+        _scribble(document)
+        assert rng.random(8).tobytes() == twin.random(8).tobytes()
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_export_then_import_into_a_fresh_generator_continues(self, name):
+        rng = self._generator(name)
+        fresh = np.random.Generator(getattr(np.random, name)(99))
+        set_rng_state(fresh, rng_state(rng))
+        rebuilt = generator_from_state(rng_state(rng))
+        expected = rng.normal(size=16).tobytes()
+        assert fresh.normal(size=16).tobytes() == expected
+        assert rebuilt.normal(size=16).tobytes() == expected

@@ -7,6 +7,7 @@ every healthy peer's board stays byte-identical to its standalone
 session.
 """
 
+import dataclasses
 import os
 import pickle
 import sys
@@ -14,8 +15,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro import DefenseService, GameSpec, ResultStore, SnapshotError
+from repro import ComponentSpec, DefenseService, GameSpec, ResultStore, SnapshotError
 from repro.core.session import GameSession
+from repro.core.strategies import StaticCollector
 from repro.serving.service import TenantFailure
 
 sys.path.insert(
@@ -75,6 +77,52 @@ class TestSnapshotError:
         _corrupt_persisted_blob(service, store, sid)
         with pytest.raises(SnapshotError):
             service.submit(sid)
+
+
+class HookedCollector(StaticCollector):
+    """A collector holding a lambda: playable, but never picklable."""
+
+    def __init__(self, threshold: float = 0.9):
+        super().__init__(threshold)
+        self.hook = lambda q: q
+
+
+class TestUnpicklableTenant:
+    @staticmethod
+    def _hooked_spec(seed=5):
+        spec = matrix_spec("static", "fixed", "band", seed=seed)
+        return dataclasses.replace(
+            spec, collector=ComponentSpec(HookedCollector, {"threshold": 0.9})
+        )
+
+    def test_snapshot_raises_typed_error_and_leaves_the_session_live(self):
+        spec = self._hooked_spec()
+        session = spec.session()
+        session.submit()
+        with pytest.raises(SnapshotError, match="cannot be snapshot") as info:
+            session.snapshot()
+        assert info.value.__cause__ is not None
+        while not session.done:
+            session.submit()
+        assert_results_identical(session.close(), solo_reference(spec))
+
+    def test_failed_eviction_keeps_the_tenant_resident_and_playable(self):
+        service = DefenseService(max_resident=1)
+        spec = self._hooked_spec()
+        a = service.open(spec)
+        service.submit(a)
+        b = service.open(matrix_spec("static", "fixed", "band", seed=6))
+        # A cannot be parked, so the soft cap stays exceeded; nothing is lost.
+        assert service.session_ids() == [a, b]
+        assert service.resident_ids == [a, b]
+        assert service.evicted_ids == []
+        with pytest.raises(SnapshotError):
+            service.evict(a)
+        assert service.resident_ids == [a, b]
+        service.submit_many([a, b])
+        while not service.session(a).done:
+            service.submit(a)
+        assert_results_identical(service.close(a), solo_reference(spec))
 
 
 class TestTenantQuarantine:

@@ -82,7 +82,8 @@ class TestArrayStream:
             assert pickle.dumps(stream.export_state()) == pickle.dumps(
                 twin.export_state()
             )
-        assert epoch_ends == 5  # rounds 3, 5, 7, 9 and 11
+        # A fresh stream starts at an epoch end: rounds 1, 3, 5, 7, 9, 11.
+        assert epoch_ends == 6
 
     def test_oversized_batch_rejected(self):
         with pytest.raises(ValueError):
