@@ -17,11 +17,14 @@ single-pass runs: about 600 games/s batched against about 260 solo
 (medians), 1.75-2.66x (median 2.31x); R = 8 and R = 128 read medians of
 2.44x and 2.82x.  So the R = 32 point plays ``GATE_REPEATS`` = 5 passes
 over the same grid and its 2x blocking gate reads the median ratio;
-every pass's ratio is recorded next to it.  Over four runs on the same
-host the gated median read 2.36-2.46x (passes 2.25-3.01x, about 560-600
-games/s batched against 200-240 solo).  Results are persisted to
-``benchmarks/results/BENCH_batched.json``, stamped with the commit and
-host they measured, so the perf trajectory stays inspectable per commit.
+every pass's ratio is recorded next to it.  Over four runs on one host,
+three of them alternating with its parent commit, the gated median read
+2.30-2.37x (passes 2.20-2.46x, about 1,080-1,120 games/s batched against
+455-480 solo), and the parent's 2.42-2.52x: the solo loop's trim cutoff
+became plain float arithmetic, and the lockstep rounds did not change.
+Results are persisted to ``benchmarks/results/BENCH_batched.json``,
+stamped with the commit and host they measured, so the perf trajectory
+stays inspectable per commit.
 
 Run standalone with ``python benchmarks/bench_batched_engine.py``.
 """

@@ -17,20 +17,23 @@ Workloads:
 
 * ``taxi`` (homogeneous, gated) — R same-configuration tenants on the
   paper's 1-D live-stream shape.  Rounds are Python-overhead-bound,
-  which is exactly what multiplexing removes: at R = 32 about 6,000
-  solo against 30,000 multiplexed session-rounds/s, 4.1-4.9x end to
-  end and 5.3-6.3x steady-state (five runs of the gated figure on a
+  which is exactly what multiplexing removes: at R = 32 about 14,700
+  solo against 67,600 multiplexed session-rounds/s, 4.47-4.65x end to
+  end and 5.48-5.83x steady-state (six runs of the gated figure on a
   shared 2-CPU container), gated at 2x and 4x for noisy CI runners.
 * ``hetero-taxi`` (heterogeneous, gated) — the same shape but tenants
   cycle through three strategy schemes x three attack ratios: nine
   distinct configurations that the pre-fusion service served solo.
   Gated at 2x end to end and 2.5x steady-state; the gated figure read
-  2.45-3.19x and 2.75-3.68x over five runs, while its single passes
-  read 2.34-4.13x and 2.59-5.01x (the pre-fusion service scores
-  exactly 1x here by construction).
+  2.59-2.70x and 2.81-2.99x over six runs, while its single passes
+  read 2.11-2.84x and 2.27-3.08x (the pre-fusion service scores
+  exactly 1x here by construction).  The solo loop's trim cutoff is
+  plain float arithmetic, so the solo side runs about 14 % faster than
+  when these read 2.99-3.09x and 3.28-3.42x; the lockstep side did
+  not change.
 * ``control`` (reported, ungated) — 60-dimensional batches.  Here the
   round is numpy-compute-bound (the norms dominate), so lockstep saves
-  only the loop overhead (~1.45x at R = 32).  The point is recorded so the
+  only the loop overhead (~1.25x at R = 32).  The point is recorded so the
   trade-off stays visible instead of silently truncated.
 
 Each gated point (R = 32 on ``taxi`` and ``hetero-taxi``) plays the

@@ -8,9 +8,10 @@ accept mask, judge verdict, payoffs).  Midway it suspends the session to
 a snapshot blob and resumes from it — byte-identically, even in another
 process.
 
-Part 2 serves two tenants of the same defense configuration through a
+Part 2 serves four tenants of the same defense configuration through a
 :class:`repro.DefenseService`, which multiplexes their rounds through
-one vectorized lockstep step.  Run with::
+one vectorized lockstep step.  (Fewer than four same-round tenants play
+solo rounds instead: below four, solo rounds are cheaper.)  Run with::
 
     python examples/live_session.py
 """
@@ -65,24 +66,24 @@ def single_session() -> None:
     )
 
 
-def two_tenants() -> None:
-    print("=== two tenants, one DefenseService ===")
+def four_tenants() -> None:
+    print("=== four tenants, one DefenseService ===")
     service = DefenseService()
-    alice = service.open(tenant_spec(seed=1), session_id="alice")
-    bob = service.open(tenant_spec(seed=2), session_id="bob")
+    tenants = [
+        service.open(tenant_spec(seed=seed), session_id=name)
+        for seed, name in enumerate(("alice", "bob", "carol", "dave"), start=1)
+    ]
 
     for _ in range(10):
-        # Same configuration + same round: the service steps both
+        # Same configuration + same round: the service steps all four
         # tenants through one vectorized lockstep round.
-        decisions = service.submit_many([alice, bob])
-        a, b = decisions[alice], decisions[bob]
-        print(
-            f"round {a.index}: alice trim {a.threshold:.3f} "
-            f"(kept {a.n_retained}), bob trim {b.threshold:.3f} "
-            f"(kept {b.n_retained})"
+        decisions = service.submit_many(tenants)
+        trims = ", ".join(
+            f"{tenant} {decisions[tenant].threshold:.3f}" for tenant in tenants
         )
+        print(f"round {decisions[tenants[0]].index}: trim {trims}")
 
-    for tenant in (alice, bob):
+    for tenant in tenants:
         result = service.close(tenant)
         print(
             f"{tenant}: {result.rounds} rounds, surviving poison "
@@ -93,7 +94,7 @@ def two_tenants() -> None:
 
 def main() -> None:
     single_session()
-    two_tenants()
+    four_tenants()
 
 
 if __name__ == "__main__":

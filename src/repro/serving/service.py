@@ -26,9 +26,11 @@ lockstep engine already eliminated for sweep repetitions, so
   through its :class:`~repro.core.fusion.SourceLanes` program, with no
   per-tenant pre-flight.  The sweep engine's lockstep
   games seat their sessions the same way.  Tenants that
-  cannot join a cohort (odd round position, odd batch shape, singleton
-  group) fall back to their solo
-  :meth:`~repro.core.session.GameSession.submit`, byte-identically;
+  cannot join a cohort (odd round position, odd batch shape), and
+  same-round, same-shape runs of fewer than ``_MIN_COHORT`` (four)
+  tenants, whose solo rounds cost less than one lockstep round, play
+  their solo :meth:`~repro.core.session.GameSession.submit`,
+  byte-identically;
 * idle tenants are evicted to snapshots — in memory, or persisted in a
   :class:`~repro.runtime.store.ResultStore` — and transparently
   restored on their next submit, so resident memory is bounded by
@@ -89,6 +91,24 @@ __all__ = ["DefenseService", "ServiceStats", "TenantFailure"]
 #: attribute surface, same values).
 AnyRoundDecision = Union[RoundDecision, LaneRoundDecision]
 
+#: The smallest same-shape run that plays as a lockstep cohort; shorter
+#: runs play solo.  It is the smallest L at which one round of a
+#: *reused* cohort beats L solo rounds on single-configuration taxi
+#: tenants (batch 100), so below it solo wins whether or not the cohort
+#: would be reused.  One ``submit_many`` tick, median (range) of 7 runs
+#: on a 2-CPU container:
+#:
+#:   L   L solo rounds       reused cohort round
+#:   2   139 (137-141) us    213 (199-228) us
+#:   3   199 (197-207) us    209 (198-252) us
+#:   4   264 (258-275) us    207 (201-214) us
+#:
+#: (L = 2 is 3 runs.  A fresh cohort, built, played and flushed, costs
+#: 411 (406-419) us at L = 2 over 5 runs.)  Mixes of several
+#: configurations cross later (nine-configuration hetero-taxi near
+#: L = 8); the constant does not tell mixes apart.
+_MIN_COHORT = 4
+
 
 @dataclass
 class ServiceStats:
@@ -96,7 +116,10 @@ class ServiceStats:
 
     ``lane_builds`` counts the lockstep cohorts the service seated;
     ``lane_cache_hits`` counts the lockstep rounds that reused the
-    members' live cohort instead.
+    members' live cohort instead.  ``solo_rounds`` counts every solo
+    round: :meth:`DefenseService.submit` calls, and the ``submit_many``
+    tenants that could not fuse or whose same-round, same-shape run
+    was shorter than ``_MIN_COHORT``.
 
     The ``*_seconds`` fields are cumulative wall-clock phase timers of
     the lockstep path: ``lane_build_seconds`` covers cohort compilation
@@ -163,8 +186,9 @@ class DefenseService:
         stays resident; if no tenant can go, the count stays above the
         cap and the call succeeds anyway.
 
-    Same-shape cohorts of two or more tenants play in lockstep, each as
-    one whole ``(L, batch)`` stack; a lone tenant takes the solo path.
+    Same-round, same-shape cohorts of ``_MIN_COHORT`` (four) or more
+    tenants play in lockstep, each as one whole ``(L, batch)`` stack;
+    shorter runs take the solo path, tenant by tenant.
     A cohort lives on its members: while the lead member's cohort seats
     exactly the round's sessions, in order, the round reuses its
     compiled lane programs, however many cohorts are live.  Any
@@ -332,10 +356,11 @@ class DefenseService:
 
         ``batches`` maps session ids to their round batches (``None``
         pulls from the tenant's attached source), or is a plain
-        sequence of ids (all pulled from their sources).  Tenants that
-        share a configuration group, sit at the same round and receive
-        same-shaped batches step through one vectorized lockstep round;
-        everyone else is routed solo.  Either way each tenant's
+        sequence of ids (all pulled from their sources).  Four or more
+        tenants (``_MIN_COHORT``) that share a configuration group, sit
+        at the same round and receive same-shaped batches step through
+        one vectorized lockstep round; everyone else, shorter runs
+        included, is routed solo.  Either way each tenant's
         decision, board and strategy state are byte-identical to solo
         play.  A call that names one live cohort's seats exactly, in
         order, every tenant resident and pulling from its source, plays
@@ -438,7 +463,7 @@ class DefenseService:
             for sid in members:
                 by_shape.setdefault(arrays[sid].shape, []).append(sid)
             for shaped in by_shape.values():
-                if len(shaped) >= 2:
+                if len(shaped) >= _MIN_COHORT:
                     stack = np.stack([arrays[sid] for sid in shaped])
                     views = self._submit_lockstep(shaped, sessions, stack)
                     decisions.update(zip(shaped, views, strict=True))

@@ -175,6 +175,44 @@ class TestQuantileTable:
         with pytest.raises(ValueError):
             QuantileTable([1.0, 2.0]).quantile(1.5)
 
+    @pytest.mark.parametrize(
+        "q",
+        [float("nan"), np.float64("nan"), np.array(np.nan), np.array([0.5, np.nan])],
+        ids=["float", "float64", "0-d", "array"],
+    )
+    def test_nan_fraction_rejected(self, q):
+        # numpy.quantile raises ValueError on NaN fractions; so does the
+        # table, instead of indexing with a NaN cast to an integer.
+        with pytest.raises(ValueError, match="must lie in"):
+            QuantileTable(np.arange(10.0)).quantile(q)
+
+    @given(
+        n=st.integers(min_value=1, max_value=3001),
+        seed=st.integers(min_value=0, max_value=2**16),
+        q=st.one_of(
+            st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_fraction_bit_identical_to_numpy(self, n, seed, q):
+        values = np.random.default_rng(seed).normal(size=n)
+        table = QuantileTable(values)
+        want = np.quantile(values, q)
+        for fraction in (q, np.float64(q)):
+            got = table.quantile(fraction)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_zero_d_and_one_element_arrays_keep_their_types(self):
+        table = QuantileTable(np.arange(10.0))
+        zero_d = table.quantile(np.array(0.25))
+        assert type(zero_d) is float
+        assert zero_d == 2.25
+        one = table.quantile(np.array([0.25]))
+        assert isinstance(one, np.ndarray)
+        assert one.shape == (1,)
+        np.testing.assert_array_equal(one, [2.25])
+
     @given(
         n=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=2**16),

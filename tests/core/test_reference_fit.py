@@ -200,7 +200,7 @@ class TestSharedCalibration:
         # An evicted tenant restores onto its dataset's live fit, so it
         # joins the same lane group as the tenants that stayed resident.
         service = DefenseService()
-        sids = [service.open(_taxi_spec(seed)) for seed in range(3)]
+        sids = [service.open(_taxi_spec(seed)) for seed in range(4)]
         service.submit_many(sids)
         service.evict(sids[1])
         service.submit_many(sids)

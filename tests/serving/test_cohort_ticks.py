@@ -201,12 +201,12 @@ class TestFallbacks:
     """Calls outside one whole live cohort behave as the per-tenant path."""
 
     @staticmethod
-    def _service(horizons=(None, None, None)):
-        specs = taxi_specs(n=3, rounds=12)
+    def _service(horizons=(None,) * 5):
+        specs = taxi_specs(n=5, rounds=12)
         service = DefenseService()
         sids = [
             service.open(spec, session_id=name, horizon=horizon)
-            for spec, name, horizon in zip(specs, "abc", horizons, strict=True)
+            for spec, name, horizon in zip(specs, "abcde", horizons, strict=True)
         ]
         return service, specs, sids
 
@@ -225,7 +225,7 @@ class TestFallbacks:
     def test_fallback_raises_or_quarantines_with_no_state_moved(
         self, case, error, kind, on_error
     ):
-        horizons = (2, None, None) if case == "horizon" else (None, None, None)
+        horizons = (2,) + (None,) * 4 if case == "horizon" else (None,) * 5
         service, specs, sids = self._service(horizons)
         handle = service.session("a")
         if case == "source":
@@ -234,7 +234,7 @@ class TestFallbacks:
             handle.source = None
             rng = np.random.default_rng(9)
             for _ in range(2):
-                service.submit_many({"a": taxi_batch(rng), "b": None, "c": None})
+                service.submit_many({"a": taxi_batch(rng), **dict.fromkeys("bcde")})
         else:
             for _ in range(2):
                 service.submit_many(sids)
@@ -250,7 +250,7 @@ class TestFallbacks:
             )
             assert service.quarantined_ids == ["a"]
         elif case == "explicit":
-            call = {"a": np.full((BATCH, 1), np.nan), "b": None, "c": None}
+            call = {"a": np.full((BATCH, 1), np.nan), **dict.fromkeys("bcde")}
         live = [sid for sid in sids if sid in service.resident_ids]
         states = stream_states(service, live)
         stats = dataclasses.asdict(service.stats)
@@ -263,7 +263,7 @@ class TestFallbacks:
             return
 
         decisions = service.submit_many(call, on_error="quarantine")
-        healthy = list(sids) if case == "unknown" else ["b", "c"]
+        healthy = list(sids) if case == "unknown" else list("bcde")
         assert list(decisions) == healthy
         failed = "ghost" if case == "unknown" else "a"
         assert failed in service.quarantined_ids
@@ -272,7 +272,7 @@ class TestFallbacks:
         assert service.stats.quarantined == stats["quarantined"] + (
             0 if case == "quarantined" else 1
         )
-        for sid, spec in zip("abc", specs, strict=True):
+        for sid, spec in zip("abcde", specs, strict=True):
             if sid in healthy:
                 assert_results_identical(service.close(sid), replay(spec, 3))
 
@@ -294,7 +294,7 @@ class TestFallbacks:
             assert_results_identical(service.close(sid), replay(spec, 1))
 
     def test_new_membership_and_several_cohorts(self):
-        specs = taxi_specs(n=6, rounds=10)
+        specs = taxi_specs(n=8, rounds=10)
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]
         for _ in range(2):
@@ -304,13 +304,13 @@ class TestFallbacks:
         assert service.stats.lane_builds == 2
         # Two cohorts, each reused natively...
         for _ in range(2):
-            service.submit_many(sids[:3])
-            service.submit_many(sids[3:])
+            service.submit_many(sids[:4])
+            service.submit_many(sids[4:])
         builds = service.stats.lane_builds
         assert service.stats.lane_cache_hits == 1 + 2
         # ...then named together in one call: the per-tenant path seats
         # them as one new cohort.
-        service.submit_many(sids[:3] + sids[3:])
+        service.submit_many(sids[:4] + sids[4:])
         assert service.stats.lane_builds == builds + 1
         for sid, spec in zip(sids, specs, strict=True):
             assert_results_identical(service.close(sid), replay(spec, 6))

@@ -94,8 +94,12 @@ def _target_rounds(tenant) -> int:
     return ROUNDS if tenant["close_after"] is None else tenant["close_after"]
 
 
+#: Populations of 8-16: the service fuses only runs of four or more
+#: same-round, same-shape tenants, and smaller draws split across two
+#: datasets and three join rounds rarely reach four (with 8-16, about
+#: two examples in three play a lockstep round).
 @settings(max_examples=15, deadline=None)
-@given(tenants=st.lists(tenant_st, min_size=2, max_size=6))
+@given(tenants=st.lists(tenant_st, min_size=8, max_size=16))
 def test_random_cohorts_with_churn_play_byte_identical(tenants):
     solo = [_solo(_spec(t), t["close_after"]) for t in tenants]
 

@@ -80,7 +80,7 @@ class TestHeterogeneousFusion:
                 matrix_spec("elastic-paper", "elastic", "band", seed=70 + i),
                 attack_ratio=ratio,
             )
-            for i, ratio in enumerate((0.1, 0.2, 0.3))
+            for i, ratio in enumerate((0.1, 0.2, 0.3, 0.4))
         ]
         solo = [solo_reference(spec) for spec in specs]
         service = DefenseService()
@@ -136,7 +136,9 @@ class TestHeterogeneousFusion:
         taxi = dataclasses.replace(
             control, dataset="taxi", dataset_size=2000, seed=96
         )
-        specs = [control, taxi, dataclasses.replace(taxi, seed=97)]
+        specs = [control, taxi] + [
+            dataclasses.replace(taxi, seed=seed) for seed in (97, 98, 99)
+        ]
         solo = [solo_reference(spec) for spec in specs]
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]
@@ -144,8 +146,8 @@ class TestHeterogeneousFusion:
             service.submit_many(sids)
         for sid, reference in zip(sids, solo, strict=False):
             assert_results_identical(service.close(sid), reference)
-        # The taxi pair fused; the lone control tenant went solo.
-        assert service.stats.lockstep_lanes == 2 * specs[0].rounds
+        # The four taxi tenants fused; the lone control tenant went solo.
+        assert service.stats.lockstep_lanes == 4 * specs[0].rounds
         assert service.stats.solo_rounds == specs[0].rounds
 
 
@@ -162,7 +164,7 @@ class TestCohortCache:
     def test_membership_change_rebuilds(self):
         specs = hetero_specs(seed=110, rounds=10)
         service = DefenseService()
-        sids = [service.open(spec) for spec in specs[:4]]
+        sids = [service.open(spec) for spec in specs[:5]]
         for _ in range(4):
             service.submit_many(sids)
         assert service.stats.lane_builds == 1
@@ -175,7 +177,7 @@ class TestCohortCache:
         assert service.stats.lane_cache_hits == 3 + 3
 
     def test_solo_submit_invalidates_cached_cohort(self):
-        specs = hetero_specs(seed=120, rounds=10)[:3]
+        specs = hetero_specs(seed=120, rounds=10)[:5]
         solo = [solo_reference(spec) for spec in specs]
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]
@@ -195,7 +197,7 @@ class TestCohortCache:
             assert_results_identical(service.close(sid), reference)
 
     def test_session_accessor_invalidates(self):
-        specs = hetero_specs(seed=130)[:3]
+        specs = hetero_specs(seed=130)[:4]
         solo = [solo_reference(spec) for spec in specs]
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]
@@ -216,24 +218,24 @@ class TestCohortCache:
         # so its cohort's sink stays unflushed.  A newcomer reusing the
         # id is a new session object: only identity shows the cached
         # cohort is stale.
-        spec_a, spec_b = hetero_specs(seed=140, rounds=10)[:2]
+        specs = dict(zip("abcd", hetero_specs(seed=140, rounds=10)))
         service = DefenseService()
-        service.open(spec_a, session_id="a")
-        service.open(spec_b, session_id="b")
+        for sid, spec in specs.items():
+            service.open(spec, session_id=sid)
         for _ in range(2):
-            service.submit_many(["a", "b"])
+            service.submit_many(list(specs))
         service.submit_many(
-            {"a": np.full((spec_a.batch_size, 60), np.nan)},
+            {"a": np.full((specs["a"].batch_size, 60), np.nan)},
             on_error="quarantine",
         )
         assert service.quarantined_ids == ["a"]
-        service.open(spec_a, session_id="a")
+        service.open(specs["a"], session_id="a")
         for _ in range(2):
             service.submit("a")
         for _ in range(2):
-            service.submit_many(["a", "b"])
+            service.submit_many(list(specs))
         assert service.stats.lane_builds == 2
-        for sid, spec in (("a", spec_a), ("b", spec_b)):
+        for sid, spec in specs.items():
             replay = spec.session()
             for _ in range(4):
                 replay.submit()
@@ -244,15 +246,15 @@ class TestCohortCache:
         # lives on its members, so every one is found again.
         specs = [
             spec
-            for k in range(7)
+            for k in range(14)
             for spec in hetero_specs(seed=200 + 10 * k, rounds=3)
-        ][:40]
+        ][:80]
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]
-        pairs = [sids[i:i + 2] for i in range(0, len(sids), 2)]
+        quads = [sids[i:i + 4] for i in range(0, len(sids), 4)]
         for _ in range(3):
-            for pair in pairs:
-                service.submit_many(pair)
+            for quad in quads:
+                service.submit_many(quad)
         assert service.stats.lane_builds == 20
         assert service.stats.lane_cache_hits == 40
         for sid, spec in zip(sids, specs, strict=True):
@@ -283,7 +285,7 @@ class TestFusedResults:
                 matrix_spec("elastic-paper", "elastic", "band", seed=150 + i),
                 attack_ratio=ratio,
             )
-            for i, ratio in enumerate((0.1, 0.3))
+            for i, ratio in enumerate((0.1, 0.3, 0.2, 0.4))
         ]
         service = DefenseService()
         sids = [service.open(spec) for spec in specs]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import DefenseService, GameSpec, ResultStore
-from repro.serving.service import ServiceStats
+from repro.serving.service import _MIN_COHORT, ServiceStats
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "core")
@@ -80,13 +80,15 @@ class TestLockstepByteIdentity:
         assert service.stats.lockstep_rounds > 0
 
     def test_decisions_match_solo_decisions(self):
-        spec_a = matrix_spec("elastic-paper", "elastic", "band", seed=7)
-        spec_b = matrix_spec("elastic-paper", "elastic", "band", seed=8)
-        solo_sessions = [spec_a.session(), spec_b.session()]
+        specs = [
+            matrix_spec("elastic-paper", "elastic", "band", seed=seed)
+            for seed in range(7, 11)
+        ]
+        solo_sessions = [spec.session() for spec in specs]
 
         service = DefenseService()
-        sids = [service.open(spec_a), service.open(spec_b)]
-        for _ in range(spec_a.rounds):
+        sids = [service.open(spec) for spec in specs]
+        for _ in range(specs[0].rounds):
             mux = service.submit_many(sids)
             for sid, solo_session in zip(sids, solo_sessions, strict=False):
                 expected = solo_session.submit()
@@ -145,22 +147,25 @@ class TestRoutingAndErrors:
 
     def test_horizon_exhaustion_is_atomic(self):
         # One exhausted tenant fails the whole call before any stream
-        # advances — the healthy tenant replays identically afterwards.
-        fresh = matrix_spec("elastic-paper", "elastic", "band", seed=90)
+        # advances — the healthy tenants replay identically afterwards.
+        fresh = [
+            matrix_spec("elastic-paper", "elastic", "band", seed=seed)
+            for seed in (90, 92, 93)
+        ]
         short = matrix_spec(
             "elastic-paper", "elastic", "band", seed=91, rounds=1
         )
-        reference = solo_reference(fresh)
 
         service = DefenseService()
-        healthy = service.open(fresh)
+        healthy = [service.open(spec) for spec in fresh]
         tiny = service.open(short)
-        service.submit_many([healthy, tiny])
+        service.submit_many(healthy + [tiny])
         with pytest.raises(RuntimeError, match="horizon"):
-            service.submit_many([healthy, tiny])
-        while not service.session(healthy).done:
-            service.submit(healthy)
-        assert_results_identical(service.close(healthy), reference)
+            service.submit_many(healthy + [tiny])
+        for sid, spec in zip(healthy, fresh, strict=True):
+            while not service.session(sid).done:
+                service.submit(sid)
+            assert_results_identical(service.close(sid), solo_reference(spec))
 
     def test_generated_ids_are_stable(self):
         service = DefenseService()
@@ -191,6 +196,71 @@ class TestRoutingAndErrors:
             handle.snapshot()
         # The restored twin continues unharmed.
         service.submit(sid)
+
+
+class TestSmallCohortRouting:
+    """Same-round, same-shape runs shorter than ``_MIN_COHORT`` play solo."""
+
+    @staticmethod
+    def _open(service, n, seed0=300):
+        specs = [
+            matrix_spec("elastic-paper", "elastic", "band", seed=seed0 + r)
+            for r in range(n)
+        ]
+        return specs, [service.open(spec) for spec in specs]
+
+    @staticmethod
+    def _replay(spec, rounds):
+        session = spec.session()
+        for _ in range(rounds):
+            session.submit()
+        return session.close()
+
+    def test_run_below_the_constant_plays_solo(self):
+        service = DefenseService()
+        specs, sids = self._open(service, _MIN_COHORT - 1)
+        rounds = 3
+        for _ in range(rounds):
+            decisions = service.submit_many(sids)
+            assert list(decisions) == sids
+        assert service.stats.lane_builds == 0
+        assert service.stats.lockstep_rounds == 0
+        assert service.stats.solo_rounds == rounds * len(sids)
+        for sid, spec in zip(sids, specs, strict=True):
+            assert_results_identical(service.close(sid), self._replay(spec, rounds))
+
+    def test_run_of_the_constant_fuses(self):
+        service = DefenseService()
+        specs, sids = self._open(service, _MIN_COHORT)
+        rounds = 3
+        for _ in range(rounds):
+            service.submit_many(sids)
+        assert service.stats.lane_builds == 1
+        assert service.stats.lockstep_rounds == rounds
+        assert service.stats.lockstep_lanes == rounds * _MIN_COHORT
+        assert service.stats.solo_rounds == 0
+        for sid, spec in zip(sids, specs, strict=True):
+            assert_results_identical(service.close(sid), self._replay(spec, rounds))
+
+    def test_routed_solo_round_failure_quarantines_only_its_tenant(
+        self, monkeypatch
+    ):
+        service = DefenseService()
+        specs, sids = self._open(service, _MIN_COHORT - 1)
+        service.submit_many(sids)
+
+        def broken_trim(batch, percentile):
+            raise RuntimeError("trimmer failure")
+
+        # Raw registry access: service.session() is an out-of-band touch.
+        monkeypatch.setattr(service._sessions[sids[0]].trimmer, "trim", broken_trim)
+        decisions = service.submit_many(sids, on_error="quarantine")
+        assert list(decisions) == sids[1:]
+        assert service.quarantined_ids == [sids[0]]
+        assert service.quarantine_reason(sids[0]).kind == "round"
+        assert service.stats.lane_builds == 0
+        for sid, spec in zip(sids[1:], specs[1:], strict=True):
+            assert_results_identical(service.close(sid), self._replay(spec, 2))
 
 
 class TestEvictionAndResidency:
@@ -341,12 +411,12 @@ class TestStats:
         service = DefenseService()
         assert service.stats == ServiceStats()
         specs = [
-            matrix_spec("ostrich", "null", "band", seed=r) for r in range(3)
+            matrix_spec("ostrich", "null", "band", seed=r) for r in range(4)
         ]
         sids = [service.open(spec) for spec in specs]
         service.submit_many(sids)
         service.submit(sids[0])
-        assert service.stats.opened == 3
+        assert service.stats.opened == 4
         assert service.stats.lockstep_rounds == 1
-        assert service.stats.lockstep_lanes == 3
+        assert service.stats.lockstep_lanes == 4
         assert service.stats.solo_rounds == 1

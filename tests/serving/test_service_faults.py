@@ -147,7 +147,7 @@ class TestTenantQuarantine:
     ):
         store = ResultStore(tmp_path)
         service = DefenseService(store=store)
-        specs, sids = self._cohort(service)
+        specs, sids = self._cohort(service, n=5)
         references = [solo_reference(spec) for spec in specs]
 
         service.evict(sids[1])
@@ -156,7 +156,7 @@ class TestTenantQuarantine:
         for _ in range(specs[0].rounds):
             decisions = service.submit_many(sids, on_error="quarantine")
             assert sids[1] not in decisions
-            assert set(decisions) == {sids[0], sids[2], sids[3]}
+            assert set(decisions) == {sids[0], sids[2], sids[3], sids[4]}
 
         # the broken tenant was quarantined exactly once, with a reason
         assert service.quarantined_ids == [sids[1]]
@@ -169,7 +169,7 @@ class TestTenantQuarantine:
         assert store.load(service._session_key(sids[1])) is not None
 
         # cohort peers completed byte-identically to standalone sessions
-        for index in (0, 2, 3):
+        for index in (0, 2, 3, 4):
             assert_results_identical(
                 service.close(sids[index]), references[index]
             )
@@ -177,7 +177,7 @@ class TestTenantQuarantine:
     def test_truncated_board_payload_quarantines_as_snapshot(self, tmp_path):
         store = ResultStore(tmp_path)
         service = DefenseService(store=store)
-        specs, sids = self._cohort(service, n=2)
+        specs, sids = self._cohort(service, n=5)
         service.submit_many(sids)
         service.evict(sids[1])
         # The blob unpickles, but its board's retained payload is one
@@ -190,7 +190,7 @@ class TestTenantQuarantine:
         store.save(key, record)
 
         decisions = service.submit_many(sids, on_error="quarantine")
-        assert set(decisions) == {sids[0]}
+        assert set(decisions) == set(sids) - {sids[1]}
         failure = service.quarantine_reason(sids[1])
         assert failure.kind == "snapshot"
         assert "SnapshotError" in failure.error
@@ -223,17 +223,17 @@ class TestTenantQuarantine:
     def test_malformed_batch_moves_nothing_under_raise(self):
         for kind, message in self.MALFORMED_BATCHES:
             service = DefenseService()
-            specs, sids = self._cohort(service, n=3, seed0=60)
+            specs, sids = self._cohort(service, n=4, seed0=60)
             bad = self._malformed(specs[1], kind)
             untouched = bad.copy()
             # parked, so the check runs on a trimmer restored from its
             # snapshot
             service.evict(sids[1])
-            batches = {sids[0]: None, sids[1]: bad, sids[2]: None}
+            batches = {**dict.fromkeys(sids), sids[1]: bad}
             with pytest.raises(ValueError, match=message):
                 service.submit_many(batches)
             # the caller's mapping and batch are left as they were...
-            assert batches == {sids[0]: None, sids[1]: bad, sids[2]: None}
+            assert batches == {**dict.fromkeys(sids), sids[1]: bad}
             assert np.array_equal(bad, untouched, equal_nan=True)
             # ...and no tenant moved: every game still equals solo play
             for _ in range(specs[0].rounds):
@@ -246,13 +246,13 @@ class TestTenantQuarantine:
     def test_malformed_batch_quarantines_as_input(self):
         for kind, message in self.MALFORMED_BATCHES:
             service, control = DefenseService(), DefenseService()
-            specs, sids = self._cohort(service, n=3, seed0=60)
+            specs, sids = self._cohort(service, n=5, seed0=60)
             for spec, sid in zip(specs[1:], sids[1:], strict=True):
                 control.open(spec, session_id=sid)
             bad = self._malformed(specs[0], kind)
 
             decisions = service.submit_many(
-                {sids[0]: bad, sids[1]: None, sids[2]: None},
+                {sids[0]: bad, **dict.fromkeys(sids[1:])},
                 on_error="quarantine",
             )
             failure = service.quarantine_reason(sids[0])
@@ -289,7 +289,7 @@ class TestTenantQuarantine:
         service = DefenseService()
         specs = [
             matrix_spec("elastic-paper", "elastic", "band", seed=70 + r)
-            for r in range(3)
+            for r in range(4)
         ]
         sids = [service.open(spec) for spec in specs]
         healthy_rounds = 3
@@ -308,9 +308,9 @@ class TestTenantQuarantine:
 
         monkeypatch.setattr(handle.trimmer, "trim", broken_trim)
         rows = specs[0].session().source.next_batch()[:5]
-        bad = {sids[0]: rows, sids[1]: None, sids[2]: None}
+        bad = {sids[0]: rows, sids[1]: None, sids[2]: None, sids[3]: None}
         decisions = service.submit_many(bad, on_error="quarantine")
-        assert set(decisions) == {sids[1], sids[2]}
+        assert set(decisions) == {sids[1], sids[2], sids[3]}
         assert service.quarantine_reason(sids[0]).kind == "round"
 
         reference = specs[0].session()
