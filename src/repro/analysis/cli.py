@@ -29,6 +29,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.session import SNAPSHOT_FORMAT
 from .diagnostics import Diagnostic, Severity
 from .engine import LintEngine
 from .rules import all_rules
@@ -40,7 +41,7 @@ _CONF_ROWS = [
     ("CONF002", "error", "stateful components round-trip export/import_state"),
     ("CONF003", "error", "ComponentSpecs importable, picklable, fingerprint-stable"),
     ("CONF004", "error", "score_kind/accepts_scores pairs are commensurable"),
-    ("CONF005", "error", "repro.session/1 envelope covers state-exporting classes"),
+    ("CONF005", "error", f"{SNAPSHOT_FORMAT} envelope covers state-exporting classes"),
     ("CONF006", "error", "registered lanes declare fusion_family/fusion_params"),
     ("CONF007", "error", "decision loop replays the golden transcript byte-for-byte"),
 ]

@@ -23,11 +23,12 @@ express:
   commensurable: when an evaluator claims it can reuse a trimmer's
   batch scores, scoring with and without the shared scores must be
   exactly equal (the engine's score-sharing fast path rides on this);
-* **CONF005** — the ``repro.session/1`` snapshot envelope covers every
-  state-exporting class: anything defining ``export_state`` must be
-  carried by one of the session's seven roles (collector, adversary,
-  injector, trimmer, quality, judge, source) or be a known nested
-  sub-state of one, else snapshots silently drop its state;
+* **CONF005** — the :data:`~repro.core.session.SNAPSHOT_FORMAT` snapshot
+  envelope covers every state-exporting class: anything defining
+  ``export_state`` must be carried by one of the session's seven roles
+  (collector, adversary, injector, trimmer, quality, judge, source) or
+  be a known nested sub-state of one, else snapshots silently drop its
+  state;
 * **CONF006** — every *registered* lane class declares its fusion
   contract: a non-empty ``fusion_family`` (the strategy family the
   cross-cell fusion planner groups by) and a ``fusion_params`` tuple
@@ -728,6 +729,7 @@ class ConformanceAuditor:
 
         from ..core.engine import BandExcessJudge, NoisyPositionJudge
         from ..core.quality import QualityEvaluator
+        from ..core.session import SNAPSHOT_FORMAT
         from ..core.strategies.base import AdversaryStrategy, CollectorStrategy
         from ..core.trimming import Trimmer
         from ..streams.injection import PoisonInjector
@@ -760,7 +762,7 @@ class ConformanceAuditor:
                     "CONF005",
                     cls,
                     f"`{cls.__name__}` exports state but fits none of the "
-                    "repro.session/1 envelope roles — snapshots would "
+                    f"{SNAPSHOT_FORMAT} envelope roles — snapshots would "
                     "silently drop its state",
                     "attach it to a session role (collector/adversary/"
                     "injector/trimmer/quality/judge/source) or register it "

@@ -534,17 +534,3 @@ class ModuleDataflow:
             ):
                 positions.append(i)
         return positions
-
-    def enclosing_qualname(self, node: ast.AST) -> Optional[str]:
-        """The ``f``/``Cls.m`` qualname of the function containing ``node``."""
-        fn: Optional[ast.AST] = None
-        for anc in self.ctx.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = anc
-                break
-        if fn is None:
-            return None
-        parent = self.ctx.parent(fn)
-        if isinstance(parent, ast.ClassDef):
-            return f"{parent.name}.{fn.name}"  # type: ignore[union-attr]
-        return fn.name  # type: ignore[union-attr]

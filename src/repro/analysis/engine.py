@@ -17,7 +17,7 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .diagnostics import Diagnostic, Severity
 from .suppressions import (
@@ -267,23 +267,3 @@ class LintEngine:
             findings.extend(self.lint_file(path))
         return findings
 
-
-def _names_in_target(target: ast.expr) -> Iterator[str]:
-    """Every plain name bound by an assignment target."""
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _names_in_target(element)
-
-
-def assigned_names(node: ast.stmt) -> Tuple[str, ...]:
-    """Plain names bound by an assignment statement (empty otherwise)."""
-    if isinstance(node, ast.Assign):
-        names: List[str] = []
-        for target in node.targets:
-            names.extend(_names_in_target(target))
-        return tuple(names)
-    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        return tuple(_names_in_target(node.target))
-    return ()

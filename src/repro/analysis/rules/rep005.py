@@ -1,6 +1,6 @@
 """REP005 — ``__init__``-assigned state must be restored by ``reset()``.
 
-The lifecycle contract behind snapshot/restore byte-identity: any
+The lifecycle contract behind export/import byte-identity: any
 attribute a component initializes and then mutates during play is
 mid-game state, and ``reset()`` / ``import_state()`` must put it back.
 The rule diffs attribute sets: it collects ``self.X`` assignments in

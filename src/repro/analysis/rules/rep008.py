@@ -16,8 +16,9 @@ defines both ``__init__`` and an ``export_state`` surface:
   covering the attribute is enough for the static check — the live
   CONF002 audit verifies the actual byte round-trip).
 
-``init ∩ play − covered`` is mid-game state a snapshot would lose, and
-each such attribute is flagged at its ``__init__`` assignment.
+``init ∩ play − covered`` is mid-game state a state round trip would
+lose, and each such attribute is flagged at its ``__init__``
+assignment.
 """
 
 from __future__ import annotations

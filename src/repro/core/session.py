@@ -16,9 +16,9 @@ transition:
   now a thin driver over this transition — byte-identical to the
   historical loop, pinned by the test suite.
 * :meth:`GameSession.snapshot` / :meth:`GameSession.restore` — complete
-  mid-game state capture: strategy state, every RNG consumer's
-  ``Generator`` bit-state and the board's columns (plus one retained
-  array per round on a full board).  The board's length is the session's
+  mid-game state capture: the components as they stand (strategy
+  state, every RNG consumer's ``Generator`` bit-state, the stream
+  position) and the public board.  The board's length is the session's
   round position, and its last row the observation both strategies
   react to next.  A session suspended in one process resumes
   byte-identically in another.
@@ -41,22 +41,22 @@ transition:
 Snapshot format
 ---------------
 ``snapshot()`` returns a pickled envelope tagged :data:`SNAPSHOT_FORMAT`
-that carries (a) the calibrated components themselves and (b) the
-structured ``state_dict()`` — each stateful component's
-``export_state()`` document.  ``restore()`` rebuilds the components,
-``reset()``s every one that exports authoritative state, and replays the
-state document through ``import_state()``; the byte-identity of the
-continued game (tested across the full shipped strategy matrix) is the
-proof that the exported state is complete.  What a spec's dataset
-already determines is named, not carried: a fit or stream built on a
-keyed array (:func:`~repro.core.domain.key_reference`, e.g. every
-``load_reference`` dataset) pickles its key, and restores onto the live
-array and shared fit.  The snapshot's own pickler writes each Generator
-whose state the document exported as a rebuild from that document, and
-a stream's epoch order in the smallest unsigned dtype.  Snapshots are a
-*process migration* format, not an archival one: they are tied to the
-package version that wrote them and to pickle availability (see README,
-"Serving live streams").
+that carries each fact once: the calibrated components as they stand,
+the :class:`~repro.streams.board.PublicBoard` itself (which pickles as
+its own column lists) and a ``session`` document of the horizon, the
+score-sharing flag and the closed flag.  ``restore()`` unpickles and
+seats them; it calls no component's ``reset()`` or ``import_state()``,
+and the byte-identity of the continued game (tested across the full
+shipped strategy matrix) is the proof that the pickled components are
+complete.  What a spec's dataset already determines is named, not
+carried: a fit or stream built on a keyed array
+(:func:`~repro.core.domain.key_reference`, e.g. every ``load_reference``
+dataset) pickles its key, and restores onto the live array and shared
+fit.  The snapshot's own pickler writes each Generator as a rebuild
+from its state document, and a stream's epoch order in the smallest
+unsigned dtype.  Snapshots are a *process migration* format, not an
+archival one: they are tied to the package version that wrote them and
+to pickle availability (see README, "Serving live streams").
 """
 
 from __future__ import annotations
@@ -99,13 +99,13 @@ from .fusion import (
     fused_collector_lanes,
 )
 from .strategies.base import (
+    _BIT_GENERATORS,
     AdversaryStrategy,
     CollectorStrategy,
-    RngExports,
     RoundObservation,
     RoundObservationBatch,
     generator_from_state,
-    recorded_rng_states,
+    rng_state,
 )
 from .trimming import Trimmer
 
@@ -123,7 +123,7 @@ __all__ = [
 ]
 
 #: Snapshot envelope tag; bumped when the layout changes incompatibly.
-SNAPSHOT_FORMAT = "repro.session/1"
+SNAPSHOT_FORMAT = "repro.session/2"
 
 
 class SnapshotError(ValueError):
@@ -172,26 +172,26 @@ def _reduce_array(array: Array) -> Any:
     return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
 
 
-def _snapshot_bytes(payload: Dict[str, Any], recorded: RngExports) -> bytes:
+def _reduce_generator(rng: np.random.Generator) -> Any:
+    # numpy's five bit generators rebuild from their state document
+    # without the OS-entropy seeding numpy's own unpickling does first.
+    state = rng_state(rng)
+    if _BIT_GENERATORS.get(state["bit_generator"]) is type(rng.bit_generator):
+        return (generator_from_state, (state,))
+    return rng.__reduce__()
+
+
+def _snapshot_bytes(payload: Dict[str, Any]) -> bytes:
     """Pickle a snapshot payload with the snapshot's own reducers.
 
-    A Generator whose state the payload's state document recorded
-    (:func:`~repro.core.strategies.base.recorded_rng_states`) is written
-    as a rebuild from that very document, so its bit-state travels once
-    and unpickles without OS-entropy seeding; an index vector is stored
-    compactly (:func:`_reduce_array`).  Everything else pickles as
+    A Generator is written as a rebuild from its state document
+    (:func:`_reduce_generator`) and an index vector compactly
+    (:func:`_reduce_array`).  Everything else pickles as
     ``pickle.dumps`` would, and no class-level pickling changes, so a
     standalone ``pickle`` or ``copy.deepcopy`` of a component is whole.
     """
-
-    def reduce_generator(rng: np.random.Generator) -> Any:
-        entry = recorded.get(id(rng))
-        if entry is None or entry[0] is not rng:
-            return rng.__reduce__()
-        return (generator_from_state, (entry[1],))
-
     table: Dict[type, Callable[[Any], Any]] = dict(copyreg.dispatch_table)
-    table[np.random.Generator] = reduce_generator
+    table[np.random.Generator] = _reduce_generator
     table[np.ndarray] = _reduce_array
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -915,11 +915,12 @@ class GameSession:
     def state_dict(self) -> Dict[str, dict]:
         """Every component's exported mutable state, keyed by role.
 
-        The structured half of a snapshot: plain-data documents from
-        each component's ``export_state()`` (empty for stateless
-        components).  Restoring replays these through
-        ``import_state()`` after a ``reset()`` — completeness is what
-        the cross-process byte-identity tests assert.
+        Plain-data documents from each component's ``export_state()``
+        (empty for stateless components): what ``reset()`` followed by
+        ``import_state()`` would bring a fresh component back to.  A
+        snapshot does not carry them (it pickles the components
+        themselves); they are the audit surface the conformance checks
+        and the golden transcript read.
         """
         self._flush_deferred()
         state: Dict[str, dict] = {}
@@ -933,14 +934,15 @@ class GameSession:
     def snapshot(self) -> bytes:
         """Serialize the complete mid-game state to a portable blob.
 
-        The envelope carries the calibrated components, the structured
-        :meth:`state_dict`, the board's column arrays (plus retained
-        payloads on full boards), and the round position and board mode,
-        which a restore checks against the board.  The last observation
-        is not stored: the restored board derives it from its last row.
-        See the module docstring for the format contract.  Raises
-        :class:`SnapshotError` (chained to pickle's error) when the
-        payload cannot be pickled; the session stays live.
+        The envelope carries each fact once: the calibrated components
+        as they stand, the payoff model, the board (its own column
+        lists, plus one retained array per round on a full board) and a
+        ``session`` document of ``horizon``, ``share_scores`` and
+        ``closed``.  The round position, the board mode and the last
+        observation are the board's.  See the module docstring for the
+        format contract.  Raises :class:`SnapshotError` (chained to
+        pickle's error) when the payload cannot be pickled; the session
+        stays live.
         """
         from .. import __version__
 
@@ -952,8 +954,6 @@ class GameSession:
                 "live game"
             )
         self._flush_deferred()
-        with recorded_rng_states() as recorded:
-            state = self.state_dict()
         payload = {
             "format": SNAPSHOT_FORMAT,
             "package_version": __version__,
@@ -962,21 +962,15 @@ class GameSession:
                 for name, component in self._stateful_components()
             },
             "payoff_model": self.payoff_model,
-            "state": state,
-            "board": {
-                "columns": self._board.columns,
-                "retained": self._board.retained,
-            },
+            "board": self._board,
             "session": {
                 "horizon": self.horizon,
-                "store_retained": self.store_retained,
                 "share_scores": self._share_scores,
-                "round": len(self._board),
                 "closed": self._closed,
             },
         }
         try:
-            return _snapshot_bytes(payload, recorded)
+            return _snapshot_bytes(payload)
         except Exception as exc:
             # A component holding a lambda, a lock, an open file...:
             # the session stays live and untouched, only unparkable.
@@ -988,16 +982,14 @@ class GameSession:
     def restore(cls, blob: bytes) -> "GameSession":
         """Rebuild a session from a :meth:`snapshot` blob.
 
-        Components that export authoritative state are ``reset()`` and
-        re-imported from the structured state document; components with
-        nothing to export (stateless strategies, custom user objects)
-        keep their deserialized attributes untouched.  The restored
-        session continues byte-identically to the uninterrupted
-        original — in this process or any other.
+        The unpickled components and board are seated as they are: no
+        component is ``reset()`` or re-imported.  The restored session
+        continues byte-identically to the uninterrupted original — in
+        this process or any other.
 
         Every failure mode — corrupt bytes, a foreign envelope, a
-        structurally broken payload, a board that does not fit its
-        round position or board mode — raises :class:`SnapshotError`.
+        structurally broken payload, a board whose columns or retained
+        arrays do not fit together — raises :class:`SnapshotError`.
         """
         try:
             payload = pickle.loads(blob)
@@ -1017,22 +1009,12 @@ class GameSession:
             )
         try:
             components = payload["components"]
-            state = payload["state"]
-            for name, component in components.items():
-                if component is None:
-                    continue
-                component_state = state.get(name)
-                if not component_state:
-                    # Nothing exported: the pickled object already carries
-                    # whatever state it has; resetting would destroy it.
-                    continue
-                component_reset = getattr(component, "reset", None)
-                if callable(component_reset):
-                    component_reset()
-                importer = getattr(component, "import_state", None)
-                if callable(importer):
-                    importer(component_state)
-
+            board = payload["board"]
+            if not isinstance(board, PublicBoard):
+                raise SnapshotError(
+                    "snapshot board is a "
+                    f"{type(board).__name__}, not a PublicBoard"
+                )
             doc = payload["session"]
             session = cls(
                 collector=components["collector"],
@@ -1043,27 +1025,11 @@ class GameSession:
                 judge=components["judge"],
                 share_scores=doc["share_scores"],
                 horizon=doc["horizon"],
-                store_retained=doc["store_retained"],
                 payoff_model=payload["payoff_model"],
                 source=components["source"],
                 reset=False,
             )
-            board_doc = payload["board"]
-            if (board_doc["retained"] is None) == bool(doc["store_retained"]):
-                raise SnapshotError(
-                    "snapshot board's retained rows do not match its "
-                    f"store_retained={bool(doc['store_retained'])}"
-                )
-            session._board = PublicBoard.from_columns(
-                board_doc["columns"],
-                retained=board_doc["retained"],
-                store_retained=doc["store_retained"],
-            )
-            if int(doc["round"]) != len(session._board):
-                raise SnapshotError(
-                    f"snapshot session is at round {int(doc['round'])}, but "
-                    f"its board records {len(session._board)} rounds"
-                )
+            session._board = board
             session._closed = bool(doc["closed"])
         except SnapshotError:
             raise

@@ -13,10 +13,8 @@ percentile; adversary strategies map it to the next injection percentile
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
@@ -31,13 +29,7 @@ __all__ = [
     "rng_state",
     "set_rng_state",
     "generator_from_state",
-    "recorded_rng_states",
 ]
-
-#: Exported Generators -> ``(generator, document)``, by generator id,
-#: while :func:`recorded_rng_states` is active in this context.
-RngExports = Dict[int, Tuple[np.random.Generator, Dict[str, Any]]]
-_RECORDED: ContextVar[Optional[RngExports]] = ContextVar("_RECORDED", default=None)
 
 #: numpy's bit generators, by the name their state documents carry.
 _BIT_GENERATORS = {
@@ -60,18 +52,12 @@ def rng_state(rng: np.random.Generator) -> dict[str, Any]:
     The returned dict is ``rng.bit_generator.state`` — a plain-data
     document that fully determines every future draw.  numpy's getter
     builds a fresh document on every read (array fields included), so
-    mutating it never moves ``rng``.  The session snapshot layer
-    (:mod:`repro.core.session`) carries these for every RNG consumer so
-    a restored game replays byte-identically; inside
-    :func:`recorded_rng_states` the document is also recorded.
+    mutating it never moves ``rng``.  The session snapshot's pickler
+    (:mod:`repro.core.session`) writes a Generator as this document
+    wherever :func:`generator_from_state` can rebuild it, so a restored
+    game replays byte-identically.
     """
     state: dict[str, Any] = rng.bit_generator.state
-    recorded = _RECORDED.get()
-    if (
-        recorded is not None
-        and _BIT_GENERATORS.get(state["bit_generator"]) is type(rng.bit_generator)
-    ):
-        recorded[id(rng)] = (rng, state)
     return state
 
 
@@ -93,24 +79,6 @@ def generator_from_state(state: dict[str, Any]) -> np.random.Generator:
     rng = np.random.Generator(_BIT_GENERATORS[state["bit_generator"]](_FILLER_SEED))
     set_rng_state(rng, state)
     return rng
-
-
-@contextmanager
-def recorded_rng_states() -> Iterator[RngExports]:
-    """Record the documents :func:`rng_state` exports in this block.
-
-    Only Generators :func:`generator_from_state` can rebuild (numpy's
-    five bit generators) are recorded.  A session snapshot exports its
-    components' states inside one, so its pickler can write each
-    recorded Generator as a rebuild from the document the state already
-    carries: the bit-state travels once.
-    """
-    recorded: RngExports = {}
-    token = _RECORDED.set(recorded)
-    try:
-        yield recorded
-    finally:
-        _RECORDED.reset(token)
 
 
 @dataclass(frozen=True)
@@ -258,8 +226,8 @@ class CollectorStrategy:
 
         Everything :meth:`reset` would clear — and nothing else: static
         configuration (thresholds, offsets, seeds) stays on the object.
-        The contract, relied on by session snapshots
-        (:mod:`repro.core.session`): ``reset()`` followed by
+        The contract, audited by ``repro lint`` (CONF002) and read by its
+        golden transcript (CONF007): ``reset()`` followed by
         ``import_state(state)`` reproduces the exact point of play at
         which ``state`` was exported, including RNG bit-state.  Stateless
         strategies inherit this empty default.

@@ -105,10 +105,6 @@ class TournamentResult:
         """Collector with the largest mass in the minimax mixture."""
         return self.collector_names[int(np.argmax(self.collector_mixture))]
 
-    def best_adversary(self) -> str:
-        """Adversary with the largest mass in the minimax mixture."""
-        return self.adversary_names[int(np.argmax(self.adversary_mixture))]
-
 
 def _score_game(result, overhead_weight: float) -> Tuple[float, float]:
     """(adversary, collector) payoffs of one finished game.

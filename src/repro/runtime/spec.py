@@ -94,6 +94,22 @@ USER_CHANNEL = 8
 SeedLike = Union[int, np.random.SeedSequence]
 
 
+def _root_seed(seed: SeedLike) -> np.random.SeedSequence:
+    """``seed`` as a :class:`~numpy.random.SeedSequence` (itself if one)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def _child_seed(seed: SeedLike, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``seed`` (see :meth:`GameSpec.child_seed`)."""
+    root = _root_seed(seed)
+    return np.random.SeedSequence(
+        entropy=root.entropy,
+        spawn_key=tuple(root.spawn_key) + (int(index),),
+    )
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     """An importable factory plus kwargs — a picklable recipe for one object.
@@ -118,29 +134,17 @@ class ComponentSpec:
                 "time; remove the explicit 'seed' kwarg"
             )
 
-    @staticmethod
-    def _nested_seed(
-        seed: Optional[SeedLike], index: int
-    ) -> Optional[np.random.SeedSequence]:
-        """A distinct child seed per nested component (never the parent's)."""
-        if seed is None:
-            return None
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        return np.random.SeedSequence(
-            entropy=root.entropy,
-            spawn_key=tuple(root.spawn_key) + (int(index),),
-        )
-
     def build(self, seed: Optional[SeedLike] = None) -> Any:
-        """Instantiate the component (fresh object every call)."""
+        """Instantiate the component (fresh object every call).
+
+        A nested component gets its own child seed, never the parent's.
+        """
         built = {}
         for index, (key, value) in enumerate(self.kwargs.items()):
             if isinstance(value, ComponentSpec):
-                built[key] = value.build(self._nested_seed(seed, index))
+                built[key] = value.build(
+                    None if seed is None else _child_seed(seed, index)
+                )
             else:
                 built[key] = value
         if self.seeded:
@@ -207,9 +211,7 @@ class GameSpec:
     # ------------------------------------------------------------------ #
     def seed_sequence(self) -> np.random.SeedSequence:
         """The spec's root :class:`~numpy.random.SeedSequence`."""
-        if isinstance(self.seed, np.random.SeedSequence):
-            return self.seed
-        return np.random.SeedSequence(self.seed)
+        return _root_seed(self.seed)
 
     def child_seed(self, channel: int) -> np.random.SeedSequence:
         """Deterministic, collision-free child seed for one channel.
@@ -218,11 +220,7 @@ class GameSpec:
         the spawn key — but stateless, so the same channel always yields
         the same child no matter how many were derived before it.
         """
-        root = self.seed_sequence()
-        return np.random.SeedSequence(
-            entropy=root.entropy,
-            spawn_key=tuple(root.spawn_key) + (int(channel),),
-        )
+        return _child_seed(self.seed, channel)
 
     def with_tags(self, **tags: Any) -> "GameSpec":
         """A copy of the spec with extra tags merged in."""
@@ -325,21 +323,13 @@ class TaskSpec:
 
     def seed_sequence(self) -> Optional[np.random.SeedSequence]:
         """The spec's root seed, or ``None`` for deterministic tasks."""
-        if self.seed is None:
-            return None
-        if isinstance(self.seed, np.random.SeedSequence):
-            return self.seed
-        return np.random.SeedSequence(self.seed)
+        return None if self.seed is None else _root_seed(self.seed)
 
     def child_seed(self, channel: int) -> np.random.SeedSequence:
         """Deterministic child seed for one channel (see ``GameSpec``)."""
-        root = self.seed_sequence()
-        if root is None:
+        if self.seed is None:
             raise ValueError("a seedless TaskSpec has no child seeds")
-        return np.random.SeedSequence(
-            entropy=root.entropy,
-            spawn_key=tuple(root.spawn_key) + (int(channel),),
-        )
+        return _child_seed(self.seed, channel)
 
     def with_tags(self, **tags: Any) -> "TaskSpec":
         """A copy of the spec with extra tags merged in."""

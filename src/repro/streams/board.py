@@ -130,25 +130,11 @@ class PublicBoard:
         self._columns_cache: Optional[BoardColumns] = None
         self._last: Optional[RoundObservation] = None
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_columns(
-        cls,
-        columns: BoardColumns,
-        retained: Optional[Sequence[Array]] = None,
-        store_retained: bool = True,
-    ) -> "PublicBoard":
-        """A board born from column arrays (a session snapshot's restore).
-
-        A full board needs ``retained`` to carry one array per round; a
-        lean board drops it.
-        """
-        board = cls(store_retained=store_retained)
-        board.extend_columns(
-            {name: getattr(columns, name).tolist() for name in _COLUMN_FIELDS},
-            retained,
-        )
-        return board
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A board pickles (and copies) as its own column lists and
+        # retained list; the rebuild appends them through extend_columns,
+        # which checks them as it checks any bulk append.
+        return (_rebuilt_board, (self.store_retained, self._cols, self._retained))
 
     # ------------------------------------------------------------------ #
     @property
@@ -263,7 +249,7 @@ class PublicBoard:
         """The last round's public observation, or ``None`` before round 1.
 
         The object :meth:`record` stored last; after a bulk append
-        (:meth:`extend_columns`, :meth:`from_columns`) it is derived once
+        (:meth:`extend_columns`, an unpickled board) it is derived once
         from the last column row.
         """
         if self._last is None and len(self):
@@ -314,6 +300,17 @@ class PublicBoard:
         if collected == 0:
             return 0.0
         return 1.0 - int(np.sum(cols.n_retained)) / collected
+
+
+def _rebuilt_board(
+    store_retained: bool,
+    columns: dict[str, Sequence[Any]],
+    retained: Optional[Sequence[Array]],
+) -> PublicBoard:
+    """Unpickle (or copy) a :class:`PublicBoard` from its own lists."""
+    board = PublicBoard(store_retained=store_retained)
+    board.extend_columns(columns, retained)
+    return board
 
 
 class ColumnarBoard:

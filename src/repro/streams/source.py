@@ -102,7 +102,7 @@ class ArrayStream(StreamSource):
 
     def export_state(self) -> dict[str, Any]:
         # The epoch order is read-only and replaced, never shuffled in
-        # place, so the state shares it: a snapshot pickles it once.
+        # place, so the state shares it instead of copying it.
         return {
             "rng": rng_state(self._rng),
             "order": self._order,

@@ -117,6 +117,10 @@ MATRIX_JUDGES = {
 }
 
 
+class RenamedPCG64(np.random.PCG64):
+    """A bit generator outside numpy's five (its state names this class)."""
+
+
 def matrix_spec(collector, adversary, judge, seed=0, rounds=8) -> GameSpec:
     """One matrix cell as a spec (jittered injector, noisy judge)."""
     return GameSpec(
@@ -592,24 +596,50 @@ class TestSnapshotRestore:
 
     def test_restore_rejects_truncated_retained_payload(self):
         def drop_last_round(payload):
-            payload["board"]["retained"] = payload["board"]["retained"][:-1]
+            payload["board"]._retained.pop()
 
         with pytest.raises(SnapshotError, match="retained"):
             GameSession.restore(self._edited_blob(drop_last_round))
 
-    def test_restore_rejects_round_that_disagrees_with_board(self):
-        def skip_ahead(payload):
-            payload["session"]["round"] = 7
+    def test_restore_rejects_a_board_that_is_not_a_board(self):
+        def swap_board(payload):
+            payload["board"] = {"columns": payload["board"].columns}
 
-        with pytest.raises(SnapshotError, match="round 7"):
-            GameSession.restore(self._edited_blob(skip_ahead))
+        with pytest.raises(SnapshotError, match="not a PublicBoard"):
+            GameSession.restore(self._edited_blob(swap_board))
 
-    def test_restore_rejects_retained_that_disagrees_with_mode(self):
-        def go_lean(payload):
-            payload["session"]["store_retained"] = False
+    def test_restore_refuses_the_previous_envelope(self):
+        def relabel(payload):
+            payload["format"] = "repro.session/1"
 
-        with pytest.raises(SnapshotError, match="store_retained=False"):
-            GameSession.restore(self._edited_blob(go_lean))
+        with pytest.raises(SnapshotError, match=SNAPSHOT_FORMAT):
+            GameSession.restore(self._edited_blob(relabel))
+
+    def test_restore_calls_no_reset_or_import_state(self, monkeypatch):
+        # The pickled components are the live state: a restore seats
+        # them as they unpickle, and the game resumes byte-identically.
+        spec = matrix_spec("generous", "mixed", "position", seed=5)
+        session = spec.session()
+        for _ in range(3):
+            session.submit()
+        blob = session.snapshot()
+        calls = []
+
+        def spy(name):
+            def called(component, *args):
+                calls.append((type(component).__name__, name))
+
+            return called
+
+        with monkeypatch.context() as patch:
+            for _, component in session._stateful_components():
+                for name in ("reset", "import_state"):
+                    patch.setattr(type(component), name, spy(name), raising=False)
+            resumed = GameSession.restore(blob)
+        assert calls == []
+        while not resumed.done:
+            resumed.submit()
+        assert_results_identical(resumed.close(), spec.play())
 
     @pytest.mark.parametrize("lockstep", [False, True])
     def test_blob_with_a_last_observation_field_restores_identically(
@@ -642,14 +672,14 @@ class TestSnapshotRestore:
     def test_snapshot_pickles_stream_order_once(self):
         session = matrix_spec("static", "fixed", "band").session()
         session.submit()
-        payload = pickle.loads(session.snapshot())
-        source = payload["components"]["source"]
-        assert payload["state"]["source"]["order"] is source._order
+        blob = session.snapshot()
+        assert blob.count(session.source._order.astype(np.uint16).tobytes()) == 1
+        assert "state" not in pickle.loads(blob)
 
     def test_snapshot_compacts_the_order_and_writes_each_generator_once(self):
         # The blob stores the epoch order in the smallest unsigned dtype,
         # and no Generator in numpy's own pickle form, which seeds from
-        # OS entropy on load: each is rebuilt from its exported state.
+        # OS entropy on load: each is rebuilt from its state document.
         session = matrix_spec("generous", "mixed", "band", seed=2).session()
         session.submit()
         blob = session.snapshot()
@@ -670,13 +700,29 @@ class TestSnapshotRestore:
         payload = Recording(io.BytesIO(blob)).load()
         assert "__generator_ctor" not in loaded
         assert "generator_from_state" in loaded
+        assert "state" not in payload
         for role in ("collector", "adversary", "injector", "judge", "source"):
             rng = payload["components"][role]._rng
-            assert rng_state(rng) == payload["state"][role]["rng"]
+            assert rng_state(rng) == rng_state(getattr(session, role)._rng)
         restored = payload["components"]["source"]
         assert restored._order.dtype == np.int64
         assert not restored._order.flags.writeable
-        assert payload["state"]["source"]["order"] is restored._order
+
+    def test_generator_on_another_bit_generator_pickles_whole(self):
+        # A Generator that generator_from_state cannot rebuild travels in
+        # numpy's own pickle form, and the restored game continues.
+        session = matrix_spec("static", "fixed", "band", seed=3).session()
+        session.injector._rng = np.random.Generator(RenamedPCG64(7))
+        session.submit()
+        blob = session.snapshot()
+        assert b"__generator_ctor" in blob
+        resumed = GameSession.restore(blob)
+        assert type(resumed.injector._rng.bit_generator) is RenamedPCG64
+        for _ in range(3):
+            want = session.submit()
+            got = resumed.submit()
+            assert got.observation == want.observation
+            assert got.retained.tobytes() == want.retained.tobytes()
 
     @pytest.mark.parametrize("last_observation", [False, True])
     def test_blob_in_the_unkeyed_layout_restores_identically(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import ComponentSpec, DefenseService, GameSpec, ResultStore, SnapshotError
-from repro.core.session import GameSession
+from repro.core.session import SNAPSHOT_FORMAT, GameSession
 from repro.core.strategies import StaticCollector
 from repro.serving.service import TenantFailure
 
@@ -60,7 +60,7 @@ class TestSnapshotError:
 
     def test_restore_foreign_pickle_raises_typed_error(self):
         blob = pickle.dumps({"format": "someone.else/9"})
-        with pytest.raises(SnapshotError, match="not a repro.session/1"):
+        with pytest.raises(SnapshotError, match=f"not a {SNAPSHOT_FORMAT}"):
             GameSession.restore(blob)
 
     def test_snapshot_error_is_a_value_error(self):
@@ -180,12 +180,12 @@ class TestTenantQuarantine:
         specs, sids = self._cohort(service, n=5)
         service.submit_many(sids)
         service.evict(sids[1])
-        # The blob unpickles, but its board's retained payload is one
-        # round short of its columns.
+        # The blob's board carries one retained array fewer than its
+        # rounds, so the board refuses to unpickle.
         key = service._session_key(sids[1])
         record = store.load(key)
         payload = pickle.loads(record["blob"])
-        payload["board"]["retained"] = payload["board"]["retained"][:-1]
+        payload["board"]._retained.pop()
         record["blob"] = pickle.dumps(payload)
         store.save(key, record)
 

@@ -1,5 +1,7 @@
 """Tests for repro.streams.board — the public board."""
 
+import copy
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -143,8 +145,8 @@ class TestLeanBoard:
 
 
 class TestBoardColumns:
-    def _two_round_board(self):
-        board = PublicBoard()
+    def _two_round_board(self, store_retained=True):
+        board = PublicBoard(store_retained=store_retained)
         _record(board, 1, np.zeros((8, 1)), 10, 4, 2)
         _record(board, 2, np.zeros((12, 1)), 14, 4, 4)
         return board
@@ -169,45 +171,75 @@ class TestBoardColumns:
         with pytest.raises(ValueError):
             cols.n_collected[0] = 99
 
-    def test_from_columns_round_trips(self):
-        source = self._two_round_board()
-        rebuilt = PublicBoard.from_columns(source.columns, store_retained=False)
-        assert len(rebuilt) == 2
-        assert rebuilt.poison_retained_fraction() == source.poison_retained_fraction()
-        assert rebuilt.trimmed_fraction() == source.trimmed_fraction()
-        assert [o.index for o in rebuilt.observations] == [1, 2]
-        assert rebuilt.columns.n_collected[-1] == 14
+    @staticmethod
+    def _copies(board):
+        """A pickle round trip and a deep copy of ``board``."""
+        return [
+            pickle.loads(pickle.dumps(board, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy(board),
+        ]
 
-    def test_from_columns_supports_record_append(self):
-        board = PublicBoard.from_columns(
-            self._two_round_board().columns, store_retained=False
-        )
-        _record(board, 3, np.zeros((5, 1)), 9)
-        assert len(board) == 3
-        assert board.columns.rounds == 3
-        assert [o.index for o in board.observations] == [1, 2, 3]
+    @pytest.mark.parametrize("store_retained", [False, True])
+    def test_pickle_and_deepcopy_round_trip(self, store_retained):
+        source = self._two_round_board(store_retained)
+        for rebuilt in self._copies(source):
+            assert rebuilt.store_retained is store_retained
+            assert len(rebuilt) == 2
+            assert rebuilt.poison_retained_fraction() == source.poison_retained_fraction()
+            assert rebuilt.trimmed_fraction() == source.trimmed_fraction()
+            assert rebuilt.observations == source.observations
+            assert rebuilt.last_observation == source.last_observation
+            for field in fields(BoardColumns):
+                got = getattr(rebuilt.columns, field.name)
+                want = getattr(source.columns, field.name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert _retained_outcome(rebuilt) == _retained_outcome(source)
+            assert [rows.tobytes() for rows in rebuilt.retained or ()] == [
+                rows.tobytes() for rows in source.retained or ()
+            ]
 
-    def test_from_columns_full_board_record_append(self):
-        source = self._two_round_board()
-        board = PublicBoard.from_columns(source.columns, retained=source.retained)
-        appended = np.full((5, 1), 7.0)
-        _record(board, 3, appended, 9)
-        assert len(board) == 3
-        np.testing.assert_array_equal(
-            board.retained_data(),
-            np.concatenate([source.retained_data(), appended]),
-        )
-        assert board.retained[-1] is appended
+    @pytest.mark.parametrize("store_retained", [False, True])
+    def test_round_trip_supports_record_append(self, store_retained):
+        source = self._two_round_board(store_retained)
+        for board in self._copies(source):
+            appended = np.full((5, 1), 7.0)
+            _record(board, 3, appended, 9)
+            assert len(board) == 3
+            assert board.columns.rounds == 3
+            assert [o.index for o in board.observations] == [1, 2, 3]
+            if store_retained:
+                np.testing.assert_array_equal(
+                    board.retained_data(),
+                    np.concatenate([source.retained_data(), appended]),
+                )
+                assert board.retained[-1] is appended
+        assert len(source) == 2  # the copies share no list with it
 
-    def test_from_columns_retained_payload(self):
-        source = self._two_round_board()
-        rebuilt = PublicBoard.from_columns(source.columns, retained=source.retained)
-        assert rebuilt.retained_data().shape == source.retained_data().shape
-
-    def test_from_columns_full_board_requires_retained_per_round(self):
-        source = self._two_round_board()
-        with pytest.raises(ValueError, match="retained"):
-            PublicBoard.from_columns(source.columns, retained=source.retained[:1])
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            pytest.param(
+                lambda board: board._retained.pop(), "retained", id="retained"
+            ),
+            pytest.param(
+                lambda board: board._cols["quality"].pop(), "'quality'", id="column"
+            ),
+            pytest.param(
+                lambda board: board._cols["index"].__setitem__(0, 2),
+                "out of order",
+                id="index",
+            ),
+        ],
+    )
+    def test_a_board_that_does_not_fit_together_fails_to_unpickle(
+        self, damage, match
+    ):
+        board = self._two_round_board()
+        damage(board)
+        blob = pickle.dumps(board)
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(blob)
 
 
 class TestExtendColumns:
@@ -356,11 +388,7 @@ class TestOneRepresentation:
             if done == len(records):
                 break
             if step == restore_after:
-                board = PublicBoard.from_columns(
-                    board.columns,
-                    retained=board.retained,
-                    store_retained=store_retained,
-                )
+                board = pickle.loads(pickle.dumps(board))
             if size == 0:
                 observation, retained, counts = records[done]
                 board.record(observation, retained, **counts)
