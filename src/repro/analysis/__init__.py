@@ -6,7 +6,7 @@ Two layers:
   :mod:`repro.analysis.rules`) — rules REP001–REP005 over source text;
 * the **registry conformance auditor**
   (:mod:`repro.analysis.conformance`) — imports the live registries and
-  checks the protocol lattice (batched lanes, export/import
+  checks the protocol lattice (batched lanes, snapshot pickle
   round-trips, ComponentSpec picklability and cross-process fingerprint
   stability, score-kind commensurability, snapshot-envelope coverage).
 

@@ -38,7 +38,7 @@ __all__ = ["add_lint_arguments", "run_lint", "main"]
 
 _CONF_ROWS = [
     ("CONF001", "error", "every shipped strategy has a batched lane"),
-    ("CONF002", "error", "stateful components round-trip export/import_state"),
+    ("CONF002", "error", "stateful components resume byte-identically from a snapshot pickle"),
     ("CONF003", "error", "ComponentSpecs importable, picklable, fingerprint-stable"),
     ("CONF004", "error", "score_kind/accepts_scores pairs are commensurable"),
     ("CONF005", "error", f"{SNAPSHOT_FORMAT} envelope covers state-exporting classes"),

@@ -8,12 +8,14 @@ express:
   registered array-native lane in ``strategies/batched.py`` (a strategy
   without a lane silently falls back to the per-rep loop, losing the
   batched-equals-solo guarantee's cheap half and hiding perf bugs);
-* **CONF002** — every stateful component round-trips: drive a canonical
-  instance mid-game, ``export_state()``, import into a fresh clone and
-  demand byte-identical continued play and re-exported state.  A
-  component that consumes randomness or keeps counters without
-  exporting them fails here.  Every state-exporting class must have a
-  canonical recipe — a new component cannot ship unexercised;
+* **CONF002** — every stateful component survives the round trip a
+  session restore performs: drive a canonical instance mid-game, clone
+  it through the snapshot's own pickler and demand byte-identical
+  continued play and re-exported state.  A component that cannot be
+  pickled, or whose ``__getstate__`` drops a counter or a Generator,
+  fails here, and so does one whose ``export_state()`` audit view
+  leaves out a Generator's bit-state.  Every state-exporting class must
+  have a canonical recipe — a new component cannot ship unexercised;
 * **CONF003** — every ``ComponentSpec`` reachable from the shipped
   scenario plans and scheme recipes is importable and picklable, and
   every planned ``GameSpec`` fingerprint is byte-stable across two
@@ -134,7 +136,7 @@ def _default_recipes() -> Dict[type, List[Callable[[], object]]]:
 
 
 #: class -> list of zero-arg factories building canonical instances.
-#: The auditor drives each one through a mid-game export/import
+#: The auditor drives each one through a mid-game snapshot pickle
 #: round-trip; tests may :func:`register_recipe` additional entries.
 CANONICAL_RECIPES: Dict[type, List[Callable[[], object]]] = {}
 
@@ -195,7 +197,7 @@ def _observation(index: int):
 class _Driver:
     """Role-specific calibrate/advance hooks for the round-trip audit."""
 
-    def calibrate(self, instance) -> None:  # pre-game setup, both twins
+    def calibrate(self, instance) -> None:  # pre-game setup; the clone inherits it
         pass
 
     def advance(self, instance, start: int, steps: int) -> list:
@@ -396,7 +398,7 @@ class ConformanceAuditor:
 
     # ------------------------------------------------------------------ #
     def check_state_round_trips(self) -> Iterator[Diagnostic]:
-        """CONF002 — canonical instances export/import byte-identically."""
+        """CONF002 — canonical instances pickle mid-game byte-identically."""
         recipes = _recipes()
         collectors, adversaries = self._shipped_strategies()
         for cls in [*collectors, *adversaries]:
@@ -405,7 +407,7 @@ class ConformanceAuditor:
                     "CONF002",
                     cls,
                     f"strategy `{cls.__name__}` has no canonical recipe — "
-                    "its export/import round-trip is unexercised",
+                    "its snapshot round-trip is unexercised",
                     "add a factory to analysis.conformance.CANONICAL_RECIPES "
                     "via register_recipe()",
                 )
@@ -432,8 +434,9 @@ class ConformanceAuditor:
                         cls,
                         f"round-trip of `{cls.__name__}` (recipe {idx}) "
                         f"raised {type(exc).__name__}: {exc}",
-                        "the component must survive export_state/"
-                        "import_state mid-game",
+                        "a session snapshot pickles the component: it must "
+                        "hold no lambda, lock or open file, or the tenant "
+                        "can never be evicted",
                     )
                 if finding is not None:
                     yield finding
@@ -441,38 +444,47 @@ class ConformanceAuditor:
     def _round_trip(
         self, cls: type, idx: int, factory: Callable[[], object], driver: _Driver
     ) -> Optional[Diagnostic]:
+        from ..core.session import _snapshot_bytes
+        from ..core.strategies.base import rng_state
+
         warmup, continuation = 5, 4
         original = factory()
-        if not callable(getattr(original, "export_state", None)) or not callable(
-            getattr(original, "import_state", None)
-        ):
+        if not callable(getattr(original, "export_state", None)):
             return self._finding(
                 "CONF002",
                 cls,
-                f"`{cls.__name__}` does not implement "
-                "export_state()/import_state()",
+                f"`{cls.__name__}` does not implement export_state()",
                 "implement the state protocol so sessions can snapshot it",
             )
         driver.calibrate(original)
         driver.advance(original, 0, warmup)
-        state = original.export_state()
-
-        clone = factory()
-        driver.calibrate(clone)
-        clone.import_state(state)
-
+        exported = _canonical(original.export_state())
+        for attr, value in getattr(original, "__dict__", {}).items():
+            if isinstance(value, np.random.Generator) and (
+                _canonical(rng_state(value)) not in exported
+            ):
+                return self._finding(
+                    "CONF002",
+                    cls,
+                    f"`{cls.__name__}` (recipe {idx}) export_state() does "
+                    f"not carry the bit-state of its Generator `{attr}`",
+                    "export rng_state() of every Generator: state_dict() "
+                    "and the golden transcript read export_state()",
+                )
+        clone = pickle.loads(_snapshot_bytes({"component": original}))["component"]
         got = driver.advance(clone, warmup, continuation)
         want = driver.advance(original, warmup, continuation)
         if _canonical(got) != _canonical(want):
             return self._finding(
                 "CONF002",
                 cls,
-                f"`{cls.__name__}` (recipe {idx}) diverges after an "
-                "export_state/import_state round-trip: continued play is "
-                "not byte-identical",
-                "export every mutable attribute (RNG bit-generator state, "
-                "counters, trigger sub-state) and restore all of them in "
-                "import_state()",
+                f"`{cls.__name__}` (recipe {idx}) diverges after a "
+                "snapshot pickle round-trip: continued play is not "
+                "byte-identical",
+                "a restore seats the unpickled component as it is: "
+                "pickle every mutable attribute (RNG bit-generator state, "
+                "counters, trigger sub-state), including through "
+                "__getstate__/__setstate__",
             )
         if _canonical(original.export_state()) != _canonical(
             clone.export_state()

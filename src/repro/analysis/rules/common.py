@@ -14,14 +14,13 @@ __all__ = [
     "component_classes",
     "class_methods",
     "self_attribute_assigns",
-    "self_method_calls",
     "target_attr_and_names",
     "is_mutable_literal",
     "terminal_name",
 ]
 
 #: Protocol base classes whose subclasses are game components with the
-#: reset()/export_state()/import_state() lifecycle contract.
+#: reset()/export_state() lifecycle contract.
 PROTOCOL_BASES = {
     "CollectorStrategy",
     "AdversaryStrategy",
@@ -133,20 +132,6 @@ def self_attribute_assigns(fn: ast.FunctionDef) -> Dict[str, List[ast.stmt]]:
             for name in attr_targets(target):
                 assigns.setdefault(name, []).append(node)  # type: ignore[arg-type]
     return assigns
-
-
-def self_method_calls(fn: ast.FunctionDef) -> Set[str]:
-    """Names of methods the body invokes as ``self.m(...)``."""
-    calls: Set[str] = set()
-    for node in walk_body(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        ):
-            calls.add(node.func.attr)
-    return calls
 
 
 def target_attr_and_names(targets: Sequence[ast.expr]) -> Iterator[str]:

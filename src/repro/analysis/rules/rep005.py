@@ -1,13 +1,12 @@
 """REP005 — ``__init__``-assigned state must be restored by ``reset()``.
 
-The lifecycle contract behind export/import byte-identity: any
-attribute a component initializes and then mutates during play is
-mid-game state, and ``reset()`` / ``import_state()`` must put it back.
-The rule diffs attribute sets: it collects ``self.X`` assignments in
-``__init__``, resolves the *restored* set through the module dataflow
-layer (``self.m()`` calls transitively from ``reset`` and
-``import_state``, plus module-level helpers that receive ``self`` —
-``_shared_reset(self)`` counts), and flags
+The lifecycle contract behind replayable games: any attribute a
+component initializes and then mutates during play is mid-game state,
+and ``reset()`` must put it back.  The rule diffs attribute sets: it
+collects ``self.X`` assignments in ``__init__``, resolves the
+*restored* set through the module dataflow layer (``self.m()`` calls
+transitively from ``reset``, plus module-level helpers that receive
+``self`` — ``_shared_reset(self)`` counts), and flags
 
 * **(A)** init-assigned attributes also mutated in play methods but
   absent from the restored set — a fresh game would inherit stale
@@ -41,7 +40,7 @@ from .common import (
 __all__ = ["UnrestoredInitStateRule"]
 
 #: Lifecycle / calibration methods that never count as "play".
-_NON_PLAY = {"__init__", "reset", "export_state", "import_state", "fit", "fit_reference"}
+_NON_PLAY = {"__init__", "reset", "export_state", "fit", "fit_reference"}
 
 _RNG_CONSTRUCTORS = {"default_rng", "Generator", "RandomState"}
 
@@ -63,7 +62,7 @@ class UnrestoredInitStateRule(Rule):
     title = "__init__-assigned RNG/counter state not restored in reset()"
     fix_hint = (
         "re-create the attribute in reset() (and cover it in "
-        "export_state/import_state) so a fresh game starts from a clean slate"
+        "export_state()) so a fresh game starts from a clean slate"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
@@ -76,8 +75,8 @@ class UnrestoredInitStateRule(Rule):
             if init_fn is None:
                 continue  # analyzed at the class that defines __init__
             view = df.class_view(cls.name)
-            reset_reachable = view.reachable({"reset", "import_state"})
-            restored = view.attrs_assigned({"reset", "import_state"})
+            reset_reachable = view.reachable({"reset"})
+            restored = view.attrs_assigned({"reset"})
             init_assigns = self_attribute_assigns(init_fn)
             # Calibration helpers (reachable from fit/fit_reference) are
             # pre-game setup just like their roots, not play mutation.
@@ -104,13 +103,13 @@ class UnrestoredInitStateRule(Rule):
                         anchor,
                         f"`{cls.name}.{attr}` is assigned in __init__ and "
                         f"mutated in `{play_mutations[attr]}()` but never "
-                        "restored by reset()/import_state()",
+                        "restored by reset()",
                     )
                 elif any(_constructs_rng(stmt) for stmt in stmts):
                     yield self.diagnostic(
                         ctx,
                         anchor,
                         f"`{cls.name}.{attr}` holds an RNG created in "
-                        "__init__ but reset()/import_state() never "
+                        "__init__ but reset() never "
                         "re-creates or restores it",
                     )

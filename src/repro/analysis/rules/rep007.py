@@ -3,11 +3,11 @@
 PR 9 made lane kernels the *temporary* authority over per-instance
 state: strategy counters and injector RNG positions diverge inside the
 lanes and are written back onto the owning instances only through the
-sanctioned surfaces (``finalize``/``sync_lanes``/``flush_all``,
-``import_state``, and the build/reset/calibration paths).  A stray
-write from a play-path method — ``react_many`` reaching into
-``inst._current`` mid-round — would race the deferred writeback and
-break batched-equals-solo byte identity.  Two checks:
+sanctioned surfaces (``finalize``/``sync_lanes``/``flush_all`` and
+the build/reset/calibration paths).  A stray write from a play-path
+method — ``react_many`` reaching into ``inst._current`` mid-round —
+would race the deferred writeback and break batched-equals-solo byte
+identity.  Two checks:
 
 * **(A)** inside a lane-synced class (one declaring a non-empty
   ``fusion_family``, or defining ``finalize``/``sync_lanes``/
@@ -43,7 +43,6 @@ _SANCTIONED = {
     "finalize",
     "sync_lanes",
     "flush_all",
-    "import_state",
 }
 
 #: Methods whose presence marks a class as owning lane-synced state.
@@ -101,7 +100,7 @@ class DeferredWritebackSafetyRule(Rule):
     title = "lane-synced state is written back only via sanctioned surfaces"
     fix_hint = (
         "route instance writebacks through finalize()/sync_lanes()/"
-        "flush_all()/import_state(), and raw Generator bit-state through "
+        "flush_all(), and raw Generator bit-state through "
         "rng_state()/set_rng_state()"
     )
 

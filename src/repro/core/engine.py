@@ -58,12 +58,7 @@ from ..streams.injection import PoisonInjector
 from ..streams.source import StreamSource
 from .domain import QuantileTable
 from .quality import QualityEvaluator, TailMassEvaluator
-from .strategies.base import (
-    AdversaryStrategy,
-    CollectorStrategy,
-    rng_state,
-    set_rng_state,
-)
+from .strategies.base import AdversaryStrategy, CollectorStrategy, rng_state
 from .trimming import Trimmer
 
 __all__ = [
@@ -116,10 +111,6 @@ class BandExcessJudge:
     def export_state(self) -> dict[str, Any]:
         """The noise Generator's bit-state (session snapshot contract)."""
         return {"rng": rng_state(self._rng)}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore the noise stream captured by :meth:`export_state`."""
-        set_rng_state(self._rng, state["rng"])
 
     def fit(self, reference_scores: Any) -> "BandExcessJudge":
         """Calibrate the band value cutoffs on clean reference scores.
@@ -201,10 +192,6 @@ class NoisyPositionJudge:
     def export_state(self) -> dict[str, Any]:
         """The noise Generator's bit-state (session snapshot contract)."""
         return {"rng": rng_state(self._rng)}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore the noise stream captured by :meth:`export_state`."""
-        set_rng_state(self._rng, state["rng"])
 
     def fit(self, reference_scores: Any) -> "NoisyPositionJudge":
         """Stateless; present for engine-interface uniformity."""

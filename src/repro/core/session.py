@@ -45,11 +45,12 @@ that carries each fact once: the calibrated components as they stand,
 the :class:`~repro.streams.board.PublicBoard` itself (which pickles as
 its own column lists) and a ``session`` document of the horizon, the
 score-sharing flag and the closed flag.  ``restore()`` unpickles and
-seats them; it calls no component's ``reset()`` or ``import_state()``,
-and the byte-identity of the continued game (tested across the full
-shipped strategy matrix) is the proof that the pickled components are
-complete.  What a spec's dataset already determines is named, not
-carried: a fit or stream built on a keyed array
+seats them; it calls no component's ``reset()``, and the byte-identity
+of the continued game (tested across the full shipped strategy matrix,
+and per component by ``repro lint``'s CONF002 audit of this pickler) is
+the proof that the pickled components are complete.  What a spec's
+dataset already determines is named, not carried: a fit or stream
+built on a keyed array
 (:func:`~repro.core.domain.key_reference`, e.g. every ``load_reference``
 dataset) pickles its key, and restores onto the live array and shared
 fit.  The snapshot's own pickler writes each Generator as a rebuild
@@ -916,11 +917,10 @@ class GameSession:
         """Every component's exported mutable state, keyed by role.
 
         Plain-data documents from each component's ``export_state()``
-        (empty for stateless components): what ``reset()`` followed by
-        ``import_state()`` would bring a fresh component back to.  A
-        snapshot does not carry them (it pickles the components
-        themselves); they are the audit surface the conformance checks
-        and the golden transcript read.
+        (empty for stateless components): the audit view that the
+        conformance checks and the golden transcript read.  A snapshot
+        does not carry them; it is the pickle of the components
+        themselves.
         """
         self._flush_deferred()
         state: Dict[str, dict] = {}
@@ -983,9 +983,9 @@ class GameSession:
         """Rebuild a session from a :meth:`snapshot` blob.
 
         The unpickled components and board are seated as they are: no
-        component is ``reset()`` or re-imported.  The restored session
-        continues byte-identically to the uninterrupted original — in
-        this process or any other.
+        component is ``reset()``.  The restored session continues
+        byte-identically to the uninterrupted original — in this process
+        or any other.
 
         Every failure mode — corrupt bytes, a foreign envelope, a
         structurally broken payload, a board whose columns or retained

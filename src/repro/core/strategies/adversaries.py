@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .base import AdversaryStrategy, RoundObservation, rng_state, set_rng_state
+from .base import AdversaryStrategy, RoundObservation, rng_state
 
 __all__ = [
     "NullAdversary",
@@ -89,9 +89,6 @@ class UniformRangeAdversary(AdversaryStrategy):
 
     def export_state(self) -> dict[str, Any]:
         return {"rng": rng_state(self._rng)}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        set_rng_state(self._rng, state["rng"])
 
     def _draw(self) -> float:
         return float(self._rng.uniform(self.low, self.high))
@@ -174,10 +171,6 @@ class MixedAdversary(AdversaryStrategy):
             "rng": rng_state(self._rng),
             "last_was_greedy": self.last_was_greedy,
         }
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        set_rng_state(self._rng, state["rng"])
-        self.last_was_greedy = bool(state["last_was_greedy"])
 
     def _draw(self) -> float:
         if self._rng.random() < self.p:

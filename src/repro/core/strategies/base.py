@@ -226,16 +226,13 @@ class CollectorStrategy:
 
         Everything :meth:`reset` would clear — and nothing else: static
         configuration (thresholds, offsets, seeds) stays on the object.
-        The contract, audited by ``repro lint`` (CONF002) and read by its
-        golden transcript (CONF007): ``reset()`` followed by
-        ``import_state(state)`` reproduces the exact point of play at
-        which ``state`` was exported, including RNG bit-state.  Stateless
-        strategies inherit this empty default.
+        It is the audit view, not the transport: a session snapshot
+        pickles the strategy itself, while ``GameSession.state_dict()``
+        and the golden transcript of ``repro lint`` (CONF007) read this
+        document, and CONF002 demands that it carry every Generator's
+        bit-state.  Stateless strategies inherit this empty default.
         """
         return {}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore mid-game state captured by :meth:`export_state`."""
 
 
 class AdversaryStrategy:
@@ -263,6 +260,3 @@ class AdversaryStrategy:
     def export_state(self) -> dict[str, Any]:
         """Mutable mid-game state (see ``CollectorStrategy.export_state``)."""
         return {}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore mid-game state captured by :meth:`export_state`."""

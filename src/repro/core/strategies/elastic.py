@@ -97,9 +97,6 @@ class ElasticCollector(CollectorStrategy):
     def export_state(self) -> dict[str, Any]:
         return {"current": self._current}
 
-    def import_state(self, state: dict[str, Any]) -> None:
-        self._current = float(state["current"])
-
     def first(self) -> float:
         """Initial trim position ``T_th - 3%`` (§VI-A)."""
         return self._clip(self.t_th + self.init_offset)
@@ -171,9 +168,6 @@ class ElasticAdversary(AdversaryStrategy):
 
     def export_state(self) -> dict[str, Any]:
         return {"current": self._current}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self._current = float(state["current"])
 
     def first(self) -> float:
         """Initial injection position ``T_th + 1%`` (§VI-A)."""

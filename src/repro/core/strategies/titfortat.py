@@ -50,9 +50,6 @@ class QualityTrigger:
         """Stateless: nothing survives :meth:`reset`."""
         return {}
 
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Stateless; present for interface uniformity."""
-
     def fired(self, last: RoundObservation) -> bool:
         """True when the observed quality breaches the tolerance band."""
         return last.quality > self.reference_score + self.redundancy
@@ -113,10 +110,6 @@ class MixedStrategyTrigger:
     def export_state(self) -> dict[str, Any]:
         """The running betrayal counters (see base ``export_state``)."""
         return {"rounds": self._rounds, "betrayals": self._betrayals}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self._rounds = int(state["rounds"])
-        self._betrayals = int(state["betrayals"])
 
     def fired(self, last: RoundObservation) -> bool:
         """Update the running ratio with ``last`` and test the threshold."""
@@ -205,15 +198,6 @@ class TitForTatCollector(CollectorStrategy):
             exporter = getattr(self.trigger, "export_state", None)
             state["trigger"] = exporter() if callable(exporter) else {}
         return state
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self._triggered = bool(state["triggered"])
-        terminated = state["terminated_round"]
-        self._terminated_round = None if terminated is None else int(terminated)
-        if self.trigger is not None and "trigger" in state:
-            importer = getattr(self.trigger, "import_state", None)
-            if callable(importer):
-                importer(state["trigger"])
 
     def first(self) -> float:
         return self.soft_percentile

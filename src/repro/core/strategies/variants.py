@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .base import CollectorStrategy, RoundObservation, rng_state, set_rng_state
+from .base import CollectorStrategy, RoundObservation, rng_state
 
 __all__ = ["MirrorCollector", "GenerousCollector", "TitForTwoTatsCollector"]
 
@@ -104,9 +104,6 @@ class GenerousCollector(_TwoLevelCollector):
     def export_state(self) -> dict[str, Any]:
         return {"rng": rng_state(self._rng)}
 
-    def import_state(self, state: dict[str, Any]) -> None:
-        set_rng_state(self._rng, state["rng"])
-
     def react(self, last: RoundObservation) -> float:
         if last.betrayal and self._rng.random() >= self.generosity:
             return self.hard_percentile
@@ -138,9 +135,6 @@ class TitForTwoTatsCollector(_TwoLevelCollector):
 
     def export_state(self) -> dict[str, Any]:
         return {"previous_betrayal": self._previous_betrayal}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self._previous_betrayal = bool(state["previous_betrayal"])
 
     def react(self, last: RoundObservation) -> float:
         punish = last.betrayal and self._previous_betrayal

@@ -118,12 +118,6 @@ class BatchTrimReport:
         """(R,) retained counts."""
         return np.count_nonzero(self.kept, axis=1)
 
-    def kept_scores(self, rep: int) -> Array:
-        """Scores of rep ``rep``'s retained points (requires ``scores``)."""
-        if self.scores is None:
-            raise ValueError("this report was built without batch scores")
-        return self.scores[rep][self.kept[rep]]
-
     @classmethod
     def from_reports(cls, reports: Sequence[TrimReport]) -> "BatchTrimReport":
         """Stack per-rep :class:`TrimReport` objects into one batch report.

@@ -23,7 +23,7 @@ re-aggregate and re-render entirely from disk via the run's manifest
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..runtime import (
@@ -44,7 +44,6 @@ __all__ = [
     "ScenarioRun",
     "parse_bool",
     "parse_floats",
-    "parse_ints",
     "report_scenario",
     "resolve_params",
     "run_scenario",
@@ -76,13 +75,6 @@ def parse_floats(text: str) -> Tuple[float, ...]:
     if not items:
         raise ValueError("expected a comma-separated float list")
     return tuple(float(item) for item in items)
-
-
-def parse_ints(text: str) -> Tuple[int, ...]:
-    items = [item.strip() for item in str(text).split(",") if item.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated int list")
-    return tuple(int(item) for item in items)
 
 
 @dataclass(frozen=True)

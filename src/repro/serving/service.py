@@ -249,11 +249,11 @@ class DefenseService:
         own traffic.
         """
         if session_id is None:
-            # Skip over ids the caller already claimed explicitly.
-            while (
-                f"session-{self._next_id}" in self._sessions
-                or f"session-{self._next_id}" in self._evicted
-            ):
+            # Skip over ids the caller already claimed explicitly, and
+            # quarantined ones: their failure record and persisted blob
+            # stay until the caller reuses the id on purpose.
+            taken = (self._sessions, self._evicted, self._quarantined)
+            while any(f"session-{self._next_id}" in ids for ids in taken):
                 self._next_id += 1
             session_id = f"session-{self._next_id}"
             self._next_id += 1

@@ -112,10 +112,6 @@ class PoisonInjector:
         """The jitter Generator's bit-state (session snapshot contract)."""
         return {"rng": rng_state(self._rng)}
 
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore the jitter stream captured by :meth:`export_state`."""
-        set_rng_state(self._rng, state["rng"])
-
     def poison_count(self, n_benign: int) -> int:
         """Number of poison points injected alongside ``n_benign`` rows."""
         return int(round(self.attack_ratio * n_benign))

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.arrays import Array, ArrayLike
 from ..core.domain import ReferenceKey, reference_key
-from ..core.strategies.base import rng_state, set_rng_state
+from ..core.strategies.base import rng_state
 
 __all__ = ["StreamSource", "ArrayStream", "GeneratorStream"]
 
@@ -35,15 +35,13 @@ class StreamSource:
     def export_state(self) -> dict[str, Any]:
         """Mutable stream position (cursor/RNG) as a plain-data dict.
 
-        Mirrors the strategy state-export contract: ``reset()`` followed
-        by ``import_state(state)`` resumes the draw sequence exactly
-        where :meth:`export_state` captured it.  Sources without mutable
-        state inherit this empty default.
+        The audit view of the strategy contract
+        (``CollectorStrategy.export_state``): a snapshot pickles the
+        source itself, and this document is what ``state_dict()`` and
+        the conformance checks read.  Sources without mutable state
+        inherit this empty default.
         """
         return {}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        """Restore a stream position captured by :meth:`export_state`."""
 
 
 class ArrayStream(StreamSource):
@@ -109,15 +107,6 @@ class ArrayStream(StreamSource):
             "cursor": int(self._cursor),
         }
 
-    def import_state(self, state: dict[str, Any]) -> None:
-        set_rng_state(self._rng, state["rng"])
-        order = np.asarray(state["order"], dtype=np.int64)
-        if order.flags.writeable:
-            order = order.copy()
-            order.setflags(write=False)
-        self._order = order
-        self._cursor = int(state["cursor"])
-
     def next_indices(self) -> Optional[Array]:
         """The next batch's dataset row indices, if it stays in the epoch.
 
@@ -174,9 +163,6 @@ class GeneratorStream(StreamSource):
 
     def export_state(self) -> dict[str, Any]:
         return {"rng": rng_state(self._rng)}
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        set_rng_state(self._rng, state["rng"])
 
     def next_batch(self) -> Array:
         batch = np.asarray(self._factory(self._rng, self.batch_size), dtype=float)

@@ -1,12 +1,12 @@
-# REP008 fixture: a play-mutated counter missing from the snapshot
-# round-trip surface.
+# REP008 fixture: a play-mutated counter missing from the export_state()
+# audit view.
 
 
 class ForgetfulCollector:
     def __init__(self, t_th):
         self.t_th = float(t_th)
         self._threshold = float(t_th)
-        self._streak = 0  # mutated in react(), absent from export/import
+        self._streak = 0  # mutated in react(), absent from export_state()
 
     def react(self, last):
         if last.betrayal:
@@ -21,13 +21,10 @@ class ForgetfulCollector:
     def export_state(self):
         return {"threshold": self._threshold}
 
-    def import_state(self, state):
-        self._threshold = float(state["threshold"])
-
 
 class CompleteCollector:
-    # Near miss: the same shape, but every mutated attribute is covered
-    # by the export/import round trip.  Clean.
+    # Near miss: the same shape, but export_state() covers every
+    # mutated attribute.  Clean.
     def __init__(self, t_th):
         self.t_th = float(t_th)
         self._threshold = float(t_th)
@@ -45,7 +42,3 @@ class CompleteCollector:
 
     def export_state(self):
         return {"threshold": self._threshold, "streak": self._streak}
-
-    def import_state(self, state):
-        self._threshold = float(state["threshold"])
-        self._streak = int(state["streak"])

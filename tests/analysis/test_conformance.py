@@ -8,7 +8,7 @@ from repro.analysis.conformance import (
     ConformanceAuditor,
     register_recipe,
 )
-from repro.core.strategies.base import CollectorStrategy
+from repro.core.strategies.base import CollectorStrategy, rng_state, set_rng_state
 
 
 class BrokenCollector(CollectorStrategy):
@@ -23,8 +23,52 @@ class BrokenCollector(CollectorStrategy):
     def react(self, last):
         return float(self._rng.uniform(0.85, 0.95))
 
-    # inherits the base's empty export_state()/import_state(): the RNG
-    # position is silently dropped on snapshot/restore.
+    # inherits the base's empty export_state(): the RNG position pickles
+    # with the instance, but state_dict() and the golden transcript
+    # never see it.
+
+
+class FixedCollector(BrokenCollector):
+    """BrokenCollector mended: its RNG is reset and exported."""
+
+    def __init__(self, seed=0):
+        self._seed = seed
+        super().__init__(seed)
+
+    def reset(self):
+        self._rng = np.random.default_rng(self._seed)
+
+    def export_state(self):
+        return {"rng": rng_state(self._rng)}
+
+
+class ReseedingCollector(FixedCollector):
+    """Exports its RNG, but its pickle drops it and reseeds on load.
+
+    Complete as state documents go (``import_state`` puts an exported
+    RNG back on a fresh instance), yet a restore, which unpickles,
+    resumes with the Generator back at its seed.
+    """
+
+    def import_state(self, state):
+        set_rng_state(self._rng, state["rng"])
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_rng"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._rng = np.random.default_rng(self._seed)
+
+
+def _conf002_findings(cls, factory):
+    register_recipe(cls, factory)
+    auditor = ConformanceAuditor(
+        extra_strategies=[cls], checks={"CONF002"}, subprocess_checks=False
+    )
+    return [f for f in auditor.audit() if cls.__name__ in f.message]
 
 
 @pytest.fixture()
@@ -75,52 +119,47 @@ def test_broken_strategy_missing_recipe_reported(clean_recipes):
 
 
 def test_broken_strategy_round_trip_divergence_reported(clean_recipes):
-    register_recipe(BrokenCollector, lambda: BrokenCollector(seed=7))
-    auditor = ConformanceAuditor(
-        extra_strategies=[BrokenCollector],
-        checks={"CONF002"},
-        subprocess_checks=False,
+    findings = _conf002_findings(
+        BrokenCollector, lambda: BrokenCollector(seed=7)
     )
-    findings = auditor.audit()
-    divergences = [
+    unexported = [
         f
         for f in findings
         if f.rule == "CONF002"
-        and "BrokenCollector" in f.message
-        and "diverges" in f.message
+        and "bit-state" in f.message
+        and "`_rng`" in f.message
     ]
-    assert divergences, [f.message for f in findings]
+    assert unexported, [f.message for f in findings]
     # The finding points at the class definition, not at <registry>.
-    assert divergences[0].path.endswith("test_conformance.py")
+    assert unexported[0].path.endswith("test_conformance.py")
 
 
 def test_fixed_strategy_round_trip_passes(clean_recipes):
-    from repro.core.strategies.base import rng_state, set_rng_state
-
-    class FixedCollector(BrokenCollector):
-        def __init__(self, seed=0):
-            self._seed = seed
-            super().__init__(seed)
-
-        def reset(self):
-            self._rng = np.random.default_rng(self._seed)
-
-        def export_state(self):
-            return {"rng": rng_state(self._rng)}
-
-        def import_state(self, state):
-            set_rng_state(self._rng, state["rng"])
-
-    register_recipe(FixedCollector, lambda: FixedCollector(seed=7))
-    auditor = ConformanceAuditor(
-        extra_strategies=[FixedCollector],
-        checks={"CONF002"},
-        subprocess_checks=False,
+    findings = _conf002_findings(
+        FixedCollector, lambda: FixedCollector(seed=7)
     )
-    findings = [
-        f for f in auditor.audit() if "FixedCollector" in f.message
-    ]
     assert findings == []
+
+
+def test_pickle_that_drops_the_rng_diverges(clean_recipes):
+    findings = _conf002_findings(
+        ReseedingCollector, lambda: ReseedingCollector(seed=7)
+    )
+    assert [f.rule for f in findings] == ["CONF002"]
+    assert "diverges" in findings[0].message
+
+
+def test_unpicklable_recipe_is_reported_not_raised(clean_recipes):
+    # A tenant holding a lambda can never be snapshot, so never evicted.
+    def with_hook():
+        collector = FixedCollector(seed=7)
+        collector.hook = lambda value: value
+        return collector
+
+    findings = _conf002_findings(FixedCollector, with_hook)
+    assert [f.rule for f in findings] == ["CONF002"]
+    assert "pickle" in findings[0].message.lower()
+    assert "lambda" in findings[0].hint
 
 
 def test_envelope_coverage_flags_orphan_state_class(clean_recipes):

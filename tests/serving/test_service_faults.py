@@ -349,3 +349,27 @@ class TestTenantQuarantine:
         replacement = service.open(spec, session_id="tenant-a")
         assert replacement == sid
         service.submit(replacement)
+
+    def test_auto_id_skips_a_quarantined_id(self, tmp_path):
+        # Only an explicit reuse replaces a quarantined tenant: the next
+        # auto-named tenant takes a fresh id, so the failure record and
+        # the persisted blob stay for forensics.
+        store = ResultStore(tmp_path)
+        service = DefenseService(store=store)
+        spec = matrix_spec("elastic-paper", "elastic", "band", seed=92)
+        assert service.open(spec) == "session-0"
+        victim = service.open(spec, session_id="session-1")
+        service.submit(victim)
+        service.evict(victim)
+        key = service._session_key(victim)
+        parked = store.load(key)["blob"]
+        bad = self._malformed(spec, "nan-rows")
+        service.submit_many({victim: bad}, on_error="quarantine")
+        failure = service.quarantine_reason(victim)
+        assert failure.kind == "input"
+
+        newcomer = service.open(spec)
+        service.evict(newcomer)
+        assert service.quarantine_reason(victim) is failure
+        assert store.load(key)["blob"] == parked
+        assert newcomer == "session-2"
