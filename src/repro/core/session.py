@@ -54,10 +54,11 @@ built on a keyed array
 (:func:`~repro.core.domain.key_reference`, e.g. every ``load_reference``
 dataset) pickles its key, and restores onto the live array and shared
 fit.  The snapshot's own pickler writes each Generator as a rebuild
-from its state document, and a stream's epoch order in the smallest
-unsigned dtype.  Snapshots are a *process migration* format, not an
-archival one: they are tied to the package version that wrote them and
-to pickle availability (see README, "Serving live streams").
+from its state document and seed sequence, and a stream's epoch order
+in the smallest unsigned dtype.  Snapshots are a *process migration*
+format, not an archival one: they are tied to the package version that
+wrote them and to pickle availability (see README, "Serving live
+streams").
 """
 
 from __future__ import annotations
@@ -174,20 +175,23 @@ def _reduce_array(array: Array) -> Any:
 
 
 def _reduce_generator(rng: np.random.Generator) -> Any:
-    # numpy's five bit generators rebuild from their state document
-    # without the OS-entropy seeding numpy's own unpickling does first.
+    # numpy's five bit generators rebuild from their state document and
+    # seed sequence without the OS-entropy seeding numpy's own
+    # unpickling does first.  The seed sequence is often the object the
+    # component holds as its seed, which the pickle memo writes once.
     state = rng_state(rng)
-    if _BIT_GENERATORS.get(state["bit_generator"]) is type(rng.bit_generator):
-        return (generator_from_state, (state,))
+    bit_generator = rng.bit_generator
+    if _BIT_GENERATORS.get(state["bit_generator"]) is type(bit_generator):
+        return (generator_from_state, (state, bit_generator.seed_seq))
     return rng.__reduce__()
 
 
 def _snapshot_bytes(payload: Dict[str, Any]) -> bytes:
     """Pickle a snapshot payload with the snapshot's own reducers.
 
-    A Generator is written as a rebuild from its state document
-    (:func:`_reduce_generator`) and an index vector compactly
-    (:func:`_reduce_array`).  Everything else pickles as
+    A Generator is written as a rebuild from its state document and
+    seed sequence (:func:`_reduce_generator`) and an index vector
+    compactly (:func:`_reduce_array`).  Everything else pickles as
     ``pickle.dumps`` would, and no class-level pickling changes, so a
     standalone ``pickle`` or ``copy.deepcopy`` of a component is whole.
     """

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..arrays import Array, ArrayLike
 
@@ -42,8 +43,23 @@ _BIT_GENERATORS = {
         np.random.SFC64,
     )
 }
-#: Seeds the bit generator :func:`generator_from_state` overwrites.
-_FILLER_SEED = np.random.SeedSequence(0)
+
+
+class _NoSeedSequence(ISeedSequence):
+    """A seed sequence that hashes nothing and cannot spawn.
+
+    :func:`generator_from_state` builds its bit generator on this one,
+    whose all-zero words are overwritten at once, instead of paying
+    :class:`~numpy.random.SeedSequence` hashing for them.  A Generator
+    rebuilt without its seed sequence keeps it, so its ``spawn()``
+    raises ``TypeError`` rather than spawning from a made-up seed.
+    """
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> Array:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_NO_SEED = _NoSeedSequence()
 
 
 def rng_state(rng: np.random.Generator) -> dict[str, Any]:
@@ -70,15 +86,23 @@ def set_rng_state(rng: np.random.Generator, state: dict[str, Any]) -> None:
     rng.bit_generator.state = state
 
 
-def generator_from_state(state: dict[str, Any]) -> np.random.Generator:
+def generator_from_state(
+    state: dict[str, Any], seed_seq: Optional[ISeedSequence] = None
+) -> np.random.Generator:
     """A new Generator at the bit-state :func:`rng_state` exported.
 
-    About a quarter of the cost of unpickling a Generator, which seeds
-    its bit generator from OS entropy before setting the state.
+    ``seed_seq`` is the original's ``bit_generator.seed_seq``; given, the
+    rebuild spawns the same children as the original.  Both are seated
+    through numpy's own pickle protocol (``BitGenerator.__setstate__``)
+    on a bit generator built without seeding, so this costs a fraction
+    of unpickling a Generator, which seeds from OS entropy first.
     """
-    rng = np.random.Generator(_BIT_GENERATORS[state["bit_generator"]](_FILLER_SEED))
-    set_rng_state(rng, state)
-    return rng
+    # numpy's stubs admit only a SeedSequence seed and declare no
+    # __setstate__; at run time every bit generator takes both.
+    bit_generator_class: Any = _BIT_GENERATORS[state["bit_generator"]]
+    bit_generator = bit_generator_class(_NO_SEED)
+    bit_generator.__setstate__((state, _NO_SEED if seed_seq is None else seed_seq))
+    return np.random.Generator(bit_generator)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,10 @@ lockstep engine already eliminated for sweep repetitions, so
 * idle tenants are evicted to snapshots — in memory, or persisted in a
   :class:`~repro.runtime.store.ResultStore` — and transparently
   restored on their next submit, so resident memory is bounded by
-  ``max_resident`` rather than by the tenant count.  Live tenants on
-  one dataset and size share one
+  ``max_resident`` rather than by the tenant count.  Eviction takes
+  the idle tenant with the fewest aged uses (rounds served, halved
+  every ``10 * max_resident`` uses), so tenants that keep coming back
+  stay resident.  Live tenants on one dataset and size share one
   :class:`~repro.core.domain.ReferenceFit`.  A tenant's snapshot names
   that fit and its stream's dataset by key (``load_reference``'s name
   and size plus a content digest) instead of carrying their rows, so a
@@ -50,6 +52,7 @@ test suite and re-asserted on every run of
 from __future__ import annotations
 
 import hashlib
+import heapq
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -59,10 +62,13 @@ from typing import (
     AbstractSet,
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
+    Tuple,
     Union,
 )
 
@@ -108,6 +114,12 @@ AnyRoundDecision = Union[RoundDecision, LaneRoundDecision]
 #: configurations cross later (nine-configuration hetero-taxi near
 #: L = 8); the constant does not tell mixes apart.
 _MIN_COHORT = 4
+
+#: Under a ``max_resident`` cap every tenant's use count halves once per
+#: ``_AGING_PERIOD * max_resident`` uses served: TinyLFU's reset period,
+#: ten times the cache size (Einziger, Friedman and Manes, ACM TOS
+#: 2017), so a tenant that was hot and went cold still leaves.
+_AGING_PERIOD = 10
 
 
 @dataclass
@@ -180,8 +192,12 @@ class DefenseService:
         resuming another tenant's game.
     max_resident:
         Soft cap on live (non-evicted) sessions.  When an ``open`` or
-        restore pushes the resident count above it, the least recently
-        used idle sessions are evicted automatically.  A tenant that
+        restore pushes the resident count above it, the idle sessions
+        with the fewest aged uses are evicted automatically.  A use is
+        one round a tenant plays through the service; every count
+        halves once per ``10 * max_resident`` uses, so a tenant that
+        went cold loses its standing, and ties go to the least recently
+        used tenant (with no history, eviction is LRU).  A tenant that
         cannot be snapshot (:class:`SnapshotError`) is passed over and
         stays resident; if no tenant can go, the count stays above the
         cap and the call succeeds anyway.
@@ -199,10 +215,10 @@ class DefenseService:
     A ``submit_many`` call whose ids are exactly one live cohort's
     seats, in order, all resident and all pulling from their sources,
     is a *cohort-native tick*: one ``cohort.submit()``, which draws the
-    round itself, plus one LRU update that touches the tenants in call
-    order.  The per-tenant pre-flight is skipped because an unflushed
-    cohort already proves it passes.  Every other call takes the
-    per-tenant path, with the same decisions, errors and quarantines.
+    round itself, plus one use recorded per tenant in call order.  The
+    per-tenant pre-flight is skipped because an unflushed cohort
+    already proves it passes.  Every other call takes the per-tenant
+    path, with the same decisions, errors and quarantines.
     """
 
     def __init__(
@@ -216,9 +232,19 @@ class DefenseService:
         self._store = store
         self.namespace = str(namespace)
         self.max_resident = max_resident
-        #: Resident sessions, least recently used first: a touch moves
-        #: the id to the end, and eviction takes from the front.
+        #: Resident sessions, least recently used first: a round moves
+        #: the id to the end, and eviction breaks ties at the front.
         self._sessions: OrderedDict[str, GameSession] = OrderedDict()
+        #: Use counts under a ``max_resident`` cap: id -> (count, epoch
+        #: of its last update).  An epoch ends every ``_AGING_PERIOD *
+        #: max_resident`` uses, and a count is shifted right once per
+        #: epoch passed when it is next read or bumped: the numbers of
+        #: halving every count each epoch, with no pass over the tenants.
+        #: Close and quarantine drop a count, so an id that ``open`` or
+        #: ``adopt`` accepts starts at zero.
+        self._uses: Dict[str, Tuple[int, int]] = {}
+        self._epoch = 0
+        self._epoch_uses = 0
         self._specs: Dict[str, GameSpec] = {}
         self._group_of: Dict[str, int] = {}
         self._group_keys: List[tuple] = []
@@ -290,7 +316,11 @@ class DefenseService:
 
     @property
     def resident_ids(self) -> List[str]:
-        """Ids of sessions held live in memory, least recently used first."""
+        """Ids of sessions held live in memory, least recently used first.
+
+        Recency only breaks ties: eviction takes the idle tenant with
+        the fewest aged uses, so this is not the eviction order.
+        """
         return list(self._sessions)
 
     @property
@@ -315,7 +345,8 @@ class DefenseService:
         authoritative; the flush also ends the tenant's cohort, since
         the caller may step or mutate the session directly.  A restore
         that pushes the resident count above ``max_resident`` evicts the
-        least recently used other sessions.
+        other sessions with the fewest aged uses.  Handing out a handle
+        is not a use.
         """
         session = self._resident(session_id)
         session._flush_deferred()
@@ -342,7 +373,7 @@ class DefenseService:
         """Play one round of one tenant (the solo routing path)."""
         session = self._resident(session_id)
         decision = session.submit(batch, poison_mask=poison_mask)
-        self._sessions.move_to_end(session_id)
+        self._record_uses((session_id,))
         self.stats.solo_rounds += 1
         self._enforce_residency(protect={session_id})
         return decision
@@ -479,9 +510,7 @@ class DefenseService:
                         self._quarantine(sid, "round", exc)
                         continue
                     self.stats.solo_rounds += 1
-            for sid in members:
-                if sid in decisions:
-                    self._sessions.move_to_end(sid)
+            self._record_uses(sid for sid in members if sid in decisions)
         survivors = {sid for sid in order if sid in decisions}
         self._enforce_residency(protect=survivors)
         return {sid: decisions[sid] for sid in order if sid in decisions}
@@ -528,14 +557,13 @@ class DefenseService:
         """One cohort-native tick: the cohort draws and plays its round.
 
         Bookkeeping matches the per-tenant path exactly: one cache hit
-        and one lockstep round, and each tenant touched in call order.
+        and one lockstep round, and one use per tenant in call order.
         """
         self.stats.lane_cache_hits += 1
         views = self._play_cohort(cohort, None)
         self.stats.lockstep_rounds += 1
         self.stats.lockstep_lanes += len(order)
-        for sid in order:
-            self._sessions.move_to_end(sid)
+        self._record_uses(order)
         self._enforce_residency(protect=set(order))
         return dict(zip(order, views, strict=True))
 
@@ -553,6 +581,7 @@ class DefenseService:
         self._evicted.pop(session_id, None)
         self._specs.pop(session_id, None)
         self._group_of.pop(session_id, None)
+        self._uses.pop(session_id, None)
         self._quarantined[session_id] = TenantFailure(
             session_id=session_id,
             kind=kind,
@@ -631,6 +660,7 @@ class DefenseService:
         del self._sessions[session_id]
         del self._specs[session_id]
         del self._group_of[session_id]
+        self._uses.pop(session_id, None)
         if self._store is not None:
             self._store.record_path(self._session_key(session_id)).unlink(
                 missing_ok=True
@@ -652,32 +682,38 @@ class DefenseService:
         With a result store attached, the snapshot blob persists on
         disk (surviving the process); otherwise it is kept in memory.
         The next ``submit`` touching the session restores it
-        transparently.  A tenant whose snapshot fails
-        (:class:`SnapshotError`) stays resident and playable.
+        transparently.  A tenant whose snapshot fails, or whose store
+        write fails (:class:`SnapshotError`, chained to the ``OSError``),
+        stays resident, unsuperseded and playable.
         """
         session = self._sessions.get(session_id)
         if session is None:
             if session_id in self._evicted:
                 return  # already parked
             raise KeyError(f"unknown session id {session_id!r}")
-        blob = session.snapshot()
+        blob: Optional[bytes] = session.snapshot()
+        if self._store is not None:
+            try:
+                self._store.save(
+                    self._session_key(session_id),
+                    {
+                        "session_id": session_id,
+                        "spec_key": self._store.key(self._specs[session_id]),
+                        "blob": blob,
+                    },
+                )
+            except OSError as exc:
+                raise SnapshotError(
+                    f"snapshot of session {session_id!r} could not be "
+                    f"written to the store: {exc}"
+                ) from exc
+            blob = None  # parked in the store
         del self._sessions[session_id]
         # The snapshot is now the authoritative copy; a caller-held
         # handle to the evicted object must die loudly, not silently
         # diverge from its restored twin.
         session._supersede()
-        if self._store is not None:
-            self._store.save(
-                self._session_key(session_id),
-                {
-                    "session_id": session_id,
-                    "spec_key": self._store.key(self._specs[session_id]),
-                    "blob": blob,
-                },
-            )
-            self._evicted[session_id] = None
-        else:
-            self._evicted[session_id] = blob
+        self._evicted[session_id] = blob
         self.stats.evictions += 1
 
     def adopt(self, spec: GameSpec, session_id: str) -> None:
@@ -751,21 +787,58 @@ class DefenseService:
         self.stats.restores += 1
         return session
 
-    def _enforce_residency(self, protect: AbstractSet[str] = frozenset()) -> None:
-        """Evict least-recently-used sessions above ``max_resident``.
+    def _record_uses(self, session_ids: Iterable[str]) -> None:
+        """Record one round of each tenant, in order.
 
-        A tenant whose snapshot fails is skipped and stays resident, so
-        the cap is soft: the call that pushed the count over it never
-        fails for it, and later calls try that tenant again.
+        Each moves to the recent end of the resident dict, and under a
+        ``max_resident`` cap its aged use count goes up by one.
+        """
+        move_to_end = self._sessions.move_to_end
+        if self.max_resident is None:
+            for sid in session_ids:
+                move_to_end(sid)
+            return
+        period = _AGING_PERIOD * self.max_resident
+        for sid in session_ids:
+            move_to_end(sid)
+            self._uses[sid] = (self._aged_uses(sid) + 1, self._epoch)
+            self._epoch_uses += 1
+            if self._epoch_uses >= period:
+                self._epoch += 1
+                self._epoch_uses = 0
+
+    def _aged_uses(self, session_id: str) -> int:
+        """A tenant's use count, halved once per epoch since it was set."""
+        entry = self._uses.get(session_id)
+        return 0 if entry is None else entry[0] >> (self._epoch - entry[1])
+
+    def _enforce_residency(self, protect: AbstractSet[str] = frozenset()) -> None:
+        """Evict down to ``max_resident``, fewest aged uses first.
+
+        One scan of the resident dict, least recently used first, picks
+        every victim the excess needs: ``heapq.nsmallest`` is stable, so
+        ties go to the least recently used tenant, as successive ``min``
+        picks would.  A tenant whose snapshot fails is skipped and stays
+        resident, so the cap is soft: the call that pushed the count over
+        it never fails for it, and later calls try that tenant again.
         """
         if self.max_resident is None:
             return
-        candidates = (sid for sid in list(self._sessions) if sid not in protect)
+        failed: Set[str] = set()
         while len(self._sessions) > self.max_resident:
-            victim = next(candidates, None)
-            if victim is None:
+            victims = heapq.nsmallest(
+                len(self._sessions) - self.max_resident,
+                (
+                    sid
+                    for sid in self._sessions
+                    if sid not in protect and sid not in failed
+                ),
+                key=self._aged_uses,
+            )
+            if not victims:
                 return
-            try:
-                self.evict(victim)
-            except SnapshotError:
-                continue
+            for victim in victims:
+                try:
+                    self.evict(victim)
+                except SnapshotError:
+                    failed.add(victim)

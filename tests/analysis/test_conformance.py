@@ -162,11 +162,32 @@ def test_unpicklable_recipe_is_reported_not_raised(clean_recipes):
     assert "lambda" in findings[0].hint
 
 
-def test_envelope_coverage_flags_orphan_state_class(clean_recipes):
-    # Simulate a state-exporting class with no session role by checking
-    # the role-membership logic through a module-level injection.
-    auditor = ConformanceAuditor(checks={"CONF005"})
-    assert auditor.audit() == []
+def test_envelope_coverage_flags_orphan_state_class(clean_recipes, monkeypatch):
+    from repro.core import quality
+    from repro.core.trimming import Trimmer
+
+    assert ConformanceAuditor(checks={"CONF005"}).audit() == []
+
+    # A state-exporting class with no session role, placed in a module
+    # the audit walks, is reported; a Trimmer placed there is not.
+    class OrphanState:
+        __module__ = quality.__name__
+
+        def export_state(self):
+            return {}
+
+    class StatefulTrimmer(Trimmer):
+        __module__ = quality.__name__
+
+        def export_state(self):
+            return {}
+
+    for cls in (OrphanState, StatefulTrimmer):
+        monkeypatch.setattr(quality, cls.__name__, cls, raising=False)
+    findings = ConformanceAuditor(checks={"CONF005"}).audit()
+    assert [f.rule for f in findings] == ["CONF005"]
+    assert "`OrphanState`" in findings[0].message
+    assert "StatefulTrimmer" not in findings[0].message
 
 
 @pytest.fixture()

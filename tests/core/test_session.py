@@ -30,6 +30,7 @@ from repro.core.session import (
     BatchedGameSession,
     GameSession,
     SnapshotError,
+    _snapshot_bytes,
     round_payoffs,
 )
 from repro.core.strategies import (
@@ -707,6 +708,19 @@ class TestSnapshotRestore:
         restored = payload["components"]["source"]
         assert restored._order.dtype == np.int64
         assert not restored._order.flags.writeable
+
+    @pytest.mark.parametrize(
+        "name", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+    )
+    def test_rebuilt_generator_spawns_the_original_children(self, name):
+        # The snapshot carries each Generator's seed sequence with its
+        # state, so a clone spawns what the original would have.
+        rng = np.random.Generator(getattr(np.random, name)(5))
+        rng.random(3)
+        clone = pickle.loads(_snapshot_bytes({"rng": rng}))["rng"]
+        want = [child.random(4).tobytes() for child in rng.spawn(2)]
+        assert [child.random(4).tobytes() for child in clone.spawn(2)] == want
+        assert clone.random(4).tobytes() == rng.random(4).tobytes()
 
     def test_generator_on_another_bit_generator_pickles_whole(self):
         # A Generator that generator_from_state cannot rebuild travels in

@@ -300,6 +300,17 @@ class TestRngState:
         assert rng.random(8).tobytes() == twin.random(8).tobytes()
 
     @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_a_rebuild_without_its_seed_sequence_cannot_spawn(self, name):
+        # It draws as the original does, but has no seed sequence to
+        # spawn from, and says so rather than spawning from a made-up
+        # one.
+        rng = self._generator(name)
+        rebuilt = generator_from_state(rng_state(rng))
+        assert rebuilt.random(4).tobytes() == rng.random(4).tobytes()
+        with pytest.raises(TypeError, match="spawning"):
+            rebuilt.spawn(1)
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
     def test_export_then_import_into_a_fresh_generator_continues(self, name):
         rng = self._generator(name)
         fresh = np.random.Generator(getattr(np.random, name)(99))

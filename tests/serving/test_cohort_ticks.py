@@ -318,9 +318,10 @@ class TestFallbacks:
 
 class TestResidency:
     def test_eviction_order_follows_call_order(self):
-        # Native ticks touch each tenant in call order, as the
-        # per-tenant path does: the first-named tenant of the last tick
-        # is the least recently used.
+        # Native ticks record each tenant's use in call order, as the
+        # per-tenant path does: among tenants with equal use counts, the
+        # first-named tenant of the earlier tick is the least recently
+        # used, and ties go to it.
         specs = taxi_specs(n=6, rounds=20)
         service = DefenseService(max_resident=6)
         sids = [service.open(spec, horizon=None) for spec in specs]
@@ -328,9 +329,16 @@ class TestResidency:
         for _ in range(3):
             service.submit_many(second)
             service.submit_many(first)
-        extra = [service.open(spec, horizon=None) for spec in taxi_specs(n=3, seed=50)]
+        # Each newcomer plays three rounds before the next one opens, so
+        # it ties with the six and, being more recent, outlasts them.
+        extra = []
+        for spec in taxi_specs(n=3, seed=50):
+            extra.append(service.open(spec, horizon=None))
+            for _ in range(3):
+                service.submit(extra[-1])
         assert service.evicted_ids == [sids[5], sids[4], sids[3]]
-        # A restore evicts the next least recently used: c, then b.
+        # A restore evicts the next least recently used of the tied: c,
+        # then b.
         service.submit(sids[5])
         service.submit(sids[4])
         assert service.evicted_ids == [sids[3], sids[2], sids[1]]
@@ -339,11 +347,15 @@ class TestResidency:
     def test_eviction_order_equals_the_per_tenant_path(self):
         # The same ticks, once cohort-native (ids) and once per tenant
         # (each call maps one tenant to its own draw, taken from a twin
-        # stream), leave the same LRU order behind.
+        # stream), leave the same use counts and recency order behind.
+        # A sixth tenant then plays three solo rounds: the most recent
+        # tenant, but with fewer uses than the cohort's four, so it goes
+        # first.  Newcomers that play four rounds each then tie with the
+        # cohort, which leaves in call order.
         def run(native):
-            specs = taxi_specs(n=5, rounds=20)
+            specs = taxi_specs(n=6, rounds=20)
             twins = [spec.session(horizon=None).source for spec in specs]
-            service = DefenseService(max_resident=5)
+            service = DefenseService(max_resident=6)
             sids = [service.open(spec, horizon=None) for spec in specs]
             order = [sids[i] for i in (2, 0, 4, 1, 3)]
             for _ in range(4):
@@ -357,8 +369,12 @@ class TestResidency:
                     service.submit_many(
                         {order[0]: batch, **dict.fromkeys(order[1:])}
                     )
+            for _ in range(3):
+                service.submit(sids[5])
             for spec in taxi_specs(n=4, seed=70):
-                service.open(spec, horizon=None)
+                newcomer = service.open(spec, horizon=None)
+                for _ in range(4):
+                    service.submit(newcomer)
             return [sids.index(sid) for sid in service.evicted_ids]
 
-        assert run(native=True) == run(native=False) == [2, 0, 4, 1]
+        assert run(native=True) == run(native=False) == [5, 2, 0, 4]

@@ -1,4 +1,4 @@
-"""DefenseService: multiplexing byte-identity, routing, eviction, LRU.
+"""DefenseService: multiplexing byte-identity, routing, eviction, residency.
 
 The non-negotiable contract: a tenant served through the lockstep
 multiplexer — in any mix of ``submit_many`` cohorts, solo ``submit``
@@ -313,6 +313,69 @@ class TestEvictionAndResidency:
         service.submit(sids[0])
         assert sids[0] in service.resident_ids
         assert len(service.resident_ids) <= 2
+
+    def test_hot_tenant_survives_a_scan_of_one_shot_tenants(self):
+        # Ten tenants that play once each pass through the cap; the
+        # tenant that played four rounds is never parked, where least
+        # recent use would park it as soon as three newer ones opened.
+        service = DefenseService(max_resident=3)
+        hot = service.open(
+            matrix_spec("elastic-paper", "elastic", "band", seed=60), horizon=None
+        )
+        for _ in range(4):
+            service.submit(hot)
+        once = []
+        for r in range(10):
+            spec = matrix_spec("ostrich", "null", "band", seed=61 + r)
+            once.append(service.open(spec, horizon=None))
+            service.submit(once[-1])
+        assert service.evicted_ids == once[:8]
+        assert service.resident_ids == [hot, *once[8:]]
+        service.submit(hot)
+        assert service.stats.restores == 0
+
+    def test_formerly_hot_tenant_leaves_once_its_count_has_aged(self):
+        # Counts halve every 10 * max_resident = 20 uses.  The old
+        # tenant's 18 uses read 9 once the first period ends; the new
+        # tenant's 15, 13 of them after it, read 14.  So the old tenant
+        # is parked, though it has played more rounds in all.
+        service = DefenseService(max_resident=2)
+        old, new = (
+            service.open(
+                matrix_spec("generous", "uniform", "band", seed=70 + r),
+                horizon=None,
+            )
+            for r in range(2)
+        )
+        for _ in range(18):
+            service.submit(old)
+        for _ in range(15):
+            service.submit(new)
+        service.open(matrix_spec("ostrich", "null", "band", seed=72), horizon=None)
+        assert service.evicted_ids == [old]
+
+    @pytest.mark.parametrize("end", ["close", "quarantine"])
+    def test_a_reused_id_starts_with_no_uses(self, end):
+        # "t" plays five rounds and ends.  Reopened under the same id it
+        # starts from zero, so its one new round counts less than the
+        # other tenant's two, and it is parked first.
+        service = DefenseService(max_resident=2)
+        spec = matrix_spec("generous", "uniform", "band", seed=80)
+        service.open(spec, session_id="t", horizon=None)
+        for _ in range(5):
+            service.submit("t")
+        if end == "close":
+            service.close("t")
+        else:
+            service.submit_many({"t": []}, on_error="quarantine")
+            assert service.quarantined_ids == ["t"]
+        other = service.open(matrix_spec("ostrich", "null", "band", seed=81))
+        for _ in range(2):
+            service.submit(other)
+        service.open(spec, session_id="t", horizon=None)
+        service.submit("t")
+        service.open(matrix_spec("ostrich", "null", "band", seed=82))
+        assert service.evicted_ids == ["t"]
 
     def test_session_restore_respects_max_resident(self):
         service = DefenseService(max_resident=1)

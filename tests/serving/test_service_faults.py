@@ -124,6 +124,31 @@ class TestUnpicklableTenant:
             service.submit(a)
         assert_results_identical(service.close(a), solo_reference(spec))
 
+    def test_failed_store_write_keeps_the_tenant_resident_and_playable(
+        self, tmp_path
+    ):
+        class FullStore(ResultStore):
+            def save(self, key, record):
+                raise OSError(28, "No space left on device")
+
+        service = DefenseService(store=FullStore(tmp_path), max_resident=2)
+        specs = [matrix_spec("static", "fixed", "band", seed=7 + r) for r in range(3)]
+        a, b = service.open(specs[0]), service.open(specs[1])
+        service.submit(a)
+        service.submit(b)
+        # Neither a nor b can be parked, so the newcomer opens above the
+        # soft cap; nothing is detached before its write succeeds.
+        c = service.open(specs[2])
+        assert service.resident_ids == [a, b, c]
+        assert service.evicted_ids == []
+        with pytest.raises(SnapshotError, match="written to the store") as info:
+            service.evict(a)
+        assert isinstance(info.value.__cause__, OSError)
+        assert service.resident_ids == [a, b, c]
+        while not service.session(a).done:
+            service.submit(a)
+        assert_results_identical(service.close(a), solo_reference(specs[0]))
+
 
 class TestTenantQuarantine:
     def _cohort(self, service, n=4, seed0=40):
