@@ -22,6 +22,21 @@ three of them alternating with its parent commit, the gated median read
 2.30-2.37x (passes 2.20-2.46x, about 1,080-1,120 games/s batched against
 455-480 solo), and the parent's 2.42-2.52x: the solo loop's trim cutoff
 became plain float arithmetic, and the lockstep rounds did not change.
+
+Each batched pass also records the minor page faults it takes
+(``resource.getrusage`` on this process, ``ru_minflt``): a lockstep
+round that allocates its ``(L, n, d)`` stacks afresh makes the kernel
+zero-fill new pages every round.  The gated point's median must stay
+at or below ``MAX_BATCHED_FAULTS``.  Before each cohort reused its
+round buffers (the joined benign-and-poison stack in
+``BatchedGameSession``, the radial differences in ``TrimLanes``), the
+R = 32 pass took 141,438-141,448 faults, about 27.6 per lane-round
+(8 groups of 64 lanes x 10 rounds); with them, 31.8-33.2k: each
+cohort's first round (its fresh buffers and the quality evaluator's
+norm temporaries) and the per-round gather of the benign stack.  Two
+pytest runs with the reused buffers read a gated median of 2.65x and
+2.93x (about 970-1,130 games/s batched), where the parent commit read
+2.30x in a run beside them.
 Results are persisted to ``benchmarks/results/BENCH_batched.json``,
 stamped with the commit and host they measured, so the perf trajectory
 stays inspectable per commit.
@@ -31,6 +46,7 @@ Run standalone with ``python benchmarks/bench_batched_engine.py``.
 
 import json
 import os
+import resource
 import time
 from functools import partial
 
@@ -54,6 +70,10 @@ GATED_REPS = 32
 #: 1.75-2.66x over 15 runs, so one pass is decided by host noise.
 MIN_SPEEDUP = 2.0
 GATE_REPEATS = 5
+#: Ceiling on the gated point's median minor page faults per batched
+#: pass: about 2.2x the 31.8k a round on reused buffers takes here, and
+#: half the 141.4k the per-round allocations took.
+MAX_BATCHED_FAULTS = 70_000
 
 BASE = TournamentConfig()
 
@@ -80,20 +100,30 @@ def _solo_loop(grid: SweepGrid) -> list:
     return [summarize_game(spec, spec.play()) for spec in grid.expand()]
 
 
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _time_run(play, grid: SweepGrid):
+    """``(seconds, minor faults, records)`` of one pass."""
+    faults = _minor_faults()
     t0 = time.perf_counter()
     records = play(grid)
-    return time.perf_counter() - t0, records
+    return time.perf_counter() - t0, _minor_faults() - faults, records
 
 
 def _measure(grid: SweepGrid) -> dict:
     """One solo and one batched pass over the same grid."""
-    solo_s, solo_records = _time_run(_solo_loop, grid)
-    batched_s, batched_records = _time_run(SweepRunner().run_grid, grid)
+    solo_s, _, solo_records = _time_run(_solo_loop, grid)
+    batched_s, batched_faults, batched_records = _time_run(
+        SweepRunner().run_grid, grid
+    )
     return {
         "solo_seconds": solo_s,
         "batched_seconds": batched_s,
         "speedup": solo_s / batched_s,
+        "batched_minor_faults": batched_faults,
         "records_identical": bool(solo_records == batched_records),
     }
 
@@ -122,6 +152,9 @@ def run_batched_benchmark() -> dict:
                 "solo_games_per_second": n_games / point["solo_seconds"],
                 "batched_games_per_second": n_games / point["batched_seconds"],
                 "repeat_speedups": [run["speedup"] for run in runs],
+                "repeat_batched_minor_faults": [
+                    run["batched_minor_faults"] for run in runs
+                ],
             }
         )
     return {
@@ -136,6 +169,7 @@ def run_batched_benchmark() -> dict:
         "gate": {
             "repetitions": GATED_REPS,
             "min_speedup": MIN_SPEEDUP,
+            "max_batched_minor_faults": MAX_BATCHED_FAULTS,
             "repeats": GATE_REPEATS,
             "statistic": "median",
         },
@@ -160,7 +194,8 @@ def test_batched_engine(report):
             f"{point['solo_games_per_second']:.0f} -> "
             f"{point['batched_games_per_second']:.0f} games/s "
             f"({point['speedup']:.2f}x), records identical: "
-            f"{point['records_identical']}"
+            f"{point['records_identical']}; batched pass "
+            f"{point['batched_minor_faults']:.0f} minor faults"
         )
         if len(point["repeat_speedups"]) > 1:
             lines.append(
@@ -182,6 +217,12 @@ def test_batched_engine(report):
         f"median batched speedup {gated['speedup']:.2f}x below the "
         f"{MIN_SPEEDUP}x gate at R={GATED_REPS} "
         f"(passes: {gated['repeat_speedups']})"
+    )
+    # Fault gate: steady-state lockstep rounds reuse their stacks.
+    assert gated["batched_minor_faults"] <= MAX_BATCHED_FAULTS, (
+        f"median batched pass took {gated['batched_minor_faults']:.0f} minor "
+        f"page faults, above the {MAX_BATCHED_FAULTS} gate at R={GATED_REPS} "
+        f"(passes: {gated['repeat_batched_minor_faults']})"
     )
 
 

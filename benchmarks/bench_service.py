@@ -36,6 +36,19 @@ Workloads:
   only the loop overhead (~1.25x at R = 32).  The point is recorded so the
   trade-off stays visible instead of silently truncated.
 
+Every point also records ``steady_state_faults_per_round``: the minor
+page faults (``resource.getrusage`` on this process) of one lockstep
+round of the reused cohort, averaged over rounds 2-60, after the first
+round built the cohort.  A round that allocates its ``(L, n, d)``
+stacks afresh makes the kernel zero-fill new pages every round, which
+shows on ``control``.  Its cohort writes the joined stack, and its
+trim program the radial differences, into buffers each reuses; the
+gathered benign stack and the quality evaluator's norm temporaries are
+still fresh arrays, and they fault in the first large cohort a process
+plays: control R = 32 read 752 a round, against 872 before the buffers
+were reused.  Reported, not gated; the gated fault count lives in
+``bench_batched_engine.py``.
+
 Each gated point (R = 32 on ``taxi`` and ``hetero-taxi``) plays the
 same tenants ``GATE_REPEATS`` = 5 times and gates on the median
 ratios: one timed pass lasts about 0.1 s, so a single pass is decided
@@ -177,18 +190,30 @@ def _solo(spec_fn, n_sessions: int):
 def _multiplexed(spec_fn, n_sessions: int):
     """The same tenants through one DefenseService lockstep cohort.
 
-    Returns ``(onboard_seconds, round_seconds, results, stats)``; the
-    round timing includes the closing flush of the deferred sinks, so
-    the columnar writeback pays for itself inside the timed window.
+    Returns ``(onboard_seconds, round_seconds, results, stats,
+    steady_state_faults_per_round)``; the round timing includes the
+    closing flush of the deferred sinks, so the columnar writeback pays
+    for itself inside the timed window.  The faults are those of rounds
+    2-60, averaged: the first round builds the cohort.
     """
     t0 = time.perf_counter()
     service = DefenseService()
     sids = [service.open(spec_fn(r)) for r in range(n_sessions)]
     t1 = time.perf_counter()
-    for _ in range(ROUNDS):
+    service.submit_many(sids)
+    faults = _minor_faults()
+    for _ in range(ROUNDS - 1):
         service.submit_many(sids)
+    steady_faults = (_minor_faults() - faults) / (ROUNDS - 1)
     results = [service.close(sid) for sid in sids]
-    return t1 - t0, time.perf_counter() - t1, results, service.stats
+    return (
+        t1 - t0, time.perf_counter() - t1, results, service.stats, steady_faults
+    )
+
+
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _peak_rss_kib() -> int:
@@ -204,7 +229,9 @@ def _peak_rss_kib() -> int:
 def _measure(spec_fn, n_sessions: int) -> dict:
     """One solo and one multiplexed pass over the same R tenants."""
     solo_on, solo_rounds, solo_results = _solo(spec_fn, n_sessions)
-    mux_on, mux_rounds, mux_results, stats = _multiplexed(spec_fn, n_sessions)
+    mux_on, mux_rounds, mux_results, stats, faults = _multiplexed(
+        spec_fn, n_sessions
+    )
     identical = all(
         solo.to_records() == mux.to_records()
         and solo.termination_round == mux.termination_round
@@ -220,6 +247,7 @@ def _measure(spec_fn, n_sessions: int) -> dict:
         "lane_build_seconds": stats.lane_build_seconds,
         "kernel_seconds": stats.kernel_seconds,
         "absorb_seconds": stats.absorb_seconds,
+        "steady_state_faults_per_round": faults,
         "boards_identical": bool(identical),
     }
 
@@ -303,6 +331,8 @@ def test_defense_service(report):
             f"{'':>12} phases: build {point['lane_build_seconds']:.3f}s, "
             f"kernel {point['kernel_seconds']:.3f}s, "
             f"absorb {point['absorb_seconds']:.3f}s; "
+            f"{point['steady_state_faults_per_round']:.1f} minor faults "
+            f"per steady-state round; "
             f"peak RSS {point['peak_rss_kib'] / 1024:.0f} MiB"
         )
         if len(point["repeat_speedups"]) > 1:

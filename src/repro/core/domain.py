@@ -26,6 +26,7 @@ __all__ = [
     "ReferenceKey",
     "key_reference",
     "reference_key",
+    "sorted_quantile",
     "empirical_quantile",
     "percentile_of",
     "clip_percentile",
@@ -147,8 +148,8 @@ class QuantileTable:
         out-of-range fractions raise :class:`ValueError`.
         """
         if isinstance(q, float) and 0.0 <= q <= 1.0:
-            # The expressions below, in float arithmetic; ``// 1.0`` is
-            # np.floor's float floor, signed zero included.
+            # sorted_quantile's expressions, in float arithmetic;
+            # ``// 1.0`` is np.floor's float floor, signed zero included.
             index = float(q) * (self._n - 1)
             floor = index // 1.0
             weight = index - floor
@@ -161,17 +162,7 @@ class QuantileTable:
         q_arr = np.asarray(q, dtype=float)
         if not np.all((q_arr >= 0.0) & (q_arr <= 1.0)):
             raise ValueError("quantile fractions must lie in [0, 1]")
-        virtual = q_arr * (self._n - 1)
-        lower = np.floor(virtual)
-        gamma = virtual - lower
-        lo = lower.astype(np.intp)
-        hi = np.minimum(lo + 1, self._n - 1)
-        a = self._sorted[lo]
-        b = self._sorted[hi]
-        diff = b - a
-        # numpy's _lerp: interpolate from whichever endpoint is nearer,
-        # which is what makes the result bit-identical to np.quantile.
-        out = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+        out = sorted_quantile(self._sorted, q_arr)
         if q_arr.ndim == 0:
             return float(out)
         return out
@@ -197,6 +188,37 @@ class QuantileTable:
         if x_arr.ndim == 0:
             return float(out)
         return out
+
+
+def sorted_quantile(ordered: Array, q: Array) -> Array:
+    """``numpy.quantile``'s linear method on presorted samples.
+
+    ``ordered`` is one ascending sample ``(n,)`` with fractions ``q`` of
+    any shape, or ``(rows, n)`` ascending along each row with one
+    fraction per row, ``q`` shaped ``(rows,)``.  Fractions must lie in
+    [0, 1]; the caller checks them.  The virtual index is ``q * (n - 1)``
+    and the interpolation is numpy's two-sided lerp, so each result is
+    bit-identical to ``numpy.quantile`` of the unsorted sample at the
+    same fraction, as long as the sample holds no NaN (numpy returns NaN
+    for such a sample).
+    """
+    n = ordered.shape[-1]
+    virtual = q * (n - 1)
+    lower = np.floor(virtual)
+    gamma = virtual - lower
+    lo = lower.astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    if ordered.ndim == 2:
+        row = np.arange(ordered.shape[0])
+        a = ordered[row, lo]
+        b = ordered[row, hi]
+    else:
+        a = ordered[lo]
+        b = ordered[hi]
+    diff = b - a
+    # numpy's _lerp: interpolate from whichever endpoint is nearer,
+    # which is what makes the result bit-identical to np.quantile.
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
 
 
 def _corner_direction(points: Array, center: Array) -> Array:

@@ -21,7 +21,8 @@ solo game, or the :class:`~repro.serving.DefenseService`):
 * **Trim program** — :class:`TrimLanes` resolves the per-lane trimmer
   dispatch (exact shipped class stack / custom loop) once at build
   time; per round it runs one vector score sweep plus one cutoff pass
-  per shared reference fit, byte-identical to L solo
+  per shared reference fit and one row-wise sort for every
+  batch-anchored lane, byte-identical to L solo
   :meth:`~repro.core.trimming.Trimmer.trim` calls.
 * **Poison program** — :class:`InjectorLanes` packs attack ratios into
   a column, groups exact-:class:`~repro.streams.PoisonInjector` lanes
@@ -50,6 +51,7 @@ its solo :class:`~repro.core.session.GameSession` would have produced.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +59,7 @@ import numpy as np
 from ..streams.injection import LanePositionServer, PoisonInjector
 from ..streams.source import ArrayStream, StreamSource
 from .arrays import Array
-from .domain import ReferenceFit, empirical_quantile
+from .domain import ReferenceFit, sorted_quantile
 from .engine import BandExcessJudge, NoisyPositionJudge
 from .quality import QualityEvaluator, TailMassEvaluator
 from .strategies.base import RoundObservationBatch
@@ -232,6 +234,28 @@ def _group_by_identity(objects: Sequence[Any]) -> Tuple[Array, List[Any]]:
     return gid, distinct
 
 
+class _ReusedBuffer:
+    """One flat float buffer a lockstep round writes again every round.
+
+    :meth:`view` hands out a C-contiguous view of the buffer in the
+    asked shape.  The buffer grows when a round asks for more than it
+    holds and is otherwise reused as it stands, so a steady-state round
+    neither allocates its large ``(rows, n, d)`` stack nor page-faults
+    on a fresh one.  The next request overwrites a view: nothing a round
+    hands out may alias it.
+    """
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def view(self, shape: Tuple[int, ...]) -> Array:
+        """A writable C-contiguous ``shape`` view of the buffer."""
+        size = math.prod(shape)
+        if self._flat.size < size:
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
+
+
 # --------------------------------------------------------------------- #
 # compiled trim program
 # --------------------------------------------------------------------- #
@@ -244,8 +268,9 @@ class TrimLanes:
     * ``"stacked"`` — one shipped trimmer class (per-lane instances with
       their own anchors/references, or one instance shared by every
       lane): a single vector score sweep, then each lane's scalar cutoff
-      from *its own* reference table — the exact expressions of the
-      solo :meth:`Trimmer.trim` body.
+      from *its own* reference table, or for batch-anchored lanes from
+      one row-wise sort of their own scores — the exact expressions of
+      the solo :meth:`Trimmer.trim` body.
     * ``"loop"`` — mixed classes or custom ``trim`` overrides: the
       documented per-lane loop through each instance's own ``trim``.
     """
@@ -295,6 +320,8 @@ class TrimLanes:
                 self._centers_nd = np.stack(
                     [np.asarray(c, dtype=float) for c in centers]
                 )
+        # The radial differences and their squares, rewritten every round.
+        self._diff = _ReusedBuffer()
 
     @property
     def n_reps(self) -> int:
@@ -302,7 +329,12 @@ class TrimLanes:
         return len(self.trimmers)
 
     def scores_stack(self, stack: Array, lanes: Array) -> Array:
-        """(rows, n) per-point scores; row ``j`` scored by lane ``lanes[j]``."""
+        """(rows, n) per-point scores; row ``j`` scored by lane ``lanes[j]``.
+
+        The radial differences and their squares go into a buffer the
+        program reuses; the scores never alias it (a value stack's
+        scores are the stack itself, as solo).
+        """
         if self.mode == "stacked" and type(self.trimmers[0]) is ValueTrimmer:
             if stack.ndim != 2:
                 raise ValueError("ValueTrimmer expects (R, n) stacks")
@@ -316,7 +348,11 @@ class TrimLanes:
                     # np.linalg.norm(diff, axis=2) with the squares taken
                     # in place: the solo norm's contiguous-axis sum of
                     # squares, without a second stack-sized temporary.
-                    diff = stack - centers[:, None, :]
+                    diff = np.subtract(
+                        stack,
+                        centers[:, None, :],
+                        out=self._diff.view(stack.shape),
+                    )
                     np.multiply(diff, diff, out=diff)
                     return np.sqrt(np.add.reduce(diff, axis=2))
         return np.stack(
@@ -369,11 +405,17 @@ class TrimLanes:
             for g in np.unique(row_gids[row_gids >= 0]):
                 rows = active[row_gids == g]
                 cutoffs[rows] = self._tables[g].quantile(q[rows])
-            for j in active[row_gids < 0]:
-                # Batch-anchored lanes: the cutoff is a quantile of the
-                # round's own scores, per lane by construction.
-                cutoffs[j] = float(
-                    empirical_quantile(scores[j], float(q[j]))
+            rows = active[row_gids < 0]
+            if rows.size:
+                # Batch-anchored lanes: each cutoff is a quantile of the
+                # lane's own round scores, all rows from one sort.  A row
+                # holding NaN sorts it last and gets it as its cutoff, as
+                # numpy.quantile gives the solo lane.
+                ordered = scores[rows]
+                ordered.sort(axis=1)
+                last = ordered[:, -1]
+                cutoffs[rows] = np.where(
+                    np.isnan(last), last, sorted_quantile(ordered, q[rows])
                 )
             kept[active] = scores[active] <= cutoffs[active, None]
             for j in active[~kept[active].any(axis=1)]:

@@ -97,6 +97,7 @@ from .fusion import (
     QualityLanes,
     SourceLanes,
     TrimLanes,
+    _ReusedBuffer,
     fused_adversary_lanes,
     fused_collector_lanes,
 )
@@ -1073,7 +1074,10 @@ class BatchedGameSession:
     draws from its own components' Generators and its own stream,
     byte-identically to its solo session.  Members may be seated
     mid-game: strategy lanes start from their instances' current state
-    and the cohort from the members' round.
+    and the cohort from the members' round.  Each round writes its
+    joined benign-and-poison stacks into a buffer the cohort owns and
+    reuses (its trim program does the same with its radial
+    differences); nothing a round returns aliases either.
 
     Seating checks every member before it touches any: duplicates and
     members that disagree on round position or board mode raise
@@ -1122,6 +1126,7 @@ class BatchedGameSession:
         )
         self._judges = JudgeLanes([session.judge for session in sessions])
         self.sources = SourceLanes([session.source for session in sessions])
+        self._join = _ReusedBuffer()
         self._reference_rows = _reference_rows(trimmers)
         self.store_retained = lead.store_retained
         self._horizon = min(
@@ -1255,7 +1260,12 @@ class BatchedGameSession:
                 poison = self.injector.materialize_many(
                     seg, inject[idx], idx=idx
                 )
-                combined = np.concatenate([seg, poison], axis=1)
+                width = seg.shape[1]
+                combined = self._join.view(
+                    (idx.size, width + poison.shape[1]) + seg.shape[2:]
+                )
+                combined[:, :width] = seg
+                combined[:, width:] = poison
             else:
                 combined = seg
             report = self._trim_lanes.trim_stack(combined, trim[idx], idx)

@@ -9,7 +9,7 @@ objective the paper's Fig. 4/5 report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,25 +31,34 @@ class KMeansResult:
         return self.centroids.shape[0]
 
 
-def _pairwise_sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _row_terms(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The per-point terms of :func:`_pairwise_sq_dists`: ``‖x‖²`` as a
+    column and ``2x``.  A fit computes them once; each seeding step and
+    Lloyd iteration reuses them in the kernel's own expression order."""
+    return np.sum(data**2, axis=1)[:, None], 2.0 * data
+
+
+def _pairwise_sq_dists(
+    terms: Tuple[np.ndarray, np.ndarray], centers: np.ndarray
+) -> np.ndarray:
     """Squared Euclidean distances, shape (n_points, n_centers)."""
+    sq_norms, twice = terms
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped for rounding noise.
-    d2 = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
+    d2 = sq_norms - twice @ centers.T + np.sum(centers**2, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def kmeans_plus_plus_init(
-    data: np.ndarray, n_clusters: int, rng: np.random.Generator
+def _seed_centers(
+    data: np.ndarray,
+    terms: Tuple[np.ndarray, np.ndarray],
+    n_clusters: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """k-means++ seeding: D²-weighted sequential center selection."""
+    """:func:`kmeans_plus_plus_init` on precomputed :func:`_row_terms`."""
     n = data.shape[0]
     centers = np.empty((n_clusters, data.shape[1]))
     centers[0] = data[rng.integers(n)]
-    closest = _pairwise_sq_dists(data, centers[:1]).ravel()
+    closest = _pairwise_sq_dists(terms, centers[:1]).ravel()
     for i in range(1, n_clusters):
         total = closest.sum()
         if total <= 0.0:
@@ -59,9 +68,16 @@ def kmeans_plus_plus_init(
         probs = closest / total
         centers[i] = data[rng.choice(n, p=probs)]
         closest = np.minimum(
-            closest, _pairwise_sq_dists(data, centers[i : i + 1]).ravel()
+            closest, _pairwise_sq_dists(terms, centers[i : i + 1]).ravel()
         )
     return centers
+
+
+def kmeans_plus_plus_init(
+    data: np.ndarray, n_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: D²-weighted sequential center selection."""
+    return _seed_centers(data, _row_terms(data), n_clusters, rng)
 
 
 def kmeans(
@@ -103,17 +119,18 @@ def kmeans(
     if n_clusters < 1 or n_clusters > arr.shape[0]:
         raise ValueError("need 1 <= n_clusters <= n_points")
     rng = np.random.default_rng(seed)
+    terms = _row_terms(arr)
 
     if init is not None:
         centers = np.array(init, dtype=float, copy=True)
         if centers.shape != (n_clusters, arr.shape[1]):
             raise ValueError("init has the wrong shape")
     else:
-        centers = kmeans_plus_plus_init(arr, n_clusters, rng)
+        centers = _seed_centers(arr, terms, n_clusters, rng)
 
     labels = np.zeros(arr.shape[0], dtype=int)
     for iteration in range(1, max_iter + 1):
-        d2 = _pairwise_sq_dists(arr, centers)
+        d2 = _pairwise_sq_dists(terms, centers)
         labels = np.argmin(d2, axis=1)
 
         new_centers = centers.copy()
@@ -131,7 +148,7 @@ def kmeans(
         if shift < tol:
             break
 
-    d2 = _pairwise_sq_dists(arr, centers)
+    d2 = _pairwise_sq_dists(terms, centers)
     labels = np.argmin(d2, axis=1)
     sse = float(np.sum(d2[np.arange(arr.shape[0]), labels]))
     return KMeansResult(centroids=centers, labels=labels, sse=sse, n_iter=iteration)

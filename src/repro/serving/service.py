@@ -251,6 +251,12 @@ class DefenseService:
         #: Evicted session ids -> in-memory snapshot blob (None when the
         #: blob lives in the result store instead).
         self._evicted: Dict[str, Optional[bytes]] = {}
+        #: Tenants restored from the store whose record still holds
+        #: their state.  The record goes once the tenant can move past
+        #: it (its first round through the service, or a live handle
+        #: handed out), so a later ``adopt`` never resumes a stale
+        #: round; a tenant quarantined before that keeps its record.
+        self._stored_current: Set[str] = set()
         #: Tenants pulled out of service by a quarantining submit_many.
         self._quarantined: Dict[str, TenantFailure] = {}
         self._next_id = 0
@@ -350,6 +356,7 @@ class DefenseService:
         """
         session = self._resident(session_id)
         session._flush_deferred()
+        self._drop_stored((session_id,))
         self._enforce_residency(protect={session_id})
         return session
 
@@ -373,6 +380,7 @@ class DefenseService:
         """Play one round of one tenant (the solo routing path)."""
         session = self._resident(session_id)
         decision = session.submit(batch, poison_mask=poison_mask)
+        self._drop_stored((session_id,))
         self._record_uses((session_id,))
         self.stats.solo_rounds += 1
         self._enforce_residency(protect={session_id})
@@ -497,6 +505,7 @@ class DefenseService:
                 if len(shaped) >= _MIN_COHORT:
                     stack = np.stack([arrays[sid] for sid in shaped])
                     views = self._submit_lockstep(shaped, sessions, stack)
+                    self._drop_stored(shaped)
                     decisions.update(zip(shaped, views, strict=True))
                     self.stats.lockstep_rounds += 1
                     self.stats.lockstep_lanes += len(shaped)
@@ -509,6 +518,7 @@ class DefenseService:
                             raise
                         self._quarantine(sid, "round", exc)
                         continue
+                    self._drop_stored((sid,))
                     self.stats.solo_rounds += 1
             self._record_uses(sid for sid in members if sid in decisions)
         survivors = {sid for sid in order if sid in decisions}
@@ -561,6 +571,7 @@ class DefenseService:
         """
         self.stats.lane_cache_hits += 1
         views = self._play_cohort(cohort, None)
+        self._drop_stored(order)
         self.stats.lockstep_rounds += 1
         self.stats.lockstep_lanes += len(order)
         self._record_uses(order)
@@ -575,13 +586,16 @@ class DefenseService:
         The tenant's live/evicted registration is dropped so later calls
         do not trip over it again; a *persisted* snapshot blob stays in
         the store untouched — it is the forensic artifact (and a fixed
-        deployment can :meth:`adopt` it back).
+        deployment can :meth:`adopt` it back).  A tenant that played
+        since its restore has none: its record went when it moved past
+        it.
         """
         self._sessions.pop(session_id, None)
         self._evicted.pop(session_id, None)
         self._specs.pop(session_id, None)
         self._group_of.pop(session_id, None)
         self._uses.pop(session_id, None)
+        self._stored_current.discard(session_id)
         self._quarantined[session_id] = TenantFailure(
             session_id=session_id,
             kind=kind,
@@ -661,10 +675,8 @@ class DefenseService:
         del self._specs[session_id]
         del self._group_of[session_id]
         self._uses.pop(session_id, None)
-        if self._store is not None:
-            self._store.record_path(self._session_key(session_id)).unlink(
-                missing_ok=True
-            )
+        self._stored_current.discard(session_id)
+        self._unlink_record(session_id)
         self.stats.closed += 1
         return result
 
@@ -782,6 +794,8 @@ class DefenseService:
                 record, session_id, self._specs[session_id]
             )
         session = GameSession.restore(blob)
+        if self._store is not None:
+            self._stored_current.add(session_id)
         del self._evicted[session_id]
         self._sessions[session_id] = session
         self.stats.restores += 1
@@ -806,6 +820,27 @@ class DefenseService:
             if self._epoch_uses >= period:
                 self._epoch += 1
                 self._epoch_uses = 0
+
+    def _drop_stored(self, session_ids: Iterable[str]) -> None:
+        """Remove the store records restored tenants may now move past.
+
+        Each caller runs this right after the tenants' own round (or on
+        handing out a live handle), so a later failure in the same call
+        cannot leave a played tenant's record behind.  A tenant stays
+        marked until its unlink succeeds: an ``OSError`` propagates, and
+        the tenant's next round or handle tries again.
+        """
+        if not self._stored_current:
+            return
+        for sid in self._stored_current.intersection(session_ids):
+            self._unlink_record(sid)
+            self._stored_current.discard(sid)
+
+    def _unlink_record(self, session_id: str) -> None:
+        if self._store is not None:
+            self._store.record_path(self._session_key(session_id)).unlink(
+                missing_ok=True
+            )
 
     def _aged_uses(self, session_id: str) -> int:
         """A tenant's use count, halved once per epoch since it was set."""

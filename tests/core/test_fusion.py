@@ -11,6 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.domain import empirical_quantile, sorted_quantile
 from repro.core.fusion import (
     FusedAdversaryLanes,
     FusedCollectorLanes,
@@ -265,6 +266,82 @@ class TestTrimLanes:
             lanes.trim_stack(np.zeros((2, 5)), np.array([0.9]))
         with pytest.raises(ValueError, match="empty"):
             lanes.trim_stack(np.zeros((2, 0)), np.array([0.9, 0.9]))
+
+
+def _mixed_anchor_stack(kind, rng):
+    """A cohort mixing reference- and batch-anchored lanes of one class,
+    a 40-wide stack whose points 20-29 repeat points 10-19 (tied scores;
+    row 5 also holds a NaN score), and the row -> lane map of a
+    segment."""
+    if kind == "value":
+        trimmers = [
+            ValueTrimmer().fit_reference(REFERENCE_A),
+            ValueTrimmer(anchor="batch"),
+            ValueTrimmer().fit_reference(REFERENCE_B),
+            ValueTrimmer(),  # unfitted: anchors on the batch
+        ]
+        stack = rng.uniform(0.0, 1.2, size=(8, 40))
+    else:
+        d = 3 if kind == "radial" else 1
+        reference = rng.normal(size=(60, d)) if d > 1 else rng.normal(size=60)
+        trimmers = [
+            RadialTrimmer().fit_reference(reference),
+            RadialTrimmer(anchor="batch").fit_reference(reference),
+            RadialTrimmer().fit_reference(reference + 0.5),
+            RadialTrimmer(anchor="batch").fit_reference(reference - 0.5),
+        ]
+        stack = rng.normal(size=(8, 40, d) if d > 1 else (8, 40))
+    stack[:, 20:30] = stack[:, 10:20]
+    stack[5, 7] = np.nan
+    lanes = np.array([1, 3, 0, 3, 1, 3, 1, 2])
+    return trimmers, stack, lanes
+
+
+class TestBatchAnchoredCutoffs:
+    """All batch-anchored cutoffs of a segment come from one row-wise
+    sort; each must equal the per-lane ``empirical_quantile`` call it
+    replaces and the lane's solo ``Trimmer.trim``."""
+
+    @pytest.mark.parametrize("kind", ["value", "radial", "radial-1d"])
+    def test_rows_match_per_row_quantiles_and_solo_trims(self, kind):
+        rng = np.random.default_rng(23)
+        trimmers, stack, lanes = _mixed_anchor_stack(kind, rng)
+        n = stack.shape[1]
+        # 0, 1, NaN (clips to 0), an exact order statistic k/(n-1), out
+        # of range, and interior fractions interpolating from either end.
+        percentiles = np.array([0.0, 1.0, np.nan, 7 / (n - 1), 0.5, -0.3, 0.3, 0.9])
+        program = TrimLanes(trimmers)
+        report = program.trim_stack(stack, percentiles, lanes)
+        for j, r in enumerate(lanes):
+            solo = trimmers[r].trim(stack[j], float(percentiles[j]))
+            assert report.kept[j].tobytes() == solo.kept.tobytes(), j
+            assert report.scores[j].tobytes() == solo.scores.tobytes(), j
+            assert float(report.percentiles[j]) == solo.percentile, j
+            cutoff = report.threshold_scores[j]
+            assert cutoff.tobytes() == np.float64(solo.threshold_score).tobytes(), j
+            if not trimmers[r].is_reference_anchored and solo.percentile < 1.0:
+                expected = empirical_quantile(report.scores[j], solo.percentile)
+                assert cutoff.tobytes() == np.float64(expected).tobytes(), j
+        # The NaN row's cutoff is NaN: it keeps only its first NaN point,
+        # the solo argmin fallback.
+        assert np.isnan(report.threshold_scores[5])
+        assert report.kept[5].tolist() == [i == 7 for i in range(n)]
+        # A second pass rewrites the buffer the program reuses; the
+        # first report holds none of it.
+        fields = (report.kept, report.scores, report.threshold_scores)
+        before = [field.tobytes() for field in fields]
+        program.trim_stack(-stack, percentiles, lanes)
+        assert [field.tobytes() for field in fields] == before
+
+    def test_sorted_rows_match_per_row_quantiles(self):
+        rng = np.random.default_rng(29)
+        scores = rng.lognormal(size=(300, 37))
+        q = rng.uniform(size=300)
+        q[:37] = np.arange(37) / 36  # every exact order statistic
+        got = sorted_quantile(np.sort(scores, axis=1), q)
+        for j in range(scores.shape[0]):
+            expected = empirical_quantile(scores[j], float(q[j]))
+            assert got[j].tobytes() == np.float64(expected).tobytes(), j
 
 
 def _injector_pair(**kwargs):

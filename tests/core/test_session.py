@@ -29,6 +29,7 @@ from repro.core.session import (
     SNAPSHOT_FORMAT,
     BatchedGameSession,
     GameSession,
+    LaneRoundDecision,
     SnapshotError,
     _snapshot_bytes,
     round_payoffs,
@@ -961,6 +962,54 @@ class TestBatchedSession:
             BatchedGameSession(members)
         assert all(member._cohort is None for member in members)
         assert [pickle.dumps(member.state_dict()) for member in members] == states
+
+    def test_round_outputs_outlive_later_rounds(self):
+        # The cohort writes each round's joined stacks and radial
+        # differences into a workspace it reuses, so nothing a round
+        # hands out may alias it: three poison-count segments join into
+        # one buffer every round, and round 1's outputs must survive two
+        # more rounds unchanged.
+        specs = [
+            dataclasses.replace(
+                matrix_spec("elastic-paper", "fixed", "band", seed=s),
+                attack_ratio=ratio,
+            )
+            for s, ratio in enumerate((0.1, 0.2, 0.3, 0.2))
+        ]
+        sessions = [spec.session() for spec in specs]
+        cohort = BatchedGameSession(sessions)
+        decision = cohort.submit()
+        assert decision.n_poison_injected.tolist() == [6, 12, 18, 12]
+        lanes = [
+            LaneRoundDecision(decision, r, session)
+            for r, session in enumerate(sessions)
+        ]
+
+        def outputs():
+            return pickle.dumps(
+                (
+                    decision,
+                    [
+                        (
+                            lane.accept_mask,
+                            lane.retained,
+                            lane.observation,
+                            lane.n_collected,
+                            lane.n_retained,
+                            lane.n_poison_retained,
+                        )
+                        for lane in lanes
+                    ],
+                )
+            )
+
+        kept = outputs()
+        retained = [rows.copy() for rows in decision.retained]
+        for _ in range(2):
+            cohort.submit()
+        assert outputs() == kept
+        for session, rows in zip(sessions, retained, strict=True):
+            assert session.board.retained[0].tobytes() == rows.tobytes()
 
     def test_cohort_stops_at_the_smallest_horizon(self):
         specs = [

@@ -114,3 +114,112 @@ class TestKMeans:
         r1 = kmeans(data, 3, seed=11)
         r2 = kmeans(data, 3, seed=11)
         np.testing.assert_array_equal(r1.centroids, r2.centroids)
+
+
+def reference_pairwise_sq_dists(data, centers):
+    """The distance kernel as first written: ``‖x‖²`` and ``2x`` per call."""
+    d2 = (
+        np.sum(data**2, axis=1)[:, None]
+        - 2.0 * data @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def reference_plus_plus(data, n_clusters, rng):
+    """k-means++ seeding on the per-call kernel."""
+    n = data.shape[0]
+    centers = np.empty((n_clusters, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    closest = reference_pairwise_sq_dists(data, centers[:1]).ravel()
+    for i in range(1, n_clusters):
+        total = closest.sum()
+        if total <= 0.0:
+            centers[i] = data[rng.integers(n)]
+            continue
+        centers[i] = data[rng.choice(n, p=closest / total)]
+        closest = np.minimum(
+            closest, reference_pairwise_sq_dists(data, centers[i : i + 1]).ravel()
+        )
+    return centers
+
+
+def reference_kmeans(data, n_clusters, max_iter=100, tol=1e-6, seed=None, init=None, n_init=1):
+    """Lloyd's algorithm as first written, restarts included: every
+    seeding step and iteration recomputes the per-point terms."""
+    if init is None and n_init > 1:
+        base = 0 if seed is None else seed
+        fits = [
+            reference_kmeans(data, n_clusters, max_iter, tol, seed=base + r)
+            for r in range(n_init)
+        ]
+        best = fits[0]
+        for fit in fits[1:]:
+            if fit[2] < best[2]:
+                best = fit
+        return best
+    arr = np.asarray(data, dtype=float)
+    rng = np.random.default_rng(seed)
+    if init is not None:
+        centers = np.array(init, dtype=float, copy=True)
+    else:
+        centers = reference_plus_plus(arr, n_clusters, rng)
+    for iteration in range(1, max_iter + 1):
+        d2 = reference_pairwise_sq_dists(arr, centers)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for c in range(n_clusters):
+            members = arr[labels == c]
+            if members.shape[0] == 0:
+                new_centers[c] = arr[int(np.argmax(np.min(d2, axis=1)))]
+            else:
+                new_centers[c] = members.mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if shift < tol:
+            break
+    d2 = reference_pairwise_sq_dists(arr, centers)
+    labels = np.argmin(d2, axis=1)
+    sse = float(np.sum(d2[np.arange(arr.shape[0]), labels]))
+    return centers, labels, sse, iteration
+
+
+class TestRowTermsOncePerFit:
+    """A fit computes ``‖x‖²`` and ``2x`` once; every result must equal,
+    bit for bit, the loop that recomputed them on every distance call."""
+
+    @staticmethod
+    def _assert_matches_reference(data, n_clusters, **kwargs):
+        got = kmeans(data, n_clusters, **kwargs)
+        centers, labels, sse, n_iter = reference_kmeans(data, n_clusters, **kwargs)
+        assert got.centroids.tobytes() == centers.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.sse == sse
+        assert got.n_iter == n_iter
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(40, 1), (120, 2), (300, 60)])
+    def test_random_fits_match_reference(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+        k = 1 + seed % 5
+        self._assert_matches_reference(data, k, seed=seed)
+        self._assert_matches_reference(data, k, seed=seed, n_init=3)
+        self._assert_matches_reference(data, k, seed=seed, max_iter=2)
+        self._assert_matches_reference(data, k, init=data[:k] + 0.25)
+        assert (
+            kmeans_plus_plus_init(data, k, np.random.default_rng(seed)).tobytes()
+            == reference_plus_plus(data, k, np.random.default_rng(seed)).tobytes()
+        )
+
+    def test_unseeded_restarts_match_reference(self, small_gaussian):
+        data, _ = small_gaussian
+        self._assert_matches_reference(data, 3, n_init=4)
+
+    def test_empty_cluster_repair_matches_reference(self):
+        data = np.vstack([np.zeros((20, 2)), np.full((20, 2), 10.0)])
+        init = np.array([[0.0, 0.0], [100.0, 100.0], [200.0, 200.0]])
+        # The far centers start empty, so the repair runs.
+        first = np.argmin(reference_pairwise_sq_dists(data, init), axis=1)
+        assert set(first.tolist()) == {0}
+        self._assert_matches_reference(data, 3, init=init)

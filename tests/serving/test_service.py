@@ -456,6 +456,86 @@ class TestEvictionAndResidency:
         with pytest.raises(ValueError, match="different tenant or spec"):
             service_a.submit(sid_a)
 
+    def test_restore_removes_persisted_snapshot(self, tmp_path):
+        # A restored tenant plays on past its snapshot, so the stored
+        # record goes: a later service must not adopt the old round.
+        store = ResultStore(tmp_path / "cache")
+        spec = matrix_spec("tft-mixed", "mixed", "position", seed=79)
+        first = DefenseService(store=store)
+        sid = first.open(spec, session_id="tenant")
+        for _ in range(3):
+            first.submit(sid)
+        first.evict(sid)
+        key = first._session_key(sid)
+        assert store.record_path(key).exists()
+        for _ in range(4):
+            first.submit(sid)  # the first submit restores
+        assert first.session(sid).round_index == 7
+        assert not store.record_path(key).exists()
+        with pytest.raises(KeyError, match="no persisted snapshot"):
+            DefenseService(store=store).adopt(spec, sid)
+        # Parked again, the tenant is adoptable at its current round, and
+        # a live handle (the caller may play through it) drops the record.
+        first.evict(sid)
+        second = DefenseService(store=store)
+        second.adopt(spec, sid)
+        assert store.record_path(key).exists()
+        assert second.session(sid).round_index == 7
+        assert not store.record_path(key).exists()
+
+    def test_later_failure_in_the_call_keeps_no_stale_record(
+        self, tmp_path, monkeypatch
+    ):
+        # The record goes right after the restored tenant's own round, so
+        # a peer's solo round raising later in the same call leaves no
+        # stale snapshot for another service to adopt.
+        store = ResultStore(tmp_path / "cache")
+        spec = matrix_spec("tft-mixed", "mixed", "position", seed=83)
+        service = DefenseService(store=store)
+        restored = service.open(spec, session_id="restored")
+        failing = service.open(spec, session_id="failing")
+        service.submit_many([restored, failing])
+        service.evict(restored)
+        key = service._session_key(restored)
+        assert store.record_path(key).exists()
+
+        def broken_trim(batch, percentile):
+            raise RuntimeError("trimmer failure")
+
+        monkeypatch.setattr(service._sessions[failing].trimmer, "trim", broken_trim)
+        # One configuration group at one round: both play solo, the
+        # restored tenant first.
+        with pytest.raises(RuntimeError, match="trimmer failure"):
+            service.submit_many([restored, failing])
+        assert service._sessions[restored].round_index == 2
+        assert not store.record_path(key).exists()
+        with pytest.raises(KeyError, match="no persisted snapshot"):
+            DefenseService(store=store).adopt(spec, restored)
+
+    def test_failed_record_removal_is_retried(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "cache")
+        spec = matrix_spec("tft-mixed", "mixed", "position", seed=89)
+        service = DefenseService(store=store)
+        sid = service.open(spec, session_id="tenant")
+        service.submit(sid)
+        service.evict(sid)
+        record = store.record_path(service._session_key(sid))
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(type(record), "unlink", refuse)
+        # The round plays; the failed removal surfaces, and the record
+        # stays marked for the tenant's next round.
+        with pytest.raises(PermissionError):
+            service.submit(sid)
+        monkeypatch.undo()
+        assert service._sessions[sid].round_index == 2
+        assert record.exists()
+        service.submit(sid)
+        assert service._sessions[sid].round_index == 3
+        assert not record.exists()
+
     def test_close_removes_persisted_snapshot(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         service = DefenseService(store=store)
