@@ -33,7 +33,11 @@ round buffers (the joined benign-and-poison stack in
 R = 32 pass took 141,438-141,448 faults, about 27.6 per lane-round
 (8 groups of 64 lanes x 10 rounds); with them, 31.8-33.2k: each
 cohort's first round (its fresh buffers and the quality evaluator's
-norm temporaries) and the per-round gather of the benign stack.  Two
+norm temporaries) and the per-round gather of the benign stack.  Since
+the quality program also squares into a buffer it owns, the pass reads
+38.2k: each of these ten-round cohorts first-touches one more ``(L, n,
+d)`` buffer, where fresh per-round squares read 33.0k in a scratch
+variant (a long-lived service cohort saves the faults instead).  Two
 pytest runs with the reused buffers read a gated median of 2.65x and
 2.93x (about 970-1,130 games/s batched), where the parent commit read
 2.30x in a run beside them.

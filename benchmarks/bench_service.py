@@ -17,43 +17,47 @@ Workloads:
 
 * ``taxi`` (homogeneous, gated) — R same-configuration tenants on the
   paper's 1-D live-stream shape.  Rounds are Python-overhead-bound,
-  which is exactly what multiplexing removes: at R = 32 about 14,700
-  solo against 67,600 multiplexed session-rounds/s, 4.47-4.65x end to
-  end and 5.48-5.83x steady-state (six runs of the gated figure on a
-  shared 2-CPU container), gated at 2x and 4x for noisy CI runners.
+  which is exactly what multiplexing removes.  Gated at R = 32 at 2x
+  and 4x for noisy CI runners; over six standalone runs on a shared
+  2-CPU container the gated figure read 3.37-4.23x end to end and
+  3.83-5.14x steady-state (medians 3.70x and 4.49x), against
+  3.85-4.43x and 4.61-5.61x in alternating runs while the solo round
+  took ``np.linalg.norm`` and ``np.mean``: the shared norm kernel and
+  exact mask counts made solo rounds about 20 % faster, while a
+  one-count cohort gains little from the one-pass round.
 * ``hetero-taxi`` (heterogeneous, gated) — the same shape but tenants
   cycle through three strategy schemes x three attack ratios: nine
-  distinct configurations that the pre-fusion service served solo.
-  Gated at 2x end to end and 2.5x steady-state; the gated figure read
-  2.59-2.70x and 2.81-2.99x over six runs, while its single passes
-  read 2.11-2.84x and 2.27-3.08x (the pre-fusion service scores
-  exactly 1x here by construction).  The solo loop's trim cutoff is
-  plain float arithmetic, so the solo side runs about 14 % faster than
-  when these read 2.99-3.09x and 3.28-3.42x; the lockstep side did
-  not change.
+  distinct configurations that the pre-fusion service served solo
+  (it scores exactly 1x here by construction).  Its lanes inject three
+  poison counts a round, which one ragged pass serves.  Gated at R =
+  32 at 2x end to end and 2.5x steady-state, and at R = 8 at 1x
+  steady-state: over the same six runs R = 32 read 3.40-3.75x and
+  3.83-4.50x, R = 8 1.45-1.64x steady-state, where a round played once
+  per poison count read 2.27-2.66x / 2.39-2.91x and 0.76-1.19x.
 * ``control`` (reported, ungated) — 60-dimensional batches.  Here the
   round is numpy-compute-bound (the norms dominate), so lockstep saves
-  only the loop overhead (~1.25x at R = 32).  The point is recorded so the
-  trade-off stays visible instead of silently truncated.
+  only the loop overhead (~1.4x at R = 32; single passes at R = 8
+  read 0.9-1.9x).  The points are recorded so the trade-off stays
+  visible instead of silently truncated.
 
 Every point also records ``steady_state_faults_per_round``: the minor
 page faults (``resource.getrusage`` on this process) of one lockstep
 round of the reused cohort, averaged over rounds 2-60, after the first
 round built the cohort.  A round that allocates its ``(L, n, d)``
 stacks afresh makes the kernel zero-fill new pages every round, which
-shows on ``control``.  Its cohort writes the joined stack, and its
-trim program the radial differences, into buffers each reuses; the
-gathered benign stack and the quality evaluator's norm temporaries are
-still fresh arrays, and they fault in the first large cohort a process
-plays: control R = 32 read 752 a round, against 872 before the buffers
-were reused.  Reported, not gated; the gated fault count lives in
+shows on ``control``.  Its cohort writes the joined stack, its trim
+program the radial differences and its quality program the squares of
+its norms into buffers each reuses; the gathered benign stack is still
+a fresh array, and it faults in the first large cohort a process
+plays: control R = 32 read 371 a round run standalone, against 752
+while the quality norms were fresh too and 872 before any buffer was
+reused.  Reported, not gated; the gated fault count lives in
 ``bench_batched_engine.py``.
 
-Each gated point (R = 32 on ``taxi`` and ``hetero-taxi``) plays the
-same tenants ``GATE_REPEATS`` = 5 times and gates on the median
-ratios: one timed pass lasts about 0.1 s, so a single pass is decided
-by whatever else the host runs at that moment.  Every pass's ratios
-are recorded next to the medians.
+Each gated point (``GATES``) plays the same tenants ``GATE_REPEATS`` =
+5 times and gates on the median ratios: one timed pass lasts about
+0.1 s, so a single pass is decided by whatever else the host runs at
+that moment.  Every pass's ratios are recorded next to the medians.
 
 Correctness gate (non-negotiable, every workload): every multiplexed
 tenant's final board must equal its solo session's board, record for
@@ -86,18 +90,21 @@ from conftest import host_stamp, median_of_passes
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_service.json")
 
-#: Concurrent tenant counts; the gates apply at GATED_SESSIONS on the
-#: GATED_WORKLOADS.
+#: Concurrent tenant counts per workload.
 SESSION_COUNTS = (8, 32)
-GATED_SESSIONS = 32
-GATED_WORKLOADS = ("taxi", "hetero-taxi")
-#: CI regression gates.  The total-wall-clock gate keeps ample headroom
-#: for noisy shared CI runners, like the sibling engine gates; the
-#: steady-state gates (per gated workload) pin the PR 9 deferred-
-#: writeback win — serving-phase speedups measured well above them on
-#: this container (see results/BENCH_service.json).
-MIN_SPEEDUP = 2.0
-MIN_STEADY_SPEEDUP = {"taxi": 4.0, "hetero-taxi": 2.5}
+#: CI regression gates, ``(workload, sessions) -> (minimum end-to-end
+#: speedup or None, minimum steady-state speedup)``.  The total-wall-
+#: clock gates keep ample headroom for noisy shared CI runners, like the
+#: sibling engine gates; the R = 32 steady-state gates pin the deferred-
+#: writeback win, and hetero-taxi R = 8 that a small mixed cohort, whose
+#: lanes inject three poison counts, plays its one-pass rounds no slower
+#: than its tenants would solo — serving-phase speedups measured well
+#: above them on a 2-CPU container (see results/BENCH_service.json).
+GATES = {
+    ("taxi", 32): (2.0, 4.0),
+    ("hetero-taxi", 32): (2.0, 2.5),
+    ("hetero-taxi", 8): (None, 1.0),
+}
 #: Each gated point times the same tenants GATE_REPEATS times and gates
 #: on the median ratios: one timed phase lasts about 0.1 s, so a single
 #: pass is decided by whatever else the host runs at that moment.
@@ -262,10 +269,9 @@ def run_service_benchmark() -> dict:
     points = []
     for label, spec_fn in WORKLOADS:
         for n_sessions in SESSION_COUNTS:
-            gated = label in GATED_WORKLOADS and n_sessions == GATED_SESSIONS
             point, runs = median_of_passes(
                 partial(_measure, spec_fn, n_sessions),
-                GATE_REPEATS if gated else 1,
+                GATE_REPEATS if (label, n_sessions) in GATES else 1,
             )
             total_rounds = n_sessions * ROUNDS
             points.append(
@@ -296,10 +302,15 @@ def run_service_benchmark() -> dict:
             "batch_size": BATCH_SIZE,
         },
         "gate": {
-            "datasets": list(GATED_WORKLOADS),
-            "sessions": GATED_SESSIONS,
-            "min_speedup": MIN_SPEEDUP,
-            "min_steady_state_speedup": dict(MIN_STEADY_SPEEDUP),
+            "points": [
+                {
+                    "dataset": label,
+                    "sessions": n_sessions,
+                    "min_speedup": end_to_end,
+                    "min_steady_state_speedup": steady,
+                }
+                for (label, n_sessions), (end_to_end, steady) in GATES.items()
+            ],
             "repeats": GATE_REPEATS,
             "statistic": "median",
         },
@@ -356,24 +367,25 @@ def test_defense_service(report):
             f"multiplexed boards diverged at R={point['sessions']} "
             f"on {point['dataset']}"
         )
-    # Performance gates: the homogeneous headline must not regress, and
-    # the fused heterogeneous workload must actually multiplex.
-    for dataset in GATED_WORKLOADS:
+    # Performance gates: the homogeneous headline must not regress, the
+    # fused heterogeneous workload must actually multiplex, and a small
+    # mixed cohort must not lose to solo.
+    for (dataset, sessions), (min_speedup, steady_gate) in GATES.items():
         gated = next(
             p
             for p in payload["points"]
-            if p["sessions"] == GATED_SESSIONS and p["dataset"] == dataset
+            if p["sessions"] == sessions and p["dataset"] == dataset
         )
-        assert gated["speedup"] >= MIN_SPEEDUP, (
-            f"median multiplexed speedup {gated['speedup']:.2f}x below the "
-            f"{MIN_SPEEDUP}x gate at R={GATED_SESSIONS} on {dataset} "
-            f"(passes: {gated['repeat_speedups']})"
-        )
-        steady_gate = MIN_STEADY_SPEEDUP[dataset]
+        if min_speedup is not None:
+            assert gated["speedup"] >= min_speedup, (
+                f"median multiplexed speedup {gated['speedup']:.2f}x below the "
+                f"{min_speedup}x gate at R={sessions} on {dataset} "
+                f"(passes: {gated['repeat_speedups']})"
+            )
         assert gated["steady_state_speedup"] >= steady_gate, (
             f"median steady-state speedup "
             f"{gated['steady_state_speedup']:.2f}x below the {steady_gate}x "
-            f"gate at R={GATED_SESSIONS} on {dataset} "
+            f"gate at R={sessions} on {dataset} "
             f"(passes: {gated['repeat_steady_state_speedups']})"
         )
 

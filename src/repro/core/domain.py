@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union, overload
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .arrays import Array, ArrayLike
 __all__ = [
     "Domain",
     "QuantileTable",
+    "QuantileBank",
     "ReferenceFit",
     "ReferenceKey",
     "key_reference",
@@ -190,35 +191,117 @@ class QuantileTable:
         return out
 
 
-def sorted_quantile(ordered: Array, q: Array) -> Array:
+def sorted_quantile(
+    ordered: Array, q: Array, sizes: Optional[Array] = None
+) -> Array:
     """``numpy.quantile``'s linear method on presorted samples.
 
     ``ordered`` is one ascending sample ``(n,)`` with fractions ``q`` of
     any shape, or ``(rows, n)`` ascending along each row with one
-    fraction per row, ``q`` shaped ``(rows,)``.  Fractions must lie in
-    [0, 1]; the caller checks them.  The virtual index is ``q * (n - 1)``
-    and the interpolation is numpy's two-sided lerp, so each result is
-    bit-identical to ``numpy.quantile`` of the unsorted sample at the
-    same fraction, as long as the sample holds no NaN (numpy returns NaN
-    for such a sample).
+    fraction per row, ``q`` shaped ``(rows,)``.  ``sizes`` (``(rows,)``,
+    2-D only) makes row ``j`` the sample of its first ``sizes[j]``
+    values, so a ragged stack whose padding sorts last interpolates over
+    its own rows only.  Fractions must lie in [0, 1]; the caller checks
+    them.  The virtual index is ``q * (n - 1)`` and the interpolation is
+    numpy's two-sided lerp, so each result is bit-identical to
+    ``numpy.quantile`` of the unsorted sample at the same fraction, as
+    long as the sample holds no NaN (numpy returns NaN for such a
+    sample).
     """
-    n = ordered.shape[-1]
-    virtual = q * (n - 1)
+    if ordered.ndim == 1:
+        return _interpolate(ordered, q, None, ordered.shape[0])
+    rows, width = ordered.shape
+    return _interpolate(
+        ordered.ravel(),
+        q,
+        np.arange(rows) * width,
+        width if sizes is None else sizes,
+    )
+
+
+def _interpolate(
+    values: Array, q: Array, start: Optional[Array], size: Union[int, Array]
+) -> Array:
+    """:func:`sorted_quantile`'s expressions over samples laid end to end.
+
+    Fraction ``q`` reads the ascending sample ``values[start:start +
+    size]``; ``start`` and ``size`` broadcast against ``q`` (``start``
+    ``None`` is 0).
+    """
+    last = size - 1
+    virtual = q * last
     lower = np.floor(virtual)
     gamma = virtual - lower
     lo = lower.astype(np.intp)
-    hi = np.minimum(lo + 1, n - 1)
-    if ordered.ndim == 2:
-        row = np.arange(ordered.shape[0])
-        a = ordered[row, lo]
-        b = ordered[row, hi]
-    else:
-        a = ordered[lo]
-        b = ordered[hi]
+    hi = np.minimum(lo + 1, last)
+    if start is not None:
+        lo += start
+        hi += start
+    a = values.take(lo)
+    b = values.take(hi)
     diff = b - a
     # numpy's _lerp: interpolate from whichever endpoint is nearer,
     # which is what makes the result bit-identical to np.quantile.
     return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
+class QuantileBank:
+    """Several sort-once tables laid end to end, read in one gather.
+
+    :meth:`quantile` interpolates each fraction in its own table with
+    :func:`sorted_quantile`'s expressions, so every value is
+    bit-identical to that table's :meth:`QuantileTable.quantile` at the
+    same fraction.  A lane program builds one bank of its distinct
+    reference tables and takes every lane's quantiles in one pass.
+    """
+
+    def __init__(self, tables: Sequence[QuantileTable]) -> None:
+        #: Each table's sample size and start in :attr:`values`.
+        self.sizes = np.array([table.n for table in tables], dtype=np.intp)
+        self.starts = np.zeros_like(self.sizes)
+        np.cumsum(self.sizes[:-1], out=self.starts[1:])
+        self.values = np.concatenate(
+            [table.values for table in tables] or [np.empty(0)]
+        )
+        self.values.setflags(write=False)
+
+    def quantile(self, slot: Array, q: Array) -> Array:
+        """Fraction ``q`` of table ``slot`` (broadcast together).
+
+        Fractions must lie in [0, 1]; the caller checks them.
+        """
+        return _interpolate(self.values, q, self.starts[slot], self.sizes[slot])
+
+
+def _row_norms(
+    x: Array,
+    center: Optional[Array] = None,
+    alloc: Optional[Callable[[Tuple[int, ...]], Array]] = None,
+) -> Array:
+    """``np.linalg.norm(x - center, axis=-1)``, bit for bit.
+
+    ``center`` ``None`` takes the norms of ``x`` itself.  The
+    differences and their squares go into one ``alloc(shape)`` array
+    (a fresh one by default; a lane program passes a buffer it reuses),
+    which the result never aliases.  Over a length-1 last axis the norm
+    is ``sqrt(x * x)`` of the squeezed column, at a quarter of the
+    reduction's cost: ``np.linalg.norm`` is ``sqrt(add.reduce(x * x))``,
+    and a one-element ``add.reduce`` returns its element.
+    """
+    column = x.shape[-1] == 1
+    if column:
+        x = x[..., 0]
+        if center is not None:
+            center = center[..., 0]
+    squares = np.empty(x.shape) if alloc is None else alloc(x.shape)
+    if center is None:
+        np.multiply(x, x, out=squares)
+    else:
+        np.subtract(x, center, out=squares)
+        np.multiply(squares, squares, out=squares)
+    if column:
+        return np.sqrt(squares)
+    return np.sqrt(np.add.reduce(squares, axis=-1))
 
 
 def _corner_direction(points: Array, center: Array) -> Array:

@@ -20,21 +20,32 @@ solo game, or the :class:`~repro.serving.DefenseService`):
   instead of O(L).
 * **Trim program** — :class:`TrimLanes` resolves the per-lane trimmer
   dispatch (exact shipped class stack / custom loop) once at build
-  time; per round it runs one vector score sweep plus one cutoff pass
-  per shared reference fit and one row-wise sort for every
-  batch-anchored lane, byte-identical to L solo
-  :meth:`~repro.core.trimming.Trimmer.trim` calls.
+  time, and lays the lanes' distinct reference tables end to end in
+  one :class:`~repro.core.domain.QuantileBank`; per round it runs one
+  vector score sweep, one gather for every reference-anchored cutoff
+  and one row-wise sort for every batch-anchored lane, byte-identical
+  to L solo :meth:`~repro.core.trimming.Trimmer.trim` calls.
 * **Poison program** — :class:`InjectorLanes` packs attack ratios into
-  a column, groups exact-:class:`~repro.streams.PoisonInjector` lanes
-  by the identity of their shared
-  :class:`~repro.core.domain.ReferenceFit` at build time, and
-  materializes each group's poison in a single vectorized quantile
-  pass, with per-lane jitter draws still taken from each lane's own
+  a column and banks the reference tables of its
+  exact-:class:`~repro.streams.PoisonInjector` lanes at build time,
+  grouped by the identity of their shared
+  :class:`~repro.core.domain.ReferenceFit`; per round it turns every
+  lane's jitter positions into its own count of poison rows in one
+  gather, with the positions still drawn from each lane's own
   Generator; subclass lanes call their own ``materialize``.
 * **Quality and judge programs** — :class:`QualityLanes` scores
   exact-:class:`~repro.core.quality.TailMassEvaluator` stacks in one
   array sweep and :class:`JudgeLanes` computes the shipped judges'
   verdicts in array expressions; other classes loop per lane.
+
+The round stack is ragged: lanes inject different poison counts, so
+lane ``j`` owns the first ``sizes[j]`` entries of its row (its benign
+rows, then its poison) and NaN pads the rest.  Each program runs once
+a round over every lane; a pad scores NaN, which no cutoff, tail or
+band comparison keeps or counts, and every per-lane loop sees the
+lane's own entries only.  The radial trim scores and the evaluators'
+norms share one kernel (:func:`~repro.core.domain._row_norms`), which
+writes its squares into a buffer the program reuses.
 * **Source program** — :class:`SourceLanes` draws a round's benign
   stack when the cohort is submitted without one.  Exact
   :class:`~repro.streams.source.ArrayStream` lanes of one draw shape
@@ -59,7 +70,7 @@ import numpy as np
 from ..streams.injection import LanePositionServer, PoisonInjector
 from ..streams.source import ArrayStream, StreamSource
 from .arrays import Array
-from .domain import ReferenceFit, sorted_quantile
+from .domain import QuantileBank, ReferenceFit, _row_norms, sorted_quantile
 from .engine import BandExcessJudge, NoisyPositionJudge
 from .quality import QualityEvaluator, TailMassEvaluator
 from .strategies.base import RoundObservationBatch
@@ -259,20 +270,46 @@ class _ReusedBuffer:
 # --------------------------------------------------------------------- #
 # compiled trim program
 # --------------------------------------------------------------------- #
+def _lane_sizes(sizes: Optional[Array], n_rows: int, width: int) -> Array:
+    """Checked ``(rows,)`` lane sizes of a ragged stack ``width`` wide.
+
+    ``None`` means every row is full.  The widest lane fills the stack.
+    """
+    if sizes is None:
+        return np.full(n_rows, width)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if (
+        sizes.shape != (n_rows,)
+        or int(sizes.min()) < 1
+        or int(sizes.max()) != width
+    ):
+        raise ValueError(
+            f"need one lane size in [1, {width}] per row, the widest "
+            f"filling the stack; got {sizes.tolist()}"
+        )
+    return sizes
+
+
 class TrimLanes:
     """Per-lane trimmers compiled into one round program.
 
-    The dispatch (exact shipped class?  custom ``trim`` override?) is
-    resolved once at build time:
+    Row ``j`` of a stack is lane ``j``.  A ragged round's stack is
+    ``(L, width[, d])``: lane ``j`` owns its first ``sizes[j]`` entries
+    and NaN pads the rest, so a pad scores NaN, sorts last and no
+    comparison keeps it.  The dispatch (exact shipped class?  custom
+    ``trim`` override?) is resolved once at build time:
 
     * ``"stacked"`` — one shipped trimmer class (per-lane instances with
       their own anchors/references, or one instance shared by every
-      lane): a single vector score sweep, then each lane's scalar cutoff
-      from *its own* reference table, or for batch-anchored lanes from
-      one row-wise sort of their own scores — the exact expressions of
-      the solo :meth:`Trimmer.trim` body.
+      lane): a single vector score sweep, then every reference-anchored
+      cutoff from one gather over the lanes' distinct reference tables
+      laid end to end (a :class:`~repro.core.domain.QuantileBank`), and
+      every batch-anchored cutoff from one row-wise sort of the lanes'
+      own scores — the exact expressions of the solo
+      :meth:`Trimmer.trim` body.
     * ``"loop"`` — mixed classes or custom ``trim`` overrides: the
-      documented per-lane loop through each instance's own ``trim``.
+      documented per-lane loop through each instance's own ``trim``, on
+      the lane's own entries.
     """
 
     def __init__(self, trimmers: Sequence[Trimmer]):
@@ -286,11 +323,10 @@ class TrimLanes:
             self.mode = "stacked"
         else:
             self.mode = "loop"
-        # Cutoff groups: stacked reference-anchored lanes holding one fit
-        # share one vectorized QuantileTable.quantile call (group id -1
-        # marks batch-anchored lanes, whose cutoff depends on the round's
-        # own scores).
-        self._cutoff_gid, self._tables = _group_by_identity(
+        # Stacked reference-anchored lanes read their cutoffs from one
+        # bank of their distinct tables; slot -1 marks batch-anchored
+        # lanes, whose cutoff depends on the round's own scores.
+        self._slot, tables = _group_by_identity(
             [
                 t.reference_table
                 if self.mode == "stacked" and t.is_reference_anchored
@@ -298,9 +334,11 @@ class TrimLanes:
                 for t in self.trimmers
             ]
         )
+        self._banked = self._slot >= 0
+        self._bank = QuantileBank(tables)
         # Pack radial centers into a column when every lane has a fitted
         # scalar (1-D) or same-dimension center; otherwise the score
-        # sweep falls back to a per-lane loop for the odd lanes.
+        # sweep falls back to a per-lane loop.
         self._centers_1d: Optional[Array] = None
         self._centers_nd: Optional[Array] = None
         if self.mode == "stacked" and type(lead) is RadialTrimmer:
@@ -321,19 +359,20 @@ class TrimLanes:
                     [np.asarray(c, dtype=float) for c in centers]
                 )
         # The radial differences and their squares, rewritten every round.
-        self._diff = _ReusedBuffer()
+        self._squares = _ReusedBuffer()
 
     @property
     def n_reps(self) -> int:
         """Number of trim lanes."""
         return len(self.trimmers)
 
-    def scores_stack(self, stack: Array, lanes: Array) -> Array:
-        """(rows, n) per-point scores; row ``j`` scored by lane ``lanes[j]``.
+    def scores_stack(self, stack: Array, sizes: Optional[Array] = None) -> Array:
+        """(L, width) per-point scores of a (ragged) round stack.
 
-        The radial differences and their squares go into a buffer the
-        program reuses; the scores never alias it (a value stack's
-        scores are the stack itself, as solo).
+        Lane ``j`` scores its first ``sizes[j]`` entries (``None``: every
+        entry); a pad scores NaN.  The radial differences and their
+        squares go into a buffer the program reuses; the scores never
+        alias it (a value stack's scores are the stack itself, as solo).
         """
         if self.mode == "stacked" and type(self.trimmers[0]) is ValueTrimmer:
             if stack.ndim != 2:
@@ -341,86 +380,87 @@ class TrimLanes:
             return stack
         if self.mode == "stacked":  # RadialTrimmer
             if stack.ndim == 2 and self._centers_1d is not None:
-                return np.abs(stack - self._centers_1d[lanes][:, None])
-            if stack.ndim == 3 and self._centers_nd is not None:
-                centers = self._centers_nd[lanes]
-                if centers.shape[1] == stack.shape[2]:
-                    # np.linalg.norm(diff, axis=2) with the squares taken
-                    # in place: the solo norm's contiguous-axis sum of
-                    # squares, without a second stack-sized temporary.
-                    diff = np.subtract(
-                        stack,
-                        centers[:, None, :],
-                        out=self._diff.view(stack.shape),
-                    )
-                    np.multiply(diff, diff, out=diff)
-                    return np.sqrt(np.add.reduce(diff, axis=2))
-        return np.stack(
-            [
-                self.trimmers[r].scores(stack[j])
-                for j, r in enumerate(lanes)
-            ]
-        )
+                return np.abs(stack - self._centers_1d[:, None])
+            centers = self._centers_nd
+            if (
+                stack.ndim == 3
+                and centers is not None
+                and centers.shape[1] == stack.shape[2]
+            ):
+                return _row_norms(stack, centers[:, None, :], self._squares.view)
+        n_rows, width = stack.shape[:2]
+        sizes = _lane_sizes(sizes, n_rows, width)
+        scores = np.full((n_rows, width), np.nan)
+        for j, size in enumerate(sizes.tolist()):
+            scores[j, :size] = self.trimmers[j].scores(stack[j, :size])
+        return scores
 
     def trim_stack(
-        self,
-        stack: Array,
-        percentiles: Array,
-        lanes: Optional[Array] = None,
+        self, stack: Array, percentiles: Array, sizes: Optional[Array] = None
     ) -> BatchTrimReport:
-        """One compiled trimming pass; row ``j`` is lane ``lanes[j]``.
+        """One compiled trimming pass over a (ragged) round stack.
 
-        Row ``j`` of the report is byte-identical to
-        ``self.trimmers[lanes[j]].trim(stack[j], percentiles[j])``.
+        Lane ``j`` owns its first ``sizes[j]`` entries (``None``: every
+        entry; the widest lane fills the stack), and entries past them
+        must be NaN.  On its own entries, row ``j`` of the report is
+        byte-identical to ``self.trimmers[j].trim(stack[j, :sizes[j]],
+        percentiles[j])``; no pad is kept.
         """
         arr = np.asarray(stack, dtype=float)
         if arr.ndim not in (2, 3):
             raise ValueError("stacks must be (R, n) or (R, n, d)")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("cannot trim an empty stack")
+        if arr.shape[0] != self.n_reps:
+            raise ValueError(
+                f"stack carries {arr.shape[0]} rows for {self.n_reps} lanes"
+            )
         q_in = np.asarray(percentiles, dtype=float)
         if q_in.shape != (arr.shape[0],):
             raise ValueError("need one percentile per rep")
-        if lanes is None:
-            lanes = np.arange(self.n_reps)
+        n_rows, width = arr.shape[:2]
+        sizes = _lane_sizes(sizes, n_rows, width)
         if self.mode == "loop":
             return BatchTrimReport.from_reports(
-                self.trimmers[r].trim(arr[j], float(q_in[j]))
-                for j, r in enumerate(lanes)
+                trimmer.trim(arr[j, :size], float(q_in[j]))
+                for j, (trimmer, size) in enumerate(
+                    zip(self.trimmers, sizes.tolist(), strict=True)
+                )
             )
-        scores = self.scores_stack(arr, lanes)
-        n_rows, n = scores.shape
+        scores = self.scores_stack(arr, sizes)
         # Identical to clip_percentile, elementwise (incl. NaN -> 0.0).
         q = np.where(
             np.isnan(q_in), 0.0, np.minimum(1.0, np.maximum(0.0, q_in))
         )
-        kept = np.ones((n_rows, n), dtype=bool)
+        active = q < 1.0
         cutoffs = np.full(n_rows, np.inf)
-        active = np.flatnonzero(q < 1.0)
-        if active.size:
-            # One QuantileTable.quantile sweep per reference fit — the
-            # vector path is elementwise identical to the solo scalar
-            # `_cutoff` call against each lane's own sorted-once table.
-            row_gids = self._cutoff_gid[np.asarray(lanes)[active]]
-            for g in np.unique(row_gids[row_gids >= 0]):
-                rows = active[row_gids == g]
-                cutoffs[rows] = self._tables[g].quantile(q[rows])
-            rows = active[row_gids < 0]
-            if rows.size:
-                # Batch-anchored lanes: each cutoff is a quantile of the
-                # lane's own round scores, all rows from one sort.  A row
-                # holding NaN sorts it last and gets it as its cutoff, as
-                # numpy.quantile gives the solo lane.
-                ordered = scores[rows]
-                ordered.sort(axis=1)
-                last = ordered[:, -1]
-                cutoffs[rows] = np.where(
-                    np.isnan(last), last, sorted_quantile(ordered, q[rows])
-                )
-            kept[active] = scores[active] <= cutoffs[active, None]
-            for j in active[~kept[active].any(axis=1)]:
-                # Same degenerate-batch fallback as the solo path.
-                kept[j, int(np.argmin(scores[j]))] = True
+        # One gather for every reference-anchored cutoff, elementwise
+        # identical to each lane's solo `_cutoff` against its own table.
+        rows = np.flatnonzero(active & self._banked)
+        if rows.size:
+            cutoffs[rows] = self._bank.quantile(self._slot[rows], q[rows])
+        rows = np.flatnonzero(active & ~self._banked)
+        if rows.size:
+            # Batch-anchored lanes: each cutoff is a quantile of the
+            # lane's own round scores, all rows from one sort, where the
+            # pads sort last.  A lane holding NaN sorts it last among its
+            # own entries and gets it as its cutoff, as numpy.quantile
+            # gives the solo lane.
+            ordered = scores[rows]
+            ordered.sort(axis=1)
+            n = sizes[rows]
+            last = ordered[np.arange(rows.size), n - 1]
+            cutoffs[rows] = np.where(
+                np.isnan(last), last, sorted_quantile(ordered, q[rows], n)
+            )
+        kept = scores <= cutoffs[:, None]
+        rows = np.flatnonzero(~active)
+        if rows.size:
+            # A lane at q >= 1 keeps every entry of its own, NaN included.
+            kept[rows] = np.arange(width) < sizes[rows, None]
+        for j in np.flatnonzero(~kept.any(axis=1)):
+            # Same degenerate-batch fallback as the solo path.
+            kept[j, int(np.argmin(scores[j, : sizes[j]]))] = True
         return BatchTrimReport(
             kept=kept, threshold_scores=cutoffs, percentiles=q, scores=scores
         )
@@ -433,17 +473,18 @@ class InjectorLanes:
     """Per-lane poison injectors compiled into one round program.
 
     Lanes carry *different* attack ratios, jitters and reference
-    datasets; the program packs the ratios into an ``(L,)`` column (the
-    session segments rounds by poison count) and groups lanes by the
-    identity of their :class:`~repro.core.domain.ReferenceFit` **once
-    at build time** — lanes fit on one reference share one vectorized
-    quantile pass per round, while each lane's jitter positions still
-    come from its own Generator.  Only exact
-    :class:`~repro.streams.PoisonInjector` lanes are vectorized: a
-    subclass may override ``materialize`` (e.g. to append a label
-    column), so its lanes call their own ``materialize`` — jitter draws
-    included — exactly as they would solo.  Unfitted lanes and
-    corner-mode lanes on 2-D references place per lane, as solo.
+    datasets; the program packs the ratios into an ``(L,)`` column, and
+    every lane injects its own count each round.  At build time it lays
+    the distinct reference tables of its exact
+    :class:`~repro.streams.PoisonInjector` lanes end to end (a
+    :class:`~repro.core.domain.QuantileBank`, lanes grouped by the
+    identity of their shared :class:`~repro.core.domain.ReferenceFit`),
+    so a round converts every such lane's positions to poison in one
+    gather, while each lane's jitter positions still come from its own
+    Generator.  A subclass may override ``materialize`` (e.g. to append
+    a label column), so its lanes call their own ``materialize`` —
+    jitter draws included — exactly as they would solo.  Unfitted lanes
+    and corner-mode lanes on 2-D references place per lane, as solo.
     """
 
     def __init__(self, injectors: Sequence[Any]) -> None:
@@ -467,6 +508,28 @@ class InjectorLanes:
             for inj, exact in zip(self.injectors, self._exact, strict=True)
         ]
         self._fit_gid, self._fits = _group_by_identity(fits)
+        self._bank = QuantileBank([fit.table for fit in self._fits])
+        # The lanes that play their own materialize call.
+        self._subclass_lanes = np.flatnonzero(~self._exact).tolist()
+        # Which lanes the bank places, by the round stack's rank: value
+        # fits on (L, b) stacks, radial fits of one dimension on
+        # (L, b, d) stacks.
+        kinds = [None if g < 0 else self._fits[g].kind for g in self._fit_gid]
+        self._banked_1d = np.array([kind == "value" for kind in kinds])
+        dims = {
+            fit.direction.shape for fit in self._fits if fit.direction is not None
+        }
+        dim = dims.pop()[0] if len(dims) == 1 else 0
+        self._banked_nd = np.array(
+            [dim > 0 and kind == "radial" for kind in kinds]
+        )
+        # Each radial slot's center and direction, by bank slot.
+        self._centers = np.zeros((len(self._fits), dim))
+        self._directions = np.zeros((len(self._fits), dim))
+        for slot, fit in enumerate(self._fits):
+            if dim and fit.center is not None and fit.direction is not None:
+                self._centers[slot] = fit.center
+                self._directions[slot] = fit.direction
         self._position_server: Optional[LanePositionServer] = None
 
     @property
@@ -493,85 +556,83 @@ class InjectorLanes:
             self._position_server.sync()
 
     def materialize_many(
-        self,
-        benign: Array,
-        percentiles: Array,
-        idx: Optional[Array] = None,
+        self, benign: Array, percentiles: Array, counts: Array
     ) -> Array:
-        """Poison stacks for one count-uniform lane segment.
+        """Every lane's poison for one round, ``(L, max(counts)[, d])``.
 
-        ``benign`` is ``(rows, b[, d])`` with row ``j`` belonging to
-        lane ``idx[j]`` (``idx=None`` means lane ``j``); all rows must
-        share one poison count (the session segments rounds by count).
-        Row ``j`` is byte-identical to lane ``j``'s solo
-        ``materialize`` call.
+        ``benign`` is the round's ``(L, b[, d])`` benign stack and lane
+        ``j`` injects ``counts[j]`` rows (0: none, and no draw); NaN pads
+        each row past its own count.  Row ``j``'s first ``counts[j]``
+        rows are byte-identical to lane ``j``'s solo ``materialize``
+        call.
         """
         stack = np.asarray(benign, dtype=float)
         if stack.ndim not in (2, 3):
             raise ValueError("benign stacks must be (R, b) or (R, b, d)")
-        lanes = np.arange(self.n_reps) if idx is None else np.asarray(idx)
-        if stack.shape[0] != lanes.shape[0]:
+        counts = np.asarray(counts, dtype=np.intp)
+        if stack.shape[0] != self.n_reps or counts.shape != (self.n_reps,):
             raise ValueError(
-                f"stack carries {stack.shape[0]} rows for "
-                f"{lanes.shape[0]} lanes"
+                f"need one benign row and one count per lane for "
+                f"{self.n_reps} lanes, got {stack.shape[0]} rows and "
+                f"counts shaped {counts.shape}"
             )
-        counts = self.poison_counts(stack.shape[1])[lanes]
-        if counts.size == 0 or int(counts.max(initial=0)) == 0:
-            return stack[:, :0]
-        count = int(counts[0])
-        if not np.all(counts == count):
-            raise ValueError(
-                "materialize_many needs a count-uniform lane segment"
-            )
-        exact = self._exact[lanes]
-        if exact.all():
-            return self._materialize_exact(stack, lanes, percentiles, count)
-        out = np.empty((lanes.shape[0], count) + stack.shape[2:])
+        width = int(counts.max(initial=0))
+        out = np.full((self.n_reps, width) + stack.shape[2:], np.nan)
+        if width == 0:
+            return out
         # A subclass may override materialize: its lane plays its own
         # solo call.
-        for j in np.flatnonzero(~exact):
-            out[j] = self.injectors[lanes[j]].materialize(
-                stack[j], float(percentiles[j])
-            )
-        if exact.any():
-            out[exact] = self._materialize_exact(
-                stack[exact], lanes[exact], percentiles[exact], count
-            )
+        for j in self._subclass_lanes:
+            if counts[j]:
+                out[j, : counts[j]] = self.injectors[j].materialize(
+                    stack[j], float(percentiles[j])
+                )
+        lanes = np.flatnonzero((counts > 0) & self._exact)
+        if lanes.size:
+            self._materialize_exact(stack, percentiles, counts, lanes, out)
         return out
 
     def _materialize_exact(
-        self, stack: Array, lanes: Array, percentiles: Array, count: int
-    ) -> Array:
-        """:meth:`materialize_many` over exact-class lanes only."""
+        self,
+        stack: Array,
+        percentiles: Array,
+        counts: Array,
+        lanes: Array,
+        out: Array,
+    ) -> None:
+        """Write the exact-class ``lanes``' poison into ``out``."""
         if self._position_server is None:
             # Built lazily so the shadow Generators copy each lane's
             # bit-state at the moment draws actually start.
             self._position_server = LanePositionServer(self.injectors)
-        positions = self._position_server.positions(lanes, percentiles, count)
-        out = np.empty((lanes.shape[0], count) + stack.shape[2:])
-        row_gids = self._fit_gid[lanes]
-        solo = row_gids < 0
-        for g in np.unique(row_gids[~solo]):
-            rows = np.flatnonzero(row_gids == g)
-            fit = self._fits[g]
-            if stack.ndim == 2 and fit.kind == "value":
-                out[rows] = fit.table.quantile(
-                    positions[rows].ravel()
-                ).reshape(rows.size, count)
-            elif stack.ndim == 3 and fit.direction is not None:
-                targets = fit.table.quantile(
-                    positions[rows].ravel()
-                ).reshape(rows.size, count)
-                out[rows] = (
-                    fit.center[None, None, :]
-                    + targets[:, :, None] * fit.direction[None, None, :]
-                )
+        own = counts[lanes]
+        positions = self._position_server.positions(
+            lanes, percentiles[lanes], own
+        )
+        banked = (self._banked_1d if stack.ndim == 2 else self._banked_nd)[lanes]
+        if banked.any():
+            # One gather over the bank for every row; every position of a
+            # row lies in its lane's band, pads included.  A row the bank
+            # does not place reads slot 0 and is overwritten below.
+            slots = np.maximum(self._fit_gid[lanes], 0)
+            targets = self._bank.quantile(slots[:, None], positions)
+            # A pad's target is NaN, and so is every coordinate of its row.
+            pads = np.arange(positions.shape[1]) >= own[:, None]
+            np.copyto(targets, np.nan, where=pads)
+            if stack.ndim == 2:
+                poison = targets
             else:
-                solo[rows] = True
-        for j in np.flatnonzero(solo):
+                poison = (
+                    self._centers[slots][:, None, :]
+                    + targets[:, :, None] * self._directions[slots][:, None, :]
+                )
+            out[lanes, : positions.shape[1]] = poison
+        for k in np.flatnonzero(~banked):
             # Same placement as the lane's solo call, on its own row.
-            out[j] = self.injectors[lanes[j]]._place(stack[j], positions[j])
-        return out
+            j = lanes[k]
+            out[j, : own[k]] = self.injectors[j]._place(
+                stack[j], positions[k, : own[k]]
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -584,11 +645,12 @@ class QualityLanes:
     seeded or stateful user evaluator diverges per lane).  When every
     instance is exactly a :class:`TailMassEvaluator` — *regardless* of
     its reference quantile or calibrated cutoff, which pack into
-    per-lane ``(L,)`` columns — the whole stack is scored by one array
-    sweep; otherwise the documented per-lane loop runs each instance on
-    its own row.  ``share_flags`` says per lane whether its evaluator
-    reuses the trimmer's batch scores: the member session's own
-    ``share_scores`` decision, so lane and solo round agree.
+    per-lane ``(L,)`` columns — the whole (ragged) stack is scored by
+    one array sweep; otherwise the documented per-lane loop runs each
+    instance on its lane's own entries.  ``share_flags`` says per lane
+    whether its evaluator reuses the trimmer's batch scores: the member
+    session's own ``share_scores`` decision, so lane and solo round
+    agree.
     """
 
     def __init__(
@@ -602,20 +664,25 @@ class QualityLanes:
             type(ev) is TailMassEvaluator for ev in self.evaluators
         ) and len(set(self.share_flags)) == 1
         self._columns: Optional[Tuple[Array, ...]] = None
+        # The squares of a multivariate stack's norms, rewritten every
+        # round.
+        self._squares = _ReusedBuffer()
 
     def evaluate_many(
         self,
         stacks: Array,
         scores: Optional[Array],
-        idx: Optional[Array] = None,
+        sizes: Optional[Array] = None,
     ) -> Tuple[Array, Array]:
         """(observed_ratio, quality) ``(L,)`` pairs for one round stack.
 
-        ``scores`` is the trimmer's ``(L, n)`` batch-score stack (or
-        ``None``); each lane reuses it only when its own evaluator
-        accepts the trimmer's score family — exactly the solo rule.
-        ``idx`` maps stack rows onto lane indices for segmented rounds.
+        Lane ``j`` owns its first ``sizes[j]`` entries of the stack
+        (``None``: every entry); NaN pads the rest.  ``scores`` is the
+        trimmer's ``(L, width)`` batch-score stack (or ``None``); each
+        lane reuses it only when its own evaluator accepts the trimmer's
+        score family — exactly the solo rule.
         """
+        n_rows, width = stacks.shape[:2]
         if self.vectorized:
             if self._columns is None:
                 cutoffs = [ev._cutoff for ev in self.evaluators]
@@ -633,36 +700,35 @@ class QualityLanes:
                     ),
                 )
             cut, ref_q = self._columns
-            if idx is not None:
-                cut = cut[idx]
-                ref_q = ref_q[idx]
-            shared = (
-                scores if (scores is not None and self.share_flags[0]) else None
-            )
+            if scores is not None and self.share_flags[0]:
+                batch_scores = scores
+            elif stacks.ndim == 2:
+                batch_scores = stacks
+            else:
+                batch_scores = _row_norms(stacks, alloc=self._squares.view)
             # The per-lane cutoff/quantile columns broadcast through the
-            # same elementwise expressions as TailMassEvaluator — exact
-            # 0/1 tail sums, so bit-identical to L solo evaluate calls.
-            batch_scores = QualityEvaluator._as_scores_many(stacks, shared)
-            excess = np.mean(batch_scores > cut[:, None], axis=1) - (
+            # same elementwise expressions as TailMassEvaluator; a pad
+            # scores NaN, which no cutoff counts, and the exact 0/1
+            # count over the lane's own size is np.mean's division, so
+            # bit-identical to L solo evaluate calls.
+            above = np.count_nonzero(batch_scores > cut[:, None], axis=1)
+            excess = above / (width if sizes is None else sizes) - (
                 1.0 - ref_q
             )
             raws = np.maximum(0.0, excess)
             normalized = np.clip(raws / ref_q, 0.0, 1.0)
             return raws, normalized
-        lanes = (
-            np.arange(len(self.evaluators)) if idx is None else np.asarray(idx)
-        )
-        raws = np.empty(lanes.shape[0])
-        normalized = np.empty(lanes.shape[0])
-        for j, r in enumerate(lanes):
-            evaluator = self.evaluators[r]
+        sizes = _lane_sizes(sizes, n_rows, width)
+        raws = np.empty(n_rows)
+        normalized = np.empty(n_rows)
+        for j, size in enumerate(sizes.tolist()):
             shared = (
-                scores[j]
-                if (scores is not None and self.share_flags[r])
+                scores[j, :size]
+                if (scores is not None and self.share_flags[j])
                 else None
             )
-            raws[j], normalized[j] = evaluator.evaluate(
-                stacks[j], scores=shared
+            raws[j], normalized[j] = self.evaluators[j].evaluate(
+                stacks[j, :size], scores=shared
             )
         return raws, normalized
 
@@ -675,7 +741,8 @@ class JudgeLanes:
     :class:`~repro.core.engine.NoisyPositionJudge` compute the verdict
     for all lanes in array expressions, drawing each lane's noise from
     that lane's own Generator under the same conditions as the solo
-    path; anything else loops ``judge_round`` per lane.
+    path; anything else loops ``judge_round`` per lane.  A pad of a
+    ragged round is never kept, so no judge sees one.
     """
 
     def __init__(self, judges: Sequence[Any]):
@@ -703,34 +770,23 @@ class JudgeLanes:
             )
 
     def judge_round_many(
-        self,
-        injections: Array,
-        scores: Array,
-        kept: Array,
-        idx: Optional[Array] = None,
+        self, injections: Array, scores: Array, kept: Array
     ) -> Array:
-        """(L,) betrayal verdicts for one lockstep round (or segment).
-
-        ``idx`` maps stack rows onto lane indices for segmented rounds;
-        ``None`` means row ``r`` is lane ``r``.
-        """
+        """(L,) betrayal verdicts for one lockstep round."""
         if self.mode == "band":
-            return self._band_many(scores, kept, idx)
+            return self._band_many(scores, kept)
         if self.mode == "position":
-            return self._position_many(injections, idx)
-        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
-        verdicts = np.empty(lanes.shape[0], dtype=bool)
-        for j, r in enumerate(lanes):
+            return self._position_many(injections)
+        verdicts = np.empty(len(self.judges), dtype=bool)
+        for j, judge in enumerate(self.judges):
             injection = injections[j]
-            verdicts[j] = self.judges[r].judge_round(
+            verdicts[j] = judge.judge_round(
                 None if np.isnan(injection) else float(injection),
                 scores[j][kept[j]],
             )
         return verdicts
 
-    def _band_many(
-        self, scores: Array, kept: Array, idx: Optional[Array] = None
-    ) -> Array:
+    def _band_many(self, scores: Array, kept: Array) -> Array:
         if self._band_columns is None:
             for judge in self.judges:
                 if judge._band_values is None:
@@ -745,43 +801,28 @@ class JudgeLanes:
                 np.array([float(j.noise_sigma) for j in self.judges]),
             )
         lo_v, hi_v, clean, margin, sigma = self._band_columns
-        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
-        if idx is not None:
-            lo_v = lo_v[lanes]
-            hi_v = hi_v[lanes]
-            clean = clean[lanes]
-            margin = margin[lanes]
-            sigma = sigma[lanes]
         n_kept = np.count_nonzero(kept, axis=1)
         in_band = (scores > lo_v[:, None]) & (scores <= hi_v[:, None]) & kept
-        # Exact 0/1 sums: identical to the solo np.mean over kept scores.
+        # Exact 0/1 sums: identical to the solo count over kept scores.
         mass = np.count_nonzero(in_band, axis=1) / np.maximum(n_kept, 1)
         excess = mass - clean
         # The solo judge returns early (no draw) on an empty batch and
         # draws only when its own sigma is positive.
         drawing = np.flatnonzero((n_kept > 0) & (sigma > 0.0))
         if drawing.size:
-            noise = np.zeros(lanes.shape[0])
+            noise = np.zeros(len(self.judges))
             for j in drawing:
-                noise[j] = float(
-                    self.judges[lanes[j]]._rng.normal(0.0, sigma[j])
-                )
+                noise[j] = float(self.judges[j]._rng.normal(0.0, sigma[j]))
             excess = excess + noise
         return (excess > margin) & (n_kept > 0)
 
-    def _position_many(
-        self, injections: Array, idx: Optional[Array] = None
-    ) -> Array:
-        lanes = np.arange(len(self.judges)) if idx is None else np.asarray(idx)
-        boundary = self._boundary[lanes]
-        miss = self._miss[lanes]
-        fp = self._fp[lanes]
+    def _position_many(self, injections: Array) -> Array:
         # Exactly one draw per lane per round, as in the solo judge.
-        draws = np.array([float(self.judges[r]._rng.random()) for r in lanes])
-        betrayed = np.zeros(lanes.shape[0], dtype=bool)
+        draws = np.array([float(judge._rng.random()) for judge in self.judges])
+        betrayed = np.zeros(len(self.judges), dtype=bool)
         observed = ~np.isnan(injections)
-        betrayed[observed] = injections[observed] < boundary[observed]
-        return np.where(betrayed, draws >= miss, draws < fp)
+        betrayed[observed] = injections[observed] < self._boundary[observed]
+        return np.where(betrayed, draws >= self._miss, draws < self._fp)
 
 
 # --------------------------------------------------------------------- #

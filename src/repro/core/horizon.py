@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Tuple
 
-import numpy as np
-
 from .game import BimatrixGame
 
 __all__ = ["backward_induction", "InfiniteHorizonAnalysis"]

@@ -26,8 +26,7 @@ correspond to the standard convention; see DESIGN.md §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 

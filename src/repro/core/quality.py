@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .arrays import Array, ArrayLike
-from .domain import QuantileTable, empirical_quantile
+from .domain import QuantileTable, _row_norms, empirical_quantile
 
 __all__ = [
     "QualityEvaluator",
@@ -108,28 +108,6 @@ class QualityEvaluator:
             return False
 
     @staticmethod
-    def _as_scores_many(
-        stacks: ArrayLike, scores: Optional[Array] = None
-    ) -> Array:
-        """Rep-batched :meth:`_as_scores`: ``(R, n[, d])`` → ``(R, n)``."""
-        arr = np.asarray(stacks, dtype=float)
-        if arr.size == 0:
-            raise ValueError("cannot evaluate an empty stack")
-        if scores is not None:
-            pre = np.asarray(scores, dtype=float)
-            if pre.shape != arr.shape[:2]:
-                raise ValueError(
-                    f"precomputed scores shaped {pre.shape} do not match the "
-                    f"(R, n) layout {arr.shape[:2]} of the stack"
-                )
-            return pre
-        if arr.ndim == 2:
-            return arr
-        if arr.ndim == 3:
-            return np.linalg.norm(arr, axis=2)
-        raise ValueError("stacks must be (R, n) or (R, n, d)")
-
-    @staticmethod
     def _as_scores(batch: ArrayLike, scores: Optional[Array] = None) -> Array:
         """Flatten a batch to 1-D scores (multivariate: row L2 norms).
 
@@ -154,7 +132,7 @@ class QualityEvaluator:
         if arr.ndim == 1:
             return arr
         if arr.ndim == 2:
-            return np.linalg.norm(arr, axis=1)
+            return _row_norms(arr)
         raise ValueError("batches must be 1-D or 2-D")
 
 
@@ -187,8 +165,9 @@ class TailMassEvaluator(QualityEvaluator):
     def score(self, batch: ArrayLike, scores: Optional[Array] = None) -> float:
         if self._cutoff is None:
             raise RuntimeError("evaluator must be fit on reference data first")
-        batch_scores = self._as_scores(batch, scores)
-        excess = float(np.mean(batch_scores > self._cutoff)) - (
+        above = self._as_scores(batch, scores) > self._cutoff
+        # The 0/1 count is exact, so this is np.mean's one division.
+        excess = np.count_nonzero(above) / above.size - (
             1.0 - self.reference_quantile
         )
         return max(0.0, excess)

@@ -28,11 +28,11 @@ transition:
   and owns a :class:`~repro.streams.board.ColumnarBoard` sink.  One
   ``submit()`` call draws the round from the lanes' own sources (or
   takes an explicit ``(L, batch, ...)`` stack) and steps every lane
-  through one round of shared array kernels — once per poison-count
-  segment (a round where every lane injects the same count is one
-  segment) — and records it on the sink, which flushes each lane's
-  rows into its own session.  A seated session links to its cohort
-  until that flush.  Both lockstep loops seat their sessions this way:
+  through one pass of shared array kernels — lanes that inject
+  different poison counts share one ragged stack — and records it on
+  the sink, which flushes each lane's rows into its own session.  A
+  seated session links to its cohort until that flush.  Both lockstep
+  loops seat their sessions this way:
   ``BatchedCollectionGame.run()`` (the freshly reset sessions of L
   ``CollectionGame`` objects: repetitions and fused sweep cells) and the
   :class:`~repro.serving.DefenseService` multiplexer (live tenants,
@@ -1074,10 +1074,13 @@ class BatchedGameSession:
     draws from its own components' Generators and its own stream,
     byte-identically to its solo session.  Members may be seated
     mid-game: strategy lanes start from their instances' current state
-    and the cohort from the members' round.  Each round writes its
-    joined benign-and-poison stacks into a buffer the cohort owns and
-    reuses (its trim program does the same with its radial
-    differences); nothing a round returns aliases either.
+    and the cohort from the members' round.  Each round is one pass
+    over every lane, whatever their attack ratios: the cohort joins
+    each lane's benign rows and its own poison count of rows into one
+    ragged stack, NaN past each lane's rows, in a buffer it owns and
+    reuses (its trim and quality programs do the same with their
+    squares); nothing a round returns aliases any of them, and no pad
+    is kept, counted or handed out.
 
     Seating checks every member before it touches any: duplicates and
     members that disagree on round position or board mode raise
@@ -1211,18 +1214,17 @@ class BatchedGameSession:
             trim = np.asarray(self._collectors.react_many(self._last), dtype=float)
             inject = np.asarray(self._adversaries.react_many(self._last), dtype=float)
 
-        observed = ~np.isnan(inject)
         # (R,) per-lane poison counts: 0 where the lane injects nothing
         # this round.
         counts = np.where(
-            observed, self.injector.poison_counts(benign.shape[1]), 0
+            np.isnan(inject), 0, self.injector.poison_counts(benign.shape[1])
         )
-        decision = self._play_segments(index, benign, trim, inject, counts)
+        decision = self._play_round(index, benign, trim, inject, counts)
         self._last = decision.observation
         self.sink.record_decision(decision)
         return decision
 
-    def _play_segments(
+    def _play_round(
         self,
         index: int,
         benign: Array,
@@ -1230,70 +1232,47 @@ class BatchedGameSession:
         inject: Array,
         counts: Array,
     ) -> BatchedRoundDecision:
-        """The lockstep round body, one pass per poison-count segment.
+        """The lockstep round body: one pass over every lane.
 
-        Lanes partition by their round poison count (a round where every
-        lane injects the same count is one segment); the stacked kernels
-        run once per segment over that segment's ``(rows, batch)``
-        sub-stack, drawing each lane's RNG from its own Generator.  Per
-        lane this is the same stage order (inject -> trim -> evaluate ->
-        judge) as the solo body, so the outputs are byte-identical
-        regardless of segmentation.
+        Lane ``r`` injects its own ``counts[r]`` poison rows (0 when it
+        injects nothing), so the round joins one ragged ``(L, batch +
+        max(counts)[, d])`` stack: each lane's benign rows, then its own
+        poison, then NaN padding.  Each stacked kernel runs once over it
+        (inject -> trim -> evaluate -> judge, the solo body's stage
+        order), drawing each lane's RNG from its own Generator; a pad
+        scores NaN, and no kernel keeps, counts or hands one out.  So
+        every lane's outputs are byte-identical to its solo round.
         """
-        n_reps = self.n_reps
-        quality = np.empty(n_reps)
-        observed_ratio = np.empty(n_reps)
-        betrayal = np.empty(n_reps, dtype=bool)
-        n_collected = np.empty(n_reps, dtype=np.int64)
-        n_poison_retained = np.empty(n_reps, dtype=np.int64)
-        n_kept = np.empty(n_reps, dtype=np.int64)
-        accept_masks: List[Optional[Array]] = [None] * n_reps
-        retained: Optional[List[Optional[Array]]] = (
-            [None] * n_reps if self.store_retained else None
+        width = benign.shape[1]
+        poison = self.injector.materialize_many(benign, inject, counts)
+        if poison.shape[1]:
+            combined = self._join.view(
+                (self.n_reps, width + poison.shape[1]) + benign.shape[2:]
+            )
+            combined[:, :width] = benign
+            combined[:, width:] = poison
+        else:
+            combined = benign  # no lane injects: the stack as is, uncopied
+        sizes = width + counts
+        report = self._trim_lanes.trim_stack(combined, trim, sizes)
+        scores = report.scores
+        if scores is None:
+            scores = self._trim_lanes.scores_stack(combined, sizes)
+            shared = None
+        else:
+            shared = scores
+        observed_ratio, quality = self._quality.evaluate_many(
+            combined, shared, sizes
         )
-
-        for count in np.unique(counts):
-            idx = np.flatnonzero(counts == count)
-            # A segment of every lane takes the stack as is, uncopied.
-            seg = benign if idx.size == n_reps else benign[idx]
-            if count:
-                poison = self.injector.materialize_many(
-                    seg, inject[idx], idx=idx
-                )
-                width = seg.shape[1]
-                combined = self._join.view(
-                    (idx.size, width + poison.shape[1]) + seg.shape[2:]
-                )
-                combined[:, :width] = seg
-                combined[:, width:] = poison
-            else:
-                combined = seg
-            report = self._trim_lanes.trim_stack(combined, trim[idx], idx)
-            scores = report.scores
-            if scores is None:
-                scores = self._trim_lanes.scores_stack(combined, idx)
-                shared = None
-            else:
-                shared = scores
-            seg_ratio, seg_quality = self._quality.evaluate_many(
-                combined, shared, idx=idx
-            )
-            seg_betrayal = self._judges.judge_round_many(
-                inject[idx], scores, report.kept, idx=idx
-            )
-            quality[idx] = seg_quality
-            observed_ratio[idx] = seg_ratio
-            betrayal[idx] = seg_betrayal
-            n_collected[idx] = combined.shape[1]
-            n_kept[idx] = report.n_kept
-            n_poison_retained[idx] = np.count_nonzero(
-                report.kept[:, seg.shape[1]:], axis=1
-            )
-            for j, r in enumerate(idx):
-                accept_masks[r] = report.kept[j]
-                if retained is not None:
-                    retained[r] = combined[j][report.kept[j]]
-
+        betrayal = self._judges.judge_round_many(inject, scores, report.kept)
+        kept = report.kept
+        lanes = list(enumerate(sizes.tolist()))
+        accept_masks = [kept[r, :size] for r, size in lanes]
+        retained = (
+            [combined[r, :size][accept_masks[r]] for r, size in lanes]
+            if self.store_retained
+            else None
+        )
         return BatchedRoundDecision(
             observation=RoundObservationBatch(
                 index=index,
@@ -1303,10 +1282,10 @@ class BatchedGameSession:
                 observed_poison_ratio=observed_ratio,
                 betrayal=betrayal,
             ),
-            n_collected=n_collected,
-            n_retained=n_kept,
-            n_poison_injected=counts.astype(np.int64),
-            n_poison_retained=n_poison_retained,
+            n_collected=sizes,
+            n_retained=report.n_kept,
+            n_poison_injected=counts,
+            n_poison_retained=np.count_nonzero(kept[:, width:], axis=1),
             accept_masks=accept_masks,
             retained=retained,
         )

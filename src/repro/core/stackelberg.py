@@ -14,7 +14,7 @@ point is the interactive equilibrium the Elastic strategy converges to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .arrays import Array, ArrayLike
-from .domain import QuantileTable, ReferenceFit, clip_percentile, empirical_quantile
+from .domain import QuantileTable, ReferenceFit, _row_norms, clip_percentile, empirical_quantile
 
 __all__ = [
     "TrimReport",
@@ -100,7 +100,10 @@ class BatchTrimReport:
     ``scores`` (when the trimmer computes them, which the shipped
     trimmers always do) is the full ``(R, n)`` score stack.  Row ``r``
     is byte-identical to the :class:`TrimReport` a solo
-    :meth:`Trimmer.trim` call on rep ``r``'s batch would produce.
+    :meth:`Trimmer.trim` call on rep ``r``'s batch would produce.  In a
+    ragged stack, whose rep ``r`` owns only its first entries, that
+    holds for the rep's own entries; the padding past them is never
+    kept and scores NaN.
     """
 
     kept: Array              # (R, n) bool
@@ -122,17 +125,23 @@ class BatchTrimReport:
     def from_reports(cls, reports: Sequence[TrimReport]) -> "BatchTrimReport":
         """Stack per-rep :class:`TrimReport` objects into one batch report.
 
-        ``scores`` is carried only when every rep's report has them (a
-        custom trimmer may omit them).
+        Reports of different lengths (a ragged round's lanes) are padded
+        to the longest: a pad is never kept and scores NaN.  ``scores``
+        is carried only when every rep's report has them (a custom
+        trimmer may omit them).
         """
         reports = list(reports)
-        scores = (
-            None
-            if any(report.scores is None for report in reports)
-            else np.stack([report.scores for report in reports])
-        )
+        shape = (len(reports), max(report.kept.size for report in reports))
+        kept = np.zeros(shape, dtype=bool)
+        scores: Optional[Array] = None
+        if all(report.scores is not None for report in reports):
+            scores = np.full(shape, np.nan)
+        for row, report in enumerate(reports):
+            kept[row, : report.kept.size] = report.kept
+            if scores is not None:
+                scores[row, : report.kept.size] = report.scores
         return cls(
-            kept=np.stack([report.kept for report in reports]),
+            kept=kept,
             threshold_scores=np.array(
                 [report.threshold_score for report in reports]
             ),
@@ -310,4 +319,4 @@ class RadialTrimmer(Trimmer):
             raise ValueError("RadialTrimmer expects 1-D or 2-D batches")
         if center is None:
             center = np.median(arr, axis=0)
-        return np.linalg.norm(arr - center, axis=1)
+        return _row_norms(arr, center)

@@ -18,7 +18,7 @@ regularizes the recovered density.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -667,16 +667,18 @@ class DefenseService:
 
         Any persisted snapshot blob of the tenant is removed from the
         store — a closed session id leaves nothing behind that a later
-        tenant reusing the id could accidentally resurrect.
+        tenant reusing the id could accidentally resurrect.  The record
+        goes first: when its unlink raises ``OSError``, the tenant stays
+        registered and unsealed, and a later ``close`` tries again.
         """
         session = self._resident(session_id)
+        self._unlink_record(session_id)
+        self._stored_current.discard(session_id)
         result = session.close()
         del self._sessions[session_id]
         del self._specs[session_id]
         del self._group_of[session_id]
         self._uses.pop(session_id, None)
-        self._stored_current.discard(session_id)
-        self._unlink_record(session_id)
         self.stats.closed += 1
         return result
 

@@ -242,45 +242,53 @@ class LanePositionServer:
             self._matrix = fresh
             self._cursors[:] = 0
             return
-        for r in lanes:
-            cursor = int(self._cursors[r])
-            if cursor + count <= width:
-                continue
+        for r in lanes[self._cursors[lanes] + count > width]:
             row = self._matrix[r]
-            tail = row[cursor:].copy()
-            row[: tail.size] = tail
-            row[tail.size:] = self._shadows[r].random(width - tail.size)
+            tail = width - int(self._cursors[r])
+            row[:tail] = row[width - tail:]  # numpy buffers the overlap
+            self._shadows[r].random(out=row[tail:])
             self._cursors[r] = 0
 
     def positions(
-        self, lanes: Array, percentiles: Array, count: int
+        self, lanes: Array, percentiles: Array, counts: Array
     ) -> Array:
-        """(rows, count) jitter positions; row ``j`` serves lane ``lanes[j]``."""
+        """(rows, max(counts)) jitter positions; row ``j`` serves lane ``lanes[j]``.
+
+        Row ``j`` draws ``counts[j]`` positions, its lane's solo draw,
+        and advances that lane by them alone.  Entries past a row's
+        count lie in its jitter band but are not drawn: they read
+        doubles the lane has yet to consume.
+        """
         lanes = np.asarray(lanes, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.intp)
         rows = lanes.shape[0]
+        width = int(counts.max(initial=0))
         p = np.asarray(percentiles, dtype=float)
         low = np.minimum(1.0, np.maximum(0.0, p))
         high = np.minimum(1.0, low + self._jitters[lanes])
-        out = np.empty((rows, count))
+        out = np.empty((rows, width))
         draw = high > low
         if not np.all(draw):
             flat = np.flatnonzero(~draw)
             out[flat] = low[flat][:, None]  # np.full(count, low), batched
         eligible = self._eligible[lanes]
         for j in np.flatnonzero(draw & ~eligible):
-            out[j] = self.injectors[lanes[j]]._positions(float(p[j]), count)
+            out[j] = low[j]
+            out[j, : counts[j]] = self.injectors[lanes[j]]._positions(
+                float(p[j]), int(counts[j])
+            )
         active = np.flatnonzero(draw & eligible)
         if active.size:
             served = lanes[active]
-            self._refill(served, count)
-            gather = self._cursors[served][:, None] + np.arange(count)
-            u = self._matrix[served[:, None], gather]
-            out[active] = (
-                low[active][:, None]
-                + (high[active] - low[active])[:, None] * u
-            )
-            self._cursors[served] += count
-            self._pending[served] += count
+            self._refill(served, width)
+            # Each served lane's next doubles, as flat indices.
+            start = served * self._matrix.shape[1] + self._cursors[served]
+            u = self._matrix.take(start[:, None] + np.arange(width))
+            base = low[active]
+            out[active] = base[:, None] + (high[active] - base)[:, None] * u
+            used = counts[active]
+            self._cursors[served] += used
+            self._pending[served] += used
         return out
 
     def sync(self) -> None:

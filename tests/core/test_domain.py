@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.domain import (
     Domain,
+    QuantileBank,
     QuantileTable,
     clip_percentile,
     empirical_quantile,
     percentile_grid,
     percentile_of,
+    sorted_quantile,
 )
 
 
@@ -126,6 +128,69 @@ class TestEmpiricalQuantileReturnTypes:
         out = empirical_quantile(np.arange(11.0), [0.0, 0.5, 1.0])
         assert isinstance(out, np.ndarray)
         assert out.shape == (3,)
+
+
+def _fractions(n, rng, extra):
+    """0, 1, exact order statistics k/(n-1), midpoints (gamma = 0.5) and
+    random fractions for a sample of size ``n``."""
+    q = [0.0, 1.0, *extra, *rng.random(16)]
+    if n > 1:
+        ks = np.unique(rng.integers(0, n, size=8))
+        q += [k / (n - 1) for k in ks]
+        q += [(k + 0.5) / (n - 1) for k in ks if k < n - 1]
+    return np.array(q)
+
+
+class TestQuantileBank:
+    """Tables laid end to end answer as each table does, bit for bit."""
+
+    @given(
+        sizes=st.lists(
+            st.one_of(st.just(1), st.just(2), st.integers(3, 5000)),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        extra=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_table_bit_for_bit(self, sizes, seed, extra):
+        rng = np.random.default_rng(seed)
+        tables = [QuantileTable(rng.normal(size=n) * rng.lognormal()) for n in sizes]
+        bank = QuantileBank(tables)
+        rows = []
+        for slot, table in enumerate(tables):
+            q = _fractions(table.n, rng, extra)
+            got = bank.quantile(np.full(q.shape, slot), q)
+            assert got.tobytes() == table.quantile(q).tobytes(), slot
+            rows.append(q[:16])
+        # Every table in one gather: row j reads table j.
+        slots = np.arange(len(tables))
+        q = np.stack([np.resize(row, 16) for row in rows])
+        got = bank.quantile(slots[:, None], q)
+        for slot, table in enumerate(tables):
+            assert got[slot].tobytes() == table.quantile(q[slot]).tobytes()
+
+    def test_values_are_read_only(self):
+        bank = QuantileBank([QuantileTable([2.0, 1.0]), QuantileTable([5.0])])
+        assert bank.values.tolist() == [1.0, 2.0, 5.0]
+        assert bank.starts.tolist() == [0, 2]
+        assert bank.sizes.tolist() == [2, 1]
+        with pytest.raises(ValueError):
+            bank.values[0] = 0.0
+
+
+def test_ragged_sorted_rows_read_their_own_prefix():
+    rng = np.random.default_rng(3)
+    sizes = np.array([1, 2, 9, 30, 17])
+    rows = rng.normal(size=(5, 30))
+    rows[np.arange(30) >= sizes[:, None]] = np.nan  # pads sort last
+    ordered = np.sort(rows, axis=1)
+    for q in (0.0, 1.0, 0.5, 0.3, 0.97):
+        got = sorted_quantile(ordered, np.full(5, q), sizes)
+        for j, size in enumerate(sizes):
+            want = np.quantile(rows[j, :size], q)
+            assert got[j].tobytes() == want.tobytes(), (q, j)
 
 
 class TestQuantileTable:

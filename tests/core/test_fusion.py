@@ -33,9 +33,10 @@ from repro.core.strategies.base import (
     CollectorStrategy,
     RoundObservation,
     RoundObservationBatch,
+    rng_state,
 )
 from repro.core.trimming import RadialTrimmer, ValueTrimmer
-from repro.streams.injection import PoisonInjector
+from repro.streams.injection import LanePositionServer, PoisonInjector
 from repro.streams.source import ArrayStream, GeneratorStream
 
 
@@ -244,7 +245,9 @@ class TestTrimLanes:
         stack = np.full((2, 10), 5.0)  # every point above both cutoffs
         self._assert_rows_match_solo(lanes, stack, np.array([0.0, 0.0]))
 
-    def test_lane_subset_rows(self):
+    def test_ragged_rows(self):
+        # Each lane owns its first sizes[j] entries of the stack; NaN
+        # pads the rest, and no pad is ever kept.
         trimmers = [
             ValueTrimmer().fit_reference(REFERENCE_A),
             ValueTrimmer().fit_reference(REFERENCE_B),
@@ -252,13 +255,20 @@ class TestTrimLanes:
         ]
         lanes = TrimLanes(trimmers)
         rng = np.random.default_rng(19)
-        stack = rng.uniform(0.0, 1.0, size=(2, 30))
-        q = np.array([0.9, 0.8])
-        report = lanes.trim_stack(stack, q, lanes=np.array([2, 0]))
-        for j, r in enumerate((2, 0)):
-            solo = trimmers[r].trim(stack[j], float(q[j]))
-            assert report.kept[j].tolist() == solo.kept.tolist()
+        sizes = np.array([24, 30, 17])
+        stack = rng.uniform(0.0, 1.0, size=(3, 30))
+        stack[np.arange(30) >= sizes[:, None]] = np.nan
+        q = np.array([0.9, 0.8, 1.0])
+        report = lanes.trim_stack(stack, q, sizes)
+        for j, size in enumerate(sizes):
+            solo = trimmers[j].trim(stack[j, :size], float(q[j]))
+            assert report.kept[j, :size].tolist() == solo.kept.tolist()
+            assert not report.kept[j, size:].any()
             assert float(report.threshold_scores[j]) == solo.threshold_score
+        assert report.n_kept.tolist() == [
+            int(np.count_nonzero(trimmers[j].trim(stack[j, :size], q[j]).kept))
+            for j, size in enumerate(sizes)
+        ]
 
     def test_shape_validation(self):
         lanes = TrimLanes([ValueTrimmer(), ValueTrimmer()])
@@ -266,15 +276,21 @@ class TestTrimLanes:
             lanes.trim_stack(np.zeros((2, 5)), np.array([0.9]))
         with pytest.raises(ValueError, match="empty"):
             lanes.trim_stack(np.zeros((2, 0)), np.array([0.9, 0.9]))
+        with pytest.raises(ValueError, match="3 rows for 2 lanes"):
+            lanes.trim_stack(np.zeros((3, 5)), np.array([0.9, 0.9, 0.9]))
+        q = np.array([0.9, 0.9])
+        for sizes in ([5], [0, 5], [4, 4], [5, 6]):
+            with pytest.raises(ValueError, match="lane size"):
+                lanes.trim_stack(np.zeros((2, 5)), q, np.array(sizes))
 
 
 def _mixed_anchor_stack(kind, rng):
-    """A cohort mixing reference- and batch-anchored lanes of one class,
-    a 40-wide stack whose points 20-29 repeat points 10-19 (tied scores;
-    row 5 also holds a NaN score), and the row -> lane map of a
-    segment."""
+    """A ragged cohort mixing reference- and batch-anchored lanes of one
+    class: eight lanes sharing four trimmers, a stack 40 wide whose
+    points 20-29 repeat points 10-19 (tied scores; lane 5 also holds a
+    NaN score), each lane's own size, and NaN past it."""
     if kind == "value":
-        trimmers = [
+        shared = [
             ValueTrimmer().fit_reference(REFERENCE_A),
             ValueTrimmer(anchor="batch"),
             ValueTrimmer().fit_reference(REFERENCE_B),
@@ -284,7 +300,7 @@ def _mixed_anchor_stack(kind, rng):
     else:
         d = 3 if kind == "radial" else 1
         reference = rng.normal(size=(60, d)) if d > 1 else rng.normal(size=60)
-        trimmers = [
+        shared = [
             RadialTrimmer().fit_reference(reference),
             RadialTrimmer(anchor="batch").fit_reference(reference),
             RadialTrimmer().fit_reference(reference + 0.5),
@@ -293,44 +309,52 @@ def _mixed_anchor_stack(kind, rng):
         stack = rng.normal(size=(8, 40, d) if d > 1 else (8, 40))
     stack[:, 20:30] = stack[:, 10:20]
     stack[5, 7] = np.nan
-    lanes = np.array([1, 3, 0, 3, 1, 3, 1, 2])
-    return trimmers, stack, lanes
+    sizes = np.array([40, 33, 36, 40, 22, 31, 27, 38])
+    stack[np.arange(40) >= sizes[:, None]] = np.nan
+    trimmers = [shared[r] for r in (1, 3, 0, 3, 1, 3, 1, 2)]
+    return trimmers, stack, sizes
 
 
 class TestBatchAnchoredCutoffs:
-    """All batch-anchored cutoffs of a segment come from one row-wise
-    sort; each must equal the per-lane ``empirical_quantile`` call it
-    replaces and the lane's solo ``Trimmer.trim``."""
+    """All batch-anchored cutoffs of a ragged round come from one
+    row-wise sort; each must equal the per-lane ``empirical_quantile``
+    call it replaces and the lane's solo ``Trimmer.trim`` on its own
+    entries."""
 
     @pytest.mark.parametrize("kind", ["value", "radial", "radial-1d"])
     def test_rows_match_per_row_quantiles_and_solo_trims(self, kind):
         rng = np.random.default_rng(23)
-        trimmers, stack, lanes = _mixed_anchor_stack(kind, rng)
-        n = stack.shape[1]
+        trimmers, stack, sizes = _mixed_anchor_stack(kind, rng)
         # 0, 1, NaN (clips to 0), an exact order statistic k/(n-1), out
         # of range, and interior fractions interpolating from either end.
-        percentiles = np.array([0.0, 1.0, np.nan, 7 / (n - 1), 0.5, -0.3, 0.3, 0.9])
+        percentiles = np.array(
+            [0.0, 1.0, np.nan, 7 / (sizes[3] - 1), 0.5, -0.3, 0.3, 0.9]
+        )
         program = TrimLanes(trimmers)
-        report = program.trim_stack(stack, percentiles, lanes)
-        for j, r in enumerate(lanes):
-            solo = trimmers[r].trim(stack[j], float(percentiles[j]))
-            assert report.kept[j].tobytes() == solo.kept.tobytes(), j
-            assert report.scores[j].tobytes() == solo.scores.tobytes(), j
+        report = program.trim_stack(stack, percentiles, sizes)
+        for j, trimmer in enumerate(trimmers):
+            size = sizes[j]
+            solo = trimmer.trim(stack[j, :size], float(percentiles[j]))
+            assert report.kept[j, :size].tobytes() == solo.kept.tobytes(), j
+            assert not report.kept[j, size:].any(), j
+            scores = report.scores[j, :size]
+            assert scores.tobytes() == solo.scores.tobytes(), j
+            assert np.isnan(report.scores[j, size:]).all(), j
             assert float(report.percentiles[j]) == solo.percentile, j
             cutoff = report.threshold_scores[j]
             assert cutoff.tobytes() == np.float64(solo.threshold_score).tobytes(), j
-            if not trimmers[r].is_reference_anchored and solo.percentile < 1.0:
-                expected = empirical_quantile(report.scores[j], solo.percentile)
+            if not trimmer.is_reference_anchored and solo.percentile < 1.0:
+                expected = empirical_quantile(scores, solo.percentile)
                 assert cutoff.tobytes() == np.float64(expected).tobytes(), j
         # The NaN row's cutoff is NaN: it keeps only its first NaN point,
-        # the solo argmin fallback.
+        # the solo argmin fallback over its own entries.
         assert np.isnan(report.threshold_scores[5])
-        assert report.kept[5].tolist() == [i == 7 for i in range(n)]
+        assert report.kept[5].tolist() == [i == 7 for i in range(40)]
         # A second pass rewrites the buffer the program reuses; the
         # first report holds none of it.
         fields = (report.kept, report.scores, report.threshold_scores)
         before = [field.tobytes() for field in fields]
-        program.trim_stack(-stack, percentiles, lanes)
+        program.trim_stack(-stack, percentiles, sizes)
         assert [field.tobytes() for field in fields] == before
 
     def test_sorted_rows_match_per_row_quantiles(self):
@@ -347,6 +371,34 @@ class TestBatchAnchoredCutoffs:
 def _injector_pair(**kwargs):
     """Twin injectors (same seed) for fused-vs-solo comparison."""
     return PoisonInjector(**kwargs), PoisonInjector(**kwargs)
+
+
+def test_position_server_serves_each_row_its_own_count():
+    # Rows of one call draw different counts (0: the lane sits the
+    # round out), over enough rounds that every lane's block is
+    # compacted and the matrix regrown; each row is its lane's solo
+    # draw, and each Generator lands where the solo draws leave it.
+    def injectors():
+        return [
+            PoisonInjector(attack_ratio=0.2, jitter=jitter, seed=70 + i)
+            for i, jitter in enumerate((0.02, 0.0, 0.05, 0.01))
+        ]
+
+    fused, solo = injectors(), injectors()
+    server = LanePositionServer(fused)
+    rng = np.random.default_rng(41)
+    for round_ in range(80):
+        counts = rng.integers(0, 40 if round_ != 60 else 300, size=4)
+        lanes = np.flatnonzero(counts)
+        percentiles = rng.uniform(0.9, 1.0, size=lanes.size)
+        got = server.positions(lanes, percentiles, counts[lanes])
+        assert got.shape == (lanes.size, counts.max())
+        for row, lane in enumerate(lanes):
+            want = solo[lane]._positions(float(percentiles[row]), int(counts[lane]))
+            assert got[row, : counts[lane]].tobytes() == want.tobytes(), (round_, lane)
+    server.sync()
+    for a, b in zip(fused, solo, strict=True):
+        assert rng_state(a._rng) == rng_state(b._rng)
 
 
 class TestInjectorLanes:
@@ -377,7 +429,7 @@ class TestInjectorLanes:
         rng = np.random.default_rng(23)
         benign = rng.uniform(0.0, 1.0, size=(3, 50))
         q = np.array([0.99, 0.97, 0.98])
-        out = lanes.materialize_many(benign, q)
+        out = lanes.materialize_many(benign, q, lanes.poison_counts(50))
         for j, injector in enumerate(solo):
             want = injector.materialize(benign[j], float(q[j]))
             assert out[j].tobytes() == want.tobytes()
@@ -397,21 +449,51 @@ class TestInjectorLanes:
         lanes = InjectorLanes(fused)
         benign = rng.normal(size=(3, 40, 3))
         q = np.array([0.99, 0.98, 0.995])
-        out = lanes.materialize_many(benign, q)
+        out = lanes.materialize_many(benign, q, lanes.poison_counts(40))
         for j, injector in enumerate(solo):
             want = injector.materialize(benign[j], float(q[j]))
             assert out[j].tobytes() == want.tobytes()
 
-    def test_count_uniform_segments_enforced(self):
-        lanes = InjectorLanes(
-            [
-                PoisonInjector(attack_ratio=0.1, seed=1),
-                PoisonInjector(attack_ratio=0.3, seed=2),
+    @pytest.mark.parametrize("mode", ["quantile", "radial"])
+    def test_mixed_counts_match_solo_and_pad_with_nan(self, mode):
+        # Lanes on two references inject their own counts in one pass;
+        # lane 2 injects nothing this round and draws nothing.
+        rng = np.random.default_rng(37)
+        if mode == "quantile":
+            references = (REFERENCE_A.copy(), REFERENCE_B.copy())
+            benign = rng.uniform(0.0, 1.0, size=(4, 50))
+        else:
+            references = (rng.normal(size=(80, 3)), rng.normal(1.0, size=(80, 3)))
+            benign = rng.normal(size=(4, 50, 3))
+        for reference in references:
+            reference.setflags(write=False)  # read-only: fits are shared
+
+        def injectors():
+            return [
+                PoisonInjector(
+                    attack_ratio=ratio, jitter=0.02, mode=mode, seed=60 + i
+                ).fit_reference(references[i % 2])
+                for i, ratio in enumerate((0.1, 0.3, 0.2, 0.24))
             ]
-        )
-        benign = np.zeros((2, 50))
-        with pytest.raises(ValueError, match="count-uniform"):
-            lanes.materialize_many(benign, np.array([0.99, 0.99]))
+
+        fused, solo = injectors(), injectors()
+        lanes = InjectorLanes(fused)
+        assert lanes._fit_gid.tolist() == [0, 1, 0, 1]
+        q = np.array([0.99, 0.97, 0.98, 0.9])
+        counts = lanes.poison_counts(50)
+        counts[2] = 0
+        assert counts.tolist() == [5, 15, 0, 12]
+        out = lanes.materialize_many(benign, q, counts)
+        assert out.shape == (4, 15) + benign.shape[2:]
+        for j, injector in enumerate(solo):
+            if counts[j]:
+                want = injector.materialize(benign[j], float(q[j]))
+                assert out[j, : counts[j]].tobytes() == want.tobytes(), j
+            assert np.isnan(out[j, counts[j]:]).all(), j
+        # Each real Generator lands where its lane's own draws leave it.
+        lanes.finalize()
+        for a, b in zip(fused, solo, strict=True):
+            assert rng_state(a._rng) == rng_state(b._rng)
 
     def test_zero_count_returns_empty(self):
         lanes = InjectorLanes(
@@ -420,7 +502,9 @@ class TestInjectorLanes:
                 PoisonInjector(attack_ratio=0.0, seed=2),
             ]
         )
-        out = lanes.materialize_many(np.zeros((2, 50)), np.array([0.99, 0.99]))
+        out = lanes.materialize_many(
+            np.zeros((2, 50)), np.array([0.99, 0.99]), lanes.poison_counts(50)
+        )
         assert out.shape == (2, 0)
 
     def test_reference_groups_partition_by_fit_identity(self):
@@ -451,7 +535,7 @@ class TestInjectorLanes:
         ]
         benign = np.random.default_rng(31).uniform(size=(4, 50))
         q = np.array([0.99, 0.97, 0.98, 0.9])
-        out = lanes.materialize_many(benign, q)
+        out = lanes.materialize_many(benign, q, lanes.poison_counts(50))
         for j, twin in enumerate(twins):
             want = twin.materialize(benign[j], float(q[j]))
             assert out[j].tobytes() == want.tobytes()

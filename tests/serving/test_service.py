@@ -19,8 +19,6 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "core")
 )
 from test_session import (  # noqa: E402
-    MATRIX_ADVERSARIES,
-    MATRIX_COLLECTORS,
     assert_results_identical,
     matrix_spec,
 )
@@ -535,6 +533,46 @@ class TestEvictionAndResidency:
         service.submit(sid)
         assert service._sessions[sid].round_index == 3
         assert not record.exists()
+
+    def test_close_keeps_the_tenant_when_its_unlink_fails(
+        self, tmp_path, monkeypatch
+    ):
+        spec = matrix_spec("tft-mixed", "mixed", "position", seed=97)
+
+        def evicted_tenant(store):
+            service = DefenseService(store=store)
+            sid = service.open(spec, session_id="tenant")
+            service.submit(sid)
+            service.evict(sid)
+            return service, sid
+
+        twin, twin_sid = evicted_tenant(ResultStore(tmp_path / "twin"))
+        expected = twin.close(twin_sid)
+        store = ResultStore(tmp_path / "cache")
+        service, sid = evicted_tenant(store)
+        record = store.record_path(service._session_key(sid))
+        unlink = type(record).unlink
+        refused = []
+
+        def refuse_once(path, missing_ok=False):
+            if not refused:
+                refused.append(path)
+                raise PermissionError(13, "Permission denied", str(path))
+            return unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(type(record), "unlink", refuse_once)
+        # The refused unlink surfaces; the tenant stays registered and
+        # unsealed, and its record stays on disk.
+        with pytest.raises(PermissionError):
+            service.close(sid)
+        assert sid in service._sessions
+        assert not service._sessions[sid].is_closed
+        assert record.exists()
+        # A second close returns what an uninterrupted close returns.
+        assert_results_identical(service.close(sid), expected)
+        assert not record.exists()
+        with pytest.raises(KeyError, match="no persisted snapshot"):
+            DefenseService(store=store).adopt(spec, sid)
 
     def test_close_removes_persisted_snapshot(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
