@@ -64,7 +64,7 @@ def main() -> None:
           f"amplitude = {oscillator.amplitude:.4f}")
     r = np.linspace(0.0, oscillator.period, 9)
     u_a, u_c = oscillator.solve(r)
-    for ri, ua, uc in zip(r, u_a, u_c):
+    for ri, ua, uc in zip(r, u_a, u_c, strict=True):
         print(f"  r = {ri:6.2f}: u_a = {ua:8.4f}, u_c = {uc:8.4f}, "
               f"gap = {ua - uc:8.4f}")
     print(f"energy drift over a period: "

@@ -29,7 +29,6 @@ def main() -> None:
     rows = []
 
     for epsilon in (1.0, 2.0, 4.0):
-        rng = np.random.default_rng(int(epsilon * 10))
         honest_inputs = generate_taxi(n_users, seed=int(epsilon * 100))
         truth = float(np.mean(honest_inputs))
 

@@ -16,8 +16,6 @@ solo rounds instead: below four, solo rounds are cheaper.)  Run with::
     python examples/live_session.py
 """
 
-import numpy as np
-
 from repro import ComponentSpec, DefenseService, GameSession, GameSpec, PayoffModel
 from repro.core.strategies import ElasticAdversary, ElasticCollector
 

@@ -381,9 +381,9 @@ class ConformanceAuditor:
         from ..core.strategies import batched
 
         collectors, adversaries = self._shipped_strategies()
-        for cls, registry, register in (
-            *((c, batched._COLLECTOR_LANES, "register_collector_lanes") for c in collectors),
-            *((a, batched._ADVERSARY_LANES, "register_adversary_lanes") for a in adversaries),
+        for cls, registry, name in (
+            *((c, batched._COLLECTOR_LANES, "_COLLECTOR_LANES") for c in collectors),
+            *((a, batched._ADVERSARY_LANES, "_ADVERSARY_LANES") for a in adversaries),
         ):
             if cls not in registry:
                 yield self._finding(
@@ -391,9 +391,9 @@ class ConformanceAuditor:
                     cls,
                     f"strategy `{cls.__name__}` has no array-native lane "
                     "registered in strategies/batched.py",
-                    f"implement a lanes class and call {register}() "
-                    "(or accept the fallback loop explicitly by "
-                    "registering the fallback)",
+                    f"implement a lanes class and add it to {name} in "
+                    "strategies/batched.py (or accept the fallback loop "
+                    "explicitly by registering the fallback)",
                 )
 
     # ------------------------------------------------------------------ #

@@ -19,8 +19,6 @@ from .batched import (
     CollectorLanes,
     FallbackAdversaryLanes,
     FallbackCollectorLanes,
-    register_adversary_lanes,
-    register_collector_lanes,
 )
 from .elastic import ElasticAdversary, ElasticCollector
 from .titfortat import MixedStrategyTrigger, QualityTrigger, TitForTatCollector
@@ -35,8 +33,6 @@ __all__ = [
     "AdversaryLanes",
     "FallbackCollectorLanes",
     "FallbackAdversaryLanes",
-    "register_collector_lanes",
-    "register_adversary_lanes",
     "OstrichCollector",
     "StaticCollector",
     "TitForTatCollector",

@@ -12,11 +12,10 @@ differ).  This module closes that gap with the **lane** protocol:
   ``react_many(observation_batch) -> (L,)`` percentile arrays (adversary
   lanes use ``NaN`` for "no injection").
 * the exact-type registries ``_COLLECTOR_LANES`` / ``_ADVERSARY_LANES``
-  (extended through :func:`register_collector_lanes` /
-  :func:`register_adversary_lanes`) map every shipped strategy
-  (tit-for-tat, elastic, the baselines, the adversary family, the
-  tit-for-tat variants) to its array-native lane class.  The fusion
-  planner (:func:`~repro.core.fusion.fused_collector_lanes` /
+  map every shipped strategy (tit-for-tat, elastic, the baselines, the
+  adversary family, the tit-for-tat variants) to its array-native lane
+  class.  The fusion planner
+  (:func:`~repro.core.fusion.fused_collector_lanes` /
   :func:`~repro.core.fusion.fused_adversary_lanes`) reads them to build
   one program per strategy family; anything unregistered — including
   *subclasses* of shipped strategies, which may override ``react`` —
@@ -66,8 +65,6 @@ __all__ = [
     "AdversaryLanes",
     "FallbackCollectorLanes",
     "FallbackAdversaryLanes",
-    "register_collector_lanes",
-    "register_adversary_lanes",
 ]
 
 
@@ -635,18 +632,3 @@ _ADVERSARY_LANES = {
     JustBelowAdversary: _JustBelowLanes,
     ElasticAdversary: _ElasticAdversaryLanes,
 }
-
-
-def register_collector_lanes(strategy_cls: type, lanes_cls: type) -> None:
-    """Register an array-native lane implementation for a collector class.
-
-    ``lanes_cls`` must provide a ``build(instances)`` classmethod
-    returning the lanes (or ``None`` to decline, e.g. on parameter
-    mismatch).  Registration is exact-type: subclasses still fall back.
-    """
-    _COLLECTOR_LANES[strategy_cls] = lanes_cls
-
-
-def register_adversary_lanes(strategy_cls: type, lanes_cls: type) -> None:
-    """Adversary-side counterpart of :func:`register_collector_lanes`."""
-    _ADVERSARY_LANES[strategy_cls] = lanes_cls

@@ -1,35 +1,18 @@
-"""LDP substrate: mechanisms, attacks, EM reconstruction, and the EMF baseline."""
+"""Fig. 9's LDP substrate: mechanisms, the input attack, EM reconstruction, the EMF baseline."""
 
-from .attacks import InputManipulationAttack, OutputManipulationAttack
+from .attacks import InputManipulationAttack
 from .emf import EMFResult, ExpectationMaximizationFilter
 from .estimators import TrimmedMeanEstimator, mean_estimate
-from .frequency import (
-    GeneralizedRandomizedResponse,
-    MaximalGainAttack,
-    OptimizedUnaryEncoding,
-)
-from .mechanisms import (
-    DuchiMechanism,
-    LaplaceMechanism,
-    Mechanism,
-    PiecewiseMechanism,
-)
+from .mechanisms import PiecewiseMechanism
 from .square_wave import SquareWaveMechanism, em_reconstruct
 
 __all__ = [
-    "Mechanism",
-    "LaplaceMechanism",
-    "DuchiMechanism",
     "PiecewiseMechanism",
     "SquareWaveMechanism",
     "em_reconstruct",
     "InputManipulationAttack",
-    "OutputManipulationAttack",
     "EMFResult",
     "ExpectationMaximizationFilter",
     "TrimmedMeanEstimator",
     "mean_estimate",
-    "GeneralizedRandomizedResponse",
-    "OptimizedUnaryEncoding",
-    "MaximalGainAttack",
 ]

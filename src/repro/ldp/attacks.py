@@ -1,26 +1,19 @@
-"""Manipulation attacks against LDP data collection ([7], §VI-E).
+"""The input manipulation attack against LDP data collection ([7], §VI-E).
 
-Cheu, Smith & Ullman's taxonomy, both implemented:
-
-* :class:`InputManipulationAttack` — attackers counterfeit their *input*
-  (here: the domain value that maximizes the estimated-mean deviation)
-  and then follow the perturbation protocol honestly.  Deniable and
-  evasive: each attacker's report is individually indistinguishable from
-  an honest user who truly holds that input — the "potent evasion
-  strategy against detection mechanisms" used as the Fig. 9 adversary.
-* :class:`OutputManipulationAttack` — the general manipulation attack:
-  Byzantine attackers skip the protocol and report an arbitrary value in
-  the output domain (default: the output bound), maximizing per-report
-  damage at the cost of detectability.
+Cheu, Smith & Ullman's input manipulation: attackers counterfeit their
+*input* (here: the domain value that maximizes the estimated-mean
+deviation) and then follow the perturbation protocol honestly.  The
+attack is deniable and evasive: each attacker's report is individually
+indistinguishable from an honest user who truly holds that input.  It is
+the "potent evasion strategy against detection mechanisms" that Fig. 9
+uses as its adversary.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-__all__ = ["InputManipulationAttack", "OutputManipulationAttack"]
+__all__ = ["InputManipulationAttack"]
 
 
 class InputManipulationAttack:
@@ -48,43 +41,3 @@ class InputManipulationAttack:
             return np.empty(0)
         inputs = np.full(n_attackers, self.target)
         return mechanism.perturb(inputs)
-
-
-class OutputManipulationAttack:
-    """Report arbitrary output-domain values (general manipulation).
-
-    ``value=None`` reports the mechanism's output bound — the most
-    damaging admissible report for mean inflation.  A finite explicit
-    ``value`` supports colluding attackers that park reports at a chosen
-    evasive location instead.
-    """
-
-    name = "output-manipulation"
-
-    def __init__(self, value: Optional[float] = None, jitter: float = 0.0,
-                 seed: Optional[int] = None):
-        if jitter < 0.0:
-            raise ValueError("jitter must be non-negative")
-        self.value = value
-        self.jitter = float(jitter)
-        self._rng = np.random.default_rng(seed)
-
-    def reports(self, mechanism, n_attackers: int) -> np.ndarray:
-        """Generate fabricated reports, bypassing the mechanism."""
-        if n_attackers < 0:
-            raise ValueError("n_attackers must be non-negative")
-        if n_attackers == 0:
-            return np.empty(0)
-        if self.value is None:
-            bound = mechanism.output_bound()
-            if not np.isfinite(bound):
-                raise ValueError(
-                    "mechanism has unbounded outputs; provide an explicit value"
-                )
-            base = bound
-        else:
-            base = self.value
-        out = np.full(n_attackers, float(base))
-        if self.jitter > 0.0:
-            out = out - self._rng.random(n_attackers) * self.jitter
-        return out

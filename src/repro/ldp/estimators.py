@@ -26,6 +26,18 @@ def mean_estimate(reports) -> float:
     return float(np.mean(arr))
 
 
+def _finite_reports(reports) -> np.ndarray:
+    """Reports as a flat float array; a NaN or infinite report raises.
+
+    A NaN compares false against every cutoff, so it would be dropped
+    from the trimmed mean and from the trimmed fraction without a word.
+    """
+    arr = np.asarray(reports, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("LDP reports must be finite")
+    return arr
+
+
 class TrimmedMeanEstimator:
     """Percentile-trimmed report mean with reference bias correction.
 
@@ -39,7 +51,7 @@ class TrimmedMeanEstimator:
     """
 
     def __init__(self, reference_reports):
-        ref = np.asarray(reference_reports, dtype=float).ravel()
+        ref = _finite_reports(reference_reports)
         if ref.size < 10:
             raise ValueError("need at least 10 reference reports to calibrate")
         # Sort-once table: cutoffs become O(1) quantile lookups and the
@@ -70,7 +82,7 @@ class TrimmedMeanEstimator:
 
     def estimate(self, reports, percentile: float) -> float:
         """Trim reports above the cutoff, average, and de-bias."""
-        arr = np.asarray(reports, dtype=float).ravel()
+        arr = _finite_reports(reports)
         if arr.size == 0:
             raise ValueError("cannot estimate from an empty report batch")
         cut = self.cutoff(percentile)
@@ -81,7 +93,7 @@ class TrimmedMeanEstimator:
 
     def trimmed_fraction(self, reports, percentile: float) -> float:
         """Fraction of reports removed at the given threshold."""
-        arr = np.asarray(reports, dtype=float).ravel()
+        arr = _finite_reports(reports)
         if arr.size == 0:
             return 0.0
         return float(np.mean(arr > self.cutoff(percentile)))

@@ -1,20 +1,15 @@
-"""Numeric LDP perturbation mechanisms on the domain [-1, 1] (§V, §VI-E).
+"""The Piecewise Mechanism: numeric ε-LDP reports on [-1, 1] (§V, §VI-E).
 
 The case study's non-deterministic utility comes from local differential
 privacy: each user perturbs their value before reporting, so even a fully
-honest round has probabilistic quality.  Three classic ε-LDP mechanisms
-for numeric mean estimation are implemented from scratch:
+honest round has probabilistic quality.  Fig. 9's trimming defenses run
+on Wang et al.'s piecewise mechanism, implemented here from scratch.  Its
+reports are continuous in ``[-C, C]`` with
+``C = (e^{ε/2} + 1)/(e^{ε/2} - 1)`` and concentrate near the true value,
+so percentile *trimming* of reports is meaningful on its output domain.
+It is unbiased: ``E[perturb(x)] = x`` for ``x ∈ [-1, 1]``.
 
-* :class:`LaplaceMechanism` — add Laplace(2/ε) noise (sensitivity 2).
-* :class:`DuchiMechanism` — Duchi et al.'s two-point mechanism: report
-  ``±B`` with ``B = (e^ε + 1)/(e^ε - 1)``; minimax-optimal variance at
-  small ε.
-* :class:`PiecewiseMechanism` — Wang et al.'s piecewise mechanism:
-  continuous reports in ``[-C, C]`` with ``C = (e^{ε/2} + 1)/(e^{ε/2}-1)``,
-  concentrated near the true value; preferred here because percentile
-  *trimming* of reports is meaningful on its continuous output domain.
-
-All mechanisms are unbiased: ``E[perturb(x)] = x`` for ``x ∈ [-1, 1]``.
+The EMF baseline's Square-Wave mechanism is in :mod:`.square_wave`.
 """
 
 from __future__ import annotations
@@ -23,116 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "Mechanism",
-    "LaplaceMechanism",
-    "DuchiMechanism",
-    "PiecewiseMechanism",
-]
+__all__ = ["PiecewiseMechanism"]
 
 
-class Mechanism:
-    """Base ε-LDP mechanism over inputs in [-1, 1]."""
-
-    def __init__(self, epsilon: float, seed: Optional[int] = None):
-        if epsilon <= 0.0:
-            raise ValueError("privacy budget epsilon must be positive")
-        self.epsilon = float(epsilon)
-        self._rng = np.random.default_rng(seed)
-
-    @staticmethod
-    def _check_inputs(values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("cannot perturb an empty batch")
-        if np.any(np.abs(arr) > 1.0 + 1e-12):
-            raise ValueError("inputs must lie in [-1, 1]")
-        return np.clip(arr, -1.0, 1.0)
-
-    def perturb(self, values) -> np.ndarray:
-        """Perturb a batch of values; one independent report each."""
-        raise NotImplementedError
-
-    def output_bound(self) -> float:
-        """A bound ``b`` such that reports lie in ``[-b, b]`` (inf if none)."""
-        return float("inf")
-
-    def variance(self, x: float = 0.0) -> float:
-        """Per-report variance at input ``x`` (worst case if not exact)."""
-        raise NotImplementedError
-
-    def density(self, y, x: float):
-        """Report density (or pmf) ``p(y | x)`` at report(s) ``y``.
-
-        Used by the ε-LDP verification tests: for every pair of inputs
-        ``x, x'`` and every report ``y``, ``p(y|x) <= e^ε p(y|x')``.
-        """
-        raise NotImplementedError
-
-
-class LaplaceMechanism(Mechanism):
-    """``y = x + Lap(2/ε)``: the textbook numeric mechanism."""
-
-    @property
-    def scale(self) -> float:
-        """Laplace scale ``2/ε`` (sensitivity of [-1, 1] inputs is 2)."""
-        return 2.0 / self.epsilon
-
-    def perturb(self, values) -> np.ndarray:
-        arr = self._check_inputs(values)
-        return arr + self._rng.laplace(0.0, self.scale, size=arr.size)
-
-    def variance(self, x: float = 0.0) -> float:
-        """``2 (2/ε)²`` independent of the input."""
-        return 2.0 * self.scale**2
-
-    def density(self, y, x: float):
-        """Laplace density centered at ``x`` with scale ``2/ε``."""
-        y = np.asarray(y, dtype=float)
-        return np.exp(-np.abs(y - float(x)) / self.scale) / (2.0 * self.scale)
-
-
-class DuchiMechanism(Mechanism):
-    """Duchi et al.'s two-point mechanism: report ``±B``.
-
-    ``B = (e^ε + 1)/(e^ε - 1)``; report ``+B`` with probability
-    ``(1 + x (e^ε - 1)/(e^ε + 1))/2``, which makes the report unbiased.
-    """
-
-    @property
-    def magnitude(self) -> float:
-        """The output magnitude ``B``."""
-        e = np.exp(self.epsilon)
-        return float((e + 1.0) / (e - 1.0))
-
-    def perturb(self, values) -> np.ndarray:
-        arr = self._check_inputs(values)
-        e = np.exp(self.epsilon)
-        prob_plus = 0.5 * (1.0 + arr * (e - 1.0) / (e + 1.0))
-        plus = self._rng.random(arr.size) < prob_plus
-        b = self.magnitude
-        return np.where(plus, b, -b)
-
-    def output_bound(self) -> float:
-        return self.magnitude
-
-    def variance(self, x: float = 0.0) -> float:
-        """``B² - x²`` (exact for the two-point output)."""
-        return self.magnitude**2 - float(x) ** 2
-
-    def density(self, y, x: float):
-        """Two-point pmf: mass at ``+B`` and ``-B``, zero elsewhere."""
-        y = np.asarray(y, dtype=float)
-        e = np.exp(self.epsilon)
-        prob_plus = 0.5 * (1.0 + float(x) * (e - 1.0) / (e + 1.0))
-        b = self.magnitude
-        out = np.zeros_like(y)
-        out = np.where(np.isclose(y, b), prob_plus, out)
-        out = np.where(np.isclose(y, -b), 1.0 - prob_plus, out)
-        return out
-
-
-class PiecewiseMechanism(Mechanism):
+class PiecewiseMechanism:
     """Wang et al.'s piecewise mechanism with continuous reports.
 
     Output domain ``[-C, C]`` with ``C = (e^{ε/2} + 1)/(e^{ε/2} - 1)``.
@@ -141,9 +30,26 @@ class PiecewiseMechanism(Mechanism):
     (affinely) on ``x``; otherwise uniform on the complement of the band.
     """
 
+    def __init__(self, epsilon: float, seed: Optional[int] = None):
+        # Checked as "in range", not as "out of range": NaN compares false.
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError("privacy budget epsilon must be positive and finite")
+        self.epsilon = float(epsilon)
+        self._rng = np.random.default_rng(seed)
+
+    @staticmethod
+    def _check_inputs(values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float).ravel()
+        if arr.size == 0:
+            raise ValueError("cannot perturb an empty batch")
+        # "All in range", not "any out of range", so a NaN input fails.
+        if not np.all(np.abs(arr) <= 1.0 + 1e-12):
+            raise ValueError("inputs must lie in [-1, 1]")
+        return np.clip(arr, -1.0, 1.0)
+
     @property
     def c_bound(self) -> float:
-        """The output bound ``C``."""
+        """The output bound ``C``: every report lies in ``[-C, C]``."""
         t = np.exp(self.epsilon / 2.0)
         return float((t + 1.0) / (t - 1.0))
 
@@ -154,6 +60,7 @@ class PiecewiseMechanism(Mechanism):
         return left, right
 
     def perturb(self, values) -> np.ndarray:
+        """Perturb a batch of values; one independent report each."""
         arr = self._check_inputs(values)
         t = np.exp(self.epsilon / 2.0)
         c = self.c_bound
@@ -181,9 +88,6 @@ class PiecewiseMechanism(Mechanism):
             )
             out[tails] = tail_out
         return out
-
-    def output_bound(self) -> float:
-        return self.c_bound
 
     def variance(self, x: float = 0.0) -> float:
         """Exact per-report variance of the piecewise mechanism.

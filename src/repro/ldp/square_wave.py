@@ -29,8 +29,9 @@ class SquareWaveMechanism:
     """SW mechanism over inputs in [0, 1]."""
 
     def __init__(self, epsilon: float, seed: Optional[int] = None):
-        if epsilon <= 0.0:
-            raise ValueError("privacy budget epsilon must be positive")
+        # Checked as "in range", not as "out of range": NaN compares false.
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError("privacy budget epsilon must be positive and finite")
         self.epsilon = float(epsilon)
         self._rng = np.random.default_rng(seed)
 
@@ -60,7 +61,8 @@ class SquareWaveMechanism:
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("cannot perturb an empty batch")
-        if np.any((arr < -1e-12) | (arr > 1.0 + 1e-12)):
+        # "All in range", not "any out of range", so a NaN input fails.
+        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise ValueError("SW inputs must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
 

@@ -6,7 +6,6 @@ import pytest
 from repro.ldp import (
     ExpectationMaximizationFilter,
     InputManipulationAttack,
-    OutputManipulationAttack,
     PiecewiseMechanism,
     SquareWaveMechanism,
 )
@@ -27,37 +26,39 @@ class TestInputManipulationAttack:
         with pytest.raises(ValueError):
             InputManipulationAttack().reports(PiecewiseMechanism(1.0), -1)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            InputManipulationAttack(target=np.nan).reports(PiecewiseMechanism(1.0), 2)
+
+    @pytest.mark.parametrize("target", [np.inf, -np.inf, 1.5])
+    def test_out_of_domain_target_rejected_before_any_draw(self, target):
+        mech = PiecewiseMechanism(1.0, seed=0)
+        state = mech._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            InputManipulationAttack(target).reports(mech, 2)
+        assert mech._rng.bit_generator.state == state
+
+    def test_zero_attackers_draw_nothing(self):
+        mech = PiecewiseMechanism(1.0, seed=0)
+        state = mech._rng.bit_generator.state
+        InputManipulationAttack().reports(mech, 0)
+        assert mech._rng.bit_generator.state == state
+
+    def test_square_wave_reports_stay_in_output_domain(self):
+        # Fig. 9's EMF baseline feeds the same attack through Square-Wave.
+        mech = SquareWaveMechanism(2.0, seed=2)
+        reports = InputManipulationAttack(1.0).reports(mech, 10_000)
+        assert reports.min() >= -mech.b - 1e-12
+        assert reports.max() <= 1.0 + mech.b + 1e-12
+        inside = np.abs(reports - 1.0) <= mech.b
+        assert inside.mean() == pytest.approx(2 * mech.b * mech.p_density, abs=0.02)
+
     def test_reports_indistinguishable_support(self):
         # Input-manipulated reports stay inside the mechanism's output
         # domain — the deniability property.
         mech = PiecewiseMechanism(1.0, seed=1)
         reports = InputManipulationAttack(1.0).reports(mech, 10_000)
-        assert np.abs(reports).max() <= mech.output_bound() + 1e-9
-
-
-class TestOutputManipulationAttack:
-    def test_defaults_to_output_bound(self):
-        mech = PiecewiseMechanism(1.0, seed=0)
-        reports = OutputManipulationAttack().reports(mech, 100)
-        np.testing.assert_allclose(reports, mech.output_bound())
-
-    def test_explicit_value(self):
-        reports = OutputManipulationAttack(value=2.5).reports(
-            PiecewiseMechanism(1.0), 10
-        )
-        np.testing.assert_allclose(reports, 2.5)
-
-    def test_jitter_spreads_downward(self):
-        attack = OutputManipulationAttack(value=3.0, jitter=0.5, seed=0)
-        reports = attack.reports(PiecewiseMechanism(1.0), 1000)
-        assert (reports <= 3.0).all() and (reports >= 2.5).all()
-        assert reports.std() > 0.05
-
-    def test_unbounded_mechanism_requires_value(self):
-        from repro.ldp import LaplaceMechanism
-
-        with pytest.raises(ValueError):
-            OutputManipulationAttack().reports(LaplaceMechanism(1.0), 5)
+        assert np.abs(reports).max() <= mech.c_bound + 1e-9
 
 
 class TestEMF:

@@ -46,6 +46,32 @@ class TestTrimmedMeanEstimator:
         _, est = calibrated
         assert est.bias_correction(1.0) == pytest.approx(0.0)
 
+    @pytest.fixture()
+    def reference(self, rng):
+        return PiecewiseMechanism(2.0, seed=1).perturb(
+            rng.uniform(-0.5, 0.5, size=2001)
+        )
+
+    @pytest.mark.parametrize("percentile", [0.05, 0.5, 0.9, 0.99])
+    def test_cutoff_is_the_reference_quantile(self, reference, percentile):
+        est = TrimmedMeanEstimator(reference)
+        assert est.cutoff(percentile) == float(np.quantile(reference, percentile))
+
+    @pytest.mark.parametrize("percentile", [0.5, 0.8, 0.95])
+    def test_bias_correction_is_the_reference_mean_shift(self, reference, percentile):
+        est = TrimmedMeanEstimator(reference)
+        kept = reference[reference <= est.cutoff(percentile)]
+        expected = float(np.mean(reference)) - float(np.mean(kept))
+        assert est.bias_correction(percentile) == pytest.approx(expected, rel=1e-12)
+
+    def test_untrimmed_estimate_is_the_plain_mean(self, calibrated, rng):
+        mech, est = calibrated
+        reports = mech.perturb(rng.uniform(-0.5, 0.5, size=500))
+        assert est.estimate(reports, 1.0) == pytest.approx(
+            mean_estimate(reports), rel=1e-12
+        )
+        assert est.trimmed_fraction(reports, 1.0) == 0.0
+
     def test_clean_estimate_unbiased_after_correction(self, rng):
         mech = PiecewiseMechanism(2.0, seed=2)
         inputs = rng.uniform(-0.5, 0.5, size=30_000)
@@ -78,10 +104,30 @@ class TestTrimmedMeanEstimator:
         with pytest.raises(ValueError):
             TrimmedMeanEstimator(np.arange(5.0))
 
+    def test_nan_reference_rejected(self):
+        with pytest.raises(ValueError):
+            TrimmedMeanEstimator(np.append(np.linspace(-1.0, 1.0, 20), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_reference_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrimmedMeanEstimator(np.append(np.linspace(-1.0, 1.0, 20), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["estimate", "trimmed_fraction"])
+    def test_non_finite_reports_rejected(self, calibrated, method, bad):
+        _, est = calibrated
+        with pytest.raises(ValueError):
+            getattr(est, method)([0.1, bad], 0.9)
+
     def test_empty_batch_rejected(self, calibrated):
         _, est = calibrated
         with pytest.raises(ValueError):
             est.estimate([], 0.9)
+
+    def test_empty_batch_trims_nothing(self, calibrated):
+        _, est = calibrated
+        assert est.trimmed_fraction([], 0.9) == 0.0
 
     def test_all_above_cutoff_falls_back_to_min(self, calibrated):
         _, est = calibrated

@@ -4,26 +4,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldp import DuchiMechanism, LaplaceMechanism, PiecewiseMechanism
+from repro.ldp import PiecewiseMechanism, SquareWaveMechanism
 
-MECHANISMS = (LaplaceMechanism, DuchiMechanism, PiecewiseMechanism)
+MECHANISMS = (PiecewiseMechanism,)
+#: The Square-Wave mechanism (inputs in [0, 1]) joins only the domain-free tests.
+ALL_MECHANISMS = (PiecewiseMechanism, SquareWaveMechanism)
 
 
 class TestCommonBehaviour:
-    @pytest.mark.parametrize("cls", MECHANISMS)
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
     def test_invalid_epsilon_rejected(self, cls):
         with pytest.raises(ValueError):
             cls(0.0)
 
-    @pytest.mark.parametrize("cls", MECHANISMS)
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
     def test_out_of_domain_inputs_rejected(self, cls):
         with pytest.raises(ValueError):
             cls(1.0, seed=0).perturb([1.5])
 
-    @pytest.mark.parametrize("cls", MECHANISMS)
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_rejected(self, cls, epsilon):
+        with pytest.raises(ValueError):
+            cls(epsilon)
+
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
+    def test_nan_input_rejected_before_any_draw(self, cls):
+        mech = cls(1.0, seed=0)
+        state = mech._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            mech.perturb([0.2, np.nan])
+        assert mech._rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_input_rejected_before_any_draw(self, cls, value):
+        mech = cls(1.0, seed=0)
+        state = mech._rng.bit_generator.state
+        with pytest.raises(ValueError):
+            mech.perturb([0.2, value])
+        assert mech._rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
     def test_empty_batch_rejected(self, cls):
         with pytest.raises(ValueError):
             cls(1.0, seed=0).perturb([])
+
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
+    def test_one_flat_report_per_input(self, cls):
+        reports = cls(1.0, seed=0).perturb(np.full((3, 4), 0.5))
+        assert reports.shape == (12,)
+        assert np.all(np.isfinite(reports))
+
+    @pytest.mark.parametrize("cls", ALL_MECHANISMS)
+    def test_seed_fixes_the_reports(self, cls):
+        inputs = np.linspace(0.0, 1.0, 200)
+        first = cls(1.0, seed=3).perturb(inputs)
+        np.testing.assert_array_equal(first, cls(1.0, seed=3).perturb(inputs))
+        assert not np.array_equal(first, cls(1.0, seed=4).perturb(inputs))
 
     @pytest.mark.parametrize("cls", MECHANISMS)
     def test_unbiasedness_at_zero(self, cls):
@@ -44,43 +82,11 @@ class TestCommonBehaviour:
     def test_variance_shrinks_with_epsilon(self, cls):
         assert cls(4.0).variance(0.0) < cls(1.0).variance(0.0)
 
-    @pytest.mark.parametrize("cls", (DuchiMechanism, PiecewiseMechanism))
+    @pytest.mark.parametrize("cls", MECHANISMS)
     def test_reports_within_output_bound(self, cls):
         mech = cls(1.5, seed=2)
         reports = mech.perturb(np.linspace(-1, 1, 5000))
-        assert np.abs(reports).max() <= mech.output_bound() + 1e-9
-
-
-class TestLaplace:
-    def test_scale(self):
-        assert LaplaceMechanism(2.0).scale == 1.0
-
-    def test_variance_formula(self):
-        mech = LaplaceMechanism(1.0)
-        assert mech.variance() == pytest.approx(2.0 * 4.0)
-
-    def test_empirical_variance_matches(self):
-        mech = LaplaceMechanism(1.0, seed=3)
-        reports = mech.perturb(np.zeros(100_000))
-        assert np.var(reports) == pytest.approx(mech.variance(), rel=0.05)
-
-
-class TestDuchi:
-    def test_two_point_support(self):
-        mech = DuchiMechanism(1.0, seed=0)
-        reports = mech.perturb(np.linspace(-1, 1, 1000))
-        b = mech.magnitude
-        assert set(np.round(np.unique(reports), 10)) == {-round(b, 10), round(b, 10)}
-
-    def test_magnitude_formula(self):
-        e = np.exp(1.0)
-        assert DuchiMechanism(1.0).magnitude == pytest.approx((e + 1) / (e - 1))
-
-    def test_probability_monotone_in_input(self):
-        mech = DuchiMechanism(1.0, seed=4)
-        low = (mech.perturb(np.full(30_000, -0.9)) > 0).mean()
-        high = (mech.perturb(np.full(30_000, 0.9)) > 0).mean()
-        assert high > low + 0.3
+        assert np.abs(reports).max() <= mech.c_bound + 1e-9
 
 
 class TestPiecewise:

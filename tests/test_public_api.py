@@ -1,10 +1,13 @@
 """Smoke tests of the top-level public API."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import repro
 
@@ -13,9 +16,20 @@ def test_version():
     assert repro.__version__ == "1.10.0"
 
 
-def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+def _packages_with_all():
+    """``repro`` and every package under it that declares an ``__all__``."""
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    return [name for name in names if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("package", _packages_with_all())
+def test_all_exports_resolve(package):
+    """A name left in ``__all__`` after its definition goes fails here."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert hasattr(module, name), f"{package}.{name}"
 
 
 def test_import_loads_no_scipy():
